@@ -1,23 +1,28 @@
 """Exact aggregate flexibility sets.
 
 The aggregate flexibility set of a homogeneous population is fully
-parameterised by two monotone vectors: the sums of the fastest-charge
-profiles at the lower and upper energy bounds. Membership of an aggregate
-profile is decided by a transportation feasibility computation
-(source -> EV arcs with the energy-interval bounds, EV -> timestep arcs
-capped at the power rating, timestep -> sink arcs pinned to the demanded
-profile), run through the standard circulation transformation.
+parameterised by two monotone vectors: nu_lo and nu_hi, the sums of the
+fastest-charge profiles at the lower and upper energy bounds.
 
-A second, algebraically equivalent membership criterion ("prefix" method)
-is derived from the min-cut structure of that network: a profile u with
-total E is feasible iff E lies within the population's total-energy range
-and, for every k, the sum of the k largest entries of u does not exceed
-sum_i min(s_i, m*k), where s is the least-majorized vector of per-EV
-totals summing to E (a water-filling solution; sum_i min(s_i, m*k) is
-Schur-concave, so the least-majorized totals maximise every cut bound
-simultaneously). The prefix method vectorises across profiles and
-populations, which the Monte Carlo harness relies on; the two methods are
-cross-validated in the test suite.
+Each EV's set {x in [0, m]^T : e_lo <= sum(x) <= e_hi} is a generalized
+polymatroid with the paramodular pair p(S) = min(m|S|, e_hi) and
+b(S) = max(0, e_lo - m(T - |S|)), and a Minkowski sum of generalized
+polymatroids is the one of the summed pairs (Frank). Summed over the
+population, both functions depend on |S| only:
+p(S) = sum_{t<=|S|} nu_hi[t] and b(S) = sum_{t>T-|S|} nu_lo[t]. The
+conditions b(S) <= u(S) <= p(S) for every S therefore reduce to the sorted
+prefix sums of u, so a profile u with total E is a member iff
+
+    sum(nu_lo) <= E, and for k = 1..T:
+    top_k(u) <= min(sum_{t<=k} nu_hi[t], E - sum_{t>k} nu_lo[t])
+
+where top_k(u) is the sum of the k largest entries (k = T gives
+E <= sum(nu_hi)). One vectorised kernel evaluates this criterion for many
+profiles against many populations; single-profile membership, batch
+membership, subset and nesting tests all use it. Only decompose() builds a
+transportation network (source -> EV arcs with the energy-interval bounds,
+EV -> timestep arcs capped at the power rating, timestep -> sink arcs
+pinned to the profile), because it returns per-EV profiles.
 """
 
 from __future__ import annotations
@@ -28,17 +33,22 @@ from functools import cached_property
 import numpy as np
 
 from .core import DEFAULT_ATOL, Population
-from .errors import DimensionMismatch, NegativeEntry
+from .errors import DimensionMismatch, DomainError, NegativeEntry
 from .flows import feasible_circulation
+
+
+def _generating_vectors(energies: np.ndarray, m: float, horizon: int) -> np.ndarray:
+    """Sums of fastest-charge profiles over the last axis: (..., N) -> (..., T)."""
+    steps = m * np.arange(horizon, dtype=float)
+    return np.clip(energies[..., None] - steps, 0.0, m).sum(axis=-2)
 
 
 def nu_bounds(pop: Population) -> tuple[np.ndarray, np.ndarray]:
     """Lower/upper generating vectors: sums of fastest-charge profiles."""
-    steps = np.arange(pop.horizon, dtype=float)
-    m = pop.power
-    nu_lo = np.clip(pop.e_lo[:, None] - m * steps[None, :], 0.0, m).sum(axis=0)
-    nu_hi = np.clip(pop.e_hi[:, None] - m * steps[None, :], 0.0, m).sum(axis=0)
-    return nu_lo, nu_hi
+    return (
+        _generating_vectors(pop.e_lo, pop.power, pop.horizon),
+        _generating_vectors(pop.e_hi, pop.power, pop.horizon),
+    )
 
 
 @dataclass(frozen=True)
@@ -47,8 +57,8 @@ class AggregateFlexSet:
 
     Always carries the generating population(s): a set built from one
     population stores it twice; a robust set built from a worst-case pair
-    stores both, and membership is the conjunction of the two
-    transportation checks.
+    stores both, and membership is the conjunction of the two populations'
+    two-vector criteria.
     """
 
     nu_lo: np.ndarray
@@ -108,8 +118,8 @@ class AggregateFlexSet:
 
         Single-population sets always qualify. Worst-case intersection sets
         can lose this property well before going empty; their stored
-        populations still answer membership exactly (conjunction of
-        transportation checks), but the splice vertices then describe a
+        populations still answer membership exactly (conjunction of the
+        two populations' criteria), but the splice vertices then describe a
         conservative outer family rather than the set's own vertices.
         """
         return bool(
@@ -120,17 +130,17 @@ class AggregateFlexSet:
     def single_generator(self) -> bool:
         return self.gen_lo is self.gen_hi
 
-    def contains_profile(self, u, atol: float = DEFAULT_ATOL, method: str = "flow") -> bool:
-        """Membership of an aggregate profile in this set."""
-        if self.is_empty:
-            return False
-        if not contains(self.gen_lo, u, atol=atol, method=method):
-            return False
-        if self.single_generator:
-            return True
-        return contains(self.gen_hi, u, atol=atol, method=method)
+    def _members(self, profiles: np.ndarray, atol: float) -> np.ndarray:
+        """Membership of each row of a (V, T) stack in every generator's set."""
+        gens = (self.gen_lo,) if self.single_generator else (self.gen_lo, self.gen_hi)
+        return _member_matrix(*_stacked_bounds(gens), profiles, atol).all(axis=0)
 
-    def vertices_are_members(self, atol: float = DEFAULT_ATOL, method: str = "prefix") -> bool:
+    def contains_profile(self, u, atol: float = DEFAULT_ATOL) -> bool:
+        """Membership of an aggregate profile in this set."""
+        u = _check_profile(u, self.horizon, atol)
+        return not self.is_empty and bool(self._members(u[None], atol)[0])
+
+    def vertices_are_members(self, atol: float = DEFAULT_ATOL) -> bool:
         """Whether every splice vertex belongs to the set itself.
 
         Single-population sets always pass. For worst-case intersection
@@ -141,10 +151,7 @@ class AggregateFlexSet:
         """
         if self.is_empty:
             return False
-        return all(
-            self.contains_profile(vertex, atol=atol, method=method)
-            for vertex in sorted_vertices(self)
-        )
+        return bool(self._members(sorted_vertices(self), atol).all())
 
 
 def sorted_vertices(aset: AggregateFlexSet) -> np.ndarray:
@@ -163,20 +170,76 @@ def sorted_vertices(aset: AggregateFlexSet) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# membership: shared validation
+# membership: the two-vector criterion
 
 
-def _check_profile(pop: Population, u, atol: float) -> np.ndarray:
+def _check_profile(u, horizon: int, atol: float) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if u.shape != (pop.horizon,):
-        raise DimensionMismatch(f"profile length {u.shape} != horizon {pop.horizon}")
+    if u.shape != (horizon,):
+        raise DimensionMismatch(f"profile length {u.shape} != horizon {horizon}")
+    if not np.all(np.isfinite(u)):
+        raise DomainError("aggregate profile has a non-finite entry")
     if np.any(u < -atol):
         raise NegativeEntry("aggregate profile has a negative entry")
     return np.clip(u, 0.0, None)
 
 
+def _stacked_bounds(pops) -> tuple[np.ndarray, np.ndarray]:
+    """(R, T) nu_lo and nu_hi rows of R populations."""
+    nu_lo, nu_hi = zip(*(nu_bounds(pop) for pop in pops))
+    return np.stack(nu_lo), np.stack(nu_hi)
+
+
+def _member_matrix(
+    nu_lo: np.ndarray, nu_hi: np.ndarray, profiles: np.ndarray, atol: float
+) -> np.ndarray:
+    """Membership of V profiles in R sets given by their generating vectors.
+
+    nu_lo, nu_hi: (R, T); profiles: (V, T) non-negative rows. Returns a
+    boolean (R, V) matrix: the total is at least sum(nu_lo) and, for every
+    k, top_k(u) <= min(sum_{t<=k} nu_hi[t], E - sum_{t>k} nu_lo[t]) (k = T
+    is the upper total).
+    """
+    total = profiles.sum(axis=1)
+    top = np.cumsum(-np.sort(-profiles, axis=1), axis=1)
+    reach = np.cumsum(nu_hi, axis=1)
+    tail = np.zeros_like(nu_lo)  # sum_{t>k} nu_lo[t], zero at k = T
+    tail[:, :-1] = np.cumsum(nu_lo[:, :0:-1], axis=1)[:, ::-1]
+    bound = np.minimum(reach[:, None, :], total[None, :, None] - tail[:, None, :])
+    bound += atol
+    inside = (top[None] <= bound).all(axis=2)
+    return inside & (total[None, :] >= nu_lo.sum(axis=1)[:, None] - atol)
+
+
+def batch_contains(
+    e_lo: np.ndarray,
+    e_hi: np.ndarray,
+    profiles: np.ndarray,
+    m: float,
+    atol: float = DEFAULT_ATOL,
+) -> np.ndarray:
+    """Membership of V profiles against R populations in one pass.
+
+    e_lo, e_hi: (R, N) energy bounds; profiles: (V, T) non-negative rows.
+    Builds every population's (nu_lo, nu_hi) at once and applies the
+    two-vector criterion; returns a boolean (R, V) matrix with the same
+    decisions as contains().
+    """
+    profiles = np.asarray(profiles, dtype=float)
+    horizon = profiles.shape[1]
+    nu_lo = _generating_vectors(np.asarray(e_lo, dtype=float), m, horizon)
+    nu_hi = _generating_vectors(np.asarray(e_hi, dtype=float), m, horizon)
+    return _member_matrix(nu_lo, nu_hi, profiles, atol)
+
+
 # ---------------------------------------------------------------------------
-# membership: transportation / circulation route
+# public membership / decomposition
+
+
+def contains(pop: Population, u, atol: float = DEFAULT_ATOL) -> bool:
+    """True iff the population can jointly track the aggregate profile u."""
+    u = _check_profile(u, pop.horizon, atol)
+    return bool(_member_matrix(*_stacked_bounds([pop]), u[None], atol)[0, 0])
 
 
 def _membership_network(pop: Population, u: np.ndarray):
@@ -194,124 +257,6 @@ def _membership_network(pop: Population, u: np.ndarray):
     big = float(pop.e_hi.sum() + u.sum() + 1.0)
     arcs.append((snk, src, 0.0, big))
     return n + horizon + 2, arcs
-
-
-def _contains_flow(pop: Population, u: np.ndarray, atol: float):
-    num_nodes, arcs = _membership_network(pop, u)
-    feasible, flows, deficits = feasible_circulation(num_nodes, arcs, atol=atol)
-    return feasible, flows, deficits
-
-
-# ---------------------------------------------------------------------------
-# membership: prefix / water-filling route
-
-
-def waterfill_totals(e_lo: np.ndarray, e_hi: np.ndarray, target: float) -> np.ndarray:
-    """Least-majorized per-EV totals summing to target within the boxes.
-
-    Clamps a common water level into every interval; the level is solved
-    exactly on the sorted breakpoint grid.
-    """
-    lo_tot = float(e_lo.sum())
-    hi_tot = float(e_hi.sum())
-    target = min(max(target, lo_tot), hi_tot)
-    bps = np.sort(np.concatenate([e_lo, e_hi]))
-    phi = np.clip(bps[:, None], e_lo[None, :], e_hi[None, :]).sum(axis=1)
-    j = int(np.searchsorted(phi, target))
-    if j == 0:
-        level = bps[0]
-    else:
-        j = min(j, len(bps) - 1)
-        rise = phi[j] - phi[j - 1]
-        if rise <= 0:
-            level = bps[j - 1]
-        else:
-            level = bps[j - 1] + (target - phi[j - 1]) * (bps[j] - bps[j - 1]) / rise
-    return np.clip(level, e_lo, e_hi)
-
-
-def _cut_supplies(s: np.ndarray, m: float, horizon: int) -> np.ndarray:
-    """sum_i min(s_i, m*k) for k = 1..T."""
-    k = np.arange(1, horizon + 1, dtype=float)
-    overflow = np.maximum(s[None, :] - m * k[:, None], 0.0).sum(axis=1)
-    return s.sum() - overflow
-
-
-def _contains_prefix(pop: Population, u: np.ndarray, atol: float) -> bool:
-    total = float(u.sum())
-    if total < pop.e_lo.sum() - atol or total > pop.e_hi.sum() + atol:
-        return False
-    prefix = np.cumsum(-np.sort(-u))
-    s = waterfill_totals(pop.e_lo, pop.e_hi, total)
-    return bool(np.all(_cut_supplies(s, pop.power, pop.horizon) >= prefix - atol))
-
-
-def batch_contains(
-    e_lo: np.ndarray,
-    e_hi: np.ndarray,
-    profiles: np.ndarray,
-    m: float,
-    atol: float = DEFAULT_ATOL,
-) -> np.ndarray:
-    """Prefix-method membership of V profiles against R populations.
-
-    e_lo, e_hi: (R, N) energy bounds; profiles: (V, T) non-negative rows.
-    Returns a boolean (R, V) matrix. Identical decisions to contains() with
-    method="prefix".
-    """
-    e_lo = np.asarray(e_lo, dtype=float)
-    e_hi = np.asarray(e_hi, dtype=float)
-    profiles = np.asarray(profiles, dtype=float)
-    r_count, n = e_lo.shape
-    v_count, horizon = profiles.shape
-    totals = profiles.sum(axis=1)
-    prefix = np.cumsum(np.sort(profiles, axis=1)[:, ::-1], axis=1)
-
-    lo_tot = e_lo.sum(axis=1)
-    hi_tot = e_hi.sum(axis=1)
-    ok_total = (totals[None, :] >= lo_tot[:, None] - atol) & (
-        totals[None, :] <= hi_tot[:, None] + atol
-    )
-
-    levels = np.empty((r_count, v_count))
-    for r in range(r_count):
-        bps = np.sort(np.concatenate([e_lo[r], e_hi[r]]))
-        phi = np.clip(bps[:, None], e_lo[r][None, :], e_hi[r][None, :]).sum(axis=1)
-        tgt = np.minimum(np.maximum(totals, lo_tot[r]), hi_tot[r])
-        j = np.clip(np.searchsorted(phi, tgt), 1, len(bps) - 1)
-        rise = phi[j] - phi[j - 1]
-        run = bps[j] - bps[j - 1]
-        frac = np.where(rise > 0, (tgt - phi[j - 1]) / np.where(rise > 0, rise, 1.0), 0.0)
-        levels[r] = np.where(tgt <= phi[0], bps[0], bps[j - 1] + np.clip(frac, 0.0, 1.0) * run)
-
-    s = np.clip(levels[:, :, None], e_lo[:, None, :], e_hi[:, None, :])
-    e_clamped = s.sum(axis=2)
-    ok = ok_total.copy()
-    for k in range(1, horizon + 1):
-        supply = e_clamped - np.maximum(s - m * k, 0.0).sum(axis=2)
-        ok &= supply >= prefix[None, :, k - 1] - atol
-    return ok
-
-
-# ---------------------------------------------------------------------------
-# public membership / decomposition
-
-
-def contains(
-    pop: Population, u, atol: float = DEFAULT_ATOL, method: str = "flow"
-) -> bool:
-    """True iff the population can jointly track the aggregate profile u.
-
-    method="flow" runs the transportation/circulation feasibility
-    computation; method="prefix" the equivalent water-filling criterion.
-    """
-    u = _check_profile(pop, u, atol)
-    if method == "flow":
-        feasible, _, _ = _contains_flow(pop, u, atol)
-        return feasible
-    if method == "prefix":
-        return _contains_prefix(pop, u, atol)
-    raise ValueError(f"unknown membership method {method!r}")
 
 
 @dataclass(frozen=True)
@@ -335,7 +280,7 @@ def decompose(pop: Population, u, atol: float = DEFAULT_ATOL):
     Returns a Decomposition extracted from the feasible transportation flow,
     or an Infeasible record listing the undersupplied timesteps.
     """
-    u = _check_profile(pop, u, atol)
+    u = _check_profile(u, pop.horizon, atol)
     num_nodes, arcs = _membership_network(pop, u)
     feasible, flows, deficits = feasible_circulation(num_nodes, arcs, atol=atol)
     n, horizon = pop.n, pop.horizon
@@ -366,9 +311,7 @@ def _check_compatible(aset: AggregateFlexSet, pop: Population):
         )
 
 
-def find_subset_violation(
-    aset: AggregateFlexSet, pop: Population, atol: float = DEFAULT_ATOL, method: str = "flow"
-):
+def find_subset_violation(aset: AggregateFlexSet, pop: Population, atol: float = DEFAULT_ATOL):
     """First sorted vertex of aset outside the population's set, or None.
 
     Checking the T+1 sorted representatives is exact when aset's
@@ -383,17 +326,14 @@ def find_subset_violation(
     _check_compatible(aset, pop)
     if aset.is_empty:
         return None
-    for vertex in sorted_vertices(aset):
-        if not contains(pop, vertex, atol=atol, method=method):
-            return vertex
-    return None
+    vertices = sorted_vertices(aset)
+    outside = np.flatnonzero(~_member_matrix(*_stacked_bounds([pop]), vertices, atol)[0])
+    return vertices[outside[0]] if outside.size else None
 
 
-def is_subset_exact(
-    aset: AggregateFlexSet, pop: Population, atol: float = DEFAULT_ATOL, method: str = "flow"
-) -> bool:
+def is_subset_exact(aset: AggregateFlexSet, pop: Population, atol: float = DEFAULT_ATOL) -> bool:
     """Exact test of aset being contained in the population's aggregate set."""
-    return find_subset_violation(aset, pop, atol=atol, method=method) is None
+    return find_subset_violation(aset, pop, atol=atol) is None
 
 
 def is_subset_fast(
@@ -436,12 +376,7 @@ def is_subset_fast(
         raise ValueError(f"unknown reading: {lo_reading!r}/{hi_reading!r}") from None
 
 
-def is_nested(
-    inner: AggregateFlexSet,
-    outer: AggregateFlexSet,
-    atol: float = DEFAULT_ATOL,
-    method: str = "flow",
-) -> bool:
+def is_nested(inner: AggregateFlexSet, outer: AggregateFlexSet, atol: float = DEFAULT_ATOL) -> bool:
     """True iff inner's vertex family lies inside outer.
 
     Exact containment test when inner's parameterisation is consistent;
@@ -452,7 +387,4 @@ def is_nested(
         raise DimensionMismatch("sets must share horizon and power")
     if inner.is_empty:
         return True
-    return all(
-        outer.contains_profile(vertex, atol=atol, method=method)
-        for vertex in sorted_vertices(inner)
-    )
+    return not outer.is_empty and bool(outer._members(sorted_vertices(inner), atol).all())

@@ -47,6 +47,10 @@ class DiscreteDistribution:
             raise ValueError("atoms must be a non-empty (n, 2) array")
         if weights.shape != (atoms.shape[0],):
             raise ValueError("weights must match the number of atoms")
+        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
+            raise ValueError("atoms and weights must be finite")
+        if not math.isfinite(self.energy_cap):
+            raise ValueError(f"energy_cap must be finite, got {self.energy_cap!r}")
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:

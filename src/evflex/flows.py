@@ -1,7 +1,7 @@
 """Max-flow and feasible circulation with arc lower bounds.
 
 Small pure-python Dinic implementation over float capacities; adequate for
-the transportation-style networks used by aggregate membership checks
+the transportation-style networks used by aggregate decomposition
 (tens of nodes, hundreds of arcs).
 """
 

@@ -43,6 +43,8 @@ class TrialConfig:
             raise ValueError("trials must be >= 1")
         if self.population_size < 1:
             raise ValueError("population_size must be >= 1")
+        if not all(map(math.isfinite, self.epsilons)):
+            raise ValueError(f"epsilons must be finite, got {self.epsilons!r}")
         if len(self.epsilons) == 0 or np.any(np.diff(self.epsilons) <= 0):
             raise ValueError("epsilons must be strictly increasing")
         if not (0 <= self.seed < 2**64):

@@ -104,3 +104,56 @@ def best_equal_weight_quantization_1d(values, weights, n, candidates):
                      np.asarray(support, float), q_weights)
         best = min(best, cost)
     return best
+
+
+def flex_distance(e_lo, e_hi, power, u):
+    """L-infinity distance from u to a population's aggregate set, by LP.
+
+    Variables are the per-EV profiles x_{i,t} in [0, power] with per-EV
+    totals in [e_lo_i, e_hi_i], plus a slack s bounding |sum_i x_{i,t} - u_t|
+    for every t; the optimum of min s is the distance. u may be one profile
+    or a (V, T) stack: the stack is solved as one block-diagonal LP whose
+    optimal slacks are the V distances. Solver feasibility tolerances are
+    tightened so that boundary members read as 0 to within about 1e-12.
+    """
+    e_lo = np.asarray(e_lo, dtype=float)
+    e_hi = np.asarray(e_hi, dtype=float)
+    profiles = np.atleast_2d(np.asarray(u, dtype=float))
+    count, horizon = profiles.shape
+    n = e_lo.shape[0]
+    # one block: x (n*horizon, EV-major) then s; rows are the two energy
+    # bounds per EV, then sum_i x_{i,t} - s <= u_t and -sum_i x_{i,t} - s <= -u_t
+    per_ev = np.kron(np.eye(n), np.ones(horizon))
+    per_step = np.tile(np.eye(horizon), n)
+    slack = -np.ones((horizon, 1))
+    block = np.block(
+        [
+            [per_ev, np.zeros((n, 1))],
+            [-per_ev, np.zeros((n, 1))],
+            [per_step, slack],
+            [-per_step, slack],
+        ]
+    )
+    rhs = np.column_stack(
+        [np.tile(e_hi, (count, 1)), np.tile(-e_lo, (count, 1)), profiles, -profiles]
+    )
+    width = n * horizon + 1
+    c = np.zeros(count * width)
+    c[width - 1 :: width] = 1.0
+    res = linprog(
+        c,
+        A_ub=np.kron(np.eye(count), block),
+        b_ub=rhs.ravel(),
+        bounds=([(0.0, power)] * (n * horizon) + [(0.0, None)]) * count,
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, f"membership LP failed: {res.message}"
+    distances = np.maximum(res.x[width - 1 :: width], 0.0)
+    return distances if np.ndim(u) == 2 else float(distances[0])
+
+
+def flex_member(pop, u, tol=1e-9):
+    """LP membership oracle: u (or each row of a stack) is within tol
+    (L-infinity) of pop's aggregate set."""
+    return flex_distance(pop.e_lo, pop.e_hi, pop.power, u) <= tol

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from evflex import (
     AggregateFlexSet,
     Decomposition,
     DimensionMismatch,
+    DomainError,
     Infeasible,
     NegativeEntry,
     Population,
@@ -22,7 +25,7 @@ from evflex import (
     strong_majorizes,
 )
 
-from oracles import flex_set_vertices, hull_member
+from oracles import flex_distance, flex_member, flex_set_vertices, hull_member
 
 
 def two_ev_pop(horizon=4):
@@ -89,16 +92,27 @@ def test_sorted_vertices_monotone_random():
             assert np.all(np.diff(row) <= 1e-12)
 
 
-@pytest.mark.parametrize("method", ["flow", "prefix"])
-def test_contains_examples(method):
+def test_contains_examples():
     pop = two_ev_pop()
-    assert contains(pop, [1.5, 0.5, 0, 0], method=method)
-    assert not contains(pop, [3, 0, 0, 0], method=method)
-    assert contains(pop, [1, 1, 1, 1], method=method)
+    assert contains(pop, [1.5, 0.5, 0, 0])
+    assert not contains(pop, [3, 0, 0, 0])
+    assert contains(pop, [1, 1, 1, 1])
     with pytest.raises(DimensionMismatch):
-        contains(pop, [1, 1, 1], method=method)
+        contains(pop, [1, 1, 1])
     with pytest.raises(NegativeEntry):
-        contains(pop, [1, 1, 1, -1], method=method)
+        contains(pop, [1, 1, 1, -1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_profiles_rejected(bad):
+    pop = two_ev_pop()
+    u = [bad, 1, 1, 1]
+    with pytest.raises(DomainError):
+        contains(pop, u)
+    with pytest.raises(DomainError):
+        decompose(pop, u)
+    with pytest.raises(DomainError):
+        AggregateFlexSet.from_population(pop).contains_profile(u)
 
 
 def test_contains_derived_decomposition_case():
@@ -127,7 +141,9 @@ def test_methods_agree_randomized():
         else:
             verts = sorted_vertices(AggregateFlexSet.from_population(pop))
             u = verts[rng.integers(len(verts))]
-        assert contains(pop, u, method="flow") == contains(pop, u, method="prefix")
+        expected = flex_member(pop, u)
+        assert contains(pop, u) == expected
+        assert isinstance(decompose(pop, u), Decomposition) == expected
 
 
 def test_own_vertices_are_members():
@@ -135,8 +151,8 @@ def test_own_vertices_are_members():
     for _ in range(100):
         pop = random_population(rng)
         for vertex in sorted_vertices(AggregateFlexSet.from_population(pop)):
-            assert contains(pop, vertex, method="flow")
-            assert contains(pop, vertex, method="prefix")
+            assert contains(pop, vertex)
+            assert flex_member(pop, vertex)
 
 
 def test_contains_matches_hull_oracle_small():
@@ -302,7 +318,8 @@ def test_batch_contains_matches_contains():
         got = batch_contains(e_lo, e_hi, profiles, 1.0)
         for r, pop in enumerate(pops):
             for v in range(profiles.shape[0]):
-                assert got[r, v] == contains(pop, profiles[v], method="flow")
+                assert got[r, v] == contains(pop, profiles[v])
+                assert got[r, v] == flex_member(pop, profiles[v])
 
 
 def test_is_nested_basics():
@@ -373,7 +390,9 @@ def test_vertex_certificate_conservative_on_inconsistent_sets():
         inconsistent += 1
         idx = rng.choice(k, size=n, p=p.weights)
         pop = Population.from_energy_pairs(p.atoms[idx], 8, 1.0)
-        if not is_subset_exact(aset, pop, method="prefix"):
+        exact = is_subset_exact(aset, pop)
+        assert exact == flex_member(pop, sorted_vertices(aset)).all()
+        if not exact:
             continue
         certified += 1
         points = rng.uniform(0, n, size=(1500, 8)) * rng.random((1500, 1)) ** 0.5
@@ -386,3 +405,91 @@ def test_vertex_certificate_conservative_on_inconsistent_sets():
     assert inconsistent >= 25
     assert certified >= 5
     assert escapes == 0
+
+
+# Boundary tolerance of the agreement tests below, fixed before the cases:
+# the library decides with atol = 1e-9 on every prefix-sum constraint, and
+# the LP oracle measures the L-infinity distance to the set. An instance at
+# distance <= MEMBER_DIST is a member, one at distance >= OUTSIDE_DIST is
+# not; anything in between depends on the tolerance and is discarded.
+MEMBER_DIST = 1e-12
+OUTSIDE_DIST = 1e-6
+
+fraction = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def energy_pairs(draw, n, horizon, power):
+    """n (e_lo, e_hi) pairs, covering e_lo = e_hi and e_hi = m*T throughout."""
+    cap = power * horizon
+    mode = draw(st.sampled_from(["mixed", "tight", "full"]))
+    pairs = []
+    for _ in range(n):
+        lo = draw(fraction) * cap
+        hi = lo + draw(fraction) * (cap - lo)
+        pairs.append((lo, lo if mode == "tight" else cap if mode == "full" else hi))
+    return pairs
+
+
+@st.composite
+def probe_profile(draw, vertices):
+    """A convex combination of permuted vertices, or a point near or far from it."""
+    rows, horizon = vertices.shape
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows)))
+    if weights.sum() == 0:
+        weights[0] = 1.0
+    vertex_mix = weights / weights.sum() @ vertices
+    u = vertex_mix[draw(st.permutations(range(horizon)))]
+    kind = draw(st.sampled_from(["inside", "scaled", "bumped", "uniform"]))
+    if kind == "scaled":
+        u = u * (1.0 + draw(st.floats(-0.2, 0.2)))
+    elif kind == "bumped":
+        u = u.copy()
+        u[draw(st.integers(0, horizon - 1))] += draw(st.floats(-0.5, 0.5))
+    elif kind == "uniform":
+        top = max(float(vertices.max()), 1.0)
+        u = np.array(draw(st.lists(st.floats(0.0, top), min_size=horizon, max_size=horizon)))
+    return np.clip(u, 0.0, None)
+
+
+def lp_verdict(pop, u):
+    distance = flex_distance(pop.e_lo, pop.e_hi, pop.power, u)
+    assume(distance <= MEMBER_DIST or distance >= OUTSIDE_DIST)
+    event("member" if distance <= MEMBER_DIST else "outside")
+    return distance <= MEMBER_DIST
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_membership_routes_agree_with_lp_oracle(data):
+    horizon = data.draw(st.integers(1, 5), label="T")
+    n = data.draw(st.integers(1, 4), label="N")
+    power = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="m")
+    pop = Population.from_energy_pairs(
+        data.draw(energy_pairs(n, horizon, power), label="pairs"), horizon, power
+    )
+    u = data.draw(probe_profile(sorted_vertices(AggregateFlexSet.from_population(pop))))
+    expected = lp_verdict(pop, u)
+    assert contains(pop, u) == expected
+    assert batch_contains(pop.e_lo[None], pop.e_hi[None], u[None], power)[0, 0] == expected
+    assert isinstance(decompose(pop, u), Decomposition) == expected
+    assert AggregateFlexSet.from_population(pop).contains_profile(u) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_robust_set_membership_agrees_with_lp_oracle(data):
+    from evflex import DiscreteDistribution, TimeGrid, project_to_n_points, robust_set
+
+    horizon = data.draw(st.integers(1, 5), label="T")
+    atoms = data.draw(energy_pairs(data.draw(st.integers(1, 3)), horizon, 1.0), label="atoms")
+    weights = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=len(atoms), max_size=len(atoms))))
+    dist = DiscreteDistribution(np.array(atoms), weights / weights.sum(), float(horizon))
+    n = data.draw(st.integers(1, 4), label="N")
+    _, eps0 = project_to_n_points(dist, n)
+    result = robust_set(dist, n, eps0 + data.draw(st.floats(0.0, 2.0)), TimeGrid(horizon), 1.0)
+    aset = result.flex
+    event("single population" if aset.single_generator else "two populations")
+    u = data.draw(probe_profile(sorted_vertices(aset)))
+    expected = lp_verdict(aset.gen_lo, u) & lp_verdict(aset.gen_hi, u)
+    assert aset.contains_profile(u) == expected

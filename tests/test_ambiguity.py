@@ -49,6 +49,22 @@ def test_distribution_validation():
     np.testing.assert_allclose(dist.atoms, [[0, 1], [3, 4]])  # lex sorted
 
 
+def test_distribution_rejects_non_finite_atoms():
+    with pytest.raises(ValueError):
+        DiscreteDistribution(np.array([[np.nan, 1], [1, 2]]), np.array([0.5, 0.5]), 6.0)
+
+
+def test_distribution_rejects_non_finite_weights():
+    with pytest.raises(ValueError):
+        DiscreteDistribution(np.array([[0, 1], [1, 2]]), np.array([np.nan, 0.5]), 6.0)
+
+
+@pytest.mark.parametrize("cap", [np.inf, np.nan])
+def test_distribution_rejects_non_finite_energy_cap(cap):
+    with pytest.raises(ValueError):
+        DiscreteDistribution(np.array([[0, 1], [1, 2]]), np.array([0.5, 0.5]), cap)
+
+
 def test_wasserstein_examples():
     cap = 6.0
     p = DiscreteDistribution(np.array([[1, 2], [3, 4]]), np.array([0.5, 0.5]), cap)

@@ -105,6 +105,12 @@ def test_member_command_verdicts(tmp_path, capsys):
     assert main(["member", "--scenario", path, "--profile", "1,1,1"]) == 2
 
 
+def test_member_command_rejects_non_finite_profile(tmp_path, capsys):
+    path = write_scenario(tmp_path, BASE)
+    assert main(["member", "--scenario", path, "--profile", "nan,1,1,1"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_robust_command_and_budget_infeasible(tmp_path, capsys):
     path = write_scenario(tmp_path, BASE)
     assert main(["robust", "--scenario", path]) == 0

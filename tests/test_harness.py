@@ -39,6 +39,19 @@ def test_sample_point_mass():
     np.testing.assert_allclose(pop.e_hi, 2.0)
 
 
+
+@pytest.mark.parametrize("epsilons", [(np.nan,), (0.1, np.nan), (0.1, np.inf)])
+def test_trial_config_rejects_non_finite_epsilons(epsilons):
+    with pytest.raises(ValueError):
+        TrialConfig(
+            distribution=small_distribution(),
+            population_size=3,
+            epsilons=epsilons,
+            trials=10,
+            seed=5,
+            grid=TimeGrid(4),
+        )
+
 def test_sampling_determinism():
     grid = TimeGrid(4)
     p = small_distribution()
