@@ -92,15 +92,22 @@ def test_sorted_vertices_monotone_random():
             assert np.all(np.diff(row) <= 1e-12)
 
 
-def test_contains_examples():
+def _member_by_flow(pop, u):
+    return isinstance(decompose(pop, u), Decomposition)
+
+
+# "flow" answers membership through the circulation network of decompose,
+# "prefix" through the two-vector prefix-sum kernel of contains.
+@pytest.mark.parametrize("member", [_member_by_flow, contains], ids=["flow", "prefix"])
+def test_contains_examples(member):
     pop = two_ev_pop()
-    assert contains(pop, [1.5, 0.5, 0, 0])
-    assert not contains(pop, [3, 0, 0, 0])
-    assert contains(pop, [1, 1, 1, 1])
+    assert member(pop, [1.5, 0.5, 0, 0])
+    assert not member(pop, [3, 0, 0, 0])
+    assert member(pop, [1, 1, 1, 1])
     with pytest.raises(DimensionMismatch):
-        contains(pop, [1, 1, 1])
+        member(pop, [1, 1, 1])
     with pytest.raises(NegativeEntry):
-        contains(pop, [1, 1, 1, -1])
+        member(pop, [1, 1, 1, -1])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
