@@ -113,20 +113,6 @@ class AggregateFlexSet:
         return bool(self.nu_lo.sum() > self.nu_hi.sum() + DEFAULT_ATOL)
 
     @cached_property
-    def parameterisation_consistent(self) -> bool:
-        """True when every prefix sum of nu_lo stays below nu_hi's.
-
-        Single-population sets always qualify. Worst-case intersection sets
-        can lose this property well before going empty; their stored
-        populations still answer membership exactly (conjunction of the
-        two populations' criteria), but the splice vertices then describe a
-        conservative outer family rather than the set's own vertices.
-        """
-        return bool(
-            np.all(np.cumsum(self.nu_lo) <= np.cumsum(self.nu_hi) + DEFAULT_ATOL)
-        )
-
-    @cached_property
     def single_generator(self) -> bool:
         return self.gen_lo is self.gen_hi
 
@@ -314,14 +300,14 @@ def _check_compatible(aset: AggregateFlexSet, pop: Population):
 def find_subset_violation(aset: AggregateFlexSet, pop: Population, atol: float = DEFAULT_ATOL):
     """First sorted vertex of aset outside the population's set, or None.
 
-    Checking the T+1 sorted representatives is exact when aset's
-    parameterisation is consistent (always true for single-population
+    Checking the T+1 sorted representatives is exact when
+    aset.vertices_are_members() holds (always true for single-population
     sets): the population's aggregate set is convex and permutation
     symmetric, and every vertex of aset is a coordinate permutation of a
     sorted representative, so aset is contained iff each representative is
-    a member. For inconsistent worst-case intersections the representatives
-    describe an outer family, making the test conservative (a pass still
-    certifies containment of the true set).
+    a member. Otherwise the representatives describe an outer family, even
+    when the prefix sums of nu_lo stay below nu_hi's, and the test is
+    conservative (a pass still certifies containment of the true set).
     """
     _check_compatible(aset, pop)
     if aset.is_empty:
@@ -336,50 +322,29 @@ def is_subset_exact(aset: AggregateFlexSet, pop: Population, atol: float = DEFAU
     return find_subset_violation(aset, pop, atol=atol) is None
 
 
-def is_subset_fast(
-    aset: AggregateFlexSet,
-    pop: Population,
-    atol: float = DEFAULT_ATOL,
-    lo_reading: str = "within",
-    hi_reading: str = "within",
-) -> bool:
-    """Experimental screen for subset-ness from bound-vector comparisons only.
+def is_subset_fast(aset: AggregateFlexSet, pop: Population, atol: float = DEFAULT_ATOL) -> bool:
+    """Subset test from the two bound vectors alone.
 
-    Conjunction of the total-energy conditions with prefix-dominance
-    readings of the bound-vector comparisons; the reading direction per side
-    is configurable because the formal direction is ambiguous ("within"
-    compares prefixes of aset's vector against the population's, "dominates"
-    the reverse). False negatives are possible; is_subset_exact is
-    authoritative.
+    Compares the paramodular pairs: aset lies in the g-polymatroid
+    b(S) <= u(S) <= p(S) with p the prefix sums of aset.nu_hi and b the
+    tail sums of aset.nu_lo, so p <= p_pop and b >= b_pop imply containment
+    for every set, robust intersections included. For single-population
+    sets the pair is tight and the test agrees with is_subset_exact.
     """
     _check_compatible(aset, pop)
     if aset.is_empty:
         return True
     pop_lo, pop_hi = nu_bounds(pop)
-    if aset.nu_lo.sum() < pop_lo.sum() - atol:
-        return False
-    if aset.nu_hi.sum() > pop_hi.sum() + atol:
-        return False
-    a_lo = np.cumsum(aset.nu_lo)
-    a_hi = np.cumsum(aset.nu_hi)
-    p_lo = np.cumsum(pop_lo)
-    p_hi = np.cumsum(pop_hi)
-    checks = {
-        ("within", "lo"): np.all(a_lo <= p_lo + atol),
-        ("dominates", "lo"): np.all(a_lo >= p_lo - atol),
-        ("within", "hi"): np.all(a_hi <= p_hi + atol),
-        ("dominates", "hi"): np.all(a_hi >= p_hi - atol),
-    }
-    try:
-        return bool(checks[(lo_reading, "lo")] and checks[(hi_reading, "hi")])
-    except KeyError:
-        raise ValueError(f"unknown reading: {lo_reading!r}/{hi_reading!r}") from None
+    return bool(
+        np.all(np.cumsum(aset.nu_hi) <= np.cumsum(pop_hi) + atol)
+        and np.all(np.cumsum(aset.nu_lo[::-1]) >= np.cumsum(pop_lo[::-1]) - atol)
+    )
 
 
 def is_nested(inner: AggregateFlexSet, outer: AggregateFlexSet, atol: float = DEFAULT_ATOL) -> bool:
     """True iff inner's vertex family lies inside outer.
 
-    Exact containment test when inner's parameterisation is consistent;
+    Exact containment test when inner.vertices_are_members() holds;
     otherwise the vertex family overstates inner, so False may be returned
     for sets that are in fact nested (never the other way around).
     """

@@ -198,11 +198,56 @@ def project_to_n_points(
 
 # ---------------------------------------------------------------------------
 # boundary pushes
+#
+# Both worst cases come from one walk. The lower case pushes e_lo up toward
+# the energy cap (sign +1); the upper case is its mirror image, pushing e_hi
+# down toward zero (sign -1). The walk works in signed distance
+# sign * (target - x), so every step is the same arithmetic on either side.
+# The public push_lower/push_upper report the paper's 1-based critical index
+# i_c: push_lower gives N+1 when nothing moved and 0 when every atom reached
+# the ceiling; push_upper mirrors this (0 nothing moved, N+1 everything at
+# the floor).
 
-# Sentinels for the critical index (1-based): push_lower reports N+1 when
-# nothing moved and 0 when every atom reached the ceiling; push_upper
-# mirrors this (0 nothing moved, N+1 everything at the floor), keeping the
-# piecewise case structure meaningful on both sides.
+
+def _push_walk(values, partners, budget, target, sign, n):
+    """Budget-true push of values toward target, nearest atom first.
+
+    values/partners are ordered nearest to the target first; a partner is
+    the other energy bound of the same atom, dragged along whenever the
+    push would cross it, and that drag is charged to the budget too, so the
+    plan's full cost never exceeds it. Returns (values, partners, k, kappa,
+    spent, repaired) where k is the position of the critical atom: -1 when
+    nothing moved, n when every atom reached the target.
+    """
+    p = values.copy()
+    q = partners.copy()
+    b = float(budget)
+    if b <= _TINY:
+        return p, q, -1, 0.0, 0.0, 0
+    spent = 0.0
+    repaired = 0
+    for k in range(n):
+        full = (sign * (target - p[k]) + sign * (target - q[k])) / n
+        if full <= b + _TINY:
+            b = max(b - full, 0.0)
+            spent += full
+            if sign * target > sign * q[k] + _TINY:
+                repaired += 1
+            p[k] = q[k] = target
+            continue
+        gap = sign * (q[k] - p[k])
+        if b * n <= gap:
+            y = p[k] + sign * (b * n)
+        else:
+            y = q[k] + sign * ((b - gap / n) * n / 2.0)
+            repaired += 1
+        spent += b
+        kappa = abs(y - p[k])
+        p[k] = y
+        if sign * y > sign * q[k]:
+            q[k] = y
+        return p, q, k, kappa, spent, repaired
+    return p, q, n, 0.0, spent, repaired
 
 
 def _validate_push_args(values, budget, n):
@@ -231,20 +276,9 @@ def push_lower(values, budget: float, ceiling: float, n: int | None = None):
     values, n = _validate_push_args(values, budget, n)
     if np.any(values > ceiling + 1e-12):
         raise ValueError("values must not exceed the ceiling")
-    out = values.copy()
-    if budget <= _TINY:
-        return out, n + 1, 0.0
-    b = float(budget)
-    for idx in range(n - 1, -1, -1):
-        cost = (ceiling - out[idx]) / n
-        if cost <= b + _TINY:
-            b = max(b - cost, 0.0)
-            out[idx] = ceiling
-        else:
-            kappa = b * n
-            out[idx] += kappa
-            return out, idx + 1, kappa
-    return out, 0, 0.0
+    pinned = np.full(n, float(ceiling))
+    out, _, k, kappa, _, _ = _push_walk(values[::-1], pinned, budget, ceiling, 1.0, n)
+    return out[::-1], n - k, kappa
 
 
 def push_upper(values, budget: float, n: int | None = None):
@@ -252,87 +286,8 @@ def push_upper(values, budget: float, n: int | None = None):
     values, n = _validate_push_args(values, budget, n)
     if np.any(values < -1e-12):
         raise ValueError("values must be non-negative")
-    out = values.copy()
-    if budget <= _TINY:
-        return out, 0, 0.0
-    b = float(budget)
-    for idx in range(n):
-        cost = out[idx] / n
-        if cost <= b + _TINY:
-            b = max(b - cost, 0.0)
-            out[idx] = 0.0
-        else:
-            kappa = b * n
-            out[idx] -= kappa
-            return out, idx + 1, kappa
-    return out, n + 1, 0.0
-
-
-def _push_lower_repair(lo, hi, budget, ceiling, n):
-    """Budget-true lower push: raising e_lo past its partner e_hi also pays
-    for lifting e_hi, so the plan's full cost never exceeds the budget."""
-    lo = lo.copy()
-    hi = hi.copy()
-    spent = 0.0
-    repaired = 0
-    b = float(budget)
-    if b <= _TINY:
-        return lo, hi, n + 1, 0.0, 0.0, 0
-    for idx in range(n - 1, -1, -1):
-        full = ((ceiling - lo[idx]) + (ceiling - hi[idx])) / n
-        if full <= b + _TINY:
-            b = max(b - full, 0.0)
-            spent += full
-            if ceiling > hi[idx] + _TINY:
-                repaired += 1
-            lo[idx] = ceiling
-            hi[idx] = ceiling
-            continue
-        single = (hi[idx] - lo[idx]) / n
-        if b * n <= hi[idx] - lo[idx]:
-            y = lo[idx] + b * n
-        else:
-            y = hi[idx] + (b - single) * n / 2.0
-            repaired += 1
-        kappa = y - lo[idx]
-        spent += b
-        lo[idx] = y
-        hi[idx] = max(hi[idx], y)
-        return lo, hi, idx + 1, kappa, spent, repaired
-    return lo, hi, 0, 0.0, spent, repaired
-
-
-def _push_upper_repair(hi, lo, budget, n):
-    """Mirror of _push_lower_repair toward the floor at zero."""
-    lo = lo.copy()
-    hi = hi.copy()
-    spent = 0.0
-    repaired = 0
-    b = float(budget)
-    if b <= _TINY:
-        return hi, lo, 0, 0.0, 0.0, 0
-    for idx in range(n):
-        full = (hi[idx] + lo[idx]) / n
-        if full <= b + _TINY:
-            b = max(b - full, 0.0)
-            spent += full
-            if lo[idx] > _TINY:
-                repaired += 1
-            hi[idx] = 0.0
-            lo[idx] = 0.0
-            continue
-        single = (hi[idx] - lo[idx]) / n
-        if b * n <= hi[idx] - lo[idx]:
-            y = hi[idx] - b * n
-        else:
-            y = lo[idx] - (b - single) * n / 2.0
-            repaired += 1
-        kappa = hi[idx] - y
-        spent += b
-        hi[idx] = y
-        lo[idx] = min(lo[idx], y)
-        return hi, lo, idx + 1, kappa, spent, repaired
-    return hi, lo, n + 1, 0.0, spent, repaired
+    out, _, k, kappa, _, _ = _push_walk(values, np.zeros(n), budget, 0.0, -1.0, n)
+    return out, k + 1, kappa
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +296,8 @@ def _push_upper_repair(hi, lo, budget, n):
 
 def beta_from_epsilon(eps: float, n: int, constants: ConcentrationConstants) -> float:
     """Confidence complement for a ball radius: c1 * exp(-c2 * n * eps^2)."""
-    if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise DomainError(f"eps must be positive and finite, got {eps}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if eps > 1:
@@ -356,7 +311,7 @@ def beta_from_epsilon(eps: float, n: int, constants: ConcentrationConstants) -> 
 
 def epsilon_from_beta(beta: float, n: int, constants: ConcentrationConstants) -> float:
     """Inverse of beta_from_epsilon."""
-    if beta <= 0 or beta >= constants.c1:
+    if not 0 < beta < constants.c1:
         raise DomainError(f"beta must lie in (0, c1), got {beta}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -420,8 +375,8 @@ def robust_set(
     distributions are within eps of the input, and assembles the set
     parameterised by the two pushed populations.
     """
-    if eps < 0:
-        raise DomainError(f"eps must be non-negative, got {eps}")
+    if not 0 <= eps < math.inf:
+        raise DomainError(f"eps must be non-negative and finite, got {eps}")
     cap = power * grid.steps
     if abs(p.energy_cap - cap) > 1e-9:
         raise DomainError(
@@ -436,15 +391,18 @@ def robust_set(
         raise BudgetInfeasible(float(eps), float(proj_cost / factor))
     residual = max(residual, 0.0)
 
-    # lower worst case: support is lex-sorted, so e_lo is already ascending
-    l_lo, l_hi, i_c_lo, kappa_lo, spent_lo, repaired_lo = _push_lower_repair(
-        support[:, 0], support[:, 1], residual, cap, n
+    # lower worst case: support is lex-sorted, so the largest e_lo comes last
+    rev = support[::-1]
+    l_lo, l_hi, k_lo, kappa_lo, spent_lo, repaired_lo = _push_walk(
+        rev[:, 0], rev[:, 1], residual, cap, 1.0, n
     )
-    # upper worst case: order by the e_hi coordinate for the mirror push
+    l_lo, l_hi, i_c_lo = l_lo[::-1], l_hi[::-1], n - k_lo
+    # upper worst case: the smallest e_hi comes first
     order = np.argsort(support[:, 1], kind="stable")
-    u_hi, u_lo, i_c_hi, kappa_hi, spent_hi, repaired_hi = _push_upper_repair(
-        support[order, 1], support[order, 0], residual, n
+    u_hi, u_lo, k_hi, kappa_hi, spent_hi, repaired_hi = _push_walk(
+        support[order, 1], support[order, 0], residual, 0.0, -1.0, n
     )
+    i_c_hi = k_hi + 1
 
     pop_lo = Population.from_energy_pairs(zip(l_lo, l_hi), grid.steps, power)
     pop_hi = Population.from_energy_pairs(zip(u_lo, u_hi), grid.steps, power)

@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .harness import TrialConfig, fit_constants, run_trials
+from .harness import TrialConfig, fit_constants, fit_per_n, run_trials
 from .io import jsonify, parse_scenario, read_results_csv, write_results_csv
 
 
@@ -208,6 +208,15 @@ def _cmd_fit_constants(args) -> int:
             "r_squared": fit.r_squared,
             "n_used": fit.n_used,
             "n_excluded": fit.n_excluded,
+            "per_n": [
+                {
+                    "N": f.population_size,
+                    "rows": f.rows,
+                    "slope": f.slope,
+                    "r_squared": f.r_squared,
+                }
+                for f in fit_per_n(rows)
+            ],
         },
         args.out,
     )
@@ -257,10 +266,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DimensionMismatch, NegativeEntry, DomainError) as exc:
+    except (ParseError, DimensionMismatch, NegativeEntry, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:

@@ -180,17 +180,42 @@ class FitResult:
     n_excluded: int
 
 
+@dataclass(frozen=True)
+class PerNFit:
+    """Log-linear fit of one population size's violation rates against eps^2."""
+
+    population_size: int
+    rows: int
+    slope: float  # nan when fewer than 3 rows are usable
+    r_squared: float
+
+
+def _positive_rows(stats: list[ViolationStats]) -> list[ViolationStats]:
+    """Rows whose violation estimate carries log information."""
+    return [
+        s
+        for s in stats
+        if s.trials > 0 and not math.isnan(s.beta_hat) and s.beta_hat > 0
+    ]
+
+
+def _log_linear_fit(x: np.ndarray, rates: list[float]) -> tuple[float, float, float]:
+    """Least-squares line through (x, log rate): slope, intercept, R^2."""
+    y = np.log(rates)
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(((y - y.mean()) ** 2).sum())
+    r_squared = 1.0 if ss_tot == 0 else 1.0 - float((resid**2).sum()) / ss_tot
+    return float(slope), float(intercept), r_squared
+
+
 def fit_constants(stats: list[ViolationStats]) -> FitResult:
     """Least-squares fit of log violation rates against N * eps^2.
 
     Rows with a zero (or undefined) violation estimate carry no log
     information and are excluded with a warning.
     """
-    rows = [
-        s
-        for s in stats
-        if s.trials > 0 and not math.isnan(s.beta_hat) and s.beta_hat > 0
-    ]
+    rows = _positive_rows(stats)
     excluded = len(stats) - len(rows)
     if excluded:
         warnings.warn(
@@ -202,16 +227,30 @@ def fit_constants(stats: list[ViolationStats]) -> FitResult:
             f"need at least 3 rows with positive violation estimates, got {len(rows)}"
         )
     x = np.array([s.population_size * s.epsilon**2 for s in rows])
-    y = np.log([s.beta_hat for s in rows])
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept, r_squared = _log_linear_fit(x, [s.beta_hat for s in rows])
     if slope >= 0:
         raise InsufficientData("violation rates do not decay; cannot fit positive constants")
-    resid = y - (slope * x + intercept)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r_squared = 1.0 if ss_tot == 0 else 1.0 - float((resid**2).sum()) / ss_tot
     return FitResult(
-        constants=ConcentrationConstants(c1=float(np.exp(intercept)), c2=float(-slope)),
+        constants=ConcentrationConstants(c1=float(np.exp(intercept)), c2=-slope),
         r_squared=r_squared,
         n_used=len(rows),
         n_excluded=excluded,
     )
+
+
+def fit_per_n(stats: list[ViolationStats]) -> list[PerNFit]:
+    """Per population size, fit log violation rates against eps^2.
+
+    The tail bound predicts a slope of -c2 * N for each size. Sizes with
+    fewer than 3 positive rows report a nan slope and R^2.
+    """
+    usable = _positive_rows(stats)
+    fits = []
+    for size in sorted({s.population_size for s in stats}):
+        rows = [s for s in usable if s.population_size == size]
+        slope = r_squared = math.nan
+        if len(rows) >= 3:
+            x = np.array([s.epsilon**2 for s in rows])
+            slope, _, r_squared = _log_linear_fit(x, [s.beta_hat for s in rows])
+        fits.append(PerNFit(size, len(rows), slope, r_squared))
+    return fits

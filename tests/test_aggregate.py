@@ -302,15 +302,13 @@ def test_is_subset_fast_examples():
 
 
 def test_is_subset_fast_dominates_reading_false_positive_case():
-    # the reversed reading accepts this pair although it is not a subset
+    # equal totals, but aset's lower tail sums fall below the population's
     pop = Population.from_energy_pairs([(2, 2), (0, 2)], 2, 1.0)
     aset = AggregateFlexSet.from_population(
         Population.from_energy_pairs([(1, 1), (1, 1)], 2, 1.0)
     )
     assert not is_subset_exact(aset, pop)
-    assert is_subset_fast(aset, pop, lo_reading="dominates") and not is_subset_fast(
-        aset, pop
-    )
+    assert not is_subset_fast(aset, pop)
 
 
 def test_batch_contains_matches_contains():
@@ -362,8 +360,28 @@ def test_single_population_sets_have_member_vertices():
     rng = np.random.default_rng(12)
     for _ in range(50):
         aset = AggregateFlexSet.from_population(random_population(rng))
-        assert aset.parameterisation_consistent
         assert aset.vertices_are_members()
+
+
+def test_prefix_consistent_robust_set_can_have_outside_vertices():
+    # Prefix sums of nu_lo below nu_hi's do not make the vertex test exact:
+    # a splice vertex of this robust set lies outside gen_lo's set, so
+    # is_subset_exact wrongly rejects a generator that contains the set,
+    # while the bound-vector comparison of is_subset_fast accepts it.
+    from evflex import DiscreteDistribution, TimeGrid, robust_set
+
+    atoms = [[0.3, 2.7], [3.2, 3.4], [2.7, 3.1], [2.0, 3.0]]
+    p = DiscreteDistribution(np.array(atoms), np.full(4, 0.25), 4.0)
+    aset = robust_set(p, 4, 0.14, TimeGrid(4), 1.0).flex
+    assert not aset.is_empty
+    assert np.all(np.cumsum(aset.nu_lo) <= np.cumsum(aset.nu_hi))
+    assert not aset.vertices_are_members()
+    for gen in (aset.gen_lo, aset.gen_hi):
+        assert is_subset_fast(aset, gen)
+    gen = aset.gen_lo
+    outside = find_subset_violation(aset, gen)
+    assert outside is not None
+    assert flex_distance(gen.e_lo, gen.e_hi, gen.power, outside) > 0.05
 
 
 def test_vertex_certificate_conservative_on_inconsistent_sets():

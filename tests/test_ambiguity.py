@@ -256,6 +256,63 @@ def test_robust_set_zero_residual():
     assert not result.empty
 
 
+# Worst cases at the parent of the single push walk, one radius per branch:
+# nothing moved, a partial push, a push with repairs, every atom moved.
+# Per radius: (gen_lo pairs, i_c_lo, kappa_lo, budget_lo, repaired_lo) and
+# the same for the upper side.
+FIG_PINNED = {
+    0.0: (
+        (FIG_ATOMS.tolist(), 5, 0.0, 0.0, 0),
+        (FIG_ATOMS.tolist(), 0, 0.0, 0.0, 0),
+    ),
+    0.05: (
+        ([[0.7, 1.0], [2.7, 3.3], [3.8, 4.6], [5.2, 5.3]], 4, 0.20000000000000018, 0.05, 0),
+        ([[0.7, 0.8], [2.7, 3.3], [3.8, 4.6], [5.0, 5.3]], 1, 0.19999999999999996, 0.05, 0),
+    ),
+    0.9: (
+        (
+            [[0.7, 1.0], [2.7, 3.3], [5.1499999999999995, 5.1499999999999995], [6.0, 6.0]],
+            3, 1.3499999999999996, 0.9, 2,
+        ),
+        ([[0.0, 0.0], [2.05, 2.05], [3.8, 4.6], [5.0, 5.3]], 2, 1.25, 0.9, 2),
+    ),
+    50.0: (
+        ([[6.0, 6.0]] * 4, 0, 0.0, 5.4, 4),
+        ([[0.0, 0.0]] * 4, 5, 0.0, 6.6, 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("eps", sorted(FIG_PINNED))
+def test_robust_set_pinned_on_figure_distribution(eps):
+    result = robust_set(fig_distribution(), 4, eps, TimeGrid(6), 1.0)
+    sides = (
+        (result.flex.gen_lo, result.i_c_lo, result.kappa_lo, result.budget_lo, result.repaired_lo),
+        (result.flex.gen_hi, result.i_c_hi, result.kappa_hi, result.budget_hi, result.repaired_hi),
+    )
+    for (pop, i_c, kappa, budget, repaired), expected in zip(sides, FIG_PINNED[eps]):
+        pairs, want_i_c, want_kappa, want_budget, want_repaired = expected
+        np.testing.assert_array_equal(np.column_stack([pop.e_lo, pop.e_hi]), pairs)
+        assert (i_c, kappa, budget, repaired) == (
+            want_i_c, want_kappa, want_budget, want_repaired
+        )
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_robust_set_rejects_non_finite_radius(eps):
+    with pytest.raises(DomainError, match="finite"):
+        robust_set(fig_distribution(), 4, eps, TimeGrid(6), 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_tail_bound_rejects_non_finite_radius(value):
+    c = ConcentrationConstants(2.0, 1.0)
+    with pytest.raises(DomainError):
+        beta_from_epsilon(value, 10, c)
+    with pytest.raises(DomainError):
+        epsilon_from_beta(value, 10, c)
+
+
 def test_robust_set_budget_infeasible():
     p = fig_distribution()
     with pytest.raises(BudgetInfeasible):

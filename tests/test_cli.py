@@ -181,6 +181,75 @@ def test_montecarlo_csv_roundtrip_and_fit(tmp_path, capsys):
     fit = json.loads(capsys.readouterr().out)
     assert fit["c1"] == pytest.approx(2.0, abs=1e-6)
     assert fit["c2"] == pytest.approx(1.5, abs=1e-6)
+    # per size, log beta falls against eps^2 with slope -c2 * N
+    assert [f["N"] for f in fit["per_n"]] == [5, 10, 20]
+    for f in fit["per_n"]:
+        assert f["rows"] == 4
+        assert f["slope"] == pytest.approx(-1.5 * f["N"], abs=1e-6)
+        assert f["r_squared"] == pytest.approx(1.0, abs=1e-12)
+
+
+def _with(section, value):
+    payload = dict(BASE)
+    payload[section] = value
+    return payload
+
+
+def _scenario_command(command, payload, *extra):
+    return lambda tmp_path: [command, "--scenario", write_scenario(tmp_path, payload), *extra]
+
+
+def _malformed_json(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    return ["aggregate", "--scenario", str(path)]
+
+
+def _sparse_results(tmp_path):
+    # two rows with positive violation estimates and one zero row
+    rows = [
+        ViolationStats(eps, 10, 24, 100, v, v / 100, 0.0, 1.0, False)
+        for eps, v in ((0.1, 20), (0.2, 5), (0.3, 0))
+    ]
+    path = str(tmp_path / "sparse.csv")
+    write_results_csv(path, rows, {"seed": 0})
+    return ["fit-constants", "--csv", path]
+
+
+_CONSTANTS = {"c1": 2.0, "c2": 1.0}
+
+# One case per error class the CLI can reach, with its documented exit code.
+EXIT_CODE_CASES = {
+    "parse-missing-file": (lambda tmp: ["aggregate", "--scenario", str(tmp / "no.json")], 2),
+    "parse-malformed-json": (_malformed_json, 2),
+    "validation": (
+        _scenario_command("aggregate", _with("distribution", {"atoms": [[0, 1]], "weights": [0.5]})),
+        3,
+    ),
+    "dimension": (_scenario_command("member", BASE, "--profile", "1,1,1"), 2),
+    "negative-entry": (_scenario_command("member", BASE, "--profile", "1,1,1,-1"), 2),
+    "non-finite-profile": (_scenario_command("member", BASE, "--profile", "nan,1,1,1"), 2),
+    "budget": (_scenario_command("robust", _with("robust", {"epsilon": 1e-9, "N": 2})), 1),
+    "insufficient-data": (_sparse_results, 1),
+    "nan-epsilon": (_scenario_command("robust", _with("robust", {"epsilon": math.nan, "N": 4})), 2),
+    "inf-epsilon": (_scenario_command("robust", _with("robust", {"epsilon": math.inf, "N": 4})), 2),
+    "nan-beta": (
+        _scenario_command(
+            "robust", _with("robust", {"beta": math.nan, "N": 4, "constants": _CONSTANTS})
+        ),
+        2,
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:excluded 1 rows")
+@pytest.mark.parametrize("case", sorted(EXIT_CODE_CASES))
+def test_error_classes_map_to_exit_codes(tmp_path, capsys, case):
+    build, code = EXIT_CODE_CASES[case]
+    assert main(build(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: " if code == 1 else "error: ")
+    assert "Traceback" not in err
 
 
 def test_results_csv_roundtrip_lossless(tmp_path):
