@@ -33,7 +33,6 @@ from .ambiguity import (
 )
 from .core import (
     DEFAULT_ATOL,
-    ChargingRequirement,
     Population,
     TimeGrid,
     fastest_profile,
@@ -49,6 +48,7 @@ from .errors import (
     NegativeBudget,
     NegativeEntry,
     NotMonotone,
+    NumericalFailure,
     ParseError,
     RangeWarning,
     ValidationError,

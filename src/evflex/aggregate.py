@@ -53,18 +53,19 @@ def nu_bounds(pop: Population) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class AggregateFlexSet:
-    """Aggregate flexibility set parameterised by (nu_lo, nu_hi).
+    """Aggregate flexibility set, held as its bound pair (nu_lo, nu_hi).
 
-    Always carries the generating population(s): a set built from one
-    population stores it twice; a robust set built from a worst-case pair
-    stores both, and membership is the conjunction of the two populations'
-    two-vector criteria.
+    The set is {u : b(S) <= u(S) <= p(S) for every S}, with p the prefix
+    sums of nu_hi and b the tail sums of nu_lo, and the two-vector
+    criterion decides membership from the pair alone. A set built from one
+    population carries that population's pair; a robust set carries the
+    lower worst case's nu_lo and the upper worst case's nu_hi (see
+    ambiguity.robust_set for why that is the intersection of their sets).
     """
 
     nu_lo: np.ndarray
     nu_hi: np.ndarray
-    gen_lo: Population
-    gen_hi: Population
+    power: float
 
     def __post_init__(self):
         nu_lo = np.array(self.nu_lo, dtype=float)
@@ -73,53 +74,38 @@ class AggregateFlexSet:
         nu_hi.flags.writeable = False
         object.__setattr__(self, "nu_lo", nu_lo)
         object.__setattr__(self, "nu_hi", nu_hi)
+        object.__setattr__(self, "power", float(self.power))
         if nu_lo.shape != nu_hi.shape or nu_lo.ndim != 1:
             raise DimensionMismatch("nu_lo and nu_hi must be 1-D of equal length")
-        if nu_lo.shape[0] != self.gen_lo.horizon:
-            raise DimensionMismatch("bound vectors do not match the population horizon")
         for name, vec in (("nu_lo", nu_lo), ("nu_hi", nu_hi)):
             if np.any(np.diff(vec) > DEFAULT_ATOL):
                 raise ValueError(f"{name} must be sorted non-increasing")
 
     @classmethod
     def from_population(cls, pop: Population) -> "AggregateFlexSet":
-        nu_lo, nu_hi = nu_bounds(pop)
-        return cls(nu_lo, nu_hi, pop, pop)
+        return cls(*nu_bounds(pop), pop.power)
 
     @classmethod
     def from_bound_populations(cls, gen_lo: Population, gen_hi: Population) -> "AggregateFlexSet":
         """Set parameterised by gen_lo's lower vector and gen_hi's upper vector."""
         if gen_lo.horizon != gen_hi.horizon or gen_lo.power != gen_hi.power:
             raise DimensionMismatch("bound populations must share horizon and power")
-        nu_lo, _ = nu_bounds(gen_lo)
-        _, nu_hi = nu_bounds(gen_hi)
-        return cls(nu_lo, nu_hi, gen_lo, gen_hi)
+        nu_lo = _generating_vectors(gen_lo.e_lo, gen_lo.power, gen_lo.horizon)
+        nu_hi = _generating_vectors(gen_hi.e_hi, gen_hi.power, gen_hi.horizon)
+        return cls(nu_lo, nu_hi, gen_lo.power)
 
     @property
     def horizon(self) -> int:
         return int(self.nu_lo.shape[0])
-
-    @property
-    def power(self) -> float:
-        return self.gen_lo.power
-
-    @property
-    def n(self) -> int:
-        return self.gen_lo.n
 
     @cached_property
     def is_empty(self) -> bool:
         # Large transport budgets can push the lower total past the upper one.
         return bool(self.nu_lo.sum() > self.nu_hi.sum() + DEFAULT_ATOL)
 
-    @cached_property
-    def single_generator(self) -> bool:
-        return self.gen_lo is self.gen_hi
-
     def _members(self, profiles: np.ndarray, atol: float) -> np.ndarray:
-        """Membership of each row of a (V, T) stack in every generator's set."""
-        gens = (self.gen_lo,) if self.single_generator else (self.gen_lo, self.gen_hi)
-        return _member_matrix(*_stacked_bounds(gens), profiles, atol).all(axis=0)
+        """Membership of each row of a (V, T) stack in this set."""
+        return _pair_members(self.nu_lo, self.nu_hi, profiles, atol)
 
     def contains_profile(self, u, atol: float = DEFAULT_ATOL) -> bool:
         """Membership of an aggregate profile in this set."""
@@ -129,11 +115,10 @@ class AggregateFlexSet:
     def vertices_are_members(self, atol: float = DEFAULT_ATOL) -> bool:
         """Whether every splice vertex belongs to the set itself.
 
-        Single-population sets always pass. For worst-case intersection
-        sets this is the operational test of the product-form identity: when
-        it holds, the splice vertices are the set's true vertex description
-        and vertex-based subset/nesting checks are exact rather than merely
-        conservative.
+        Sets built from one population always pass. A robust set's pair
+        comes from two different populations, and when this fails its
+        splice vertices describe an outer family: vertex-based subset and
+        nesting checks are then conservative rather than exact.
         """
         if self.is_empty:
             return False
@@ -170,12 +155,6 @@ def _check_profile(u, horizon: int, atol: float) -> np.ndarray:
     return np.clip(u, 0.0, None)
 
 
-def _stacked_bounds(pops) -> tuple[np.ndarray, np.ndarray]:
-    """(R, T) nu_lo and nu_hi rows of R populations."""
-    nu_lo, nu_hi = zip(*(nu_bounds(pop) for pop in pops))
-    return np.stack(nu_lo), np.stack(nu_hi)
-
-
 def _member_matrix(
     nu_lo: np.ndarray, nu_hi: np.ndarray, profiles: np.ndarray, atol: float
 ) -> np.ndarray:
@@ -195,6 +174,13 @@ def _member_matrix(
     bound += atol
     inside = (top[None] <= bound).all(axis=2)
     return inside & (total[None, :] >= nu_lo.sum(axis=1)[:, None] - atol)
+
+
+def _pair_members(
+    nu_lo: np.ndarray, nu_hi: np.ndarray, profiles: np.ndarray, atol: float
+) -> np.ndarray:
+    """Membership of each row of a (V, T) stack in the set of one pair."""
+    return _member_matrix(nu_lo[None], nu_hi[None], profiles, atol)[0]
 
 
 def batch_contains(
@@ -225,7 +211,7 @@ def batch_contains(
 def contains(pop: Population, u, atol: float = DEFAULT_ATOL) -> bool:
     """True iff the population can jointly track the aggregate profile u."""
     u = _check_profile(u, pop.horizon, atol)
-    return bool(_member_matrix(*_stacked_bounds([pop]), u[None], atol)[0, 0])
+    return bool(_pair_members(*nu_bounds(pop), u[None], atol)[0])
 
 
 def _membership_network(pop: Population, u: np.ndarray):
@@ -313,7 +299,7 @@ def find_subset_violation(aset: AggregateFlexSet, pop: Population, atol: float =
     if aset.is_empty:
         return None
     vertices = sorted_vertices(aset)
-    outside = np.flatnonzero(~_member_matrix(*_stacked_bounds([pop]), vertices, atol)[0])
+    outside = np.flatnonzero(~_pair_members(*nu_bounds(pop), vertices, atol))
     return vertices[outside[0]] if outside.size else None
 
 

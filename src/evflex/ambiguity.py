@@ -1,7 +1,7 @@
 """Wasserstein ambiguity machinery and robust-set assembly.
 
 Distributions over charging requirements are discrete, with atoms on the
-(e_lo, e_hi) plane; the ground metric is L1 on that plane with window and
+(e_lo, e_hi) plane; the ground metric is L1 on that plane with horizon and
 power held fixed. Worst-case populations are built in two steps: project
 the distribution onto an equal-weight N-point support, then spend the
 remaining transport budget pushing that support toward the relevant
@@ -25,6 +25,7 @@ from .errors import (
     BudgetInfeasible,
     DomainError,
     NegativeBudget,
+    NumericalFailure,
     RangeWarning,
 )
 from .transport import min_cost_transport
@@ -209,7 +210,7 @@ def project_to_n_points(
 # the floor).
 
 
-def _push_walk(values, partners, budget, target, sign, n):
+def _push_walk(values, partners, budget, target, sign):
     """Budget-true push of values toward target, nearest atom first.
 
     values/partners are ordered nearest to the target first; a partner is
@@ -221,6 +222,7 @@ def _push_walk(values, partners, budget, target, sign, n):
     """
     p = values.copy()
     q = partners.copy()
+    n = p.size
     b = float(budget)
     if b <= _TINY:
         return p, q, -1, 0.0, 0.0, 0
@@ -250,7 +252,7 @@ def _push_walk(values, partners, budget, target, sign, n):
     return p, q, n, 0.0, spent, repaired
 
 
-def _validate_push_args(values, budget, n):
+def _validate_push_args(values, budget):
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("values must be a non-empty 1-D array")
@@ -258,35 +260,31 @@ def _validate_push_args(values, budget, n):
         raise ValueError("values must be sorted non-decreasing")
     if budget < 0:
         raise NegativeBudget(f"budget must be non-negative, got {budget}")
-    if n is None:
-        n = values.size
-    if n != values.size:
-        raise ValueError("n must equal the number of values")
-    return values, int(n)
+    return values
 
 
-def push_lower(values, budget: float, ceiling: float, n: int | None = None):
+def push_lower(values, budget: float, ceiling: float):
     """Push point masses toward the ceiling, largest first, until the budget
     is spent.
 
-    Moving atom i to the ceiling costs (ceiling - v_i)/n; the first atom
+    Moving atom i of n to the ceiling costs (ceiling - v_i)/n; the first atom
     that cannot move fully moves by kappa = remaining_budget * n and is
     recorded as the critical index (1-based). Returns (pushed, i_c, kappa).
     """
-    values, n = _validate_push_args(values, budget, n)
+    values = _validate_push_args(values, budget)
     if np.any(values > ceiling + 1e-12):
         raise ValueError("values must not exceed the ceiling")
-    pinned = np.full(n, float(ceiling))
-    out, _, k, kappa, _, _ = _push_walk(values[::-1], pinned, budget, ceiling, 1.0, n)
-    return out[::-1], n - k, kappa
+    pinned = np.full(values.size, float(ceiling))
+    out, _, k, kappa, _, _ = _push_walk(values[::-1], pinned, budget, ceiling, 1.0)
+    return out[::-1], values.size - k, kappa
 
 
-def push_upper(values, budget: float, n: int | None = None):
+def push_upper(values, budget: float):
     """Mirror of push_lower: masses move toward zero, smallest first."""
-    values, n = _validate_push_args(values, budget, n)
+    values = _validate_push_args(values, budget)
     if np.any(values < -1e-12):
         raise ValueError("values must be non-negative")
-    out, _, k, kappa, _, _ = _push_walk(values, np.zeros(n), budget, 0.0, -1.0, n)
+    out, _, k, kappa, _, _ = _push_walk(values, np.zeros(values.size), budget, 0.0, -1.0)
     return out, k + 1, kappa
 
 
@@ -339,6 +337,8 @@ class RobustSetResult:
     """
 
     flex: AggregateFlexSet
+    worst_lo: Population  # lower-bound energies pushed up
+    worst_hi: Population  # upper-bound energies pushed down
     epsilon: float
     beta: float | None
     projection_cost: float
@@ -373,7 +373,17 @@ def robust_set(
     remaining radius pushing lower-bound energies toward the energy cap and
     upper-bound energies toward zero, verifies both resulting empirical
     distributions are within eps of the input, and assembles the set
-    parameterised by the two pushed populations.
+    parameterised by the two pushed populations: nu_lo of the lower worst
+    case L and nu_hi of the upper worst case U.
+
+    That pair describes exactly the intersection of the two worst cases'
+    sets. Each walk moves every projected atom one way only: the lower walk
+    raises e_lo and can only drag e_hi up, the upper walk lowers e_hi and
+    can only drag e_lo down, so atom by atom e^U <= e^proj <= e^L in both
+    coordinates. The paramodular pair p(S) = sum_i min(m|S|, e_hi[i]) and
+    b(S) = sum_i max(0, e_lo[i] - m(T - |S|)) is monotone in every energy,
+    hence p_U <= p_L and b_L >= b_U, and the intersection
+    {b_L <= u(S) <= p_L} & {b_U <= u(S) <= p_U} is {b_L <= u(S) <= p_U}.
     """
     if not 0 <= eps < math.inf:
         raise DomainError(f"eps must be non-negative and finite, got {eps}")
@@ -394,32 +404,34 @@ def robust_set(
     # lower worst case: support is lex-sorted, so the largest e_lo comes last
     rev = support[::-1]
     l_lo, l_hi, k_lo, kappa_lo, spent_lo, repaired_lo = _push_walk(
-        rev[:, 0], rev[:, 1], residual, cap, 1.0, n
+        rev[:, 0], rev[:, 1], residual, cap, 1.0
     )
     l_lo, l_hi, i_c_lo = l_lo[::-1], l_hi[::-1], n - k_lo
     # upper worst case: the smallest e_hi comes first
     order = np.argsort(support[:, 1], kind="stable")
     u_hi, u_lo, k_hi, kappa_hi, spent_hi, repaired_hi = _push_walk(
-        support[order, 1], support[order, 0], residual, 0.0, -1.0, n
+        support[order, 1], support[order, 0], residual, 0.0, -1.0
     )
     i_c_hi = k_hi + 1
 
-    pop_lo = Population.from_energy_pairs(zip(l_lo, l_hi), grid.steps, power)
-    pop_hi = Population.from_energy_pairs(zip(u_lo, u_hi), grid.steps, power)
+    worst_lo = Population(l_lo, l_hi, grid.steps, power)
+    worst_hi = Population(u_lo, u_hi, grid.steps, power)
 
     w1_lo = wasserstein1(p, DiscreteDistribution.equal_weights(np.column_stack([l_lo, l_hi]), cap))
     w1_hi = wasserstein1(p, DiscreteDistribution.equal_weights(np.column_stack([u_lo, u_hi]), cap))
     for name, value in (("lower", w1_lo), ("upper", w1_hi)):
         if value > eps_raw + atol:
-            raise RuntimeError(
+            raise NumericalFailure(
                 f"budget accounting violated: {name} worst case at distance "
                 f"{value} > eps {eps_raw}"
             )
 
-    flex = AggregateFlexSet.from_bound_populations(pop_lo, pop_hi)
+    flex = AggregateFlexSet.from_bound_populations(worst_lo, worst_hi)
     beta = beta_from_epsilon(eps, n, constants) if constants is not None else None
     return RobustSetResult(
         flex=flex,
+        worst_lo=worst_lo,
+        worst_hi=worst_hi,
         epsilon=eps,
         beta=beta,
         projection_cost=proj_cost / factor,

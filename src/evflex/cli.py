@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .harness import TrialConfig, fit_constants, fit_per_n, run_trials
+from .harness import SEED_LIMIT, TrialConfig, fit_constants, fit_per_n, run_trials
 from .io import jsonify, parse_scenario, read_results_csv, write_results_csv
 
 
@@ -69,7 +69,7 @@ def _cmd_aggregate(args) -> int:
     _emit_json(
         {
             "T": aset.horizon,
-            "N": aset.n,
+            "N": sc.population.n,
             "power": aset.power,
             "nu_lo": aset.nu_lo,
             "nu_hi": aset.nu_hi,
@@ -150,12 +150,8 @@ def _cmd_robust(args) -> int:
             "empty": result.empty,
             "nu_lo": result.flex.nu_lo,
             "nu_hi": result.flex.nu_hi,
-            "worst_case_lo": np.column_stack(
-                [result.flex.gen_lo.e_lo, result.flex.gen_lo.e_hi]
-            ),
-            "worst_case_hi": np.column_stack(
-                [result.flex.gen_hi.e_lo, result.flex.gen_hi.e_hi]
-            ),
+            "worst_case_lo": np.column_stack([result.worst_lo.e_lo, result.worst_lo.e_hi]),
+            "worst_case_hi": np.column_stack([result.worst_hi.e_lo, result.worst_hi.e_hi]),
         },
         args.out,
     )
@@ -168,6 +164,8 @@ def _cmd_montecarlo(args) -> int:
         raise ValidationError("distribution: required for the montecarlo command")
     if sc.harness is None:
         raise ValidationError("harness: required for the montecarlo command")
+    if args.seed is not None and not 0 <= args.seed < SEED_LIMIT:
+        raise DomainError(f"--seed: must be in [0, 2**64), got {args.seed}")
     seed = args.seed if args.seed is not None else sc.harness.seed
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**63))

@@ -7,8 +7,9 @@ enforced at function boundaries rather than by a wrapper class.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,90 +23,62 @@ class TimeGrid:
     """Discrete horizon of `steps` slots, each of unit duration."""
 
     steps: int
-    delta: float = 1.0
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.delta != 1.0:
-            raise ValueError("step duration is fixed to 1")
 
 
-@dataclass(frozen=True)
-class ChargingRequirement:
-    """One EV's job: energy interval, connection window, power cap."""
+@dataclass(frozen=True, eq=False)
+class Population:
+    """Homogeneous population of N charging jobs, held as two energy vectors.
 
-    e_lo: float
-    e_hi: float
-    arrive: int = 1
-    depart: int = 1
+    Every EV connects at step 1, departs after the horizon T and charges at
+    most `power` per step; EV i needs between e_lo[i] and e_hi[i] energy.
+    The vectors are stored as read-only float arrays.
+    """
+
+    e_lo: np.ndarray
+    e_hi: np.ndarray
+    horizon: int
     power: float = 1.0
 
     def __post_init__(self):
-        if self.arrive < 1 or self.depart < self.arrive:
-            raise ValueError(f"bad connection window [{self.arrive}, {self.depart}]")
-        if self.power <= 0:
-            raise ValueError(f"power must be positive, got {self.power}")
-        window = self.depart - self.arrive + 1
-        if not (0 <= self.e_lo <= self.e_hi <= self.power * window + 1e-12):
+        e_lo = np.array(self.e_lo, dtype=float)
+        e_hi = np.array(self.e_hi, dtype=float)
+        horizon = operator.index(self.horizon)
+        power = float(self.power)
+        if e_lo.ndim != 1 or e_lo.shape != e_hi.shape or e_lo.size == 0:
+            raise ValueError("e_lo and e_hi must be non-empty 1-D arrays of equal length")
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        if not (math.isfinite(power) and power > 0):
+            raise ValueError(f"power must be positive and finite, got {power}")
+        cap = power * horizon
+        valid = (e_lo >= 0) & (e_lo <= e_hi) & (e_hi <= cap + 1e-12)
+        if not valid.all():
+            i = int(np.argmin(valid))
             raise ValueError(
-                f"need 0 <= e_lo <= e_hi <= m*(d-a+1): "
-                f"({self.e_lo}, {self.e_hi}) vs cap {self.power * window}"
+                f"need 0 <= e_lo <= e_hi <= m*T: ({e_lo[i]}, {e_hi[i]}) vs cap {cap}"
             )
-
-
-@dataclass(frozen=True)
-class Population:
-    """Ordered collection of charging requirements.
-
-    Only homogeneous populations are supported: every member shares
-    arrive=1, the same departure (taken as the horizon T) and the same
-    power rating.
-    """
-
-    members: tuple[ChargingRequirement, ...]
-
-    def __post_init__(self):
-        if len(self.members) < 1:
-            raise ValueError("population must have at least one member")
-        first = self.members[0]
-        for req in self.members:
-            if req.arrive != 1:
-                raise ValueError("heterogeneous arrival times are unsupported (arrive must be 1)")
-            if req.depart != first.depart or req.power != first.power:
-                raise ValueError("population members must share departure time and power rating")
+        e_lo.flags.writeable = False
+        e_hi.flags.writeable = False
+        object.__setattr__(self, "e_lo", e_lo)
+        object.__setattr__(self, "e_hi", e_hi)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "power", power)
 
     @classmethod
     def from_energy_pairs(cls, pairs, horizon: int, power: float = 1.0) -> "Population":
-        members = tuple(
-            ChargingRequirement(float(lo), float(hi), 1, int(horizon), float(power))
-            for lo, hi in pairs
-        )
-        return cls(members)
+        """Population from (e_lo, e_hi) rows."""
+        pairs = np.array(pairs, dtype=float)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("pairs must be (e_lo, e_hi) rows")
+        return cls(pairs[:, 0], pairs[:, 1], horizon, power)
 
     @property
     def n(self) -> int:
-        return len(self.members)
-
-    @property
-    def horizon(self) -> int:
-        return self.members[0].depart
-
-    @property
-    def power(self) -> float:
-        return self.members[0].power
-
-    @cached_property
-    def e_lo(self) -> np.ndarray:
-        arr = np.array([req.e_lo for req in self.members], dtype=float)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
-    def e_hi(self) -> np.ndarray:
-        arr = np.array([req.e_hi for req in self.members], dtype=float)
-        arr.flags.writeable = False
-        return arr
+        return int(self.e_lo.size)
 
 
 def fastest_profile(energy: float, power: float, steps: int) -> np.ndarray:
@@ -131,22 +104,14 @@ def fastest_profile(energy: float, power: float, steps: int) -> np.ndarray:
 
 
 def is_individually_feasible(
-    profile: np.ndarray, req: ChargingRequirement, atol: float = DEFAULT_ATOL
+    profile: np.ndarray, e_lo: float, e_hi: float, power: float, atol: float = DEFAULT_ATOL
 ) -> bool:
-    """True when one EV can track `profile` while meeting its requirement.
-
-    The horizon is the member's departure step (homogeneous convention).
-    """
+    """True when one EV can track `profile`: entries in [0, power] and a
+    total in [e_lo, e_hi]."""
     u = np.asarray(profile, dtype=float)
-    horizon = req.depart
-    if u.shape != (horizon,):
-        raise DimensionMismatch(f"profile length {u.shape} != horizon {horizon}")
-    window = slice(req.arrive - 1, req.depart)
-    outside = np.delete(u, np.arange(req.arrive - 1, req.depart))
-    if outside.size and np.any(np.abs(outside) > atol):
+    if u.ndim != 1:
+        raise DimensionMismatch(f"profile must be 1-D, got shape {u.shape}")
+    if np.any(u < -atol) or np.any(u > power + atol):
         return False
-    inside = u[window]
-    if np.any(inside < -atol) or np.any(inside > req.power + atol):
-        return False
-    total = float(inside.sum())
-    return req.e_lo - atol <= total <= req.e_hi + atol
+    total = float(u.sum())
+    return e_lo - atol <= total <= e_hi + atol

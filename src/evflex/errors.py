@@ -44,6 +44,12 @@ class InsufficientData(EVFlexError):
     """Not enough usable points to fit the concentration constants."""
 
 
+class NumericalFailure(EVFlexError):
+    """A computation broke its own guarantee: a worst case outside the ball
+    after budget accounting, or a transport solve that did not converge.
+    CLI exit code 1."""
+
+
 class ParseError(EVFlexError):
     """Scenario or result file is unreadable or malformed. CLI exit code 2."""
 

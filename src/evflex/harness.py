@@ -25,6 +25,8 @@ from .ambiguity import (
 from .core import DEFAULT_ATOL, Population, TimeGrid
 from .errors import BudgetInfeasible, InsufficientData
 
+SEED_LIMIT = 2**64  # master seeds are 64-bit
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -47,7 +49,7 @@ class TrialConfig:
             raise ValueError(f"epsilons must be finite, got {self.epsilons!r}")
         if len(self.epsilons) == 0 or np.any(np.diff(self.epsilons) <= 0):
             raise ValueError("epsilons must be strictly increasing")
-        if not (0 <= self.seed < 2**64):
+        if not (0 <= self.seed < SEED_LIMIT):
             raise ValueError("seed must fit in 64 bits")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .ambiguity import ConcentrationConstants, DiscreteDistribution
 from .core import Population, TimeGrid
 from .errors import ParseError, ValidationError
-from .harness import ViolationStats
+from .harness import SEED_LIMIT, ViolationStats
 
 RESULT_COLUMNS = (
     "epsilon",
@@ -74,6 +74,33 @@ def _require(cond: bool, msg: str):
         raise ValidationError(msg)
 
 
+def _number(value, field: str) -> float:
+    """A JSON number; booleans and strings are rejected, not coerced."""
+    _require(
+        isinstance(value, (int, float)) and not isinstance(value, bool),
+        f"{field}: must be a number, got {value!r}",
+    )
+    return float(value)
+
+
+def _finite(value, field: str) -> float:
+    number = _number(value, field)
+    _require(math.isfinite(number), f"{field}: must be finite, got {value!r}")
+    return number
+
+
+def _integer(value, field: str, minimum: int) -> int:
+    """An integral JSON number >= minimum; fractions are rejected, not truncated."""
+    _require(_finite(value, field).is_integer(), f"{field}: must be an integer, got {value!r}")
+    _require(value >= minimum, f"{field}: must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _radii(values, field: str) -> tuple[float, ...]:
+    _require(isinstance(values, list), f"{field}: expected a list")
+    return tuple(_finite(e, field) for e in values)
+
+
 def _parse_distribution(obj, cap: float, base_dir: str) -> DiscreteDistribution:
     if not isinstance(obj, dict):
         raise ValidationError("distribution: expected an object")
@@ -123,15 +150,12 @@ def _parse_robust(obj) -> RobustSpec:
         "robust.beta requires robust.constants",
     )
     size = obj.get("N")
-    if size is not None:
-        size = int(size)
-        _require(size >= 1, "robust.N: must be >= 1")
     return RobustSpec(
-        epsilon=None if epsilon is None else float(epsilon),
-        beta=None if beta is None else float(beta),
+        epsilon=None if epsilon is None else _number(epsilon, "robust.epsilon"),
+        beta=None if beta is None else _number(beta, "robust.beta"),
         constants=constants,
         normalize=bool(obj.get("normalize", False)),
-        population_size=size,
+        population_size=None if size is None else _integer(size, "robust.N", 1),
     )
 
 
@@ -140,35 +164,37 @@ def _parse_harness(obj) -> HarnessSpec:
         raise ValidationError("harness: expected an object")
     _require("N" in obj, "harness.N: missing")
     raw_n = obj["N"]
-    sizes = tuple(int(v) for v in (raw_n if isinstance(raw_n, list) else [raw_n]))
-    _require(all(v >= 1 for v in sizes), "harness.N: sizes must be >= 1")
+    sizes = tuple(
+        _integer(v, "harness.N", 1) for v in (raw_n if isinstance(raw_n, list) else [raw_n])
+    )
     _require("epsilons" in obj, "harness.epsilons: missing")
     raw_eps = obj["epsilons"]
     if isinstance(raw_eps, dict):
         try:
-            by_n = {int(k): tuple(float(e) for e in v) for k, v in raw_eps.items()}
-        except (TypeError, ValueError) as exc:
+            by_n = {int(k): _radii(v, f"harness.epsilons[{k}]") for k, v in raw_eps.items()}
+        except ValueError as exc:
             raise ValidationError(f"harness.epsilons: {exc}") from exc
         _require(
             set(by_n) == set(sizes),
             "harness.epsilons: keyed grids must cover exactly the sizes in N",
         )
     else:
-        grid = tuple(float(e) for e in raw_eps)
+        grid = _radii(raw_eps, "harness.epsilons")
         by_n = {size: grid for size in sizes}
     for size, grid in by_n.items():
         _require(
             len(grid) > 0 and all(b > a for a, b in zip(grid, grid[1:])),
             f"harness.epsilons[{size}]: must be strictly increasing",
         )
-    trials = int(obj.get("trials", 1000))
-    _require(trials >= 1, "harness.trials: must be >= 1")
     seed = obj.get("seed")
+    if seed is not None:
+        seed = _integer(seed, "harness.seed", 0)
+        _require(seed < SEED_LIMIT, f"harness.seed: must be < 2**64, got {seed}")
     return HarnessSpec(
         population_sizes=sizes,
         epsilons_by_n=by_n,
-        trials=trials,
-        seed=None if seed is None else int(seed),
+        trials=_integer(obj.get("trials", 1000), "harness.trials", 1),
+        seed=seed,
     )
 
 
@@ -187,11 +213,8 @@ def parse_scenario(path: str) -> Scenario:
 
     grid_obj = raw.get("grid", {})
     _require(isinstance(grid_obj, dict), "grid: expected an object")
-    try:
-        grid = TimeGrid(int(grid_obj.get("T", DEFAULT_HORIZON)))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"grid.T: {exc}") from exc
-    power = float(raw.get("power", DEFAULT_POWER))
+    grid = TimeGrid(_integer(grid_obj.get("T", DEFAULT_HORIZON), "grid.T", 1))
+    power = _finite(raw.get("power", DEFAULT_POWER), "power")
     _require(power > 0, "power: must be positive")
     cap = power * grid.steps
 
@@ -207,11 +230,7 @@ def parse_scenario(path: str) -> Scenario:
             "population.members: missing",
         )
         try:
-            population = Population.from_energy_pairs(
-                [(float(lo), float(hi)) for lo, hi in pobj["members"]],
-                grid.steps,
-                power,
-            )
+            population = Population.from_energy_pairs(pobj["members"], grid.steps, power)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"population: {exc}") from exc
 

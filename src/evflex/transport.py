@@ -11,6 +11,8 @@ import heapq
 
 import numpy as np
 
+from .errors import NumericalFailure
+
 MASS_EPS = 1e-15
 
 
@@ -39,7 +41,7 @@ def min_cost_transport(supply, demand, cost) -> tuple[float, np.ndarray]:
     while remaining > 1e-13:
         rounds += 1
         if rounds > max_rounds:
-            raise RuntimeError("transport solver failed to converge")
+            raise NumericalFailure("transport solver failed to converge")
         dist = np.full(n + m, np.inf)
         parent = np.full(n + m, -1, dtype=int)
         heap = []

@@ -230,7 +230,7 @@ def test_criterion_4_fast_test_no_false_positives():
 
 
 def test_criterion_5_reference_push():
-    pushed, i_c, kappa = push_lower([0.7, 2.7, 3.8, 5.0], 1.175, 6.0, 4)
+    pushed, i_c, kappa = push_lower([0.7, 2.7, 3.8, 5.0], 1.175, 6.0)
     ok = (
         np.allclose(pushed, [0.7, 4.2, 6.0, 6.0], atol=1e-12)
         and i_c == 2
@@ -255,7 +255,7 @@ def test_criterion_6_budget_soundness():
         _, eps0 = project_to_n_points(p, n)
         eps = eps0 + rng.uniform(0, 2.5 * cap) * rng.random() ** 2
         result = robust_set(p, n, eps, grid, 1.0)
-        for pop in (result.flex.gen_lo, result.flex.gen_hi):
+        for pop in (result.worst_lo, result.worst_hi):
             dist = wasserstein1(
                 p,
                 DiscreteDistribution.equal_weights(
@@ -302,9 +302,8 @@ def test_criterion_7_nestedness():
                 if outer.empty:
                     violations += len(vertices)
                     continue
-                member = flex_member(outer.flex.gen_lo, vertices)
-                if not outer.flex.single_generator:
-                    member &= flex_member(outer.flex.gen_hi, vertices)
+                member = flex_member(outer.worst_lo, vertices)
+                member &= flex_member(outer.worst_hi, vertices)
                 violations += int((~member).sum())
     report(
         7,

@@ -129,8 +129,8 @@ def test_contains_derived_decomposition_case():
     result = decompose(pop, u)
     assert isinstance(result, Decomposition)
     np.testing.assert_allclose(result.per_ev.sum(axis=0), u, atol=1e-9)
-    for profile, req in zip(result.per_ev, pop.members):
-        assert is_individually_feasible(profile, req)
+    for profile, lo, hi in zip(result.per_ev, pop.e_lo, pop.e_hi):
+        assert is_individually_feasible(profile, lo, hi, pop.power)
 
 
 def test_methods_agree_randomized():
@@ -208,7 +208,9 @@ def test_minkowski_additivity_of_populations():
         v2 = sorted_vertices(AggregateFlexSet.from_population(p2))
         u1 = rng.dirichlet(np.ones(len(v1))) @ v1
         u2 = rng.dirichlet(np.ones(len(v2))) @ v2
-        merged = Population(p1.members + p2.members)
+        merged = Population(
+            np.concatenate([p1.e_lo, p2.e_lo]), np.concatenate([p1.e_hi, p2.e_hi]), horizon
+        )
         assert contains(merged, u1 + u2)
 
 
@@ -251,8 +253,8 @@ def test_decompose_at_lower_generator():
     np.testing.assert_allclose(result.per_ev.sum(axis=0), nu_lo, atol=1e-9)
     # totals are forced to the lower energy bounds here
     np.testing.assert_allclose(result.per_ev.sum(axis=1), pop.e_lo, atol=1e-9)
-    for profile, req in zip(result.per_ev, pop.members):
-        assert is_individually_feasible(profile, req)
+    for profile, lo, hi in zip(result.per_ev, pop.e_lo, pop.e_hi):
+        assert is_individually_feasible(profile, lo, hi, pop.power)
 
 
 def test_decompose_random_feasible_profiles():
@@ -264,8 +266,8 @@ def test_decompose_random_feasible_profiles():
         result = decompose(pop, u)
         assert isinstance(result, Decomposition)
         np.testing.assert_allclose(result.per_ev.sum(axis=0), u, atol=1e-9)
-        for profile, req in zip(result.per_ev, pop.members):
-            assert is_individually_feasible(profile, req, atol=1e-8)
+        for profile, lo, hi in zip(result.per_ev, pop.e_lo, pop.e_hi):
+            assert is_individually_feasible(profile, lo, hi, pop.power, atol=1e-8)
 
 
 def test_is_subset_exact_identity_and_violation():
@@ -365,20 +367,21 @@ def test_single_population_sets_have_member_vertices():
 
 def test_prefix_consistent_robust_set_can_have_outside_vertices():
     # Prefix sums of nu_lo below nu_hi's do not make the vertex test exact:
-    # a splice vertex of this robust set lies outside gen_lo's set, so
-    # is_subset_exact wrongly rejects a generator that contains the set,
+    # a splice vertex of this robust set lies outside the lower worst case's
+    # set, so is_subset_exact wrongly rejects a worst case that contains it,
     # while the bound-vector comparison of is_subset_fast accepts it.
     from evflex import DiscreteDistribution, TimeGrid, robust_set
 
     atoms = [[0.3, 2.7], [3.2, 3.4], [2.7, 3.1], [2.0, 3.0]]
     p = DiscreteDistribution(np.array(atoms), np.full(4, 0.25), 4.0)
-    aset = robust_set(p, 4, 0.14, TimeGrid(4), 1.0).flex
+    result = robust_set(p, 4, 0.14, TimeGrid(4), 1.0)
+    aset = result.flex
     assert not aset.is_empty
     assert np.all(np.cumsum(aset.nu_lo) <= np.cumsum(aset.nu_hi))
     assert not aset.vertices_are_members()
-    for gen in (aset.gen_lo, aset.gen_hi):
+    for gen in (result.worst_lo, result.worst_hi):
         assert is_subset_fast(aset, gen)
-    gen = aset.gen_lo
+    gen = result.worst_lo
     outside = find_subset_violation(aset, gen)
     assert outside is not None
     assert flex_distance(gen.e_lo, gen.e_hi, gen.power, outside) > 0.05
@@ -388,7 +391,7 @@ def test_vertex_certificate_conservative_on_inconsistent_sets():
     # Intersection sets can lose the product-form identity (splice vertices
     # are no longer members of the set); the vertex-based subset test must
     # then stay conservative: whenever it certifies containment, every true
-    # member (conjunction of the stored populations) is contained as well.
+    # member (conjunction of the two worst cases) is contained as well.
     from evflex import DiscreteDistribution, TimeGrid, project_to_n_points, robust_set
 
     rng = np.random.default_rng(99)
@@ -421,8 +424,9 @@ def test_vertex_certificate_conservative_on_inconsistent_sets():
             continue
         certified += 1
         points = rng.uniform(0, n, size=(1500, 8)) * rng.random((1500, 1)) ** 0.5
-        in_lo = batch_contains(aset.gen_lo.e_lo[None], aset.gen_lo.e_hi[None], points, 1.0)[0]
-        in_hi = batch_contains(aset.gen_hi.e_lo[None], aset.gen_hi.e_hi[None], points, 1.0)[0]
+        lo, hi = result.worst_lo, result.worst_hi
+        in_lo = batch_contains(lo.e_lo[None], lo.e_hi[None], points, 1.0)[0]
+        in_hi = batch_contains(hi.e_lo[None], hi.e_hi[None], points, 1.0)[0]
         members = points[in_lo & in_hi]
         if len(members):
             in_pop = batch_contains(pop.e_lo[None], pop.e_hi[None], members, 1.0)[0]
@@ -430,6 +434,62 @@ def test_vertex_certificate_conservative_on_inconsistent_sets():
     assert inconsistent >= 25
     assert certified >= 5
     assert escapes == 0
+
+
+def _paramodular_pair(pop):
+    """p(k) = sum_i min(mk, e_hi[i]) and b(k) = sum_i max(0, e_lo[i] - m(T-k)), k = 0..T."""
+    nu_lo, nu_hi = nu_bounds(pop)
+    return (
+        np.concatenate([[0.0], np.cumsum(nu_hi)]),
+        np.concatenate([[0.0], np.cumsum(nu_lo[::-1])]),
+    )
+
+
+def test_robust_set_pair_is_intersection_of_worst_cases():
+    # The set's own pair (nu_lo of L, nu_hi of U) answers membership exactly
+    # like the conjunction over the two worst-case populations, also on
+    # sets whose splice vertices leave the set. The worst cases' atoms are
+    # summed in different orders, hence the 1e-12 on the dominance checks.
+    from evflex import DiscreteDistribution, TimeGrid, project_to_n_points, robust_set
+
+    rng = np.random.default_rng(2024)
+    outside_vertices = 0
+    probes = 0
+    sets = 0
+    while outside_vertices < 25 and sets < 3000:
+        horizon = int(rng.integers(1, 7))
+        power = float(rng.choice([0.7, 1.0, 1.5]))
+        cap = power * horizon
+        k = int(rng.integers(1, 6))
+        lo = rng.uniform(0, cap, size=k)
+        hi = lo + rng.uniform(0, cap - lo)
+        dist = DiscreteDistribution(np.column_stack([lo, hi]), rng.dirichlet(np.ones(k)), cap)
+        n = int(rng.integers(1, 9))
+        _, eps0 = project_to_n_points(dist, n)
+        eps = eps0 + rng.uniform(0, 0.5 * cap) * rng.random()
+        result = robust_set(dist, n, eps, TimeGrid(horizon), power)
+        aset, low, high = result.flex, result.worst_lo, result.worst_hi
+        if aset.is_empty:
+            continue
+        sets += 1
+        outside_vertices += not aset.vertices_are_members()
+        p_low, b_low = _paramodular_pair(low)
+        p_high, b_high = _paramodular_pair(high)
+        assert np.all(p_high <= p_low + 1e-12)
+        assert np.all(b_low >= b_high - 1e-12)
+
+        vertices = np.vstack(
+            [sorted_vertices(s) for s in (aset, *map(AggregateFlexSet.from_population, (low, high)))]
+        )
+        mixtures = rng.dirichlet(np.ones(len(vertices)), size=10) @ vertices
+        shuffled = rng.permuted(np.vstack([vertices, mixtures]), axis=1)
+        bumped = shuffled + rng.normal(0, 0.05 * power, size=shuffled.shape)
+        for u in np.clip(np.vstack([vertices, mixtures, shuffled, bumped]), 0.0, None):
+            expected = contains(low, u) and contains(high, u)
+            assert aset.contains_profile(u) == expected
+            probes += 1
+    assert outside_vertices >= 25
+    assert probes > 1000
 
 
 # Boundary tolerance of the agreement tests below, fixed before the cases:
@@ -514,7 +574,6 @@ def test_robust_set_membership_agrees_with_lp_oracle(data):
     _, eps0 = project_to_n_points(dist, n)
     result = robust_set(dist, n, eps0 + data.draw(st.floats(0.0, 2.0)), TimeGrid(horizon), 1.0)
     aset = result.flex
-    event("single population" if aset.single_generator else "two populations")
     u = data.draw(probe_profile(sorted_vertices(aset)))
-    expected = lp_verdict(aset.gen_lo, u) & lp_verdict(aset.gen_hi, u)
+    expected = lp_verdict(result.worst_lo, u) & lp_verdict(result.worst_hi, u)
     assert aset.contains_profile(u) == expected

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from evflex import (
-    AggregateFlexSet,
     BudgetInfeasible,
     ConcentrationConstants,
     DiscreteDistribution,
@@ -166,7 +165,7 @@ def test_projection_splits_atoms_across_chunks():
 
 
 def test_push_lower_reference_case():
-    pushed, i_c, kappa = push_lower([0.7, 2.7, 3.8, 5.0], 1.175, 6.0, 4)
+    pushed, i_c, kappa = push_lower([0.7, 2.7, 3.8, 5.0], 1.175, 6.0)
     np.testing.assert_allclose(pushed, [0.7, 4.2, 6.0, 6.0])
     assert i_c == 2
     assert abs(kappa - 1.5) < 1e-12
@@ -189,12 +188,12 @@ def test_push_lower_sentinels():
 
 def test_push_upper_mirror_bookkeeping():
     # budget matching the documented arithmetic 1/4 + 1.5/4
-    pushed, i_c, kappa = push_upper([1.0, 3.3, 4.6, 5.3], 0.625, 4)
+    pushed, i_c, kappa = push_upper([1.0, 3.3, 4.6, 5.3], 0.625)
     np.testing.assert_allclose(pushed, [0.0, 1.8, 4.6, 5.3])
     assert i_c == 2
     assert abs(kappa - 1.5) < 1e-12
     # a larger budget keeps pushing greedily
-    pushed, i_c, kappa = push_upper([1.0, 3.3, 4.6, 5.3], 1.175, 4)
+    pushed, i_c, kappa = push_upper([1.0, 3.3, 4.6, 5.3], 1.175)
     np.testing.assert_allclose(pushed, [0.0, 0.0, 4.2, 5.3])
     assert i_c == 3
     assert abs(kappa - 0.4) < 1e-9
@@ -250,15 +249,15 @@ def fig_distribution():
 def test_robust_set_zero_residual():
     p = fig_distribution()
     result = robust_set(p, 4, 0.0, TimeGrid(6), 1.0)
-    np.testing.assert_allclose(result.flex.gen_lo.e_lo, FIG_ATOMS[:, 0])
-    np.testing.assert_allclose(result.flex.gen_hi.e_hi, FIG_ATOMS[:, 1])
+    np.testing.assert_allclose(result.worst_lo.e_lo, FIG_ATOMS[:, 0])
+    np.testing.assert_allclose(result.worst_hi.e_hi, FIG_ATOMS[:, 1])
     assert result.i_c_lo == 5 and result.i_c_hi == 0
     assert not result.empty
 
 
 # Worst cases at the parent of the single push walk, one radius per branch:
 # nothing moved, a partial push, a push with repairs, every atom moved.
-# Per radius: (gen_lo pairs, i_c_lo, kappa_lo, budget_lo, repaired_lo) and
+# Per radius: (worst_lo pairs, i_c_lo, kappa_lo, budget_lo, repaired_lo) and
 # the same for the upper side.
 FIG_PINNED = {
     0.0: (
@@ -287,8 +286,8 @@ FIG_PINNED = {
 def test_robust_set_pinned_on_figure_distribution(eps):
     result = robust_set(fig_distribution(), 4, eps, TimeGrid(6), 1.0)
     sides = (
-        (result.flex.gen_lo, result.i_c_lo, result.kappa_lo, result.budget_lo, result.repaired_lo),
-        (result.flex.gen_hi, result.i_c_hi, result.kappa_hi, result.budget_hi, result.repaired_hi),
+        (result.worst_lo, result.i_c_lo, result.kappa_lo, result.budget_lo, result.repaired_lo),
+        (result.worst_hi, result.i_c_hi, result.kappa_hi, result.budget_hi, result.repaired_hi),
     )
     for (pop, i_c, kappa, budget, repaired), expected in zip(sides, FIG_PINNED[eps]):
         pairs, want_i_c, want_kappa, want_budget, want_repaired = expected
@@ -331,12 +330,12 @@ def test_robust_set_saturation_empty():
 def test_robust_set_nu_recomputation():
     p = fig_distribution()
     result = robust_set(p, 4, 0.9, TimeGrid(6), 1.0)
-    lo_ref, _ = nu_bounds(result.flex.gen_lo)
-    _, hi_ref = nu_bounds(result.flex.gen_hi)
+    lo_ref, _ = nu_bounds(result.worst_lo)
+    _, hi_ref = nu_bounds(result.worst_hi)
     np.testing.assert_allclose(result.flex.nu_lo, lo_ref)
     np.testing.assert_allclose(result.flex.nu_hi, hi_ref)
-    assert abs(result.flex.nu_lo.sum() - result.flex.gen_lo.e_lo.sum()) < 1e-9
-    assert abs(result.flex.nu_hi.sum() - result.flex.gen_hi.e_hi.sum()) < 1e-9
+    assert abs(result.flex.nu_lo.sum() - result.worst_lo.e_lo.sum()) < 1e-9
+    assert abs(result.flex.nu_hi.sum() - result.worst_hi.e_hi.sum()) < 1e-9
 
 
 def test_robust_set_nonunit_power_short_horizon():
@@ -344,10 +343,10 @@ def test_robust_set_nonunit_power_short_horizon():
     p = fig_distribution()
     result = robust_set(p, 4, 1.175, TimeGrid(4), 1.5)
     lo_ref = sum(
-        fastest_profile(e, 1.5, 4) for e in result.flex.gen_lo.e_lo
+        fastest_profile(e, 1.5, 4) for e in result.worst_lo.e_lo
     )
     hi_ref = sum(
-        fastest_profile(e, 1.5, 4) for e in result.flex.gen_hi.e_hi
+        fastest_profile(e, 1.5, 4) for e in result.worst_hi.e_hi
     )
     np.testing.assert_allclose(result.flex.nu_lo, lo_ref, atol=1e-12)
     np.testing.assert_allclose(result.flex.nu_hi, hi_ref, atol=1e-12)
@@ -375,9 +374,6 @@ def test_robust_set_prefix_growth():
         n = int(rng.integers(1, 6))
         _, eps0 = project_to_n_points(p, n)
         result = robust_set(p, n, eps0 + rng.uniform(0, 2), grid, 1.0)
-        base_lo, _ = nu_bounds(
-            AggregateFlexSet.from_population(result.flex.gen_lo).gen_lo
-        )
         proj = result.projected_support
         from evflex import Population
 
@@ -424,7 +420,7 @@ def test_robust_set_repair_is_flagged_and_consistent():
     p = fig_distribution()
     result = robust_set(p, 4, 0.9, TimeGrid(6), 1.0)
     assert result.repaired_lo >= 1
-    pop = result.flex.gen_lo
+    pop = result.worst_lo
     assert np.all(pop.e_lo <= pop.e_hi + 1e-12)
-    pop = result.flex.gen_hi
+    pop = result.worst_hi
     assert np.all(pop.e_lo <= pop.e_hi + 1e-12)

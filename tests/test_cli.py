@@ -217,6 +217,8 @@ def _sparse_results(tmp_path):
 
 
 _CONSTANTS = {"c1": 2.0, "c2": 1.0}
+# no distribution, and a population that also fits a horizon of T = 1
+POPULATION_ONLY = {"grid": {"T": 4}, "population": {"members": [[0.5, 1.0]]}}
 
 # One case per error class the CLI can reach, with its documented exit code.
 EXIT_CODE_CASES = {
@@ -239,6 +241,31 @@ EXIT_CODE_CASES = {
         ),
         2,
     ),
+    "inf-power": (_scenario_command("aggregate", {**POPULATION_ONLY, "power": math.inf}), 3),
+    "fractional-T": (_scenario_command("aggregate", _with("grid", {"T": 6.9})), 3),
+    "boolean-T": (_scenario_command("aggregate", {**POPULATION_ONLY, "grid": {"T": True}}), 3),
+    "fractional-robust-N": (
+        _scenario_command("robust", _with("robust", {"epsilon": 0.5, "N": 4.9})),
+        3,
+    ),
+    "fractional-trials": (
+        _scenario_command("montecarlo", _with("harness", {**BASE["harness"], "trials": 20.9})),
+        3,
+    ),
+    "fractional-seed": (
+        _scenario_command("montecarlo", _with("harness", {**BASE["harness"], "seed": 7.8})),
+        3,
+    ),
+    "negative-seed": (
+        _scenario_command("montecarlo", _with("harness", {**BASE["harness"], "seed": -1})),
+        3,
+    ),
+    "nan-harness-epsilon": (
+        _scenario_command("montecarlo", _with("harness", {**BASE["harness"], "epsilons": [math.nan]})),
+        3,
+    ),
+    "negative-seed-flag": (_scenario_command("montecarlo", BASE, "--seed", "-5"), 2),
+    "string-epsilon": (_scenario_command("robust", _with("robust", {"epsilon": "0.5", "N": 4})), 3),
 }
 
 
@@ -250,6 +277,38 @@ def test_error_classes_map_to_exit_codes(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("infeasible: " if code == 1 else "error: ")
     assert "Traceback" not in err
+
+
+def test_numerical_failure_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
+    # inflate every distance after the projection's own, so the budget
+    # accounting check of robust_set sees both worst cases outside the ball
+    import evflex.ambiguity
+
+    real = evflex.ambiguity.wasserstein1
+    calls = []
+
+    def inflated(p, q):
+        calls.append(q)
+        return real(p, q) + (100.0 if len(calls) > 1 else 0.0)
+
+    monkeypatch.setattr(evflex.ambiguity, "wasserstein1", inflated)
+    assert main(["robust", "--scenario", write_scenario(tmp_path, BASE)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: budget accounting violated")
+    assert "Traceback" not in err
+
+
+def test_keyed_epsilon_grid(tmp_path):
+    harness = {**BASE["harness"], "N": [2, 3], "epsilons": {"2": [1.5, 2.0], "3": [1.8]}}
+    path = write_scenario(tmp_path, _with("harness", harness))
+    out_csv = str(tmp_path / "keyed.csv")
+    assert main(["montecarlo", "--scenario", path, "--out", out_csv]) == 0
+    rows, _ = read_results_csv(out_csv)
+    assert [(r.epsilon, r.population_size) for r in rows] == [(1.5, 2), (2.0, 2), (1.8, 3)]
+
+    for bad in ({"2": [1.5, 2.0], "4": [1.8]}, {"2": [2.0, 1.5], "3": [1.8]}):
+        path = write_scenario(tmp_path, _with("harness", {**harness, "epsilons": bad}), "bad.json")
+        assert main(["montecarlo", "--scenario", path]) == 3
 
 
 def test_results_csv_roundtrip_lossless(tmp_path):

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evflex import (
-    ChargingRequirement,
     DimensionMismatch,
     EnergyOutOfRange,
     Population,
@@ -58,62 +57,53 @@ def test_fastest_profile_individually_feasible(x, y, z):
     steps = 5
     e_lo, e_hi = sorted([x * steps, y * steps])
     energy = e_lo + z * (e_hi - e_lo)
-    req = ChargingRequirement(e_lo, e_hi, 1, steps, 1.0)
-    assert is_individually_feasible(fastest_profile(energy, 1.0, steps), req)
+    assert is_individually_feasible(fastest_profile(energy, 1.0, steps), e_lo, e_hi, 1.0)
 
 
 def test_individual_feasibility_examples():
-    req = ChargingRequirement(1, 2, 1, 4, 1)
-    assert is_individually_feasible(np.full(4, 0.25), req)
-    assert not is_individually_feasible(np.array([1, 1, 1, 0.0]), req)
-    assert not is_individually_feasible(np.array([1.2, 0, 0, 0.0]), req)
+    assert is_individually_feasible(np.full(4, 0.25), 1, 2, 1)
+    assert not is_individually_feasible(np.array([1, 1, 1, 0.0]), 1, 2, 1)
+    assert not is_individually_feasible(np.array([1.2, 0, 0, 0.0]), 1, 2, 1)
     with pytest.raises(DimensionMismatch):
-        is_individually_feasible(np.zeros(3), req)
-
-
-def test_profile_must_vanish_outside_window():
-    req = ChargingRequirement(0.5, 1.0, 2, 4, 1.0)
-    assert not is_individually_feasible(np.array([0.3, 0.4, 0.3, 0.0]), req)
-    assert is_individually_feasible(np.array([0, 0.4, 0.3, 0.3]), req)
+        is_individually_feasible(np.zeros((2, 4)), 1, 2, 1)
 
 
 def test_time_grid_invariants():
     assert TimeGrid(24).steps == 24
     with pytest.raises(ValueError):
         TimeGrid(0)
-    with pytest.raises(ValueError):
-        TimeGrid(4, delta=0.5)
 
 
 def test_requirement_invariants():
-    with pytest.raises(ValueError):
-        ChargingRequirement(2, 1, 1, 4, 1)  # e_lo > e_hi
-    with pytest.raises(ValueError):
-        ChargingRequirement(0, 5, 1, 4, 1)  # e_hi > m * window
-    with pytest.raises(ValueError):
-        ChargingRequirement(-0.5, 1, 1, 4, 1)
+    bad = [
+        ([2.0], [1.0], 1.0),  # e_lo > e_hi
+        ([0.0], [5.0], 1.0),  # e_hi > m * T
+        ([-0.5], [1.0], 1.0),  # negative e_lo
+        ([np.nan], [1.0], 1.0),
+        ([0.5], [np.inf], 1.0),
+        ([0.5], [1.0], np.inf),  # non-finite power
+        ([0.5], [1.0], np.nan),
+        ([0.5], [1.0], 0.0),
+    ]
+    for e_lo, e_hi, power in bad:
+        with pytest.raises(ValueError):
+            Population(e_lo, e_hi, 4, power)
 
 
-def test_population_rejects_heterogeneous():
+def test_population_invariants():
     good = Population.from_energy_pairs([(0.5, 1.0), (0.2, 2.0)], 4, 1.0)
     assert good.n == 2 and good.horizon == 4 and good.power == 1.0
+    np.testing.assert_array_equal(good.e_lo, [0.5, 0.2])
+    np.testing.assert_array_equal(good.e_hi, [1.0, 2.0])
     with pytest.raises(ValueError):
-        Population(
-            (
-                ChargingRequirement(0.5, 1, 1, 4, 1.0),
-                ChargingRequirement(0.5, 1, 1, 5, 1.0),
-            )
-        )
+        good.e_lo[0] = 0.0  # read-only
     with pytest.raises(ValueError):
-        Population(
-            (
-                ChargingRequirement(0.5, 1, 1, 4, 1.0),
-                ChargingRequirement(0.5, 1, 1, 4, 2.0),
-            )
-        )
+        Population([0.5, 0.5], [1.0], 4)  # lengths differ
     with pytest.raises(ValueError):
-        Population(
-            (ChargingRequirement(0.5, 1, 2, 4, 1.0),)
-        )
+        Population([], [], 4)
     with pytest.raises(ValueError):
-        Population(())
+        Population([0.5], [1.0], 0)
+    with pytest.raises(TypeError):
+        Population([0.5], [1.0], 4.5)  # the horizon is a step count
+    with pytest.raises(ValueError):
+        Population.from_energy_pairs([0.5, 1.0], 4)  # not (e_lo, e_hi) rows
