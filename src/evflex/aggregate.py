@@ -19,10 +19,12 @@ prefix sums of u, so a profile u with total E is a member iff
 where top_k(u) is the sum of the k largest entries (k = T gives
 E <= sum(nu_hi)). One vectorised kernel evaluates this criterion for many
 profiles against many populations; single-profile membership, batch
-membership, subset and nesting tests all use it. Only decompose() builds a
-transportation network (source -> EV arcs with the energy-interval bounds,
-EV -> timestep arcs capped at the power rating, timestep -> sink arcs
-pinned to the profile), because it returns per-EV profiles.
+membership, decomposition, subset and nesting tests all use it.
+decompose() then builds its per-EV profiles constructively: the most
+balanced split of the total into per-EV energies, then water-filling one
+step at a time from the largest remaining energies. A non-member gets the
+violated cut of the criterion as its certificate. No flow or LP solver
+runs.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .core import DEFAULT_ATOL, Population
 from .errors import DimensionMismatch, DomainError, NegativeEntry
-from .flows import feasible_circulation
+from .flows import feasible_circulation  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 
 def _generating_vectors(energies: np.ndarray, m: float, horizon: int) -> np.ndarray:
@@ -51,7 +53,7 @@ def nu_bounds(pop: Population) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AggregateFlexSet:
     """Aggregate flexibility set, held as its bound pair (nu_lo, nu_hi).
 
@@ -155,6 +157,17 @@ def _check_profile(u, horizon: int, atol: float) -> np.ndarray:
     return np.clip(u, 0.0, None)
 
 
+def _prefix_bounds(nu_lo: np.ndarray, nu_hi: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Caps on top_k(u), k = 1..T: min(sum_{t<=k} nu_hi[t], E - sum_{t>k} nu_lo[t]).
+
+    nu_lo, nu_hi: (R, T); totals: (V,) profile totals E. Returns (R, V, T).
+    """
+    reach = np.cumsum(nu_hi, axis=1)
+    tail = np.zeros_like(nu_lo)  # sum_{t>k} nu_lo[t], zero at k = T
+    tail[:, :-1] = np.cumsum(nu_lo[:, :0:-1], axis=1)[:, ::-1]
+    return np.minimum(reach[:, None, :], totals[None, :, None] - tail[:, None, :])
+
+
 def _member_matrix(
     nu_lo: np.ndarray, nu_hi: np.ndarray, profiles: np.ndarray, atol: float
 ) -> np.ndarray:
@@ -167,10 +180,7 @@ def _member_matrix(
     """
     total = profiles.sum(axis=1)
     top = np.cumsum(-np.sort(-profiles, axis=1), axis=1)
-    reach = np.cumsum(nu_hi, axis=1)
-    tail = np.zeros_like(nu_lo)  # sum_{t>k} nu_lo[t], zero at k = T
-    tail[:, :-1] = np.cumsum(nu_lo[:, :0:-1], axis=1)[:, ::-1]
-    bound = np.minimum(reach[:, None, :], total[None, :, None] - tail[:, None, :])
+    bound = _prefix_bounds(nu_lo, nu_hi, total)
     bound += atol
     inside = (top[None] <= bound).all(axis=2)
     return inside & (total[None, :] >= nu_lo.sum(axis=1)[:, None] - atol)
@@ -214,24 +224,7 @@ def contains(pop: Population, u, atol: float = DEFAULT_ATOL) -> bool:
     return bool(_pair_members(*nu_bounds(pop), u[None], atol)[0])
 
 
-def _membership_network(pop: Population, u: np.ndarray):
-    """Nodes: 0 source, 1..N EVs, N+1..N+T steps, N+T+1 sink."""
-    n, horizon, m = pop.n, pop.horizon, pop.power
-    src, snk = 0, n + horizon + 1
-    arcs = []
-    for i in range(n):
-        arcs.append((src, 1 + i, float(pop.e_lo[i]), float(pop.e_hi[i])))
-    for i in range(n):
-        for t in range(horizon):
-            arcs.append((1 + i, 1 + n + t, 0.0, m))
-    for t in range(horizon):
-        arcs.append((1 + n + t, snk, float(u[t]), float(u[t])))
-    big = float(pop.e_hi.sum() + u.sum() + 1.0)
-    arcs.append((snk, src, 0.0, big))
-    return n + horizon + 2, arcs
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """Per-EV profiles summing to a target aggregate profile."""
 
@@ -240,32 +233,107 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class Infeasible:
-    """Witness of infeasibility: steps whose demand exceeds reachable supply."""
+    """Witness of infeasibility: a set of steps S whose demand exceeds its cap.
+
+    u(S) > min(p(|S|), E - b(T - |S|)) with p the prefix sums of nu_hi, b
+    the tail sums of nu_lo and E the profile total; shortfall is the excess.
+    S is empty when E falls short of sum(nu_lo).
+    """
 
     deficient_steps: tuple[int, ...]  # 1-indexed
     shortfall: float
 
 
+def _clip_level(lo: np.ndarray, hi: np.ndarray, target: float):
+    """A level lam with sum(clip(lam, lo, hi)) = target; lo <= hi, each sorted.
+
+    The sum is piecewise linear and non-decreasing in lam with breakpoints
+    at the 2N bounds. It is read off sorted prefix sums at every breakpoint
+    and is linear between the largest breakpoint where it is <= target and
+    the smallest one where it is above; outside [sum(lo), sum(hi)] the
+    nearest end is returned.
+    """
+    points = np.concatenate([lo, hi])
+    below_lo = np.searchsorted(lo, points)  # bounds lo_i < point
+    below_hi = np.searchsorted(hi, points)
+    lo_sums = np.concatenate([[0.0], np.cumsum(lo)])
+    hi_sums = np.concatenate([[0.0], np.cumsum(hi)])
+    # sum(lo) + sum_i max(point - lo_i, 0) - sum_i max(point - hi_i, 0)
+    level = lo_sums[-1] + points * (below_lo - below_hi) - lo_sums[below_lo] + hi_sums[below_hi]
+    under = level <= target
+    a = np.argmax(np.where(under, points, -np.inf))
+    b = np.argmin(np.where(under, np.inf, points))
+    if not under[a]:  # target below sum(lo)
+        return points[b]
+    if under[b]:  # target at or above sum(hi)
+        return points[a]
+    return points[a] + (target - level[a]) / (level[b] - level[a]) * (points[b] - points[a])
+
+
+def _waterfill_steps(energies: np.ndarray, u: np.ndarray, m: float) -> np.ndarray:
+    """Fill step after step from the largest remaining energies.
+
+    Step t takes x_i = clip(r_i - mu, 0, m) with the water level mu >= 0
+    chosen so that the column sums to u[t]; the remaining energies become
+    clip(mu, r - m, r). That map is non-decreasing and the same for every
+    EV, so r keeps the order of one sort made here and mu comes from the
+    sorted bounds (r - m, r) without a sort per step. Returns the (N, T)
+    profiles in the order of `energies`.
+    """
+    order = np.argsort(energies, kind="stable")
+    r = energies[order]  # non-decreasing, and stays so
+    x = np.zeros((u.size, r.size))
+    for t in np.flatnonzero(u > 0.0):
+        floor = r - m
+        mu = max(_clip_level(floor, r, r.sum() - u[t]), 0.0)
+        rest = np.minimum(np.maximum(floor, mu), r)
+        x[t] = r - rest
+        r = rest
+    per_ev = np.empty_like(x.T)
+    per_ev[order] = x.T
+    return per_ev
+
+
 def decompose(pop: Population, u, atol: float = DEFAULT_ATOL):
     """Split an aggregate profile into per-EV profiles, or explain failure.
 
-    Returns a Decomposition extracted from the feasible transportation flow,
-    or an Infeasible record listing the undersupplied timesteps.
+    The verdict is the two-vector criterion of contains(), so the two always
+    agree. A member u with total E is split in two stages:
+
+    1. Per-EV energies e = clip(lam, e_lo, e_hi) with sum(e) = E. Every
+       other split of E inside the intervals majorizes e, so e maximises
+       every sum_i min(e_i, m*k) at once; those sums are the Gale-Ryser
+       capacities of the transportation problem with row sums e, column
+       sums u and entries in [0, m], which is feasible iff
+       top_k(u) <= sum_i min(e_i, m*k) for every k. Since some split
+       satisfies this (u is a member), e does too.
+    2. Per-step water-filling (_waterfill_steps). The remaining energies
+       after a step are the most balanced of all remainders reachable
+       with that column, and the feasibility of the remaining problem is
+       Schur-concave in the remainder, so a feasible remainder stays
+       feasible and the last step leaves nothing.
+
+    Returns a Decomposition (rows in [0, m]^T with totals in
+    [e_lo, e_hi], columns summing to u). A non-member gets an Infeasible
+    certificate that anyone can check from (nu_lo, nu_hi): the empty set
+    with shortfall sum(nu_lo) - E when the total is too small, and
+    otherwise the steps of u's k largest entries for the most violated k,
+    with shortfall top_k(u) - min(sum_{t<=k} nu_hi[t], E - sum_{t>k} nu_lo[t]).
+    Any valid split or violated cut is correct; these are the ones chosen.
     """
     u = _check_profile(u, pop.horizon, atol)
-    num_nodes, arcs = _membership_network(pop, u)
-    feasible, flows, deficits = feasible_circulation(num_nodes, arcs, atol=atol)
-    n, horizon = pop.n, pop.horizon
-    if not feasible:
-        steps = tuple(
-            t + 1
-            for t in range(horizon)
-            if deficits.get(1 + n + t, 0.0) > atol
-        )
-        shortfall = float(sum(d for d in deficits.values() if d > atol))
-        return Infeasible(steps, shortfall)
-    per_ev = np.array(flows[n : n + n * horizon]).reshape(n, horizon)
-    return Decomposition(per_ev)
+    nu_lo, nu_hi = nu_bounds(pop)
+    total = u.sum()
+    if _pair_members(nu_lo, nu_hi, u[None], atol)[0]:
+        lam = _clip_level(np.sort(pop.e_lo), np.sort(pop.e_hi), total)
+        energies = np.clip(lam, pop.e_lo, pop.e_hi)
+        return Decomposition(_waterfill_steps(energies, u, pop.power))
+    if total < nu_lo.sum() - atol:
+        return Infeasible((), float(nu_lo.sum() - total))
+    order = np.argsort(-u, kind="stable")
+    excess = np.cumsum(u[order]) - _prefix_bounds(nu_lo[None], nu_hi[None], total[None])[0, 0]
+    k = int(np.argmax(excess)) + 1
+    return Infeasible(tuple(sorted(int(t) + 1 for t in order[:k])), float(excess[k - 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .transport import min_cost_transport
 _TINY = 1e-15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Weighted atoms over (e_lo, e_hi) pairs; atoms kept lex-sorted."""
 
@@ -327,7 +327,7 @@ def epsilon_from_beta(beta: float, n: int, constants: ConcentrationConstants) ->
 # robust set assembly
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RobustSetResult:
     """Robust aggregate flexibility set plus plan bookkeeping.
 

@@ -1,8 +1,9 @@
 """Max-flow and feasible circulation with arc lower bounds.
 
 Small pure-python Dinic implementation over float capacities; adequate for
-the transportation-style networks used by aggregate decomposition
-(tens of nodes, hundreds of arcs).
+transportation-style networks of tens of nodes and hundreds of arcs. The
+runtime no longer calls it: the tests build decomposition networks on it
+as a cross-check of aggregate.decompose.
 """
 
 from __future__ import annotations

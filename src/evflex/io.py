@@ -96,6 +96,16 @@ def _integer(value, field: str, minimum: int) -> int:
     return int(value)
 
 
+def _finite_array(values, field: str, width: int | None = None) -> np.ndarray:
+    """A list of finite numbers, or with width a list of width-long lists of them."""
+    _require(isinstance(values, list), f"{field}: expected a list")
+    if width is None:
+        return np.array([_finite(v, field) for v in values], dtype=float)
+    rows = [_finite_array(row, field) for row in values]
+    _require(all(row.shape == (width,) for row in rows), f"{field}: expected rows of {width} numbers")
+    return np.array(rows, dtype=float).reshape(-1, width)
+
+
 def _radii(values, field: str) -> tuple[float, ...]:
     _require(isinstance(values, list), f"{field}: expected a list")
     return tuple(_finite(e, field) for e in values)
@@ -115,13 +125,11 @@ def _parse_distribution(obj, cap: float, base_dir: str) -> DiscreteDistribution:
             raise ParseError(f"distribution.file: invalid JSON in {path}: {exc}") from exc
     _require("atoms" in obj, "distribution.atoms: missing")
     _require("weights" in obj, "distribution.weights: missing")
+    atoms = _finite_array(obj["atoms"], "distribution.atoms", width=2)
+    weights = _finite_array(obj["weights"], "distribution.weights")
     try:
-        return DiscreteDistribution(
-            np.asarray(obj["atoms"], dtype=float),
-            np.asarray(obj["weights"], dtype=float),
-            cap,
-        )
-    except (ValueError, TypeError) as exc:
+        return DiscreteDistribution(atoms, weights, cap)
+    except ValueError as exc:
         raise ValidationError(f"distribution: {exc}") from exc
 
 
@@ -142,7 +150,10 @@ def _parse_robust(obj) -> RobustSpec:
             "robust.constants: need c1 and c2",
         )
         try:
-            constants = ConcentrationConstants(float(cobj["c1"]), float(cobj["c2"]))
+            constants = ConcentrationConstants(
+                _finite(cobj["c1"], "robust.constants.c1"),
+                _finite(cobj["c2"], "robust.constants.c2"),
+            )
         except ValueError as exc:
             raise ValidationError(f"robust.constants: {exc}") from exc
     _require(
@@ -229,9 +240,10 @@ def parse_scenario(path: str) -> Scenario:
             isinstance(pobj, dict) and "members" in pobj,
             "population.members: missing",
         )
+        members = _finite_array(pobj["members"], "population.members", width=2)
         try:
-            population = Population.from_energy_pairs(pobj["members"], grid.steps, power)
-        except (TypeError, ValueError) as exc:
+            population = Population.from_energy_pairs(members, grid.steps, power)
+        except ValueError as exc:
             raise ValidationError(f"population: {exc}") from exc
 
     robust = _parse_robust(raw["robust"]) if "robust" in raw else None

@@ -2,13 +2,18 @@
 
 Everything here deliberately avoids the library's own code paths: hull
 membership is an LP over explicitly enumerated vertices, transport costs
-come from scipy's LP solver, and 1-D distances from the CDF integral.
+come from scipy's LP solver, 1-D distances from the CDF integral, and
+flow decomposition from a circulation network that the runtime no longer
+builds.
 """
 
 from itertools import permutations
 
 import numpy as np
 from scipy.optimize import linprog
+
+from evflex import DimensionMismatch, NegativeEntry
+from evflex.flows import feasible_circulation
 
 
 def hull_distance(points, x):
@@ -157,3 +162,42 @@ def flex_member(pop, u, tol=1e-9):
     """LP membership oracle: u (or each row of a stack) is within tol
     (L-infinity) of pop's aggregate set."""
     return flex_distance(pop.e_lo, pop.e_hi, pop.power, u) <= tol
+
+
+def _membership_network(pop, u):
+    """Nodes: 0 source, 1..N EVs, N+1..N+T steps, N+T+1 sink.
+
+    Source -> EV arcs carry the energy interval, EV -> step arcs are capped
+    at the power rating, and step -> sink arcs are pinned to the profile.
+    """
+    n, horizon, m = pop.n, pop.horizon, pop.power
+    src, snk = 0, n + horizon + 1
+    arcs = []
+    for i in range(n):
+        arcs.append((src, 1 + i, float(pop.e_lo[i]), float(pop.e_hi[i])))
+    for i in range(n):
+        for t in range(horizon):
+            arcs.append((1 + i, 1 + n + t, 0.0, m))
+    for t in range(horizon):
+        arcs.append((1 + n + t, snk, float(u[t]), float(u[t])))
+    big = float(pop.e_hi.sum() + u.sum() + 1.0)
+    arcs.append((snk, src, 0.0, big))
+    return n + horizon + 2, arcs
+
+
+def flow_decompose(pop, u, atol=1e-9):
+    """Per-EV profiles (N, T) from a feasible transportation circulation,
+    or None when the circulation is infeasible. Raises the library's
+    DimensionMismatch/NegativeEntry on a malformed profile."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (pop.horizon,):
+        raise DimensionMismatch(f"profile length {u.shape} != horizon {pop.horizon}")
+    if np.any(u < -atol):
+        raise NegativeEntry("aggregate profile has a negative entry")
+    u = np.clip(u, 0.0, None)
+    num_nodes, arcs = _membership_network(pop, u)
+    feasible, flows, _ = feasible_circulation(num_nodes, arcs, atol=atol)
+    if not feasible:
+        return None
+    n = pop.n
+    return np.array(flows[n : n + n * pop.horizon]).reshape(n, pop.horizon)

@@ -25,7 +25,7 @@ from evflex import (
     strong_majorizes,
 )
 
-from oracles import flex_distance, flex_member, flex_set_vertices, hull_member
+from oracles import flex_distance, flex_member, flex_set_vertices, flow_decompose, hull_member
 
 
 def two_ev_pop(horizon=4):
@@ -93,11 +93,11 @@ def test_sorted_vertices_monotone_random():
 
 
 def _member_by_flow(pop, u):
-    return isinstance(decompose(pop, u), Decomposition)
+    return flow_decompose(pop, u) is not None
 
 
-# "flow" answers membership through the circulation network of decompose,
-# "prefix" through the two-vector prefix-sum kernel of contains.
+# "flow" answers membership through the circulation network of the flow
+# oracle, "prefix" through the two-vector prefix-sum kernel of contains.
 @pytest.mark.parametrize("member", [_member_by_flow, contains], ids=["flow", "prefix"])
 def test_contains_examples(member):
     pop = two_ev_pop()
@@ -577,3 +577,91 @@ def test_robust_set_membership_agrees_with_lp_oracle(data):
     u = data.draw(probe_profile(sorted_vertices(aset)))
     expected = lp_verdict(result.worst_lo, u) & lp_verdict(result.worst_hi, u)
     assert aset.contains_profile(u) == expected
+
+
+def assert_valid_decompose_result(pop, u, result, tol=1e-9):
+    """A witness has entries in [0, m], columns summing to u and totals in
+    [e_lo, e_hi]; an Infeasible cut S has u(S) > min(p(|S|), E - b(T - |S|)),
+    with p the prefix sums of nu_hi and b the tail sums of nu_lo, exceeded by
+    exactly its shortfall."""
+    if isinstance(result, Decomposition):
+        x = result.per_ev
+        assert x.shape == (pop.n, pop.horizon)
+        assert x.min() >= -tol and x.max() <= pop.power + tol
+        assert np.max(np.abs(x.sum(axis=0) - u)) <= tol
+        totals = x.sum(axis=1)
+        assert np.all(totals >= pop.e_lo - tol) and np.all(totals <= pop.e_hi + tol)
+        return
+    assert isinstance(result, Infeasible)
+    steps = list(result.deficient_steps)
+    assert steps == sorted(set(steps)) and all(1 <= t <= pop.horizon for t in steps)
+    nu_lo, nu_hi = nu_bounds(pop)
+    k = len(steps)
+    cap = min(nu_hi[:k].sum(), u.sum() - nu_lo[k:].sum())
+    violation = u[np.array(steps, dtype=int) - 1].sum() - cap
+    assert violation > 0
+    assert result.shortfall == pytest.approx(violation, rel=0, abs=1e-10)
+
+
+def check_decompose_against_oracles(pop, u, expected):
+    result = decompose(pop, u)
+    assert isinstance(result, Decomposition) == expected
+    assert (flow_decompose(pop, u) is not None) == expected
+    assert_valid_decompose_result(pop, u, result)
+    return result
+
+
+def test_decompose_agrees_with_flow_and_lp_oracles():
+    rng = np.random.default_rng(11)
+    seen = {"T=1": 0, "N=1": 0, "tight": 0, "full": 0, "zero step": 0,
+            "member": 0, "empty cut": 0, "cut": 0}
+    while min(seen.values()) < 15:
+        horizon, n = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        power = float(rng.choice([0.5, 1.0, 1.5]))
+        cap = power * horizon
+        lo = rng.uniform(0, cap, n) * (rng.random(n) < 0.8)
+        hi = lo + rng.uniform(0, cap - lo)
+        mode = rng.choice(["mixed", "tight", "full"])
+        hi = lo.copy() if mode == "tight" else np.full(n, cap) if mode == "full" else hi
+        pop = Population(lo, hi, horizon, power)
+        rows = sorted_vertices(AggregateFlexSet.from_population(pop))
+        kind = rng.integers(4)
+        if kind == 0:
+            u = rows[rng.integers(len(rows))][rng.permutation(horizon)]
+        elif kind == 1:
+            u = rng.dirichlet(np.ones(len(rows))) @ rows[:, rng.permutation(horizon)]
+        elif kind == 2:
+            u = rows[rng.integers(len(rows))][rng.permutation(horizon)] * rng.uniform(0.8, 1.2)
+        else:
+            u = rng.uniform(0, n * power, size=horizon)
+        if rng.random() < 0.3:
+            u[rng.integers(horizon)] = 0.0
+        distance = flex_distance(pop.e_lo, pop.e_hi, pop.power, u)
+        if MEMBER_DIST < distance < OUTSIDE_DIST:
+            continue
+        result = check_decompose_against_oracles(pop, u, distance <= MEMBER_DIST)
+        seen["T=1"] += horizon == 1
+        seen["N=1"] += n == 1
+        seen["tight"] += mode == "tight"
+        seen["full"] += mode == "full"
+        seen["zero step"] += bool(np.any(u == 0.0))
+        if isinstance(result, Decomposition):
+            seen["member"] += 1
+        else:
+            seen["cut" if result.deficient_steps else "empty cut"] += 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_decompose_witnesses_agree_with_oracles(data):
+    horizon = data.draw(st.integers(1, 5), label="T")
+    n = data.draw(st.integers(1, 4), label="N")
+    power = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="m")
+    pop = Population.from_energy_pairs(
+        data.draw(energy_pairs(n, horizon, power), label="pairs"), horizon, power
+    )
+    u = data.draw(probe_profile(sorted_vertices(AggregateFlexSet.from_population(pop))))
+    if data.draw(st.booleans(), label="zero step"):
+        u[data.draw(st.integers(0, horizon - 1))] = 0.0
+    result = check_decompose_against_oracles(pop, u, lp_verdict(pop, u))
+    event(type(result).__name__)

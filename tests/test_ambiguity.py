@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from evflex import (
+    AggregateFlexSet,
     BudgetInfeasible,
     ConcentrationConstants,
     DiscreteDistribution,
@@ -12,6 +13,7 @@ from evflex import (
     RangeWarning,
     TimeGrid,
     beta_from_epsilon,
+    decompose,
     epsilon_from_beta,
     fastest_profile,
     is_nested,
@@ -20,6 +22,7 @@ from evflex import (
     push_lower,
     push_upper,
     robust_set,
+    sorted_vertices,
     wasserstein1,
 )
 from evflex.transport import min_cost_transport
@@ -253,6 +256,25 @@ def test_robust_set_zero_residual():
     np.testing.assert_allclose(result.worst_hi.e_hi, FIG_ATOMS[:, 1])
     assert result.i_c_lo == 5 and result.i_c_hi == 0
     assert not result.empty
+
+
+def test_array_dataclasses_compare_by_identity():
+    # ndarray fields make field-wise == ambiguous; these compare by identity
+    dist = fig_distribution()
+    result = robust_set(dist, 4, 0.05, TimeGrid(6), 1.0)
+    again = robust_set(dist, 4, 0.05, TimeGrid(6), 1.0)
+    own = AggregateFlexSet.from_population(result.worst_hi)
+    u = sorted_vertices(own)[2]  # a member: a vertex of the population's own set
+    pairs = [
+        (dist, fig_distribution()),
+        (result, again),
+        (result.flex, own),
+        (decompose(result.worst_hi, u), decompose(result.worst_hi, u)),
+    ]
+    for obj, twin in pairs:
+        assert obj == obj and not (obj != obj)
+        assert (obj == twin) is False
+        assert len({obj, twin}) == 2
 
 
 # Worst cases at the parent of the single push walk, one radius per branch:

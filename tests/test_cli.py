@@ -266,6 +266,36 @@ EXIT_CODE_CASES = {
     ),
     "negative-seed-flag": (_scenario_command("montecarlo", BASE, "--seed", "-5"), 2),
     "string-epsilon": (_scenario_command("robust", _with("robust", {"epsilon": "0.5", "N": 4})), 3),
+    "string-atom": (
+        _scenario_command("aggregate", _with("distribution", {"atoms": [["2", 4]], "weights": [1.0]})),
+        3,
+    ),
+    "string-weight": (
+        _scenario_command(
+            "aggregate",
+            _with("distribution", {"atoms": [[0.5, 1.5], [1.0, 2.5]], "weights": [0.5, "0.5"]}),
+        ),
+        3,
+    ),
+    "boolean-member": (
+        _scenario_command("aggregate", _with("population", {"members": [[True, "3"]]})),
+        3,
+    ),
+    "string-constant": (
+        _scenario_command(
+            "robust",
+            _with("robust", {"beta": 0.1, "N": 4, "constants": {"c1": "2", "c2": 1.0}}),
+        ),
+        3,
+    ),
+}
+
+# The field each scenario array case names in its error message.
+ARRAY_FIELD_CASES = {
+    "string-atom": "distribution.atoms",
+    "string-weight": "distribution.weights",
+    "boolean-member": "population.members",
+    "string-constant": "robust.constants.c1",
 }
 
 
@@ -277,6 +307,13 @@ def test_error_classes_map_to_exit_codes(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("infeasible: " if code == 1 else "error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(ARRAY_FIELD_CASES))
+def test_scenario_array_errors_name_the_field(tmp_path, capsys, case):
+    build, _ = EXIT_CODE_CASES[case]
+    assert main(build(tmp_path)) == 3
+    assert ARRAY_FIELD_CASES[case] in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
