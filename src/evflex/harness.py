@@ -4,7 +4,10 @@ For each ball radius the robust set is built once; populations are then
 sampled repeatedly and the subset check recorded. Per-trial randomness
 comes from counter-based Philox streams keyed by (master seed, radius
 index, trial index), so results are independent of execution order and
-identical across serial or parallel schedules.
+identical across serial or parallel schedules. ``trial_rng`` defines each
+stream; the harness computes all of a radius' streams in one batch of
+array arithmetic that equals numpy's ``SeedSequence``/``Philox`` output
+bit for bit, so no per-trial generator is built.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .core import DEFAULT_ATOL, Population, TimeGrid
 from .errors import BudgetInfeasible, InsufficientData
 
 SEED_LIMIT = 2**64  # master seeds are 64-bit
+TRIAL_LIMIT = 2**32  # trial indices must stay one 32-bit spawn-key word
 
 
 @dataclass(frozen=True)
@@ -41,8 +45,8 @@ class TrialConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= TRIAL_LIMIT:
+            raise ValueError(f"trials must be in [1, {TRIAL_LIMIT}], got {self.trials}")
         if self.population_size < 1:
             raise ValueError("population_size must be >= 1")
         if not all(map(math.isfinite, self.epsilons)):
@@ -101,16 +105,116 @@ def sample_population(
     return Population.from_energy_pairs(dist.atoms[idx], grid.steps, power)
 
 
+# Constants of numpy's SeedSequence (bit_generator.pyx) and of Random123's
+# Philox4x64-10, which numpy's Philox runs.
+_M32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_U32_16, _U64_11, _U64_32 = np.uint32(16), np.uint64(11), np.uint64(32)
+_U64_M32 = np.uint64(_M32)
+
+
+def _u32_words(value: int) -> list[int]:
+    """SeedSequence's little-endian 32-bit words of a non-negative int (0 -> [0])."""
+    return [(value >> s) & _M32 for s in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _hashmix(value: np.ndarray, h: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix on uint32 words; returns them and the next hash constant."""
+    value = value ^ np.uint32(h)
+    h = h * mult & _M32
+    value = value * np.uint32(h)
+    return value ^ (value >> _U32_16), h
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return out ^ (out >> _U32_16)
+
+
+def _philox_keys(seed: int, eps_index: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Philox keys of SeedSequence(seed, spawn_key=(eps_index, t)) for every t < trials.
+
+    The entropy is the seed's words zero-padded to the pool size, then the
+    spawn-key words; every trial shares all but the last word.
+    """
+    run = _u32_words(seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    words = [np.full(trials, w, dtype=np.uint32) for w in run + _u32_words(eps_index)]
+    words.append(np.arange(trials, dtype=np.uint32))
+    h = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        value, h = _hashmix(word, h)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, h = _hashmix(word, h)
+            pool[dst] = _mix(pool[dst], value)
+    # generate_state(2, uint64): four uint32 words, paired little-endian
+    h = _INIT_B
+    state = []
+    for word in pool:
+        value, h = _hashmix(word, h, _MULT_B)
+        state.append(value.astype(np.uint64))
+    return state[0] | state[1] << _U64_32, state[2] | state[3] << _U64_32
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of a * m, the high word from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & _M32), np.uint64(m >> 32)
+    a_lo, a_hi = a & _U64_M32, a >> _U64_32
+    lh, hl = a_lo * m_hi, a_hi * m_lo
+    mid = (a_lo * m_lo >> _U64_32) + (lh & _U64_M32) + (hl & _U64_M32)
+    hi = a_hi * m_hi + (lh >> _U64_32) + (hl >> _U64_32) + (mid >> _U64_32)
+    return hi, a * np.uint64(m)
+
+
+def _philox_uniforms(k0: np.ndarray, k1: np.ndarray, n: int) -> np.ndarray:
+    """First n doubles of each Philox4x64-10 stream with key (k0[i], k1[i]).
+
+    numpy's Philox starts at counter 0 and increments before each block, so
+    block b is the cipher of (b+1, 0, 0, 0); a double is (raw >> 11) * 2**-53.
+    """
+    blocks = -(-n // 4)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (k0.size, blocks))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    k0, k1 = k0[:, None], k1[:, None]
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = k0 + np.uint64(_PHILOX_W[0]), k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    raw = np.stack([c0, c1, c2, c3], axis=-1).reshape(k0.size, -1)[:, :n]
+    return (raw >> _U64_11) * (1.0 / 9007199254740992.0)
+
+
+def _trial_indices(
+    seed: int, eps_index: int, trials: int, n: int, weights: np.ndarray
+) -> np.ndarray:
+    """(trials, n) atom indices; row t equals
+    trial_rng(seed, eps_index, t).choice(len(weights), size=n, p=weights)."""
+    u = _philox_uniforms(*_philox_keys(seed, eps_index, trials), n)
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(u, side="right")
+
+
 def _sample_energy_batch(cfg: TrialConfig, eps_index: int):
-    n = cfg.population_size
-    e_lo = np.empty((cfg.trials, n))
-    e_hi = np.empty((cfg.trials, n))
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, eps_index, t)
-        idx = rng.choice(cfg.distribution.n_atoms, size=n, p=cfg.distribution.weights)
-        e_lo[t] = cfg.distribution.atoms[idx, 0]
-        e_hi[t] = cfg.distribution.atoms[idx, 1]
-    return e_lo, e_hi
+    dist = cfg.distribution
+    idx = _trial_indices(cfg.seed, eps_index, cfg.trials, cfg.population_size, dist.weights)
+    return dist.atoms[idx, 0], dist.atoms[idx, 1]
 
 
 def run_trials(cfg: TrialConfig) -> list[ViolationStats]:

@@ -19,7 +19,7 @@ import numpy as np
 from .ambiguity import ConcentrationConstants, DiscreteDistribution
 from .core import Population, TimeGrid
 from .errors import ParseError, ValidationError
-from .harness import SEED_LIMIT, ViolationStats
+from .harness import SEED_LIMIT, TRIAL_LIMIT, ViolationStats
 
 RESULT_COLUMNS = (
     "epsilon",
@@ -161,11 +161,16 @@ def _parse_robust(obj) -> RobustSpec:
         "robust.beta requires robust.constants",
     )
     size = obj.get("N")
+    normalize = obj.get("normalize", False)
+    _require(
+        isinstance(normalize, bool),
+        f"robust.normalize: must be true or false, got {normalize!r}",
+    )
     return RobustSpec(
-        epsilon=None if epsilon is None else _number(epsilon, "robust.epsilon"),
-        beta=None if beta is None else _number(beta, "robust.beta"),
+        epsilon=None if epsilon is None else _finite(epsilon, "robust.epsilon"),
+        beta=None if beta is None else _finite(beta, "robust.beta"),
         constants=constants,
-        normalize=bool(obj.get("normalize", False)),
+        normalize=normalize,
         population_size=None if size is None else _integer(size, "robust.N", 1),
     )
 
@@ -201,10 +206,12 @@ def _parse_harness(obj) -> HarnessSpec:
     if seed is not None:
         seed = _integer(seed, "harness.seed", 0)
         _require(seed < SEED_LIMIT, f"harness.seed: must be < 2**64, got {seed}")
+    trials = _integer(obj.get("trials", 1000), "harness.trials", 1)
+    _require(trials <= TRIAL_LIMIT, f"harness.trials: must be <= 2**32, got {trials}")
     return HarnessSpec(
         population_sizes=sizes,
         epsilons_by_n=by_n,
-        trials=_integer(obj.get("trials", 1000), "harness.trials", 1),
+        trials=trials,
         seed=seed,
     )
 

@@ -39,7 +39,7 @@ def strong_majorizes(y, x, atol: float = DEFAULT_ATOL) -> bool:
 def prefix_dominates(y, x, atol: float = DEFAULT_ATOL) -> bool:
     """Weak variant: sorted prefix sums of x never exceed those of y.
 
-    No total-equality requirement; used by the experimental fast subset test.
+    No total-equality requirement.
     """
     x, y = _check_same_length(x, y)
     px = np.cumsum(_sorted_desc(x))

@@ -233,13 +233,13 @@ EXIT_CODE_CASES = {
     "non-finite-profile": (_scenario_command("member", BASE, "--profile", "nan,1,1,1"), 2),
     "budget": (_scenario_command("robust", _with("robust", {"epsilon": 1e-9, "N": 2})), 1),
     "insufficient-data": (_sparse_results, 1),
-    "nan-epsilon": (_scenario_command("robust", _with("robust", {"epsilon": math.nan, "N": 4})), 2),
-    "inf-epsilon": (_scenario_command("robust", _with("robust", {"epsilon": math.inf, "N": 4})), 2),
+    "nan-epsilon": (_scenario_command("robust", _with("robust", {"epsilon": math.nan, "N": 4})), 3),
+    "inf-epsilon": (_scenario_command("robust", _with("robust", {"epsilon": math.inf, "N": 4})), 3),
     "nan-beta": (
         _scenario_command(
             "robust", _with("robust", {"beta": math.nan, "N": 4, "constants": _CONSTANTS})
         ),
-        2,
+        3,
     ),
     "inf-power": (_scenario_command("aggregate", {**POPULATION_ONLY, "power": math.inf}), 3),
     "fractional-T": (_scenario_command("aggregate", _with("grid", {"T": 6.9})), 3),
@@ -264,8 +264,16 @@ EXIT_CODE_CASES = {
         _scenario_command("montecarlo", _with("harness", {**BASE["harness"], "epsilons": [math.nan]})),
         3,
     ),
+    "too-many-trials": (
+        _scenario_command("montecarlo", _with("harness", {**BASE["harness"], "trials": 2**32 + 1})),
+        3,
+    ),
     "negative-seed-flag": (_scenario_command("montecarlo", BASE, "--seed", "-5"), 2),
     "string-epsilon": (_scenario_command("robust", _with("robust", {"epsilon": "0.5", "N": 4})), 3),
+    "string-normalize": (
+        _scenario_command("robust", _with("robust", {"epsilon": 0.5, "N": 4, "normalize": "false"})),
+        3,
+    ),
     "string-atom": (
         _scenario_command("aggregate", _with("distribution", {"atoms": [["2", 4]], "weights": [1.0]})),
         3,
@@ -298,6 +306,14 @@ ARRAY_FIELD_CASES = {
     "string-constant": "robust.constants.c1",
 }
 
+# The field each rejected robust scalar names in its error message.
+ROBUST_FIELD_CASES = {
+    "nan-epsilon": "robust.epsilon",
+    "inf-epsilon": "robust.epsilon",
+    "nan-beta": "robust.beta",
+    "string-normalize": "robust.normalize",
+}
+
 
 @pytest.mark.filterwarnings("ignore:excluded 1 rows")
 @pytest.mark.parametrize("case", sorted(EXIT_CODE_CASES))
@@ -314,6 +330,13 @@ def test_scenario_array_errors_name_the_field(tmp_path, capsys, case):
     build, _ = EXIT_CODE_CASES[case]
     assert main(build(tmp_path)) == 3
     assert ARRAY_FIELD_CASES[case] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(ROBUST_FIELD_CASES))
+def test_robust_scalar_errors_name_the_field(tmp_path, capsys, case):
+    build, _ = EXIT_CODE_CASES[case]
+    assert main(build(tmp_path)) == 3
+    assert ROBUST_FIELD_CASES[case] in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_1_without_traceback(tmp_path, capsys, monkeypatch):

@@ -20,6 +20,7 @@ from evflex import (
     sample_population,
     trial_rng,
 )
+from evflex.harness import _philox_keys, _philox_uniforms, _sample_energy_batch, _trial_indices
 
 
 def small_distribution(cap=4.0):
@@ -61,6 +62,46 @@ def test_sampling_determinism():
     np.testing.assert_array_equal(a.e_hi, b.e_hi)
     c = sample_population(p, 20, trial_rng(123, 2, 8), grid, 1.0)
     assert not (np.array_equal(a.e_lo, c.e_lo) and np.array_equal(a.e_hi, c.e_hi))
+
+
+# One- and two-word seeds (SeedSequence pads both to four words) and one-
+# and two-word radius indices; N is sometimes not a multiple of Philox's
+# four-word block.
+STREAM_SEEDS = [0, 1, 20240817, 2**32 - 1, 2**32, 2**64 - 1]
+STREAM_RADII = [0, 5, 2**32 + 1]
+STREAM_SIZES = [1, 3, 4, 5, 23]
+STREAM_WEIGHTS = [np.full(4, 0.25), np.array([0.55, 0.25, 0.15, 0.05])]
+
+
+@pytest.mark.parametrize("eps_index", STREAM_RADII)
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_batched_streams_equal_trial_rng(seed, eps_index):
+    trials = 40
+    for n in STREAM_SIZES:
+        uniforms = _philox_uniforms(*_philox_keys(seed, eps_index, trials), n)
+        want = np.array([trial_rng(seed, eps_index, t).random(n) for t in range(trials)])
+        assert uniforms.tobytes() == want.tobytes()
+        for weights in STREAM_WEIGHTS:
+            got = _trial_indices(seed, eps_index, trials, n, weights)
+            want = np.array(
+                [
+                    trial_rng(seed, eps_index, t).choice(len(weights), size=n, p=weights)
+                    for t in range(trials)
+                ]
+            )
+            np.testing.assert_array_equal(got, want)
+
+
+def test_energy_batch_rows_equal_sample_population():
+    grid = TimeGrid(4)
+    p = small_distribution()
+    cfg = TrialConfig(p, 7, (0.2, 0.6), 30, 2**40 + 3, grid)
+    e_lo, e_hi = _sample_energy_batch(cfg, 1)
+    assert e_lo.shape == e_hi.shape == (30, 7)
+    for t in range(cfg.trials):
+        pop = sample_population(p, 7, trial_rng(cfg.seed, 1, t), grid, 1.0)
+        np.testing.assert_array_equal(e_lo[t], pop.e_lo)
+        np.testing.assert_array_equal(e_hi[t], pop.e_hi)
 
 
 def test_sampling_frequencies_within_3_sigma():
@@ -248,3 +289,11 @@ def test_trial_config_validation():
         TrialConfig(small_distribution(), 3, (0.1,), 0, 0, grid)
     with pytest.raises(ValueError):
         TrialConfig(small_distribution(), 0, (0.1,), 10, 0, grid)
+
+
+def test_trial_config_bounds_trials():
+    # a trial index of 2**32 would take two spawn-key words
+    grid = TimeGrid(4)
+    assert TrialConfig(small_distribution(), 3, (0.1,), 2**32, 0, grid).trials == 2**32
+    with pytest.raises(ValueError):
+        TrialConfig(small_distribution(), 3, (0.1,), 2**32 + 1, 0, grid)
