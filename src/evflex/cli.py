@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -49,15 +50,24 @@ def _emit_json(payload, out):
 
 def _parse_profile(args) -> np.ndarray:
     if args.profile is not None:
-        parts = args.profile.replace(",", " ").split()
-        return np.array([float(v) for v in parts])
+        try:
+            return np.array([float(v) for v in args.profile.replace(",", " ").split()])
+        except ValueError as exc:
+            raise ParseError(f"--profile: {exc}") from exc
     if args.profile_file is not None:
         try:
             with open(args.profile_file) as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read profile file: {exc}") from exc
-        return np.asarray(data, dtype=float)
+        if not isinstance(data, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in data
+        ):
+            raise ParseError("--profile-file: must hold a JSON array of numbers")
+        try:
+            return np.array(data, dtype=float)
+        except OverflowError as exc:
+            raise ParseError(f"--profile-file: {exc}") from exc
     raise ParseError("one of --profile/--profile-file is required")
 
 
@@ -263,6 +273,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+            raise DomainError(f"--tolerance: must be finite and >= 0, got {args.tolerance}")
         return args.func(args)
     except (ParseError, DimensionMismatch, NegativeEntry, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

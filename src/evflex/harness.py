@@ -1,7 +1,8 @@
 """Monte Carlo certification of the tracking guarantee.
 
 For each ball radius the robust set is built once; populations are then
-sampled repeatedly and the subset check recorded. Per-trial randomness
+sampled repeatedly and the subset check recorded, once per distinct
+population (multiset of atoms) among the trials. Per-trial randomness
 comes from counter-based Philox streams keyed by (master seed, radius
 index, trial index), so results are independent of execution order and
 identical across serial or parallel schedules. ``trial_rng`` defines each
@@ -211,18 +212,35 @@ def _trial_indices(
     return cdf.searchsorted(u, side="right")
 
 
-def _sample_energy_batch(cfg: TrialConfig, eps_index: int):
-    dist = cfg.distribution
-    idx = _trial_indices(cfg.seed, eps_index, cfg.trials, cfg.population_size, dist.weights)
-    return dist.atoms[idx, 0], dist.atoms[idx, 1]
+def _distinct_populations(idx: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group (R, N) atom-index rows by the multiset they draw.
+
+    Returns the (U, N) sorted index rows of the U distinct multisets and,
+    for every row, the index of its group.
+    """
+    rows = idx.shape[0]
+    offsets = n_atoms * np.arange(rows)[:, None]
+    counts = np.bincount((idx + offsets).ravel(), minlength=rows * n_atoms)
+    counts = counts.reshape(rows, n_atoms)
+    order = np.lexsort(counts.T)
+    ranked = counts[order]
+    first = np.ones(rows, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty(rows, dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    return np.sort(idx[order[first]], axis=1), group
 
 
 def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
     """Estimate the violation probability for every configured radius.
 
-    Each trial checks the robust set against a freshly sampled population
-    with the vectorised membership criterion, which decides exactly the
-    same predicate as is_subset_exact on the T+1 sorted vertices.
+    Each trial draws a population (a multiset of atoms) and counts as a
+    violation when the robust set is not inside the population's set, by
+    the vectorised membership criterion on the T+1 sorted vertices, the
+    predicate of is_subset_exact. Small populations drawn from few atoms
+    repeat, so the trials of a radius are grouped by multiset and each
+    distinct one is scored once, as its sorted atom-index row; a verdict is
+    therefore a function of the multiset, not of the draw order.
     """
     out = []
     for e_idx, eps in enumerate(cfg.epsilons):
@@ -254,11 +272,19 @@ def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
             violations = 0
             degenerate = True
         else:
-            e_lo, e_hi = _sample_energy_batch(cfg, e_idx)
-            member = batch_contains(
-                e_lo, e_hi, sorted_vertices(result.flex), cfg.power, atol=cfg.atol
+            dist = cfg.distribution
+            idx = _trial_indices(
+                cfg.seed, e_idx, cfg.trials, cfg.population_size, dist.weights
             )
-            violations = int((~member.all(axis=1)).sum())
+            distinct, group = _distinct_populations(idx, dist.n_atoms)
+            member = batch_contains(
+                dist.atoms[distinct, 0],
+                dist.atoms[distinct, 1],
+                sorted_vertices(result.flex),
+                cfg.power,
+                atol=cfg.atol,
+            )
+            violations = int((~member.all(axis=1))[group].sum())
             degenerate = False
         beta_hat = violations / cfg.trials
         ci_lo, ci_hi = clopper_pearson(violations, cfg.trials)

@@ -216,6 +216,15 @@ def _sparse_results(tmp_path):
     return ["fit-constants", "--csv", path]
 
 
+def _profile_file_command(content):
+    def build(tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(content))
+        return ["member", "--scenario", write_scenario(tmp_path, BASE), "--profile-file", str(path)]
+
+    return build
+
+
 _CONSTANTS = {"c1": 2.0, "c2": 1.0}
 # no distribution, and a population that also fits a horizon of T = 1
 POPULATION_ONLY = {"grid": {"T": 4}, "population": {"members": [[0.5, 1.0]]}}
@@ -269,6 +278,17 @@ EXIT_CODE_CASES = {
         3,
     ),
     "negative-seed-flag": (_scenario_command("montecarlo", BASE, "--seed", "-5"), 2),
+    "nan-tolerance": (_scenario_command("montecarlo", BASE, "--tolerance", "nan"), 2),
+    "negative-tolerance": (_scenario_command("montecarlo", BASE, "--tolerance", "-5"), 2),
+    "inf-tolerance-member": (
+        _scenario_command("member", BASE, "--profile", "1,1,1,1", "--tolerance", "inf"),
+        2,
+    ),
+    "string-profile": (_scenario_command("member", BASE, "--profile", "1,1,1,x"), 2),
+    "string-profile-file": (_profile_file_command(["a", 1, 2, 3]), 2),
+    "object-profile-file": (_profile_file_command({"x": 1}), 2),
+    "boolean-profile-file": (_profile_file_command([True, 1, 1, 1]), 2),
+    "overflowing-profile-file": (_profile_file_command([10**400, 1, 1, 1]), 2),
     "string-epsilon": (_scenario_command("robust", _with("robust", {"epsilon": "0.5", "N": 4})), 3),
     "string-normalize": (
         _scenario_command("robust", _with("robust", {"epsilon": 0.5, "N": 4, "normalize": "false"})),

@@ -20,7 +20,12 @@ from evflex import (
     sample_population,
     trial_rng,
 )
-from evflex.harness import _philox_keys, _philox_uniforms, _sample_energy_batch, _trial_indices
+from evflex.harness import (
+    _distinct_populations,
+    _philox_keys,
+    _philox_uniforms,
+    _trial_indices,
+)
 
 
 def small_distribution(cap=4.0):
@@ -96,7 +101,8 @@ def test_energy_batch_rows_equal_sample_population():
     grid = TimeGrid(4)
     p = small_distribution()
     cfg = TrialConfig(p, 7, (0.2, 0.6), 30, 2**40 + 3, grid)
-    e_lo, e_hi = _sample_energy_batch(cfg, 1)
+    energies = p.atoms[_trial_indices(cfg.seed, 1, cfg.trials, 7, p.weights)]
+    e_lo, e_hi = energies[..., 0], energies[..., 1]
     assert e_lo.shape == e_hi.shape == (30, 7)
     for t in range(cfg.trials):
         pop = sample_population(p, 7, trial_rng(cfg.seed, 1, t), grid, 1.0)
@@ -197,9 +203,50 @@ def test_run_trials_matches_is_subset_exact():
         violations = 0
         for t in range(cfg.trials):
             pop = sample_population(p, 4, trial_rng(11, e_idx, t), grid, 1.0)
-            if not is_subset_exact(result.flex, pop):  # flow-backed reference
+            if not is_subset_exact(result.flex, pop):  # per-population reference
                 violations += 1
         assert stats[e_idx].violations == violations
+
+
+def non_dyadic_distribution(power):
+    # atoms 0.3 + k/7 are not exact binary fractions, so a sum over a
+    # population rounds differently with the order of its terms
+    lo = 0.3 + np.arange(4) / 7
+    atoms = np.column_stack([lo, 2 * lo + 0.8])
+    return DiscreteDistribution(atoms, np.array([0.4, 0.3, 0.2, 0.1]), power * 4)
+
+
+def test_deduplicated_scoring_equals_per_trial_scoring():
+    grid = TimeGrid(4)
+    power = 0.7
+    p = non_dyadic_distribution(power)
+    cfg = TrialConfig(p, 4, (0.15, 0.2, 0.25, 0.3), 400, 2**40 + 9, grid, power=power)
+    stats = run_trials(cfg)
+    for e_idx, eps in enumerate(cfg.epsilons):
+        idx = _trial_indices(cfg.seed, e_idx, cfg.trials, 4, p.weights)
+        assert 5 * len(_distinct_populations(idx, p.n_atoms)[0]) < cfg.trials
+        result = robust_set(p, 4, eps, grid, power)
+        violations = sum(
+            not is_subset_exact(
+                result.flex, sample_population(p, 4, trial_rng(cfg.seed, e_idx, t), grid, power)
+            )
+            for t in range(cfg.trials)
+        )
+        assert stats[e_idx].violations == violations
+    assert all(0 < s.violations < cfg.trials for s in stats)
+
+
+def test_distinct_populations_groups_equal_multisets():
+    idx = _trial_indices(3, 0, 500, 6, np.array([0.5, 0.2, 0.2, 0.1]))
+    distinct, group = _distinct_populations(idx, 4)
+    assert group.shape == (500,)
+    assert np.array_equal(np.sort(distinct, axis=1), distinct)
+    # every trial draws the multiset of its group's representative
+    np.testing.assert_array_equal(np.sort(idx, axis=1), distinct[group])
+    # representatives are pairwise distinct and every group is used
+    assert len({tuple(row) for row in distinct}) == len(distinct)
+    assert np.array_equal(np.unique(group), np.arange(len(distinct)))
+    assert 1 < len(distinct) < 500
 
 
 def test_run_trials_reproducible():
