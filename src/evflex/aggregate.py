@@ -21,10 +21,10 @@ E <= sum(nu_hi)). One vectorised kernel evaluates this criterion for many
 profiles against many populations; single-profile membership, batch
 membership, decomposition, subset and nesting tests all use it.
 decompose() then builds its per-EV profiles constructively: the most
-balanced split of the total into per-EV energies, then water-filling one
-step at a time from the largest remaining energies. A non-member gets the
-violated cut of the criterion as its certificate. No flow or LP solver
-runs.
+balanced split of the total into per-EV energies, then one doubly
+stochastic mixing of the columns of their fastest-charge profiles. A
+non-member gets the violated cut of the criterion as its certificate. No
+flow or LP solver runs.
 """
 
 from __future__ import annotations
@@ -39,10 +39,15 @@ from .errors import DimensionMismatch, DomainError, NegativeEntry
 from .flows import feasible_circulation  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 
+def _fastest_profiles(energies: np.ndarray, m: float, horizon: int) -> np.ndarray:
+    """Fastest-charge profiles clip(e - m*k, 0, m): (..., N) -> (..., N, T)."""
+    steps = m * np.arange(horizon, dtype=float)
+    return np.clip(energies[..., None] - steps, 0.0, m)
+
+
 def _generating_vectors(energies: np.ndarray, m: float, horizon: int) -> np.ndarray:
     """Sums of fastest-charge profiles over the last axis: (..., N) -> (..., T)."""
-    steps = m * np.arange(horizon, dtype=float)
-    return np.clip(energies[..., None] - steps, 0.0, m).sum(axis=-2)
+    return _fastest_profiles(energies, m, horizon).sum(axis=-2)
 
 
 def nu_bounds(pop: Population) -> tuple[np.ndarray, np.ndarray]:
@@ -270,27 +275,61 @@ def _clip_level(lo: np.ndarray, hi: np.ndarray, target: float):
     return points[a] + (target - level[a]) / (level[b] - level[a]) * (points[b] - points[a])
 
 
-def _waterfill_steps(energies: np.ndarray, u: np.ndarray, m: float) -> np.ndarray:
-    """Fill step after step from the largest remaining energies.
+def _balanced_energies(pop: Population, total: float) -> np.ndarray:
+    """Per-EV energies clip(lam, e_lo, e_hi) summing to total.
 
-    Step t takes x_i = clip(r_i - mu, 0, m) with the water level mu >= 0
-    chosen so that the column sums to u[t]; the remaining energies become
-    clip(mu, r - m, r). That map is non-decreasing and the same for every
-    EV, so r keeps the order of one sort made here and mu comes from the
-    sorted bounds (r - m, r) without a sort per step. Returns the (N, T)
-    profiles in the order of `energies`.
+    Outside [sum(e_lo), sum(e_hi)] this is the nearest end: e_lo or e_hi.
     """
-    order = np.argsort(energies, kind="stable")
-    r = energies[order]  # non-decreasing, and stays so
-    x = np.zeros((u.size, r.size))
-    for t in np.flatnonzero(u > 0.0):
-        floor = r - m
-        mu = max(_clip_level(floor, r, r.sum() - u[t]), 0.0)
-        rest = np.minimum(np.maximum(floor, mu), r)
-        x[t] = r - rest
-        r = rest
-    per_ev = np.empty_like(x.T)
-    per_ev[order] = x.T
+    lam = _clip_level(np.sort(pop.e_lo), np.sort(pop.e_hi), total)
+    return np.clip(lam, pop.e_lo, pop.e_hi)
+
+
+def _mixing_matrix(nu: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """A symmetric doubly stochastic D with D @ nu = target.
+
+    nu and target are non-increasing, with equal totals, and nu majorizes
+    target (decompose() has the construction and why it works). The
+    cumulative excess and deficit curves of d = nu - target are merged, and
+    each piece between consecutive breakpoints is one north-west-corner
+    pair (j, k) carrying mass delta. Pairs with j > k arise only from
+    rounding or a violation within tolerance, carry no more mass than that,
+    and are left out.
+    """
+    d = nu - target
+    excess = np.maximum(d, 0.0)
+    deficit = np.maximum(-d, 0.0)
+    reach_ex = np.cumsum(excess)
+    reach_de = np.cumsum(deficit)
+    ends = np.union1d(reach_ex, reach_de)
+    ends = ends[(ends > 0.0) & (ends <= min(reach_ex[-1], reach_de[-1]))]
+    j = np.searchsorted(reach_ex, ends)  # the excess whose stretch holds the piece
+    k = np.searchsorted(reach_de, ends)
+    forward = j < k
+    j, k = j[forward], k[forward]
+    # nu_j > target_j >= target_k > nu_k, so every gap is positive
+    alpha = np.diff(ends, prepend=0.0)[forward] / (nu[j] - nu[k])
+    mix = np.zeros((nu.size, nu.size))
+    mix[j, k] = alpha
+    mix[k, j] = alpha
+    # rounding can lift a row's weights past 1 by an ulp; D stays non-negative
+    np.fill_diagonal(mix, np.maximum(1.0 - mix.sum(axis=1), 0.0))
+    return mix
+
+
+def _mix_fastest_profiles(energies: np.ndarray, u: np.ndarray, m: float) -> np.ndarray:
+    """Per-EV profiles with totals `energies` and columns summing to u.
+
+    Row i of F is the fastest-charge profile of e_i, and F's column sums
+    are nu. Mixing F's columns by the doubly stochastic D of
+    _mixing_matrix keeps every entry a convex combination of its row of F
+    (so in [0, m]) and every row total, and turns the column sums into
+    D @ nu, u sorted non-increasing; the columns then go back to u's
+    order. Returns the (N, T) profiles in the order of `energies`.
+    """
+    fastest = _fastest_profiles(energies, m, u.size)
+    order = np.argsort(-u, kind="stable")
+    per_ev = np.empty_like(fastest)
+    per_ev[:, order] = fastest @ _mixing_matrix(fastest.sum(axis=0), u[order])
     return per_ev
 
 
@@ -307,11 +346,22 @@ def decompose(pop: Population, u, atol: float = DEFAULT_ATOL):
        sums u and entries in [0, m], which is feasible iff
        top_k(u) <= sum_i min(e_i, m*k) for every k. Since some split
        satisfies this (u is a member), e does too.
-    2. Per-step water-filling (_waterfill_steps). The remaining energies
-       after a step are the most balanced of all remainders reachable
-       with that column, and the feasibility of the remaining problem is
-       Schur-concave in the remainder, so a feasible remainder stays
-       feasible and the last step leaves nothing.
+    2. One mixing of fastest-charge profiles (_mix_fastest_profiles).
+       F[i, k] = clip(e_i - m*k, 0, m) has row totals e and non-increasing
+       column sums nu, and the capacities of stage 1 are the prefix sums
+       of nu: u sorted non-increasing, written v, is majorized by nu. So
+       d = nu - v has non-negative prefix sums, and the north-west-corner
+       rule moves each excess d_j > 0 to deficits d_k < 0 with k > j, in
+       pieces delta_jk (at most 2T of them). Because v is sorted,
+       nu_j - nu_k = d_j - d_k + (v_j - v_k) >= excess_j + deficit_k, so
+       the T-transform weights alpha_jk = delta_jk / (nu_j - nu_k) of a
+       row sum to at most 1 (delta_jk sums to excess_j along a row and to
+       deficit_k down a column). Placed at (j, k) and (k, j), with the
+       rest of each row on the diagonal, they give a symmetric doubly
+       stochastic D with D @ nu = v. F @ D, its columns put back in u's
+       order, is the witness: its entries are convex combinations of a
+       row of F (in [0, m]), its row totals are e and its column sums are
+       nu^T D = v.
 
     Returns a Decomposition (rows in [0, m]^T with totals in
     [e_lo, e_hi], columns summing to u). A non-member gets an Infeasible
@@ -325,9 +375,7 @@ def decompose(pop: Population, u, atol: float = DEFAULT_ATOL):
     nu_lo, nu_hi = nu_bounds(pop)
     total = u.sum()
     if _pair_members(nu_lo, nu_hi, u[None], atol)[0]:
-        lam = _clip_level(np.sort(pop.e_lo), np.sort(pop.e_hi), total)
-        energies = np.clip(lam, pop.e_lo, pop.e_hi)
-        return Decomposition(_waterfill_steps(energies, u, pop.power))
+        return Decomposition(_mix_fastest_profiles(_balanced_energies(pop, total), u, pop.power))
     if total < nu_lo.sum() - atol:
         return Infeasible((), float(nu_lo.sum() - total))
     order = np.argsort(-u, kind="stable")

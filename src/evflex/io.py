@@ -80,7 +80,12 @@ def _number(value, field: str) -> float:
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f"{field}: must be a number, got {value!r}",
     )
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ValidationError(
+            f"{field}: must be finite, got an integer beyond the float range"
+        ) from None
 
 
 def _finite(value, field: str) -> float:

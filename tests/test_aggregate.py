@@ -665,3 +665,88 @@ def test_decompose_witnesses_agree_with_oracles(data):
         u[data.draw(st.integers(0, horizon - 1))] = 0.0
     result = check_decompose_against_oracles(pop, u, lp_verdict(pop, u))
     event(type(result).__name__)
+
+
+def member_probes(pop, rng, count):
+    """Profiles near pop's set: permuted vertex rows (the generators too), rows
+    scaled by 1 +- 1e-11, mixtures of permuted rows, some with a zeroed step."""
+    horizon = pop.horizon
+    rows = sorted_vertices(AggregateFlexSet.from_population(pop))
+    # the generators, and the generators scaled into the set
+    probes = [row[rng.permutation(horizon)] for row in
+              (rows[0], rows[-1], rows[0] * (1 + 1e-11), rows[-1] * (1 - 1e-11))]
+    while len(probes) < count:
+        kind = rng.integers(3)
+        if kind == 2:
+            picks = rows[rng.integers(0, horizon + 1, 3)]
+            u = rng.dirichlet(np.ones(3)) @ np.array([row[rng.permutation(horizon)] for row in picks])
+        else:
+            u = rows[rng.integers(horizon + 1)][rng.permutation(horizon)]
+            u = u * (1.0 + (1e-11 if kind else -1e-11))
+        if rng.random() < 0.2:
+            u[rng.integers(horizon)] = 0.0
+        probes.append(u)
+    return probes
+
+
+def probe_population(rng, n, horizon, power=1.0):
+    """Random energies; one population in three has integral ones, so that its
+    fastest-charge profiles, vertex rows and their sums tie."""
+    pop = random_population(rng, horizon, n, power)
+    if rng.random() < 1 / 3:
+        lo, hi = np.round(pop.e_lo), np.round(pop.e_hi)
+        pop = Population(lo, np.maximum(lo, hi), horizon, power)
+    return pop
+
+
+def criterion_excess(pop, u):
+    """How far u breaks the two-vector criterion; 0 inside the set."""
+    nu_lo, nu_hi = nu_bounds(pop)
+    tail = np.append(np.cumsum(nu_lo[::-1])[-2::-1], 0.0)  # sum_{t>k} nu_lo[t]
+    caps = np.minimum(np.cumsum(nu_hi), u.sum() - tail)
+    top = np.cumsum(np.sort(u)[::-1])
+    return max(0.0, np.max(top - caps), nu_lo.sum() - u.sum())
+
+
+def test_mixing_matrix_is_symmetric_doubly_stochastic():
+    from evflex.aggregate import _balanced_energies, _generating_vectors, _mixing_matrix
+
+    rng = np.random.default_rng(12)
+    checked = 0
+    for _ in range(300):
+        horizon, n = int(rng.integers(1, 12)), int(rng.integers(1, 8))
+        power = float(rng.choice([0.5, 1.0, 1.5, 2.0]))
+        pop = probe_population(rng, n, horizon, power)
+        for u in member_probes(pop, rng, 6):
+            if not contains(pop, u):
+                continue
+            energies = _balanced_energies(pop, u.sum())
+            nu = _generating_vectors(energies, power, horizon)
+            target = np.sort(u)[::-1]
+            mix = _mixing_matrix(nu, target)
+            assert mix.min() >= 0.0
+            np.testing.assert_array_equal(mix, mix.T)
+            np.testing.assert_allclose(mix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            # a member may lie up to atol outside the set, and D @ nu may
+            # then miss the target by that much, besides rounding noise
+            tol = criterion_excess(pop, u) + 1e-10
+            np.testing.assert_allclose(mix @ nu, target, rtol=0, atol=tol)
+            checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("n, horizon", [(10, 24), (50, 24), (200, 24), (50, 96), (200, 96),
+                                        (10, 96), (1, 24), (50, 1), (1, 1)])
+def test_decompose_witnesses_at_dispatch_sizes(n, horizon):
+    rng = np.random.default_rng(13 + n * horizon)
+    members = 0
+    for _ in range(4):
+        pop = probe_population(rng, n, horizon)
+        for u in member_probes(pop, rng, 30):
+            result = decompose(pop, u)
+            assert isinstance(result, Decomposition) == contains(pop, u)
+            # a member may lie up to atol outside the set; the witness may
+            # miss u by that much, and by rounding noise
+            assert_valid_decompose_result(pop, u, result, tol=criterion_excess(pop, u) + 1e-10)
+            members += isinstance(result, Decomposition)
+    assert members >= 30

@@ -316,6 +316,23 @@ EXIT_CODE_CASES = {
         ),
         3,
     ),
+    # JSON integers beyond the float range, as a scalar field and as array entries
+    "overflowing-power": (_scenario_command("aggregate", {**POPULATION_ONLY, "power": 10**400}), 3),
+    "overflowing-epsilon": (
+        _scenario_command("robust", _with("robust", {"epsilon": 10**400, "N": 4})),
+        3,
+    ),
+    "overflowing-member": (
+        _scenario_command("aggregate", _with("population", {"members": [[0.5, -(10**400)]]})),
+        3,
+    ),
+    "overflowing-weight": (
+        _scenario_command(
+            "aggregate",
+            _with("distribution", {"atoms": [[0.5, 1.5], [1.0, 2.5]], "weights": [0.5, 10**400]}),
+        ),
+        3,
+    ),
 }
 
 # The field each scenario array case names in its error message.
@@ -324,6 +341,8 @@ ARRAY_FIELD_CASES = {
     "string-weight": "distribution.weights",
     "boolean-member": "population.members",
     "string-constant": "robust.constants.c1",
+    "overflowing-member": "population.members",
+    "overflowing-weight": "distribution.weights",
 }
 
 # The field each rejected robust scalar names in its error message.
@@ -332,6 +351,7 @@ ROBUST_FIELD_CASES = {
     "inf-epsilon": "robust.epsilon",
     "nan-beta": "robust.beta",
     "string-normalize": "robust.normalize",
+    "overflowing-epsilon": "robust.epsilon",
 }
 
 
