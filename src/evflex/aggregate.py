@@ -25,10 +25,20 @@ balanced split of the total into per-EV energies, then one doubly
 stochastic mixing of the columns of their fastest-charge profiles. A
 non-member gets the violated cut of the criterion as its certificate. No
 flow or LP solver runs.
+
+Everything that depends on the population alone is computed once per
+population, on its first query, and kept for as long as the population
+lives: the bound pair, the caps of the criterion and, from the first
+member decompose() on, the table of the balanced split. A later query
+does only per-profile work: a sort, a cap comparison and, for a member,
+one interpolation in that table and the mixing; there is no per-query
+level search.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,7 +52,7 @@ from .flows import feasible_circulation  # noqa: F401  (perfbench/tracing.py wra
 def _fastest_profiles(energies: np.ndarray, m: float, horizon: int) -> np.ndarray:
     """Fastest-charge profiles clip(e - m*k, 0, m): (..., N) -> (..., N, T)."""
     steps = m * np.arange(horizon, dtype=float)
-    return np.clip(energies[..., None] - steps, 0.0, m)
+    return (energies[..., None] - steps).clip(0.0, m)
 
 
 def _generating_vectors(energies: np.ndarray, m: float, horizon: int) -> np.ndarray:
@@ -51,11 +61,12 @@ def _generating_vectors(energies: np.ndarray, m: float, horizon: int) -> np.ndar
 
 
 def nu_bounds(pop: Population) -> tuple[np.ndarray, np.ndarray]:
-    """Lower/upper generating vectors: sums of fastest-charge profiles."""
-    return (
-        _generating_vectors(pop.e_lo, pop.power, pop.horizon),
-        _generating_vectors(pop.e_hi, pop.power, pop.horizon),
-    )
+    """Lower/upper generating vectors: sums of fastest-charge profiles.
+
+    The pair is computed once per population and returned read-only.
+    """
+    flex = _fleet(pop).flex
+    return flex.nu_lo, flex.nu_hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,12 +96,13 @@ class AggregateFlexSet:
         if nu_lo.shape != nu_hi.shape or nu_lo.ndim != 1:
             raise DimensionMismatch("nu_lo and nu_hi must be 1-D of equal length")
         for name, vec in (("nu_lo", nu_lo), ("nu_hi", nu_hi)):
-            if np.any(np.diff(vec) > DEFAULT_ATOL):
+            if (vec[1:] - vec[:-1] > DEFAULT_ATOL).any():
                 raise ValueError(f"{name} must be sorted non-increasing")
 
     @classmethod
     def from_population(cls, pop: Population) -> "AggregateFlexSet":
-        return cls(*nu_bounds(pop), pop.power)
+        """The population's set, built once and shared by its later queries."""
+        return _fleet(pop).flex
 
     @classmethod
     def from_bound_populations(cls, gen_lo: Population, gen_hi: Population) -> "AggregateFlexSet":
@@ -110,13 +122,27 @@ class AggregateFlexSet:
         # Large transport budgets can push the lower total past the upper one.
         return bool(self.nu_lo.sum() > self.nu_hi.sum() + DEFAULT_ATOL)
 
+    @cached_property
+    def _caps(self) -> tuple[np.ndarray, np.ndarray, np.float64]:
+        """(reach, tail, sum(nu_lo)) of the criterion, computed on first use; see _cap_parts."""
+        return _cap_parts(self.nu_lo, self.nu_hi)
+
+    def _cut_caps(self, total) -> np.ndarray:
+        """Caps min(sum_{t<=k} nu_hi[t], E - sum_{t>k} nu_lo[t]) on top_k(u), k = 1..T."""
+        reach, tail, _ = self._caps
+        return np.minimum(reach, total - tail)
+
     def _members(self, profiles: np.ndarray, atol: float) -> np.ndarray:
-        """Membership of each row of a (V, T) stack in this set."""
-        return _pair_members(self.nu_lo, self.nu_hi, profiles, atol)
+        """Membership of each row of a (V, T) non-negative stack in this set."""
+        total = profiles.sum(axis=1)
+        top = np.sort(profiles, axis=1)[:, ::-1].cumsum(axis=1)
+        bound = self._cut_caps(total[:, None])
+        bound += atol
+        return (top <= bound).all(axis=1) & (total >= self._caps[2] - atol)
 
     def contains_profile(self, u, atol: float = DEFAULT_ATOL) -> bool:
         """Membership of an aggregate profile in this set."""
-        u = _check_profile(u, self.horizon, atol)
+        u = _check_profile(u, (self.horizon,), atol)
         return not self.is_empty and bool(self._members(u[None], atol)[0])
 
     def vertices_are_members(self, atol: float = DEFAULT_ATOL) -> bool:
@@ -127,6 +153,7 @@ class AggregateFlexSet:
         splice vertices describe an outer family: vertex-based subset and
         nesting checks are then conservative rather than exact.
         """
+        _check_atol(atol)
         if self.is_empty:
             return False
         return bool(self._members(sorted_vertices(self), atol).all())
@@ -140,37 +167,100 @@ def sorted_vertices(aset: AggregateFlexSet) -> np.ndarray:
     is a coordinate permutation of one of these rows.
     """
     horizon = aset.horizon
-    rows = np.empty((horizon + 1, horizon))
-    for t in range(horizon + 1):
-        rows[t, :t] = aset.nu_hi[:t]
-        rows[t, t:] = aset.nu_lo[t:]
-    return rows
+    hi_part = np.tri(horizon + 1, horizon, k=-1, dtype=bool)  # row t: columns < t
+    return np.where(hi_part, aset.nu_hi, aset.nu_lo)
+
+
+class _Fleet:
+    """A population's fixed data: its aggregate set and balanced-split table.
+
+    It holds the population's energy arrays but not the population, so
+    the cache entry in _FLEETS dies with the population.
+    """
+
+    def __init__(self, pop: Population):
+        self.e_lo = pop.e_lo
+        self.e_hi = pop.e_hi
+        self.flex = AggregateFlexSet(
+            _generating_vectors(pop.e_lo, pop.power, pop.horizon),
+            _generating_vectors(pop.e_hi, pop.power, pop.horizon),
+            pop.power,
+        )
+
+    @cached_property
+    def split_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted breakpoints of sum(clip(lam, e_lo, e_hi)) and its level at each.
+
+        The sum is piecewise linear and non-decreasing in lam with
+        breakpoints at the 2N bounds. At a breakpoint it is sum(e_lo) plus
+        sum_i max(lam - e_lo_i, 0) - sum_i max(lam - e_hi_i, 0), read off
+        sorted prefix sums; a running maximum removes the rounding dips, so
+        the level is non-decreasing as np.interp needs.
+        """
+        lo, hi = np.sort(self.e_lo), np.sort(self.e_hi)
+        points = np.sort(np.concatenate([lo, hi]))
+        below_lo = np.searchsorted(lo, points)  # bounds lo_i < point
+        below_hi = np.searchsorted(hi, points)
+        lo_sums = np.concatenate([[0.0], np.cumsum(lo)])
+        hi_sums = np.concatenate([[0.0], np.cumsum(hi)])
+        level = lo_sums[-1] + points * (below_lo - below_hi) - lo_sums[below_lo] + hi_sums[below_hi]
+        return points, np.maximum.accumulate(level)
+
+    def balanced_energies(self, total: float) -> np.ndarray:
+        """Per-EV energies clip(lam, e_lo, e_hi) summing to total.
+
+        Outside [sum(e_lo), sum(e_hi)] this is the nearest end: e_lo or e_hi.
+        """
+        points, level = self.split_table
+        return np.clip(np.interp(total, level, points), self.e_lo, self.e_hi)
+
+
+# A memo of a pure function of the (immutable) population, keyed by identity
+# (Population is eq=False). Two threads that race on a new population build
+# equal data, and either copy serves.
+_FLEETS: weakref.WeakKeyDictionary[Population, _Fleet] = weakref.WeakKeyDictionary()
+
+
+def _fleet(pop: Population) -> _Fleet:
+    """The population's fixed data, built on its first query."""
+    fleet = _FLEETS.get(pop)
+    if fleet is None:
+        fleet = _FLEETS.setdefault(pop, _Fleet(pop))
+    return fleet
 
 
 # ---------------------------------------------------------------------------
 # membership: the two-vector criterion
 
 
-def _check_profile(u, horizon: int, atol: float) -> np.ndarray:
+def _check_atol(atol) -> None:
+    if not (math.isfinite(atol) and atol >= 0):
+        raise DomainError(f"atol must be finite and non-negative, got {atol}")
+
+
+def _check_profile(u, shape: tuple[int, ...], atol: float) -> np.ndarray:
+    """A profile (shape (T,)) or profile stack ((V, T)), negatives within atol clipped to 0."""
+    _check_atol(atol)
     u = np.asarray(u, dtype=float)
-    if u.shape != (horizon,):
-        raise DimensionMismatch(f"profile length {u.shape} != horizon {horizon}")
-    if not np.all(np.isfinite(u)):
+    if u.shape != shape:
+        raise DimensionMismatch(f"profile shape {u.shape} != {shape}")
+    if not np.isfinite(u).all():
         raise DomainError("aggregate profile has a non-finite entry")
-    if np.any(u < -atol):
+    if (u < -atol).any():
         raise NegativeEntry("aggregate profile has a negative entry")
-    return np.clip(u, 0.0, None)
+    return np.maximum(u, 0.0)
 
 
-def _prefix_bounds(nu_lo: np.ndarray, nu_hi: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Caps on top_k(u), k = 1..T: min(sum_{t<=k} nu_hi[t], E - sum_{t>k} nu_lo[t]).
+def _cap_parts(nu_lo: np.ndarray, nu_hi: np.ndarray):
+    """The pieces of the caps min(sum_{t<=k} nu_hi[t], E - sum_{t>k} nu_lo[t]).
 
-    nu_lo, nu_hi: (R, T); totals: (V,) profile totals E. Returns (R, V, T).
+    nu_lo, nu_hi: (..., T). Returns reach = cumsum(nu_hi), tail[k-1] =
+    sum_{t>k} nu_lo[t] (zero at k = T), both (..., T), and sum(nu_lo).
     """
-    reach = np.cumsum(nu_hi, axis=1)
-    tail = np.zeros_like(nu_lo)  # sum_{t>k} nu_lo[t], zero at k = T
-    tail[:, :-1] = np.cumsum(nu_lo[:, :0:-1], axis=1)[:, ::-1]
-    return np.minimum(reach[:, None, :], totals[None, :, None] - tail[:, None, :])
+    reach = nu_hi.cumsum(axis=-1)
+    tail = np.zeros_like(nu_lo)
+    tail[..., :-1] = nu_lo[..., :0:-1].cumsum(axis=-1)[..., ::-1]
+    return reach, tail, nu_lo.sum(axis=-1)
 
 
 def _member_matrix(
@@ -184,18 +274,12 @@ def _member_matrix(
     is the upper total).
     """
     total = profiles.sum(axis=1)
-    top = np.cumsum(-np.sort(-profiles, axis=1), axis=1)
-    bound = _prefix_bounds(nu_lo, nu_hi, total)
+    top = np.sort(profiles, axis=1)[:, ::-1].cumsum(axis=1)
+    reach, tail, lo_total = _cap_parts(nu_lo, nu_hi)
+    bound = np.minimum(reach[:, None, :], total[None, :, None] - tail[:, None, :])
     bound += atol
     inside = (top[None] <= bound).all(axis=2)
-    return inside & (total[None, :] >= nu_lo.sum(axis=1)[:, None] - atol)
-
-
-def _pair_members(
-    nu_lo: np.ndarray, nu_hi: np.ndarray, profiles: np.ndarray, atol: float
-) -> np.ndarray:
-    """Membership of each row of a (V, T) stack in the set of one pair."""
-    return _member_matrix(nu_lo[None], nu_hi[None], profiles, atol)[0]
+    return inside & (total[None, :] >= lo_total[:, None] - atol)
 
 
 def batch_contains(
@@ -207,15 +291,22 @@ def batch_contains(
 ) -> np.ndarray:
     """Membership of V profiles against R populations in one pass.
 
-    e_lo, e_hi: (R, N) energy bounds; profiles: (V, T) non-negative rows.
-    Builds every population's (nu_lo, nu_hi) at once and applies the
-    two-vector criterion; returns a boolean (R, V) matrix with the same
-    decisions as contains().
+    e_lo, e_hi: (R, N) energy bounds; profiles: (V, T) rows, each checked
+    like contains()' profile. Builds every population's (nu_lo, nu_hi) at
+    once and applies the two-vector criterion; returns a boolean (R, V)
+    matrix with the same decisions as contains().
     """
     profiles = np.asarray(profiles, dtype=float)
+    if profiles.ndim != 2 or profiles.shape[1] == 0:
+        raise DimensionMismatch(f"profiles must be a (V, T) stack with T >= 1, got {profiles.shape}")
+    profiles = _check_profile(profiles, profiles.shape, atol)
+    e_lo = np.asarray(e_lo, dtype=float)
+    e_hi = np.asarray(e_hi, dtype=float)
+    if e_lo.ndim != 2 or e_lo.shape != e_hi.shape:
+        raise DimensionMismatch(f"e_lo {e_lo.shape} and e_hi {e_hi.shape} must be equal (R, N)")
     horizon = profiles.shape[1]
-    nu_lo = _generating_vectors(np.asarray(e_lo, dtype=float), m, horizon)
-    nu_hi = _generating_vectors(np.asarray(e_hi, dtype=float), m, horizon)
+    nu_lo = _generating_vectors(e_lo, m, horizon)
+    nu_hi = _generating_vectors(e_hi, m, horizon)
     return _member_matrix(nu_lo, nu_hi, profiles, atol)
 
 
@@ -225,8 +316,8 @@ def batch_contains(
 
 def contains(pop: Population, u, atol: float = DEFAULT_ATOL) -> bool:
     """True iff the population can jointly track the aggregate profile u."""
-    u = _check_profile(u, pop.horizon, atol)
-    return bool(_pair_members(*nu_bounds(pop), u[None], atol)[0])
+    u = _check_profile(u, (pop.horizon,), atol)
+    return bool(_fleet(pop).flex._members(u[None], atol)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,41 +338,6 @@ class Infeasible:
 
     deficient_steps: tuple[int, ...]  # 1-indexed
     shortfall: float
-
-
-def _clip_level(lo: np.ndarray, hi: np.ndarray, target: float):
-    """A level lam with sum(clip(lam, lo, hi)) = target; lo <= hi, each sorted.
-
-    The sum is piecewise linear and non-decreasing in lam with breakpoints
-    at the 2N bounds. It is read off sorted prefix sums at every breakpoint
-    and is linear between the largest breakpoint where it is <= target and
-    the smallest one where it is above; outside [sum(lo), sum(hi)] the
-    nearest end is returned.
-    """
-    points = np.concatenate([lo, hi])
-    below_lo = np.searchsorted(lo, points)  # bounds lo_i < point
-    below_hi = np.searchsorted(hi, points)
-    lo_sums = np.concatenate([[0.0], np.cumsum(lo)])
-    hi_sums = np.concatenate([[0.0], np.cumsum(hi)])
-    # sum(lo) + sum_i max(point - lo_i, 0) - sum_i max(point - hi_i, 0)
-    level = lo_sums[-1] + points * (below_lo - below_hi) - lo_sums[below_lo] + hi_sums[below_hi]
-    under = level <= target
-    a = np.argmax(np.where(under, points, -np.inf))
-    b = np.argmin(np.where(under, np.inf, points))
-    if not under[a]:  # target below sum(lo)
-        return points[b]
-    if under[b]:  # target at or above sum(hi)
-        return points[a]
-    return points[a] + (target - level[a]) / (level[b] - level[a]) * (points[b] - points[a])
-
-
-def _balanced_energies(pop: Population, total: float) -> np.ndarray:
-    """Per-EV energies clip(lam, e_lo, e_hi) summing to total.
-
-    Outside [sum(e_lo), sum(e_hi)] this is the nearest end: e_lo or e_hi.
-    """
-    lam = _clip_level(np.sort(pop.e_lo), np.sort(pop.e_hi), total)
-    return np.clip(lam, pop.e_lo, pop.e_hi)
 
 
 def _mixing_matrix(nu: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -371,15 +427,18 @@ def decompose(pop: Population, u, atol: float = DEFAULT_ATOL):
     with shortfall top_k(u) - min(sum_{t<=k} nu_hi[t], E - sum_{t>k} nu_lo[t]).
     Any valid split or violated cut is correct; these are the ones chosen.
     """
-    u = _check_profile(u, pop.horizon, atol)
-    nu_lo, nu_hi = nu_bounds(pop)
+    u = _check_profile(u, (pop.horizon,), atol)
+    fleet = _fleet(pop)
+    flex = fleet.flex
     total = u.sum()
-    if _pair_members(nu_lo, nu_hi, u[None], atol)[0]:
-        return Decomposition(_mix_fastest_profiles(_balanced_energies(pop, total), u, pop.power))
-    if total < nu_lo.sum() - atol:
-        return Infeasible((), float(nu_lo.sum() - total))
+    if flex._members(u[None], atol)[0]:
+        energies = fleet.balanced_energies(total)
+        return Decomposition(_mix_fastest_profiles(energies, u, pop.power))
+    lo_total = flex._caps[2]
+    if total < lo_total - atol:
+        return Infeasible((), float(lo_total - total))
     order = np.argsort(-u, kind="stable")
-    excess = np.cumsum(u[order]) - _prefix_bounds(nu_lo[None], nu_hi[None], total[None])[0, 0]
+    excess = np.cumsum(u[order]) - flex._cut_caps(total)
     k = int(np.argmax(excess)) + 1
     return Infeasible(tuple(sorted(int(t) + 1 for t in order[:k])), float(excess[k - 1]))
 
@@ -412,10 +471,11 @@ def find_subset_violation(aset: AggregateFlexSet, pop: Population, atol: float =
     conservative (a pass still certifies containment of the true set).
     """
     _check_compatible(aset, pop)
+    _check_atol(atol)
     if aset.is_empty:
         return None
     vertices = sorted_vertices(aset)
-    outside = np.flatnonzero(~_pair_members(*nu_bounds(pop), vertices, atol))
+    outside = np.flatnonzero(~_fleet(pop).flex._members(vertices, atol))
     return vertices[outside[0]] if outside.size else None
 
 
@@ -434,6 +494,7 @@ def is_subset_fast(aset: AggregateFlexSet, pop: Population, atol: float = DEFAUL
     sets the pair is tight and the test agrees with is_subset_exact.
     """
     _check_compatible(aset, pop)
+    _check_atol(atol)
     if aset.is_empty:
         return True
     pop_lo, pop_hi = nu_bounds(pop)
@@ -452,6 +513,7 @@ def is_nested(inner: AggregateFlexSet, outer: AggregateFlexSet, atol: float = DE
     """
     if inner.horizon != outer.horizon or inner.power != outer.power:
         raise DimensionMismatch("sets must share horizon and power")
+    _check_atol(atol)
     if inner.is_empty:
         return True
     return not outer.is_empty and bool(outer._members(sorted_vertices(inner), atol).all())

@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the library's own code paths: hull
 membership is an LP over explicitly enumerated vertices, transport costs
-come from scipy's LP solver, 1-D distances from the CDF integral, and
+come from scipy's LP solver, 1-D distances from the CDF integral,
 flow decomposition from a circulation network that the runtime no longer
-builds.
+builds, and the balanced-split level from a per-call breakpoint search.
 """
 
 from itertools import permutations
@@ -109,6 +109,33 @@ def best_equal_weight_quantization_1d(values, weights, n, candidates):
                      np.asarray(support, float), q_weights)
         best = min(best, cost)
     return best
+
+
+def clip_level(lo, hi, target):
+    """A level lam with sum(clip(lam, lo, hi)) = target; lo <= hi, each sorted.
+
+    The reference for the balanced split of decompose(), searched per call:
+    the sum is piecewise linear and non-decreasing in lam with breakpoints
+    at the 2N bounds. It is read off sorted prefix sums at every breakpoint
+    and is linear between the largest breakpoint where it is <= target and
+    the smallest one where it is above; outside [sum(lo), sum(hi)] the
+    nearest end is returned.
+    """
+    points = np.concatenate([lo, hi])
+    below_lo = np.searchsorted(lo, points)  # bounds lo_i < point
+    below_hi = np.searchsorted(hi, points)
+    lo_sums = np.concatenate([[0.0], np.cumsum(lo)])
+    hi_sums = np.concatenate([[0.0], np.cumsum(hi)])
+    # sum(lo) + sum_i max(point - lo_i, 0) - sum_i max(point - hi_i, 0)
+    level = lo_sums[-1] + points * (below_lo - below_hi) - lo_sums[below_lo] + hi_sums[below_hi]
+    under = level <= target
+    a = np.argmax(np.where(under, points, -np.inf))
+    b = np.argmin(np.where(under, np.inf, points))
+    if not under[a]:  # target below sum(lo)
+        return points[b]
+    if under[b]:  # target at or above sum(hi)
+        return points[a]
+    return points[a] + (target - level[a]) / (level[b] - level[a]) * (points[b] - points[a])
 
 
 def flex_distance(e_lo, e_hi, power, u):

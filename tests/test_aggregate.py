@@ -1,3 +1,8 @@
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
@@ -25,7 +30,15 @@ from evflex import (
     strong_majorizes,
 )
 
-from oracles import flex_distance, flex_member, flex_set_vertices, flow_decompose, hull_member
+from evflex.aggregate import _fleet
+from oracles import (
+    clip_level,
+    flex_distance,
+    flex_member,
+    flex_set_vertices,
+    flow_decompose,
+    hull_member,
+)
 
 
 def two_ev_pop(horizon=4):
@@ -84,6 +97,16 @@ def test_sorted_vertices_examples():
     np.testing.assert_allclose(verts[4], [2, 2, 1.5, 0.5])
 
 
+def test_sorted_vertices_match_row_definition():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        aset = AggregateFlexSet.from_population(random_population(rng, int(rng.integers(1, 9))))
+        rows = sorted_vertices(aset)
+        assert rows.shape == (aset.horizon + 1, aset.horizon)
+        for t, row in enumerate(rows):
+            np.testing.assert_array_equal(row, np.concatenate([aset.nu_hi[:t], aset.nu_lo[t:]]))
+
+
 def test_sorted_vertices_monotone_random():
     rng = np.random.default_rng(2)
     for _ in range(100):
@@ -120,6 +143,52 @@ def test_non_finite_profiles_rejected(bad):
         decompose(pop, u)
     with pytest.raises(DomainError):
         AggregateFlexSet.from_population(pop).contains_profile(u)
+
+
+@pytest.mark.parametrize("atol", [np.nan, np.inf, -np.inf, -1.0])
+def test_bad_atol_rejected(atol):
+    pop = Population([1, 2], [3, 4], 4)
+    u = [1, 1, 1, 1]
+    with pytest.raises(DomainError):
+        contains(pop, u, atol=atol)
+    with pytest.raises(DomainError):
+        decompose(pop, u, atol=atol)
+    with pytest.raises(DomainError):
+        AggregateFlexSet.from_population(pop).contains_profile(u, atol=atol)
+    with pytest.raises(DomainError):
+        batch_contains(pop.e_lo[None], pop.e_hi[None], [u], pop.power, atol=atol)
+    aset = AggregateFlexSet.from_population(pop)
+    for check in (aset.vertices_are_members, lambda atol: is_nested(aset, aset, atol),
+                  lambda atol: is_subset_exact(aset, pop, atol),
+                  lambda atol: is_subset_fast(aset, pop, atol)):
+        with pytest.raises(DomainError):
+            check(atol=atol)
+    assert isinstance(decompose(pop, u, atol=0.0), Decomposition)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [(np.nan, DomainError), (np.inf, DomainError), (-np.inf, DomainError), (-5.0, NegativeEntry)],
+)
+def test_batch_contains_checks_profile_rows(bad, error):
+    pop = two_ev_pop()
+    profiles = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, bad, 1.0, 1.0]])
+    with pytest.raises(error):
+        batch_contains(pop.e_lo[None], pop.e_hi[None], profiles, pop.power)
+
+
+def test_batch_contains_checks_shapes():
+    pop = two_ev_pop()
+    e_lo, e_hi = pop.e_lo[None], pop.e_hi[None]
+    for profiles in ([1.0, 1.0, 1.0, 1.0], np.ones((1, 2, 4)), np.ones((2, 0))):
+        with pytest.raises(DimensionMismatch):
+            batch_contains(e_lo, e_hi, profiles, pop.power)
+    with pytest.raises(DimensionMismatch):
+        batch_contains(e_lo, e_hi[:, :1], np.ones((1, 4)), pop.power)
+    # a negative entry within atol counts as zero, as in contains
+    u = np.array([1.5, 0.5, 0.0, -1e-12])
+    assert contains(pop, u)
+    assert batch_contains(e_lo, e_hi, u[None], pop.power)[0, 0]
 
 
 def test_contains_derived_decomposition_case():
@@ -709,7 +778,7 @@ def criterion_excess(pop, u):
 
 
 def test_mixing_matrix_is_symmetric_doubly_stochastic():
-    from evflex.aggregate import _balanced_energies, _generating_vectors, _mixing_matrix
+    from evflex.aggregate import _fleet, _generating_vectors, _mixing_matrix
 
     rng = np.random.default_rng(12)
     checked = 0
@@ -720,7 +789,7 @@ def test_mixing_matrix_is_symmetric_doubly_stochastic():
         for u in member_probes(pop, rng, 6):
             if not contains(pop, u):
                 continue
-            energies = _balanced_energies(pop, u.sum())
+            energies = _fleet(pop).balanced_energies(u.sum())
             nu = _generating_vectors(energies, power, horizon)
             target = np.sort(u)[::-1]
             mix = _mixing_matrix(nu, target)
@@ -750,3 +819,132 @@ def test_decompose_witnesses_at_dispatch_sizes(n, horizon):
             assert_valid_decompose_result(pop, u, result, tol=criterion_excess(pop, u) + 1e-10)
             members += isinstance(result, Decomposition)
     assert members >= 30
+
+
+# ---------------------------------------------------------------------------
+# the per-population cache
+
+
+def _answer(result):
+    """A query's answer as comparable data, down to the bits of floats."""
+    if isinstance(result, Decomposition):
+        return ("split", result.per_ev.tobytes())
+    if isinstance(result, Infeasible):
+        return ("cut", result.deficient_steps, result.shortfall.hex())
+    return ("verdict", result)
+
+
+def cache_probes(pop, rng, count):
+    """Members and near members, and profiles 5% above or below them."""
+    probes = []
+    for u in member_probes(pop, rng, count):
+        probes += [u, u * 1.05, u * 0.95]
+    return probes
+
+
+def test_reused_populations_answer_like_fresh_copies():
+    rng = np.random.default_rng(21)
+    pops = [probe_population(rng, int(rng.integers(1, 30)), int(rng.integers(1, 25)))
+            for _ in range(6)]
+    queries = [(pop, u) for pop in pops for u in cache_probes(pop, rng, 15)]
+    kinds = set()
+    for j in rng.permutation(len(queries)):  # interleaves the populations
+        pop, u = queries[j]
+        fresh = Population(pop.e_lo, pop.e_hi, pop.horizon, pop.power)
+        steps = [contains, decompose] if j % 2 else [decompose, contains]
+        for query in steps:
+            answer = _answer(query(pop, u))
+            assert answer == _answer(query(fresh, u))
+            kinds.add(answer[0] if query is decompose else answer)
+    assert kinds == {"split", "cut", ("verdict", True), ("verdict", False)}
+
+
+def test_nu_bounds_are_read_only():
+    pop = two_ev_pop()
+    for vec in nu_bounds(pop):
+        assert not vec.flags.writeable
+        with pytest.raises(ValueError):
+            vec[0] = 0.0
+    np.testing.assert_array_equal(nu_bounds(pop)[0], [1.5, 0.5, 0, 0])
+
+
+def test_prepared_data_does_not_keep_population_alive():
+    pop = two_ev_pop()
+    assert contains(pop, [1, 1, 1, 1])
+    assert isinstance(decompose(pop, [1, 1, 1, 1]), Decomposition)
+    aset = AggregateFlexSet.from_population(pop)
+    ref = weakref.ref(pop)
+    del pop
+    gc.collect()
+    assert ref() is None
+    assert aset.contains_profile([1, 1, 1, 1])
+
+
+def test_threads_share_a_fresh_population():
+    rng = np.random.default_rng(22)
+    first = probe_population(rng, 50, 24)
+    probes = cache_probes(Population(first.e_lo, first.e_hi, 24), rng, 30)
+    expected = [(_answer(contains(first, u)), _answer(decompose(first, u))) for u in probes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the first preparation too
+    try:
+        for _ in range(5):
+            pop = Population(first.e_lo, first.e_hi, 24)  # no query has seen it yet
+            barrier = threading.Barrier(4)
+            results = [None] * 4
+
+            def work(slot):
+                barrier.wait()
+                results[slot] = [(_answer(contains(pop, u)), _answer(decompose(pop, u)))
+                                 for u in probes]
+
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@st.composite
+def split_instance(draw):
+    """Energy intervals and a total: ties, e_lo = e_hi, totals past either end."""
+    horizon = draw(st.integers(1, 6), label="T")
+    n = draw(st.integers(1, 6), label="N")
+    if draw(st.booleans(), label="integral"):
+        value = st.integers(0, horizon).map(float)  # ties among the bounds
+    else:
+        value = st.floats(0.0, float(horizon))
+    pairs = [sorted(draw(st.tuples(value, value))) for _ in range(n)]
+    lo, hi = np.array(pairs).T
+    if draw(st.booleans(), label="some tight"):
+        tight = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        hi = np.where(tight, lo, hi)
+    where = draw(st.sampled_from(["below", "inside", "level", "above"]), label="total")
+    if where == "below":
+        total = lo.sum() - draw(st.floats(0.0, 5.0))
+    elif where == "above":
+        total = hi.sum() + draw(st.floats(0.0, 5.0))
+    elif where == "level":  # the sum at one of the bounds
+        point = draw(st.sampled_from(sorted({*lo, *hi})))
+        total = np.clip(point, lo, hi).sum()
+    else:
+        total = lo.sum() + draw(st.floats(0.0, 1.0)) * (hi.sum() - lo.sum())
+    event(where)
+    return Population(lo, hi, horizon), float(total)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(split_instance())
+def test_balanced_split_table_matches_level_search(instance):
+    pop, total = instance
+    energies = _fleet(pop).balanced_energies(total)
+    scale = max(1.0, pop.e_hi.sum())
+    assert np.all(energies >= pop.e_lo) and np.all(energies <= pop.e_hi)
+    reached = min(max(total, pop.e_lo.sum()), pop.e_hi.sum())
+    assert abs(energies.sum() - reached) <= 1e-9 * scale
+    reference = np.clip(clip_level(np.sort(pop.e_lo), np.sort(pop.e_hi), total), pop.e_lo, pop.e_hi)
+    np.testing.assert_allclose(energies, reference, rtol=0, atol=1e-9 * scale)
