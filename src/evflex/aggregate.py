@@ -26,6 +26,13 @@ stochastic mixing of the columns of their fastest-charge profiles. A
 non-member gets the violated cut of the criterion as its certificate. No
 flow or LP solver runs.
 
+The generating vectors themselves are a histogram of whole steps: an EV
+with energy e fills floor(e/m) steps with m and puts the remainder on the
+next one, so nu[t] is m times the number of EVs with more than t full
+steps plus the remainders landing on t. Building them costs O(N + T) per
+population, with no N x T array of fastest-charge profiles; only
+decompose() forms that matrix, for its witness.
+
 Everything that depends on the population alone is computed once per
 population, on its first query, and kept for as long as the population
 lives: the bound pair, the caps of the criterion and, from the first
@@ -44,8 +51,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_ATOL, Population
-from .errors import DimensionMismatch, DomainError, NegativeEntry
+from .core import DEFAULT_ATOL, Population, check_energy_domain
+from .errors import DimensionMismatch, DomainError, EnergyOutOfRange, NegativeEntry
 from .flows import feasible_circulation  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 
@@ -56,8 +63,25 @@ def _fastest_profiles(energies: np.ndarray, m: float, horizon: int) -> np.ndarra
 
 
 def _generating_vectors(energies: np.ndarray, m: float, horizon: int) -> np.ndarray:
-    """Sums of fastest-charge profiles over the last axis: (..., N) -> (..., T)."""
-    return _fastest_profiles(energies, m, horizon).sum(axis=-2)
+    """Sums of fastest-charge profiles over the last axis: (..., N) -> (..., T).
+
+    EV i gives m to each of its floor(e_i/m) full steps (at most T) and the
+    remainder e_i - m*floor(e_i/m) to the next step, if there is one. Step
+    t's sum is therefore m times the number of EVs with more than t full
+    steps plus the remainders that land on t: two bincounts over (row,
+    full steps) and a reverse cumulative sum, with no (..., N, T) array.
+    """
+    lead = energies.shape[:-1]
+    rows = math.prod(lead)
+    full = np.floor(energies / m).clip(0, horizon)
+    rest = (energies - m * full).clip(0.0, m)
+    # slot T of each row collects the EVs with T full steps and is dropped
+    slot = (full.astype(np.intp) + (horizon + 1) * np.arange(rows).reshape(lead + (1,))).ravel()
+    size = rows * (horizon + 1)
+    count = np.bincount(slot, minlength=size).reshape(rows, horizon + 1)
+    partial = np.bincount(slot, weights=rest.ravel(), minlength=size).reshape(rows, horizon + 1)
+    beyond = count[:, :0:-1].cumsum(axis=1)[:, ::-1]  # EVs with more than t full steps
+    return (m * beyond + partial[:, :horizon]).reshape(lead + (horizon,))
 
 
 def nu_bounds(pop: Population) -> tuple[np.ndarray, np.ndarray]:
@@ -291,10 +315,11 @@ def batch_contains(
 ) -> np.ndarray:
     """Membership of V profiles against R populations in one pass.
 
-    e_lo, e_hi: (R, N) energy bounds; profiles: (V, T) rows, each checked
-    like contains()' profile. Builds every population's (nu_lo, nu_hi) at
-    once and applies the two-vector criterion; returns a boolean (R, V)
-    matrix with the same decisions as contains().
+    e_lo, e_hi: (R, N) energy bounds, each row checked like a Population's
+    (0 <= e_lo <= e_hi <= m*T); profiles: (V, T) rows, each checked like
+    contains()' profile. Builds every population's (nu_lo, nu_hi) at once
+    and applies the two-vector criterion; returns a boolean (R, V) matrix
+    with the same decisions as contains().
     """
     profiles = np.asarray(profiles, dtype=float)
     if profiles.ndim != 2 or profiles.shape[1] == 0:
@@ -302,9 +327,16 @@ def batch_contains(
     profiles = _check_profile(profiles, profiles.shape, atol)
     e_lo = np.asarray(e_lo, dtype=float)
     e_hi = np.asarray(e_hi, dtype=float)
-    if e_lo.ndim != 2 or e_lo.shape != e_hi.shape:
-        raise DimensionMismatch(f"e_lo {e_lo.shape} and e_hi {e_hi.shape} must be equal (R, N)")
+    if e_lo.ndim != 2 or e_lo.shape != e_hi.shape or e_lo.shape[1] == 0:
+        raise DimensionMismatch(
+            f"e_lo {e_lo.shape} and e_hi {e_hi.shape} must be equal (R, N) with N >= 1"
+        )
+    if not (math.isfinite(m) and m > 0):
+        raise DomainError(f"power must be positive and finite, got {m}")
+    if not (np.isfinite(e_lo).all() and np.isfinite(e_hi).all()):
+        raise DomainError("population energies must be finite")
     horizon = profiles.shape[1]
+    check_energy_domain(e_lo, e_hi, m * horizon, EnergyOutOfRange)
     nu_lo = _generating_vectors(e_lo, m, horizon)
     nu_hi = _generating_vectors(e_hi, m, horizon)
     return _member_matrix(nu_lo, nu_hi, profiles, atol)

@@ -14,13 +14,14 @@ and checked against the requested radius.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .aggregate import AggregateFlexSet
-from .core import DEFAULT_ATOL, Population, TimeGrid
+from .core import DEFAULT_ATOL, Population, TimeGrid, check_energy_domain
 from .errors import (
     BudgetInfeasible,
     DomainError,
@@ -56,10 +57,8 @@ class DiscreteDistribution:
             raise ValueError("weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {weights.sum()!r}, expected 1")
-        if np.any(atoms[:, 0] < -1e-12) or np.any(atoms[:, 0] > atoms[:, 1] + 1e-12):
-            raise ValueError("atoms must satisfy 0 <= e_lo <= e_hi")
-        if np.any(atoms[:, 1] > self.energy_cap + 1e-12):
-            raise ValueError(f"atoms must satisfy e_hi <= {self.energy_cap}")
+        # the domain of a Population, so every atom can be a population's EV
+        check_energy_domain(atoms[:, 0], atoms[:, 1], self.energy_cap, ValueError)
         order = np.lexsort((atoms[:, 1], atoms[:, 0]))
         atoms = atoms[order]
         weights = weights[order]
@@ -76,7 +75,8 @@ class DiscreteDistribution:
     def equal_weights(cls, pairs, energy_cap: float) -> "DiscreteDistribution":
         pairs = np.asarray(pairs, dtype=float)
         n = pairs.shape[0]
-        return cls(pairs, np.full(n, 1.0 / n), energy_cap)
+        # zero pairs reach the constructor, which rejects an empty support
+        return cls(pairs, np.full(n, 1.0 / max(n, 1)), energy_cap)
 
     @property
     def n_atoms(self) -> int:
@@ -99,6 +99,17 @@ class ConcentrationConstants:
 # Wasserstein-1 distance
 
 
+def _merged_atoms(p: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct atoms of p and their summed weights.
+
+    The atoms are lex-sorted, so equal ones are adjacent: one compare of
+    neighbouring rows finds the runs and np.add.reduceat sums each run.
+    """
+    atoms = p.atoms
+    starts = np.flatnonzero(np.r_[True, (atoms[1:] != atoms[:-1]).any(axis=1)])
+    return atoms[starts], np.add.reduceat(p.weights, starts)
+
+
 def _is_chain(atoms: np.ndarray) -> bool:
     """Support is totally ordered componentwise (after the lex sort)."""
     return bool(
@@ -106,42 +117,49 @@ def _is_chain(atoms: np.ndarray) -> bool:
     )
 
 
-def _quantile_coupling_cost(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
+def _quantile_coupling_cost(p_atoms, p_weights, q_atoms, q_weights) -> float:
     """Sorted coupling; optimal when both supports are comonotone chains."""
     i = j = 0
-    rem_p = p.weights[0]
-    rem_q = q.weights[0]
+    rem_p = p_weights[0]
+    rem_q = q_weights[0]
     total = 0.0
     while True:
         d = min(rem_p, rem_q)
         total += d * (
-            abs(p.atoms[i, 0] - q.atoms[j, 0]) + abs(p.atoms[i, 1] - q.atoms[j, 1])
+            abs(p_atoms[i, 0] - q_atoms[j, 0]) + abs(p_atoms[i, 1] - q_atoms[j, 1])
         )
         rem_p -= d
         rem_q -= d
         if rem_p <= _TINY:
             i += 1
-            if i >= p.n_atoms:
+            if i >= p_atoms.shape[0]:
                 break
-            rem_p = p.weights[i]
+            rem_p = p_weights[i]
         if rem_q <= _TINY:
             j += 1
-            if j >= q.n_atoms:
+            if j >= q_atoms.shape[0]:
                 break
-            rem_q = q.weights[j]
+            rem_q = q_weights[j]
     return total
 
 
 def wasserstein1(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Exact W1 between two discrete distributions under the L1 ground metric."""
+    """Exact W1 between two discrete distributions under the L1 ground metric.
+
+    Equal atoms of each side are merged first (their weights summed), so
+    the work scales with the distinct atoms, not with N: an equal-weight
+    N-point support from project_to_n_points holds only a few.
+    """
     if abs(p.energy_cap - q.energy_cap) > 1e-9:
         raise DomainError("distributions live on different energy domains")
-    if _is_chain(p.atoms) and _is_chain(q.atoms):
-        return float(_quantile_coupling_cost(p, q))
-    cost = np.abs(p.atoms[:, None, 0] - q.atoms[None, :, 0]) + np.abs(
-        p.atoms[:, None, 1] - q.atoms[None, :, 1]
+    p_atoms, p_weights = _merged_atoms(p)
+    q_atoms, q_weights = _merged_atoms(q)
+    if _is_chain(p_atoms) and _is_chain(q_atoms):
+        return float(_quantile_coupling_cost(p_atoms, p_weights, q_atoms, q_weights))
+    cost = np.abs(p_atoms[:, None, 0] - q_atoms[None, :, 0]) + np.abs(
+        p_atoms[:, None, 1] - q_atoms[None, :, 1]
     )
-    value, _ = min_cost_transport(p.weights, q.weights, cost)
+    value, _ = min_cost_transport(p_weights, q_weights, cost)
     return value
 
 
@@ -157,6 +175,19 @@ def _weighted_lower_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(values[order][min(idx, len(values) - 1)])
 
 
+def _check_count(n) -> int:
+    """n as a positive int; a float, bool or other non-integer is a DomainError."""
+    if isinstance(n, (bool, np.bool_)):
+        raise DomainError(f"n must be an integer, got {n!r}")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"n must be an integer, got {n!r}") from None
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    return n
+
+
 def project_to_n_points(
     p: DiscreteDistribution, n: int
 ) -> tuple[np.ndarray, float]:
@@ -169,8 +200,7 @@ def project_to_n_points(
     is the exact distance to the result, which is all downstream guarantees
     rely on.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = _check_count(n)
     chunks: list[list[tuple[float, float, float]]] = [[] for _ in range(n)]
     k = 0
     cum = 0.0
@@ -256,6 +286,8 @@ def _validate_push_args(values, budget):
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("values must be a non-empty 1-D array")
+    if not (np.isfinite(values).all() and math.isfinite(budget)):
+        raise DomainError("values and budget must be finite")
     if np.any(np.diff(values) < -1e-12):
         raise ValueError("values must be sorted non-decreasing")
     if budget < 0:
@@ -272,6 +304,8 @@ def push_lower(values, budget: float, ceiling: float):
     recorded as the critical index (1-based). Returns (pushed, i_c, kappa).
     """
     values = _validate_push_args(values, budget)
+    if not math.isfinite(ceiling):
+        raise DomainError(f"ceiling must be finite, got {ceiling}")
     if np.any(values > ceiling + 1e-12):
         raise ValueError("values must not exceed the ceiling")
     pinned = np.full(values.size, float(ceiling))
@@ -387,6 +421,7 @@ def robust_set(
     """
     if not 0 <= eps < math.inf:
         raise DomainError(f"eps must be non-negative and finite, got {eps}")
+    n = _check_count(n)
     cap = power * grid.steps
     if abs(p.energy_cap - cap) > 1e-9:
         raise DomainError(

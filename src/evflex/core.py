@@ -29,6 +29,17 @@ class TimeGrid:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
 
+def check_energy_domain(e_lo: np.ndarray, e_hi: np.ndarray, cap: float, error: type) -> None:
+    """Raise `error` naming the first pair that breaks 0 <= e_lo <= e_hi <= cap.
+
+    The cap is m*T and allows 1e-12 of rounding; a NaN breaks every bound.
+    """
+    valid = (e_lo >= 0) & (e_lo <= e_hi) & (e_hi <= cap + 1e-12)
+    if not valid.all():
+        i = np.unravel_index(np.argmin(valid), valid.shape)
+        raise error(f"need 0 <= e_lo <= e_hi <= m*T: ({e_lo[i]}, {e_hi[i]}) vs cap {cap}")
+
+
 @dataclass(frozen=True, eq=False)
 class Population:
     """Homogeneous population of N charging jobs, held as two energy vectors.
@@ -54,13 +65,7 @@ class Population:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         if not (math.isfinite(power) and power > 0):
             raise ValueError(f"power must be positive and finite, got {power}")
-        cap = power * horizon
-        valid = (e_lo >= 0) & (e_lo <= e_hi) & (e_hi <= cap + 1e-12)
-        if not valid.all():
-            i = int(np.argmin(valid))
-            raise ValueError(
-                f"need 0 <= e_lo <= e_hi <= m*T: ({e_lo[i]}, {e_hi[i]}) vs cap {cap}"
-            )
+        check_energy_domain(e_lo, e_hi, power * horizon, ValueError)
         e_lo.flags.writeable = False
         e_hi.flags.writeable = False
         object.__setattr__(self, "e_lo", e_lo)

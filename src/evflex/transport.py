@@ -1,8 +1,10 @@
 """Exact discrete transportation solver.
 
 Successive shortest augmenting paths with Dijkstra over Johnson potentials;
-float masses are handled directly. Problem sizes here are small (tens of
-atoms per side), so the dense cost matrix is fine.
+float masses are handled directly. ambiguity.wasserstein1 merges equal
+atoms before it calls the solver, so a side has as many rows or columns as
+it has distinct atoms (tens), not N points, and the dense cost matrix is
+fine.
 """
 
 from __future__ import annotations

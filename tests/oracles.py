@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own code paths: hull
 membership is an LP over explicitly enumerated vertices, transport costs
 come from scipy's LP solver, 1-D distances from the CDF integral,
 flow decomposition from a circulation network that the runtime no longer
-builds, and the balanced-split level from a per-call breakpoint search.
+builds, the balanced-split level from a per-call breakpoint search, and
+generating vectors from a sum of explicit fastest-charge profiles.
 """
 
 from itertools import permutations
@@ -136,6 +137,17 @@ def clip_level(lo, hi, target):
     if under[b]:  # target at or above sum(hi)
         return points[a]
     return points[a] + (target - level[a]) / (level[b] - level[a]) * (points[b] - points[a])
+
+
+def generating_vectors(energies, power, horizon):
+    """Sums of fastest-charge profiles clip(e - m*k, 0, m) over the N axis.
+
+    The reference for the runtime's histogram form: it builds the whole
+    (..., N, T) array of per-EV profiles and adds it up.
+    """
+    energies = np.asarray(energies, dtype=float)
+    steps = power * np.arange(horizon, dtype=float)
+    return (energies[..., None] - steps).clip(0.0, power).sum(axis=-2)
 
 
 def flex_distance(e_lo, e_hi, power, u):

@@ -13,6 +13,7 @@ from evflex import (
     Decomposition,
     DimensionMismatch,
     DomainError,
+    EnergyOutOfRange,
     Infeasible,
     NegativeEntry,
     Population,
@@ -30,13 +31,14 @@ from evflex import (
     strong_majorizes,
 )
 
-from evflex.aggregate import _fleet
+from evflex.aggregate import _fleet, _generating_vectors
 from oracles import (
     clip_level,
     flex_distance,
     flex_member,
     flex_set_vertices,
     flow_decompose,
+    generating_vectors,
     hull_member,
 )
 
@@ -189,6 +191,74 @@ def test_batch_contains_checks_shapes():
     u = np.array([1.5, 0.5, 0.0, -1e-12])
     assert contains(pop, u)
     assert batch_contains(e_lo, e_hi, u[None], pop.power)[0, 0]
+
+
+@pytest.mark.parametrize(
+    "m, e_lo, e_hi, error",
+    [
+        (0.0, 1.0, 2.0, DomainError),
+        (-1.0, 1.0, 2.0, DomainError),
+        (np.nan, 1.0, 2.0, DomainError),
+        (np.inf, 1.0, 2.0, DomainError),
+        (1.0, np.nan, 2.0, DomainError),
+        (1.0, 1.0, np.inf, DomainError),
+        (1.0, -0.5, 2.0, EnergyOutOfRange),
+        (1.0, 3.0, 2.0, EnergyOutOfRange),
+        (1.0, 1.0, 20.0, EnergyOutOfRange),
+        (1.0, 1.0, 6.0 + 1e-9, EnergyOutOfRange),
+    ],
+)
+def test_batch_contains_checks_populations(m, e_lo, e_hi, error):
+    # T = 6: the second population breaks the domain a Population enforces
+    e_lo_rows = np.array([[0.0, 1.0], [e_lo, 1.0]])
+    e_hi_rows = np.array([[6.0, 2.0], [e_hi, 2.0]])
+    with pytest.raises(error):
+        batch_contains(e_lo_rows, e_hi_rows, np.ones((1, 6)), m)
+
+
+def test_batch_contains_accepts_the_population_domain():
+    # the bounds a Population accepts, cap rounding included, pass unchanged
+    e_lo = np.array([[0.0, 6.0], [0.0, 0.0]])
+    e_hi = np.array([[6.0 + 1e-13, 6.0], [0.0, 3.0]])
+    profiles = np.array([[1.0] * 6, [2.0] * 6, [2.5] * 6])
+    got = batch_contains(e_lo, e_hi, profiles, 1.0)
+    want = [[contains(Population(lo, hi, 6), u) for u in profiles] for lo, hi in zip(e_lo, e_hi)]
+    np.testing.assert_array_equal(got, want)
+    assert got.any() and not got.all()
+    with pytest.raises(DimensionMismatch):
+        batch_contains(np.zeros((1, 0)), np.zeros((1, 0)), np.ones((1, 6)), 1.0)
+
+
+def test_generating_vectors_equal_clip_sum_on_half_integers():
+    # m = 1 and half-integer energies: every partial sum is exact in both forms
+    rng = np.random.default_rng(30)
+    for horizon in (1, 2, 5, 24):
+        energies = rng.integers(0, 2 * horizon + 1, size=(40, 9)) / 2.0
+        np.testing.assert_array_equal(
+            _generating_vectors(energies, 1.0, horizon), generating_vectors(energies, 1.0, horizon)
+        )
+        np.testing.assert_array_equal(
+            _generating_vectors(energies[0], 1.0, horizon),
+            generating_vectors(energies[0], 1.0, horizon),
+        )
+
+
+@pytest.mark.parametrize("power", [0.7, 1.3])
+@pytest.mark.parametrize("horizon", [1, 3, 24])
+def test_generating_vectors_match_clip_sum(power, horizon):
+    rng = np.random.default_rng(31 + horizon)
+    n = 12
+    cap = power * horizon
+    energies = rng.uniform(0.0, cap, size=(60, n))
+    # exact step boundaries: zero, whole multiples of m and the full horizon
+    ends = power * rng.integers(0, horizon + 1, size=(60, n))
+    energies = np.where(rng.random((60, n)) < 0.5, ends, energies)
+    energies[:, 0], energies[:, 1] = 0.0, cap
+    got = _generating_vectors(energies, power, horizon)
+    want = generating_vectors(energies, power, horizon)
+    assert got.shape == want.shape == (60, horizon)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * power * n)
+    np.testing.assert_allclose(got.sum(axis=1), energies.sum(axis=1), rtol=0, atol=1e-12 * cap * n)
 
 
 def test_contains_derived_decomposition_case():

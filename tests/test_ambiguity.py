@@ -47,6 +47,11 @@ def test_distribution_validation():
         DiscreteDistribution(np.array([[1, 7]]), np.array([1.0]), 6.0)
     with pytest.raises(ValueError):
         DiscreteDistribution(np.array([[1, 2], [0, 1]]), np.array([1.0, 0.0]), 6.0)
+    # the Population domain exactly: no rounding slack below zero or across e_hi
+    for atom in ([-1e-13, 1.0], [1.0 + 1e-13, 1.0]):
+        with pytest.raises(ValueError, match="e_lo <= e_hi"):
+            DiscreteDistribution(np.array([atom]), np.array([1.0]), 6.0)
+    DiscreteDistribution(np.array([[0.0, 6.0 + 1e-13]]), np.array([1.0]), 6.0)
     dist = DiscreteDistribution(np.array([[3, 4], [0, 1]]), np.array([0.5, 0.5]), 6.0)
     np.testing.assert_allclose(dist.atoms, [[0, 1], [3, 4]])  # lex sorted
 
@@ -86,6 +91,79 @@ def test_wasserstein_matches_lp_oracle():
         )
         expected = transport_lp(p.weights, q.weights, cost)
         assert abs(wasserstein1(p, q) - expected) < 1e-8
+
+
+def _l1_cost(p, q):
+    return np.abs(p.atoms[:, None, 0] - q.atoms[None, :, 0]) + np.abs(
+        p.atoms[:, None, 1] - q.atoms[None, :, 1]
+    )
+
+
+def _with_duplicates(rng, atoms, cap):
+    """An uncanonicalised distribution: every atom repeated 2-4 times, unequal weights."""
+    repeats = rng.integers(2, 5, size=len(atoms))
+    atoms = np.repeat(atoms, repeats, axis=0)
+    return DiscreteDistribution(atoms, rng.dirichlet(np.ones(len(atoms))), cap)
+
+
+@pytest.mark.parametrize("chain", [True, False])
+def test_wasserstein_with_duplicated_atoms_matches_lp(chain):
+    rng = np.random.default_rng(40 + chain)
+    cap = 6.0
+    chains = 0
+    for _ in range(40):
+        sides = []
+        for _ in range(2):
+            k = int(rng.integers(2, 6))
+            lo = rng.integers(0, 13, size=k) / 2.0
+            hi = np.minimum(lo + rng.integers(0, 13, size=k) / 2.0, cap)
+            atoms = np.column_stack([lo, hi])
+            if chain:
+                atoms = np.column_stack([np.sort(lo), np.maximum(np.sort(hi), np.sort(lo))])
+            else:  # two atoms neither of which dominates the other
+                atoms = np.vstack([atoms, [[0.0, 5.0], [1.0, 1.5]]])
+            sides.append(_with_duplicates(rng, atoms, cap))
+        p, q = sides
+        assert p.n_atoms > len(np.unique(p.atoms, axis=0))
+        expected = transport_lp(p.weights, q.weights, _l1_cost(p, q))
+        assert abs(wasserstein1(p, q) - expected) <= 1e-12
+        assert abs(wasserstein1(q, p) - expected) <= 1e-12
+        chains += all(
+            (np.diff(d.atoms[:, 0]) >= 0).all() and (np.diff(d.atoms[:, 1]) >= 0).all()
+            for d in (p, q)
+        )
+    assert chains == (40 if chain else 0)
+
+
+def test_robust_set_transport_sees_distinct_atoms_only(monkeypatch):
+    # no timing: every cost matrix handed to the solver is at most
+    # distinct(p) x distinct(q), although the supports hold N = 1000 points
+    import evflex.ambiguity as ambiguity
+
+    rng = np.random.default_rng(42)
+    cap = 24.0
+    lo = rng.uniform(0, 12, size=8)
+    hi = np.minimum(lo + rng.uniform(0, 12, size=8), cap)
+    p = DiscreteDistribution(np.column_stack([lo, hi]), rng.dirichlet(np.ones(8)), cap)
+    real_w1, real_solve = ambiguity.wasserstein1, ambiguity.min_cost_transport
+    pairs, shapes = [], []
+
+    def w1(a, b):
+        pairs.append((a.n_atoms, b.n_atoms, len(np.unique(a.atoms, axis=0)),
+                      len(np.unique(b.atoms, axis=0))))
+        return real_w1(a, b)
+
+    def solve(supply, demand, cost):
+        shapes.append((np.shape(cost), pairs[-1]))
+        return real_solve(supply, demand, cost)
+
+    monkeypatch.setattr(ambiguity, "wasserstein1", w1)
+    monkeypatch.setattr(ambiguity, "min_cost_transport", solve)
+    robust_set(p, 1000, 0.5, TimeGrid(24), 1.0)
+    assert len(pairs) == 3 and all(q_atoms == 1000 for _, q_atoms, _, _ in pairs)
+    assert shapes, "the support is not a chain, so the solver must run"
+    for (rows, cols), (_, _, distinct_p, distinct_q) in shapes:
+        assert rows <= distinct_p and cols <= distinct_q < 1000
 
 
 def test_wasserstein_rejects_mismatched_domains():
@@ -317,6 +395,46 @@ def test_robust_set_pinned_on_figure_distribution(eps):
         assert (i_c, kappa, budget, repaired) == (
             want_i_c, want_kappa, want_budget, want_repaired
         )
+
+
+@pytest.mark.parametrize("n", [2.5, 4.0, True, np.bool_(True), "4", None])
+def test_population_size_must_be_an_integer(n):
+    p = fig_distribution()
+    with pytest.raises(DomainError, match="integer"):
+        robust_set(p, n, 1.0, TimeGrid(6), 1.0)
+    with pytest.raises(DomainError, match="integer"):
+        project_to_n_points(p, n)
+
+
+def test_population_size_accepts_numpy_integers():
+    p = fig_distribution()
+    support, cost = project_to_n_points(p, np.int64(4))
+    np.testing.assert_array_equal(support, project_to_n_points(p, 4)[0])
+    assert robust_set(p, np.int32(4), 1.0, TimeGrid(6), 1.0).worst_lo.n == 4
+
+
+@pytest.mark.parametrize(
+    "values, budget, ceiling",
+    [
+        ([1.0, 2.0, 3.0], math.nan, 6.0),
+        ([1.0, 2.0, 3.0], math.inf, 6.0),
+        ([1.0, 2.0, math.nan], 1.0, 6.0),
+        ([-math.inf, 2.0, 3.0], 1.0, 6.0),
+        ([1.0, 2.0, 3.0], 1.0, math.nan),
+        ([1.0, 2.0, 3.0], 1.0, math.inf),
+    ],
+)
+def test_pushes_reject_non_finite_arguments(values, budget, ceiling):
+    with pytest.raises(DomainError):
+        push_lower(values, budget, ceiling)
+    if math.isfinite(ceiling):
+        with pytest.raises(DomainError):
+            push_upper(values, budget)
+
+
+def test_equal_weights_on_zero_pairs_is_the_constructor_error():
+    with pytest.raises(ValueError, match="non-empty"):
+        DiscreteDistribution.equal_weights(np.empty((0, 2)), 6.0)
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])

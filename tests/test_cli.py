@@ -316,6 +316,21 @@ EXIT_CODE_CASES = {
         ),
         3,
     ),
+    # an atom a Population would reject, even by rounding, fails at parse time
+    "rounding-negative-atom": (
+        _scenario_command(
+            "robust",
+            _with("distribution", {"atoms": [[-1e-13, 1.5], [1.0, 2.5]], "weights": [0.5, 0.5]}),
+        ),
+        3,
+    ),
+    "rounding-inverted-atom": (
+        _scenario_command(
+            "robust",
+            _with("distribution", {"atoms": [[1.5 + 1e-13, 1.5], [1.0, 2.5]], "weights": [0.5, 0.5]}),
+        ),
+        3,
+    ),
     # JSON integers beyond the float range, as a scalar field and as array entries
     "overflowing-power": (_scenario_command("aggregate", {**POPULATION_ONLY, "power": 10**400}), 3),
     "overflowing-epsilon": (
