@@ -151,6 +151,38 @@ class AggregateFlexSet:
         """(reach, tail, sum(nu_lo)) of the criterion, computed on first use; see _cap_parts."""
         return _cap_parts(self.nu_lo, self.nu_hi)
 
+    @cached_property
+    def _vertex_envelope(self) -> tuple[np.ndarray, np.ndarray, np.float64]:
+        """(top_max, slack, lo_floor) of the T+1 sorted vertices, computed on first use.
+
+        top_max[k-1] = max_v top_k(v), slack[k-1] = min_v (sum(v) - top_k(v))
+        and lo_floor = min_v sum(v), from the same sorted prefix sums the
+        criterion takes of each vertex; see _vertices_inside.
+        """
+        vertices = sorted_vertices(self)
+        total = vertices.sum(axis=1)
+        top = np.sort(vertices, axis=1)[:, ::-1].cumsum(axis=1)
+        return top.max(axis=0), (total[:, None] - top).min(axis=0), total.min()
+
+    def _vertices_inside(self, reach, tail, lo_total, atol: float) -> np.ndarray:
+        """Whether each of R populations holds all T+1 sorted vertices of this set.
+
+        reach, tail: (R, T) and lo_total: (R,), the populations' caps as
+        _cap_parts gives them. Vertex v is a member of population r iff
+        top_k(v) <= min(reach_r[k], sum(v) - tail_r[k]) + atol for every k
+        and sum(v) >= lo_total_r - atol. Over all v that is three checks
+        against _vertex_envelope: top_max <= reach_r + atol,
+        tail_r <= slack + atol and lo_floor >= lo_total_r - atol, so the
+        (R,) verdicts of batch_contains(...).all(axis=1) cost (R, T)
+        comparisons, with no vertex axis.
+        """
+        top_max, slack, lo_floor = self._vertex_envelope
+        return (
+            (top_max <= reach + atol).all(axis=1)
+            & (tail <= slack + atol).all(axis=1)
+            & (lo_floor >= lo_total - atol)
+        )
+
     def _cut_caps(self, total) -> np.ndarray:
         """Caps min(sum_{t<=k} nu_hi[t], E - sum_{t>k} nu_lo[t]) on top_k(u), k = 1..T."""
         reach, tail, _ = self._caps

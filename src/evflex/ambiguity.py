@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import AggregateFlexSet
+from .aggregate import AggregateFlexSet, _check_atol
 from .core import DEFAULT_ATOL, Population, TimeGrid, check_energy_domain
 from .errors import (
     BudgetInfeasible,
@@ -421,6 +421,7 @@ def robust_set(
     """
     if not 0 <= eps < math.inf:
         raise DomainError(f"eps must be non-negative and finite, got {eps}")
+    _check_atol(atol)
     n = _check_count(n)
     cap = power * grid.steps
     if abs(p.energy_cap - cap) > 1e-9:

@@ -2,13 +2,19 @@
 
 For each ball radius the robust set is built once; populations are then
 sampled repeatedly and the subset check recorded, once per distinct
-population (multiset of atoms) among the trials. Per-trial randomness
-comes from counter-based Philox streams keyed by (master seed, radius
-index, trial index), so results are independent of execution order and
-identical across serial or parallel schedules. ``trial_rng`` defines each
-stream; the harness computes all of a radius' streams in one batch of
-array arithmetic that equals numpy's ``SeedSequence``/``Philox`` output
-bit for bit, so no per-trial generator is built.
+population (multiset of atoms) among the trials. The check works in atom
+space: a population's caps are sums over its EVs, so they are its atom
+counts times per-atom cap tables built once per run, and they are
+compared with the robust set's vertex envelope, three vectors built once
+per set. No array on that path has a population-size or a T x T axis.
+
+Per-trial randomness comes from counter-based Philox streams keyed by
+(master seed, radius index, trial index), so results are independent of
+execution order and identical across serial or parallel schedules.
+``trial_rng`` defines each stream; the harness computes all of a radius'
+streams in one batch of array arithmetic that equals numpy's
+``SeedSequence``/``Philox`` output bit for bit, so no per-trial generator
+is built.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import beta as _beta_dist
 
-from .aggregate import batch_contains, sorted_vertices
+from .aggregate import _cap_parts, _check_atol, _fastest_profiles
+from .aggregate import batch_contains  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .ambiguity import (
     ConcentrationConstants,
     DiscreteDistribution,
@@ -56,6 +63,7 @@ class TrialConfig:
             raise ValueError("epsilons must be strictly increasing")
         if not (0 <= self.seed < SEED_LIMIT):
             raise ValueError("seed must fit in 64 bits")
+        _check_atol(self.atol)
 
 
 @dataclass(frozen=True)
@@ -215,7 +223,7 @@ def _trial_indices(
 def _distinct_populations(idx: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     """Group (R, N) atom-index rows by the multiset they draw.
 
-    Returns the (U, N) sorted index rows of the U distinct multisets and,
+    Returns the (U, A) atom-count rows of the U distinct multisets and,
     for every row, the index of its group.
     """
     rows = idx.shape[0]
@@ -228,20 +236,47 @@ def _distinct_populations(idx: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     group = np.empty(rows, dtype=np.intp)
     group[order] = np.cumsum(first) - 1
-    return np.sort(idx[order[first]], axis=1), group
+    return ranked[first], group
+
+
+def _atom_cap_table(atoms: np.ndarray, m: float, horizon: int) -> np.ndarray:
+    """(A, 2T+1) caps of each atom as a single EV: reach | tail | lo_total.
+
+    Every cap of the criterion (_cap_parts) is a sum over a population's
+    EVs, so a population with atom counts c has caps c @ table.
+    """
+    lo = _fastest_profiles(atoms[:, 0], m, horizon)
+    hi = _fastest_profiles(atoms[:, 1], m, horizon)
+    return np.column_stack(_cap_parts(lo, hi))
+
+
+def _populations_hold(flex, counts: np.ndarray, table: np.ndarray, atol: float) -> np.ndarray:
+    """Whether each population, given by its (U, A) atom counts, holds every
+    sorted vertex of flex: batch_contains(...).all(axis=1) in (U, T) checks."""
+    caps = counts @ table
+    horizon = flex.horizon
+    return flex._vertices_inside(caps[:, :horizon], caps[:, horizon:-1], caps[:, -1], atol)
 
 
 def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
     """Estimate the violation probability for every configured radius.
 
     Each trial draws a population (a multiset of atoms) and counts as a
-    violation when the robust set is not inside the population's set, by
-    the vectorised membership criterion on the T+1 sorted vertices, the
-    predicate of is_subset_exact. Small populations drawn from few atoms
-    repeat, so the trials of a radius are grouped by multiset and each
-    distinct one is scored once, as its sorted atom-index row; a verdict is
-    therefore a function of the multiset, not of the draw order.
+    violation when the robust set is not inside the population's set: when
+    one of the T+1 sorted vertices fails the membership criterion, the
+    predicate of is_subset_exact and of batch_contains(...).all(axis=1).
+    Small populations drawn from few atoms repeat, so the trials of a
+    radius are grouped by multiset and each distinct one is scored once,
+    from its atom counts; a verdict is therefore a function of the
+    multiset, not of the draw order. Every cap of the criterion is a sum
+    over the population's EVs, so a population's caps are its atom counts
+    times a per-atom table built once per call, and they are checked
+    against the set's vertex envelope (AggregateFlexSet._vertices_inside):
+    (U, T) comparisons, with no (U, N) energy array and no (U, T+1, T)
+    bound array.
     """
+    dist = cfg.distribution
+    table = _atom_cap_table(dist.atoms, cfg.power, cfg.grid.steps)
     out = []
     for e_idx, eps in enumerate(cfg.epsilons):
         try:
@@ -272,19 +307,12 @@ def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
             violations = 0
             degenerate = True
         else:
-            dist = cfg.distribution
             idx = _trial_indices(
                 cfg.seed, e_idx, cfg.trials, cfg.population_size, dist.weights
             )
-            distinct, group = _distinct_populations(idx, dist.n_atoms)
-            member = batch_contains(
-                dist.atoms[distinct, 0],
-                dist.atoms[distinct, 1],
-                sorted_vertices(result.flex),
-                cfg.power,
-                atol=cfg.atol,
-            )
-            violations = int((~member.all(axis=1))[group].sum())
+            counts, group = _distinct_populations(idx, dist.n_atoms)
+            inside = _populations_hold(result.flex, counts, table, cfg.atol)
+            violations = int((~inside)[group].sum())
             degenerate = False
         beta_hat = violations / cfg.trials
         ci_lo, ci_hi = clopper_pearson(violations, cfg.trials)

@@ -443,6 +443,13 @@ def test_robust_set_rejects_non_finite_radius(eps):
         robust_set(fig_distribution(), 4, eps, TimeGrid(6), 1.0)
 
 
+@pytest.mark.parametrize("atol", [math.nan, math.inf, -1.0])
+def test_robust_set_rejects_bad_atol(atol):
+    # rejected at entry, before the W1 re-verification compares with it
+    with pytest.raises(DomainError, match="atol"):
+        robust_set(fig_distribution(), 4, 1.0, TimeGrid(6), 1.0, atol=atol)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_tail_bound_rejects_non_finite_radius(value):
     c = ConcentrationConstants(2.0, 1.0)

@@ -1,29 +1,38 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import evflex.harness
 from evflex import (
     ConcentrationConstants,
     DiscreteDistribution,
+    DomainError,
     InsufficientData,
     TimeGrid,
     TrialConfig,
     ViolationStats,
+    batch_contains,
     beta_from_epsilon,
     clopper_pearson,
     fit_constants,
     is_subset_exact,
+    project_to_n_points,
     robust_set,
     run_trials,
     sample_population,
+    sorted_vertices,
     trial_rng,
 )
+from evflex.core import DEFAULT_ATOL
 from evflex.harness import (
+    _atom_cap_table,
     _distinct_populations,
     _philox_keys,
     _philox_uniforms,
+    _populations_hold,
     _trial_indices,
 )
 
@@ -238,15 +247,97 @@ def test_deduplicated_scoring_equals_per_trial_scoring():
 
 def test_distinct_populations_groups_equal_multisets():
     idx = _trial_indices(3, 0, 500, 6, np.array([0.5, 0.2, 0.2, 0.1]))
-    distinct, group = _distinct_populations(idx, 4)
+    counts, group = _distinct_populations(idx, 4)
     assert group.shape == (500,)
-    assert np.array_equal(np.sort(distinct, axis=1), distinct)
-    # every trial draws the multiset of its group's representative
-    np.testing.assert_array_equal(np.sort(idx, axis=1), distinct[group])
-    # representatives are pairwise distinct and every group is used
-    assert len({tuple(row) for row in distinct}) == len(distinct)
-    assert np.array_equal(np.unique(group), np.arange(len(distinct)))
-    assert 1 < len(distinct) < 500
+    assert counts.shape[1] == 4 and (counts.sum(axis=1) == 6).all()
+    # every trial draws the multiset of its group's count row
+    drawn = np.array([np.bincount(row, minlength=4) for row in idx])
+    np.testing.assert_array_equal(drawn, counts[group])
+    # rows are pairwise distinct and every group is used
+    assert len({tuple(row) for row in counts}) == len(counts)
+    assert np.array_equal(np.unique(group), np.arange(len(counts)))
+    assert 1 < len(counts) < 500
+
+
+def _random_robust_case(seed):
+    """A random robust set and 40 populations sampled from its distribution.
+
+    T 2..30, 1..7 atoms, N 1..24, power 0.7, 1 or 2.5, and energies on a
+    half-integer grid, on a k/7 grid (not binary fractions) or unrounded.
+    Returns None when the radius leaves the set empty.
+    """
+    rng = np.random.default_rng(seed)
+    horizon = int(rng.integers(2, 31))
+    n_atoms = int(rng.integers(1, 8))
+    n = int(rng.integers(1, 25))
+    power = (0.7, 1.0, 2.5)[seed % 3]
+    cap = power * horizon
+    lo = rng.uniform(0, cap, n_atoms)
+    hi = lo + rng.uniform(0, cap - lo)
+    denominator = (2, 7, None)[seed // 3 % 3]
+    if denominator:
+        lo, hi = np.floor(lo * denominator) / denominator, np.floor(hi * denominator) / denominator
+    p = DiscreteDistribution(np.column_stack([lo, hi]), rng.dirichlet(np.ones(n_atoms)), cap)
+    eps = project_to_n_points(p, n)[1] + rng.uniform(0, 2) * power
+    result = robust_set(p, n, eps, TimeGrid(horizon), power)
+    idx = rng.choice(n_atoms, size=(40, n), p=p.weights)
+    return None if result.empty else (p, result.flex, idx)
+
+
+def test_vertex_envelope_equals_vertex_route():
+    # run_trials' check on atom counts decides each sampled population as
+    # batch_contains does on its energies and the T+1 sorted vertices
+    verdicts = np.zeros(2, dtype=int)
+    for seed in range(200):
+        case = _random_robust_case(seed)
+        if case is None:
+            continue
+        p, flex, idx = case
+        counts, group = _distinct_populations(idx, p.n_atoms)
+        table = _atom_cap_table(p.atoms, flex.power, flex.horizon)
+        got = _populations_hold(flex, counts, table, DEFAULT_ATOL)[group]
+        want = batch_contains(
+            p.atoms[idx, 0], p.atoms[idx, 1], sorted_vertices(flex), flex.power
+        ).all(axis=1)
+        np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
+        verdicts += np.bincount(want, minlength=2)
+    # both verdicts are common: about 45% of these populations violate
+    assert verdicts.min() > 2000, verdicts
+
+
+def fleet_distribution(horizon):
+    rng = np.random.default_rng(5)
+    e_lo = np.round(rng.uniform(12, 120, 24) * 2) / 2
+    e_hi = np.minimum(np.round((e_lo + rng.uniform(24, 120, 24)) * 2) / 2, horizon)
+    weights = rng.dirichlet(np.full(24, 4.0))
+    return DiscreteDistribution(np.column_stack([e_lo, e_hi]), weights, horizon)
+
+
+def test_run_trials_memory_at_fleet_scale(monkeypatch):
+    # T=288, N=1000: a (trials, T+1, T) bound array alone would be 133 MB
+    grid = TimeGrid(288)
+    p = fleet_distribution(288.0)
+    cfg = TrialConfig(p, 1000, (2.0, 4.0), 200, 3, grid)
+    # the robust sets are built before tracing starts: robust_set's Python
+    # loops run about 15x slower under tracemalloc, and its allocations are
+    # not what this test bounds
+    results = {eps: robust_set(p, 1000, eps, grid) for eps in cfg.epsilons}
+    monkeypatch.setattr(evflex.harness, "robust_set", lambda dist, n, eps, *a, **k: results[eps])
+    tracemalloc.start()
+    try:
+        stats = run_trials(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+    for e_idx, s in enumerate(stats):
+        flex = results[s.epsilon].flex
+        violations = sum(
+            not is_subset_exact(flex, sample_population(p, 1000, trial_rng(3, e_idx, t), grid))
+            for t in range(cfg.trials)
+        )
+        assert s.violations == violations
+    assert all(0 < s.violations < cfg.trials for s in stats)
 
 
 def test_run_trials_reproducible():
@@ -336,6 +427,14 @@ def test_trial_config_validation():
         TrialConfig(small_distribution(), 3, (0.1,), 0, 0, grid)
     with pytest.raises(ValueError):
         TrialConfig(small_distribution(), 0, (0.1,), 10, 0, grid)
+
+
+@pytest.mark.parametrize("atol", [math.nan, math.inf, -1.0])
+def test_trial_config_rejects_bad_atol(atol):
+    # run_trials' check takes atol as given, so a nan would count every
+    # trial as a violation
+    with pytest.raises(DomainError, match="atol"):
+        TrialConfig(small_distribution(), 3, (0.1,), 10, 0, TimeGrid(4), atol=atol)
 
 
 def test_trial_config_bounds_trials():
