@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +189,20 @@ def _check_count(n) -> int:
     return n
 
 
+def _check_power(power) -> None:
+    if not (math.isfinite(power) and power > 0):
+        raise DomainError(f"power must be positive and finite, got {power}")
+
+
+# Projections already made, per distribution and N: a memo of a pure function
+# of the (immutable) distribution, keyed by identity (DiscreteDistribution is
+# eq=False). Every radius of a Monte Carlo cell projects the same (p, N).
+# Two threads that race on a new (p, N) build equal data, and either copy serves.
+_PROJECTIONS: weakref.WeakKeyDictionary[
+    DiscreteDistribution, dict[int, tuple[np.ndarray, float]]
+] = weakref.WeakKeyDictionary()
+
+
 def project_to_n_points(
     p: DiscreteDistribution, n: int
 ) -> tuple[np.ndarray, float]:
@@ -198,9 +213,18 @@ def project_to_n_points(
     split), and place each output atom at the per-coordinate weighted lower
     median of its chunk. The construction is a heuristic; the returned cost
     is the exact distance to the result, which is all downstream guarantees
-    rely on.
+    rely on. The result is kept per (distribution, N), so a repeat call
+    returns a copy of the first one's support and its cost.
     """
     n = _check_count(n)
+    known = _PROJECTIONS.setdefault(p, {})
+    if n not in known:
+        known[n] = _project(p, n)
+    support, cost = known[n]
+    return support.copy(), cost
+
+
+def _project(p: DiscreteDistribution, n: int) -> tuple[np.ndarray, float]:
     chunks: list[list[tuple[float, float, float]]] = [[] for _ in range(n)]
     k = 0
     cum = 0.0
@@ -224,7 +248,7 @@ def project_to_n_points(
     projected = DiscreteDistribution.equal_weights(support, p.energy_cap)
     cost = wasserstein1(p, projected)
     # the projection is canonical up to atom order; report it sorted
-    return projected.atoms.copy(), cost
+    return projected.atoms, cost
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +445,7 @@ def robust_set(
     """
     if not 0 <= eps < math.inf:
         raise DomainError(f"eps must be non-negative and finite, got {eps}")
+    _check_power(power)
     _check_atol(atol)
     n = _check_count(n)
     cap = power * grid.steps

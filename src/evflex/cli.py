@@ -27,7 +27,14 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .harness import SEED_LIMIT, TrialConfig, fit_constants, fit_per_n, run_trials
+from .harness import (
+    SEED_LIMIT,
+    STREAM_VERSION,
+    TrialConfig,
+    fit_constants,
+    fit_per_n,
+    run_trials,
+)
 from .io import jsonify, parse_scenario, read_results_csv, write_results_csv
 
 
@@ -198,6 +205,7 @@ def _cmd_montecarlo(args) -> int:
         "trials": sc.harness.trials,
         "T": sc.grid.steps,
         "power": sc.power,
+        "stream": STREAM_VERSION,
     }
     if args.out:
         write_results_csv(args.out, stats, metadata)

@@ -1,20 +1,20 @@
 """Monte Carlo certification of the tracking guarantee.
 
-For each ball radius the robust set is built once; populations are then
-sampled repeatedly and the subset check recorded, once per distinct
-population (multiset of atoms) among the trials. The check works in atom
-space: a population's caps are sums over its EVs, so they are its atom
-counts times per-atom cap tables built once per run, and they are
-compared with the robust set's vertex envelope, three vectors built once
-per set. No array on that path has a population-size or a T x T axis.
+For each ball radius the robust set is built once and checked against
+populations sampled from the distribution, once per distinct population
+(multiset of atoms) among the trials. The check works in atom space: a
+population's caps are sums over its EVs, so they are its atom counts
+times per-atom cap tables built once per run, and they are compared with
+the robust set's vertex envelope, three vectors built once per set. No
+array on that path has a population-size or a T x T axis.
 
-Per-trial randomness comes from counter-based Philox streams keyed by
-(master seed, radius index, trial index), so results are independent of
-execution order and identical across serial or parallel schedules.
-``trial_rng`` defines each stream; the harness computes all of a radius'
-streams in one batch of array arithmetic that equals numpy's
-``SeedSequence``/``Philox`` output bit for bit, so no per-trial generator
-is built.
+Randomness comes from one counter-based Philox stream per (master seed,
+population size), defined by ``trial_rng``. A cell draws all of its
+trials from it at once as multinomial atom counts, and every radius of
+the cell scores that same draw (common random numbers). The samples of
+different population sizes are independent, and results do not depend
+on execution order. The CSV records this as stream version 2
+(``STREAM_VERSION``).
 """
 
 from __future__ import annotations
@@ -31,13 +31,17 @@ from .aggregate import batch_contains  # noqa: F401  (perfbench/tracing.py wraps
 from .ambiguity import (
     ConcentrationConstants,
     DiscreteDistribution,
+    _check_power,
     robust_set,
 )
 from .core import DEFAULT_ATOL, Population, TimeGrid
 from .errors import BudgetInfeasible, InsufficientData
 
 SEED_LIMIT = 2**64  # master seeds are 64-bit
-TRIAL_LIMIT = 2**32  # trial indices must stay one 32-bit spawn-key word
+# an input bound on trials per cell; at 2**32 trials a cell's (trials,
+# atoms) count matrix already needs 32 GiB per atom
+TRIAL_LIMIT = 2**32
+STREAM_VERSION = 2  # written as "# stream=2" in the results CSV
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,7 @@ class TrialConfig:
             raise ValueError("epsilons must be strictly increasing")
         if not (0 <= self.seed < SEED_LIMIT):
             raise ValueError("seed must fit in 64 bits")
+        _check_power(self.power)
         _check_atol(self.atol)
 
 
@@ -96,9 +101,9 @@ def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
     return lo, hi
 
 
-def trial_rng(seed: int, eps_index: int, trial_index: int) -> np.random.Generator:
-    """Independent Philox stream for one trial; order-insensitive by design."""
-    seq = np.random.SeedSequence(seed, spawn_key=(eps_index, trial_index))
+def trial_rng(seed: int, population_size: int) -> np.random.Generator:
+    """The Philox stream of one (seed, N) cell, shared by all its radii."""
+    seq = np.random.SeedSequence(seed, spawn_key=(population_size,))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -109,127 +114,22 @@ def sample_population(
     grid: TimeGrid,
     power: float = 1.0,
 ) -> Population:
-    """Draw n i.i.d. charging requirements from the distribution."""
-    idx = rng.choice(dist.n_atoms, size=n, p=dist.weights)
-    return Population.from_energy_pairs(dist.atoms[idx], grid.steps, power)
+    """Draw n i.i.d. charging requirements from the distribution.
 
-
-# Constants of numpy's SeedSequence (bit_generator.pyx) and of Random123's
-# Philox4x64-10, which numpy's Philox runs.
-_M32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_U32_16, _U64_11, _U64_32 = np.uint32(16), np.uint64(11), np.uint64(32)
-_U64_M32 = np.uint64(_M32)
-
-
-def _u32_words(value: int) -> list[int]:
-    """SeedSequence's little-endian 32-bit words of a non-negative int (0 -> [0])."""
-    return [(value >> s) & _M32 for s in range(0, max(value.bit_length(), 1), 32)]
-
-
-def _hashmix(value: np.ndarray, h: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
-    """SeedSequence's hashmix on uint32 words; returns them and the next hash constant."""
-    value = value ^ np.uint32(h)
-    h = h * mult & _M32
-    value = value * np.uint32(h)
-    return value ^ (value >> _U32_16), h
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return out ^ (out >> _U32_16)
-
-
-def _philox_keys(seed: int, eps_index: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """Philox keys of SeedSequence(seed, spawn_key=(eps_index, t)) for every t < trials.
-
-    The entropy is the seed's words zero-padded to the pool size, then the
-    spawn-key words; every trial shares all but the last word.
+    The draw is the multinomial atom counts of the n jobs, so the t-th call
+    on trial_rng(seed, n) gives row t of run_trials' count matrix.
     """
-    run = _u32_words(seed)
-    run += [0] * (_POOL_SIZE - len(run))
-    words = [np.full(trials, w, dtype=np.uint32) for w in run + _u32_words(eps_index)]
-    words.append(np.arange(trials, dtype=np.uint32))
-    h = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        value, h = _hashmix(word, h)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, h = _hashmix(word, h)
-            pool[dst] = _mix(pool[dst], value)
-    # generate_state(2, uint64): four uint32 words, paired little-endian
-    h = _INIT_B
-    state = []
-    for word in pool:
-        value, h = _hashmix(word, h, _MULT_B)
-        state.append(value.astype(np.uint64))
-    return state[0] | state[1] << _U64_32, state[2] | state[3] << _U64_32
+    counts = rng.multinomial(n, dist.weights)
+    return Population.from_energy_pairs(np.repeat(dist.atoms, counts, axis=0), grid.steps, power)
 
 
-def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of a * m, the high word from 32-bit halves."""
-    m_lo, m_hi = np.uint64(m & _M32), np.uint64(m >> 32)
-    a_lo, a_hi = a & _U64_M32, a >> _U64_32
-    lh, hl = a_lo * m_hi, a_hi * m_lo
-    mid = (a_lo * m_lo >> _U64_32) + (lh & _U64_M32) + (hl & _U64_M32)
-    hi = a_hi * m_hi + (lh >> _U64_32) + (hl >> _U64_32) + (mid >> _U64_32)
-    return hi, a * np.uint64(m)
+def _distinct_populations(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group (R, A) atom-count rows by the multiset they hold.
 
-
-def _philox_uniforms(k0: np.ndarray, k1: np.ndarray, n: int) -> np.ndarray:
-    """First n doubles of each Philox4x64-10 stream with key (k0[i], k1[i]).
-
-    numpy's Philox starts at counter 0 and increments before each block, so
-    block b is the cipher of (b+1, 0, 0, 0); a double is (raw >> 11) * 2**-53.
+    Returns the (U, A) rows of the U distinct multisets and, for every
+    row, the index of its group.
     """
-    blocks = -(-n // 4)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (k0.size, blocks))
-    c1 = c2 = c3 = np.zeros_like(c0)
-    k0, k1 = k0[:, None], k1[:, None]
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0, k1 = k0 + np.uint64(_PHILOX_W[0]), k1 + np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    raw = np.stack([c0, c1, c2, c3], axis=-1).reshape(k0.size, -1)[:, :n]
-    return (raw >> _U64_11) * (1.0 / 9007199254740992.0)
-
-
-def _trial_indices(
-    seed: int, eps_index: int, trials: int, n: int, weights: np.ndarray
-) -> np.ndarray:
-    """(trials, n) atom indices; row t equals
-    trial_rng(seed, eps_index, t).choice(len(weights), size=n, p=weights)."""
-    u = _philox_uniforms(*_philox_keys(seed, eps_index, trials), n)
-    cdf = weights.cumsum()
-    cdf /= cdf[-1]
-    return cdf.searchsorted(u, side="right")
-
-
-def _distinct_populations(idx: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group (R, N) atom-index rows by the multiset they draw.
-
-    Returns the (U, A) atom-count rows of the U distinct multisets and,
-    for every row, the index of its group.
-    """
-    rows = idx.shape[0]
-    offsets = n_atoms * np.arange(rows)[:, None]
-    counts = np.bincount((idx + offsets).ravel(), minlength=rows * n_atoms)
-    counts = counts.reshape(rows, n_atoms)
+    rows = counts.shape[0]
     order = np.lexsort(counts.T)
     ranked = counts[order]
     first = np.ones(rows, dtype=bool)
@@ -265,34 +165,32 @@ def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
     violation when the robust set is not inside the population's set: when
     one of the T+1 sorted vertices fails the membership criterion, the
     predicate of is_subset_exact and of batch_contains(...).all(axis=1).
-    Small populations drawn from few atoms repeat, so the trials of a
-    radius are grouped by multiset and each distinct one is scored once,
-    from its atom counts; a verdict is therefore a function of the
-    multiset, not of the draw order. Every cap of the criterion is a sum
-    over the population's EVs, so a population's caps are its atom counts
-    times a per-atom table built once per call, and they are checked
-    against the set's vertex envelope (AggregateFlexSet._vertices_inside):
-    (U, T) comparisons, with no (U, N) energy array and no (U, T+1, T)
-    bound array.
+    All trials are drawn once, as a (trials, A) matrix of multinomial atom
+    counts from trial_rng(seed, N), and every radius scores that same draw.
+    Small populations drawn from few atoms repeat, so the rows are grouped
+    by multiset once and each distinct one is scored once per radius; a
+    verdict is therefore a function of the multiset, not of the draw
+    order. Every cap of the criterion is a sum over the population's EVs,
+    so a population's caps are its atom counts times a per-atom table
+    built once per call, and they are checked against the set's vertex
+    envelope (AggregateFlexSet._vertices_inside): (U, T) comparisons, with
+    no (U, N) energy array and no (U, T+1, T) bound array.
     """
     dist = cfg.distribution
+    n = cfg.population_size
     table = _atom_cap_table(dist.atoms, cfg.power, cfg.grid.steps)
+    rng = trial_rng(cfg.seed, n)
+    distinct, group = _distinct_populations(rng.multinomial(n, dist.weights, size=cfg.trials))
+    sizes = np.bincount(group)
     out = []
-    for e_idx, eps in enumerate(cfg.epsilons):
+    for eps in cfg.epsilons:
         try:
-            result = robust_set(
-                cfg.distribution,
-                cfg.population_size,
-                eps,
-                cfg.grid,
-                cfg.power,
-                atol=cfg.atol,
-            )
+            result = robust_set(dist, n, eps, cfg.grid, cfg.power, atol=cfg.atol)
         except BudgetInfeasible:
             out.append(
                 ViolationStats(
                     epsilon=eps,
-                    population_size=cfg.population_size,
+                    population_size=n,
                     horizon=cfg.grid.steps,
                     trials=0,
                     violations=0,
@@ -305,28 +203,21 @@ def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
             continue
         if result.empty:
             violations = 0
-            degenerate = True
         else:
-            idx = _trial_indices(
-                cfg.seed, e_idx, cfg.trials, cfg.population_size, dist.weights
-            )
-            counts, group = _distinct_populations(idx, dist.n_atoms)
-            inside = _populations_hold(result.flex, counts, table, cfg.atol)
-            violations = int((~inside)[group].sum())
-            degenerate = False
-        beta_hat = violations / cfg.trials
+            inside = _populations_hold(result.flex, distinct, table, cfg.atol)
+            violations = int(sizes[~inside].sum())
         ci_lo, ci_hi = clopper_pearson(violations, cfg.trials)
         out.append(
             ViolationStats(
                 epsilon=eps,
-                population_size=cfg.population_size,
+                population_size=n,
                 horizon=cfg.grid.steps,
                 trials=cfg.trials,
                 violations=violations,
-                beta_hat=beta_hat,
+                beta_hat=violations / cfg.trials,
                 ci_lo=ci_lo,
                 ci_hi=ci_hi,
-                degenerate=degenerate,
+                degenerate=result.empty,
             )
         )
     return out

@@ -4,14 +4,16 @@ Everything here deliberately avoids the library's own code paths: hull
 membership is an LP over explicitly enumerated vertices, transport costs
 come from scipy's LP solver, 1-D distances from the CDF integral,
 flow decomposition from a circulation network that the runtime no longer
-builds, the balanced-split level from a per-call breakpoint search, and
-generating vectors from a sum of explicit fastest-charge profiles.
+builds, the balanced-split level from a per-call breakpoint search,
+generating vectors from a sum of explicit fastest-charge profiles, and
+sampling probabilities from an enumeration of every multiset.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.special import gammaln
 
 from evflex import DimensionMismatch, NegativeEntry
 from evflex.flows import feasible_circulation
@@ -240,3 +242,21 @@ def flow_decompose(pop, u, atol=1e-9):
         return None
     n = pop.n
     return np.array(flows[n : n + n * pop.horizon]).reshape(n, pop.horizon)
+
+
+def multisets_with_pmf(n, weights):
+    """Every multiset of n i.i.d. draws from len(weights) atoms, with its probability.
+
+    Returns the C(n+A-1, A-1) atom-count rows, enumerated by stars and bars
+    (the A-1 bars take distinct places among n+A-1 slots), and the
+    multinomial probability of each, computed in logs so large n cannot
+    overflow a factorial.
+    """
+    weights = np.asarray(weights, dtype=float)
+    a = len(weights)
+    places = list(combinations(range(n + a - 1), a - 1))
+    bars = np.array(places, dtype=int).reshape(len(places), a - 1)
+    ends = np.full((len(places), 1), -1)
+    counts = np.diff(np.hstack([ends, bars, ends + n + a]), axis=1) - 1
+    log_pmf = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1) + counts @ np.log(weights)
+    return counts, np.exp(log_pmf)

@@ -450,6 +450,56 @@ def test_robust_set_rejects_bad_atol(atol):
         robust_set(fig_distribution(), 4, 1.0, TimeGrid(6), 1.0, atol=atol)
 
 
+@pytest.mark.parametrize("power", [math.nan, math.inf, 0.0, -1.0])
+def test_robust_set_rejects_bad_power(power):
+    # a nan cap passes the domain-cap comparison, so power is checked at entry
+    with pytest.raises(DomainError, match="power"):
+        robust_set(fig_distribution(), 4, 1.0, TimeGrid(6), power)
+
+
+def _result_fields(result):
+    """Every field of a RobustSetResult as plain values, the sets as their bound pair."""
+    fields = {}
+    for name, value in vars(result).items():
+        if name == "flex":
+            value = (value.nu_lo.tolist(), value.nu_hi.tolist())
+        elif name in ("worst_lo", "worst_hi"):
+            value = (value.e_lo.tolist(), value.e_hi.tolist())
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        fields[name] = value
+    return fields
+
+
+def test_projection_cache_leaves_robust_sets_unchanged():
+    import evflex.ambiguity as ambiguity
+
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        p = random_distribution(rng)
+        n = int(rng.integers(1, 12))
+        grid = TimeGrid(6)
+        eps0 = project_to_n_points(p, n)[1]
+        for eps in eps0 + np.array([0.0, 0.3, 1.1, 4.0]):
+            cached = robust_set(p, n, eps, grid, 1.0)
+            assert n in ambiguity._PROJECTIONS[p]
+            ambiguity._PROJECTIONS.clear()
+            fresh = robust_set(p, n, eps, grid, 1.0)
+            assert _result_fields(cached) == _result_fields(fresh)
+
+
+def test_projection_cache_hands_out_copies():
+    p = fig_distribution()
+    support, cost = project_to_n_points(p, 4)
+    kept = support.copy()
+    support[:] = -1.0
+    again, again_cost = project_to_n_points(p, 4)
+    np.testing.assert_array_equal(again, kept)
+    assert again_cost == cost and again.flags.writeable
+    result = robust_set(p, 4, 1.0, TimeGrid(6), 1.0)
+    assert not np.shares_memory(result.projected_support, again)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_tail_bound_rejects_non_finite_radius(value):
     c = ConcentrationConstants(2.0, 1.0)

@@ -147,6 +147,7 @@ def test_montecarlo_csv_roundtrip_and_fit(tmp_path, capsys):
     assert main(["montecarlo", "--scenario", path, "--out", out_csv]) == 0
     rows, metadata = read_results_csv(out_csv)
     assert metadata["seed"] == "21"
+    assert metadata["stream"] == "2"
     assert len(rows) == 2
     header = open(out_csv).read().splitlines()
     data_start = next(i for i, line in enumerate(header) if not line.startswith("#"))
@@ -477,6 +478,28 @@ def test_montecarlo_seed_flag_overrides(tmp_path):
     assert main(["montecarlo", "--scenario", path, "--out", a, "--seed", "77"]) == 0
     assert main(["montecarlo", "--scenario", path, "--out", b, "--seed", "77"]) == 0
     assert open(a).read() == open(b).read()
+
+
+def test_per_n_commands_print_the_rows_of_one_command(tmp_path):
+    # streams are keyed by (seed, N), so a scenario split into one command
+    # per population size gives exactly the rows of the whole scenario
+    harness = {**BASE["harness"], "N": [2, 3, 5], "epsilons": [0.9, 1.2, 1.5, 1.8]}
+    whole = str(tmp_path / "whole.csv")
+    assert main(["montecarlo", "--scenario", write_scenario(tmp_path, _with("harness", harness)),
+                 "--out", whole]) == 0
+    text = open(whole).read()
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    header, rows = lines[0], lines[1:]
+    split = []
+    for n in (2, 3, 5):
+        path = write_scenario(tmp_path, _with("harness", {**harness, "N": [n]}), f"n{n}.json")
+        out = str(tmp_path / f"n{n}.csv")
+        assert main(["montecarlo", "--scenario", path, "--out", out]) == 0
+        part = [line for line in open(out).read().splitlines() if not line.startswith("#")]
+        assert part[0] == header
+        split += part[1:]
+    assert split == rows and len(rows) == 12
+    assert any(row.endswith("false") and row.split(",")[5] != "0" for row in rows)
 
 
 def test_console_entry_point(tmp_path):

@@ -27,14 +27,7 @@ from evflex import (
     trial_rng,
 )
 from evflex.core import DEFAULT_ATOL
-from evflex.harness import (
-    _atom_cap_table,
-    _distinct_populations,
-    _philox_keys,
-    _philox_uniforms,
-    _populations_hold,
-    _trial_indices,
-)
+from evflex.harness import _atom_cap_table, _distinct_populations, _populations_hold
 
 
 def small_distribution(cap=4.0):
@@ -48,7 +41,7 @@ def small_distribution(cap=4.0):
 def test_sample_point_mass():
     grid = TimeGrid(4)
     p = DiscreteDistribution.point_mass(1.0, 2.0, 4.0)
-    pop = sample_population(p, 5, trial_rng(0, 0, 0), grid, 1.0)
+    pop = sample_population(p, 5, trial_rng(0, 5), grid, 1.0)
     assert pop.n == 5
     np.testing.assert_allclose(pop.e_lo, 1.0)
     np.testing.assert_allclose(pop.e_hi, 2.0)
@@ -70,60 +63,42 @@ def test_trial_config_rejects_non_finite_epsilons(epsilons):
 def test_sampling_determinism():
     grid = TimeGrid(4)
     p = small_distribution()
-    a = sample_population(p, 20, trial_rng(123, 2, 7), grid, 1.0)
-    b = sample_population(p, 20, trial_rng(123, 2, 7), grid, 1.0)
+    a = sample_population(p, 20, trial_rng(123, 20), grid, 1.0)
+    b = sample_population(p, 20, trial_rng(123, 20), grid, 1.0)
     np.testing.assert_array_equal(a.e_lo, b.e_lo)
     np.testing.assert_array_equal(a.e_hi, b.e_hi)
-    c = sample_population(p, 20, trial_rng(123, 2, 8), grid, 1.0)
+    c = sample_population(p, 20, trial_rng(124, 20), grid, 1.0)
     assert not (np.array_equal(a.e_lo, c.e_lo) and np.array_equal(a.e_hi, c.e_hi))
 
 
-# One- and two-word seeds (SeedSequence pads both to four words) and one-
-# and two-word radius indices; N is sometimes not a multiple of Philox's
-# four-word block.
-STREAM_SEEDS = [0, 1, 20240817, 2**32 - 1, 2**32, 2**64 - 1]
-STREAM_RADII = [0, 5, 2**32 + 1]
-STREAM_SIZES = [1, 3, 4, 5, 23]
-STREAM_WEIGHTS = [np.full(4, 0.25), np.array([0.55, 0.25, 0.15, 0.05])]
+def test_population_sizes_draw_independent_streams():
+    # the key holds N, so the samples of different sizes at one seed share
+    # no draws and held-out cells of other sizes are independent of a fit
+    for seed in (0, 7, 20240817, 2**64 - 1):
+        small, large = trial_rng(seed, 5).random(64), trial_rng(seed, 20).random(64)
+        assert not np.isin(small, large).any()
 
 
-@pytest.mark.parametrize("eps_index", STREAM_RADII)
-@pytest.mark.parametrize("seed", STREAM_SEEDS)
-def test_batched_streams_equal_trial_rng(seed, eps_index):
-    trials = 40
-    for n in STREAM_SIZES:
-        uniforms = _philox_uniforms(*_philox_keys(seed, eps_index, trials), n)
-        want = np.array([trial_rng(seed, eps_index, t).random(n) for t in range(trials)])
-        assert uniforms.tobytes() == want.tobytes()
-        for weights in STREAM_WEIGHTS:
-            got = _trial_indices(seed, eps_index, trials, n, weights)
-            want = np.array(
-                [
-                    trial_rng(seed, eps_index, t).choice(len(weights), size=n, p=weights)
-                    for t in range(trials)
-                ]
-            )
-            np.testing.assert_array_equal(got, want)
-
-
-def test_energy_batch_rows_equal_sample_population():
+def test_count_matrix_rows_equal_sample_population():
+    # run_trials' one (trials, A) draw equals trials successive draws of
+    # sample_population on the same stream
     grid = TimeGrid(4)
     p = small_distribution()
-    cfg = TrialConfig(p, 7, (0.2, 0.6), 30, 2**40 + 3, grid)
-    energies = p.atoms[_trial_indices(cfg.seed, 1, cfg.trials, 7, p.weights)]
-    e_lo, e_hi = energies[..., 0], energies[..., 1]
-    assert e_lo.shape == e_hi.shape == (30, 7)
-    for t in range(cfg.trials):
-        pop = sample_population(p, 7, trial_rng(cfg.seed, 1, t), grid, 1.0)
-        np.testing.assert_array_equal(e_lo[t], pop.e_lo)
-        np.testing.assert_array_equal(e_hi[t], pop.e_hi)
+    for n in (1, 5, 20, 1000):
+        counts = trial_rng(2**40 + 3, n).multinomial(n, p.weights, size=30)
+        rng = trial_rng(2**40 + 3, n)
+        for row in counts:
+            pop = sample_population(p, n, rng, grid, 1.0)
+            energies = np.repeat(p.atoms, row, axis=0)
+            np.testing.assert_array_equal(pop.e_lo, energies[:, 0])
+            np.testing.assert_array_equal(pop.e_hi, energies[:, 1])
 
 
 def test_sampling_frequencies_within_3_sigma():
     grid = TimeGrid(4)
     p = small_distribution()
-    rng = trial_rng(7, 0, 0)
     draws = 100_000
+    rng = trial_rng(7, draws)
     pop = sample_population(p, draws, rng, grid, 1.0)
     for atom, weight in zip(p.atoms, p.weights):
         count = int(np.sum((pop.e_lo == atom[0]) & (pop.e_hi == atom[1])))
@@ -207,14 +182,47 @@ def test_run_trials_matches_is_subset_exact():
         grid=grid,
     )
     stats = run_trials(cfg)
+    rng = trial_rng(11, 4)
+    pops = [sample_population(p, 4, rng, grid, 1.0) for _ in range(cfg.trials)]
     for e_idx, eps in enumerate(cfg.epsilons):
         result = robust_set(p, 4, eps, grid, 1.0)
-        violations = 0
-        for t in range(cfg.trials):
-            pop = sample_population(p, 4, trial_rng(11, e_idx, t), grid, 1.0)
-            if not is_subset_exact(result.flex, pop):  # per-population reference
-                violations += 1
+        # per-population reference, on the draw every radius shares
+        violations = sum(not is_subset_exact(result.flex, pop) for pop in pops)
         assert stats[e_idx].violations == violations
+
+
+def test_run_trials_draws_one_stream_per_cell(monkeypatch):
+    calls = []
+
+    def recording_rng(seed, population_size):
+        calls.append((seed, population_size))
+        return trial_rng(seed, population_size)
+
+    monkeypatch.setattr(evflex.harness, "trial_rng", recording_rng)
+    cfg = TrialConfig(small_distribution(), 4, (0.2, 0.4, 0.6), 50, 2**40 + 1, TimeGrid(4))
+    run_trials(cfg)
+    assert calls == [(2**40 + 1, 4)]
+
+
+def test_every_radius_scores_the_same_draw(monkeypatch):
+    scored = []
+
+    def recording_hold(flex, counts, table, atol):
+        scored.append(counts.copy())
+        return _populations_hold(flex, counts, table, atol)
+
+    monkeypatch.setattr(evflex.harness, "_populations_hold", recording_hold)
+    grid = TimeGrid(4)
+    p = small_distribution()
+    cfg = TrialConfig(p, 5, (0.15, 0.3, 0.45, 0.6, 0.75, 0.9), 300, 17, grid)
+    stats = run_trials(cfg)
+    assert len(scored) == sum(not s.degenerate for s in stats) >= 3
+    for counts in scored[1:]:
+        np.testing.assert_array_equal(counts, scored[0])
+    # with one shared draw the counts of these nested sets fall with the
+    # radius; independent draws per radius need not
+    violations = [s.violations for s in stats]
+    assert violations == sorted(violations, reverse=True), violations
 
 
 def non_dyadic_distribution(power):
@@ -231,27 +239,23 @@ def test_deduplicated_scoring_equals_per_trial_scoring():
     p = non_dyadic_distribution(power)
     cfg = TrialConfig(p, 4, (0.15, 0.2, 0.25, 0.3), 400, 2**40 + 9, grid, power=power)
     stats = run_trials(cfg)
+    counts = trial_rng(cfg.seed, 4).multinomial(4, p.weights, size=cfg.trials)
+    assert 5 * len(_distinct_populations(counts)[0]) < cfg.trials
+    rng = trial_rng(cfg.seed, 4)
+    pops = [sample_population(p, 4, rng, grid, power) for _ in range(cfg.trials)]
     for e_idx, eps in enumerate(cfg.epsilons):
-        idx = _trial_indices(cfg.seed, e_idx, cfg.trials, 4, p.weights)
-        assert 5 * len(_distinct_populations(idx, p.n_atoms)[0]) < cfg.trials
         result = robust_set(p, 4, eps, grid, power)
-        violations = sum(
-            not is_subset_exact(
-                result.flex, sample_population(p, 4, trial_rng(cfg.seed, e_idx, t), grid, power)
-            )
-            for t in range(cfg.trials)
-        )
+        violations = sum(not is_subset_exact(result.flex, pop) for pop in pops)
         assert stats[e_idx].violations == violations
     assert all(0 < s.violations < cfg.trials for s in stats)
 
 
 def test_distinct_populations_groups_equal_multisets():
-    idx = _trial_indices(3, 0, 500, 6, np.array([0.5, 0.2, 0.2, 0.1]))
-    counts, group = _distinct_populations(idx, 4)
+    drawn = trial_rng(3, 6).multinomial(6, [0.5, 0.2, 0.2, 0.1], size=500)
+    counts, group = _distinct_populations(drawn)
     assert group.shape == (500,)
     assert counts.shape[1] == 4 and (counts.sum(axis=1) == 6).all()
     # every trial draws the multiset of its group's count row
-    drawn = np.array([np.bincount(row, minlength=4) for row in idx])
     np.testing.assert_array_equal(drawn, counts[group])
     # rows are pairwise distinct and every group is used
     assert len({tuple(row) for row in counts}) == len(counts)
@@ -293,7 +297,8 @@ def test_vertex_envelope_equals_vertex_route():
         if case is None:
             continue
         p, flex, idx = case
-        counts, group = _distinct_populations(idx, p.n_atoms)
+        drawn = (idx[..., None] == np.arange(p.n_atoms)).sum(axis=1)
+        counts, group = _distinct_populations(drawn)
         table = _atom_cap_table(p.atoms, flex.power, flex.horizon)
         got = _populations_hold(flex, counts, table, DEFAULT_ATOL)[group]
         want = batch_contains(
@@ -330,13 +335,11 @@ def test_run_trials_memory_at_fleet_scale(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
-    for e_idx, s in enumerate(stats):
+    rng = trial_rng(3, 1000)
+    pops = [sample_population(p, 1000, rng, grid) for _ in range(cfg.trials)]
+    for s in stats:
         flex = results[s.epsilon].flex
-        violations = sum(
-            not is_subset_exact(flex, sample_population(p, 1000, trial_rng(3, e_idx, t), grid))
-            for t in range(cfg.trials)
-        )
-        assert s.violations == violations
+        assert s.violations == sum(not is_subset_exact(flex, pop) for pop in pops)
     assert all(0 < s.violations < cfg.trials for s in stats)
 
 
@@ -437,8 +440,14 @@ def test_trial_config_rejects_bad_atol(atol):
         TrialConfig(small_distribution(), 3, (0.1,), 10, 0, TimeGrid(4), atol=atol)
 
 
+@pytest.mark.parametrize("power", [math.nan, math.inf, 0.0, -1.0])
+def test_trial_config_rejects_bad_power(power):
+    with pytest.raises(DomainError, match="power"):
+        TrialConfig(small_distribution(), 3, (0.1,), 10, 0, TimeGrid(4), power=power)
+
+
 def test_trial_config_bounds_trials():
-    # a trial index of 2**32 would take two spawn-key words
+    # the input bound on trials per cell, shared with scenario parsing
     grid = TimeGrid(4)
     assert TrialConfig(small_distribution(), 3, (0.1,), 2**32, 0, grid).trials == 2**32
     with pytest.raises(ValueError):
