@@ -79,7 +79,32 @@ def test_population_sizes_draw_independent_streams():
         assert not np.isin(small, large).any()
 
 
-def test_count_matrix_rows_equal_sample_population():
+# One- and two-word seeds and stream keys: SeedSequence hashes the seed and
+# the spawn key as 32-bit words, so a key's high word must reach the stream.
+STREAM_SEEDS = [0, 1, 20240817, 2**32 - 1, 2**32, 2**64 - 1]
+STREAM_KEYS = [0, 5, 2**32 + 1]
+STREAM_SIZES = [1, 3, 4, 5, 23]
+STREAM_WEIGHTS = [np.full(4, 0.25), np.array([0.55, 0.25, 0.15, 0.05])]
+
+
+@pytest.mark.parametrize("key", STREAM_KEYS)
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_batched_streams_equal_trial_rng(seed, key):
+    # one (trials, A) multinomial draw, as run_trials makes it, equals trials
+    # successive single draws on the same stream
+    trials = 40
+    for n in STREAM_SIZES:
+        for weights in STREAM_WEIGHTS:
+            got = trial_rng(seed, key).multinomial(n, weights, size=trials)
+            rng = trial_rng(seed, key)
+            want = np.array([rng.multinomial(n, weights) for _ in range(trials)])
+            np.testing.assert_array_equal(got, want)
+            assert (got.sum(axis=1) == n).all()
+    flipped = trial_rng(seed, key ^ 2**32).random(64)
+    assert not np.isin(trial_rng(seed, key).random(64), flipped).any()
+
+
+def test_energy_batch_rows_equal_sample_population():
     # run_trials' one (trials, A) draw equals trials successive draws of
     # sample_population on the same stream
     grid = TimeGrid(4)
