@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 computational infeasibility, 2 parse/input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -239,7 +240,13 @@ def _cmd_fit_constants(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every ``main`` call.
+
+    Parsing leaves the parser unchanged, so one instance serves all calls;
+    callers must not add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="evflex",
         description="Aggregate flexibility sets for EV charging populations, "
@@ -278,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
             raise DomainError(f"--tolerance: must be finite and >= 0, got {args.tolerance}")

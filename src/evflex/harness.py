@@ -15,6 +15,12 @@ the cell scores that same draw (common random numbers). The samples of
 different population sizes are independent, and results do not depend
 on execution order. The CSV records this as stream version 2
 (``STREAM_VERSION``).
+
+Each cell's violation rate carries a 95% Clopper-Pearson interval
+(``clopper_pearson``). Its bounds are beta quantiles from
+``scipy.special.betaincinv``, the Boost routine behind
+``scipy.stats.beta.ppf``, called directly: the values are the same and
+importing the package does not load ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from .aggregate import _cap_parts, _check_atol, _fastest_profiles
 from .aggregate import batch_contains  # noqa: F401  (perfbench/tracing.py wraps this name)
@@ -93,11 +99,16 @@ class ViolationStats:
 
 
 def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
-    """Exact two-sided binomial confidence interval at level 1 - alpha."""
+    """Exact two-sided binomial confidence interval at level 1 - alpha.
+
+    The bounds equal ``scipy.stats.beta.ppf``'s bit for bit.
+    """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
-    lo = 0.0 if k == 0 else float(_beta_dist.ppf(alpha / 2, k, n - k + 1))
-    hi = 1.0 if k == n else float(_beta_dist.ppf(1 - alpha / 2, k + 1, n - k))
+    if not 0 < alpha < 1:
+        raise ValueError(f"need 0 < alpha < 1, got alpha={alpha}")
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
     return lo, hi
 
 

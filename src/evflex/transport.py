@@ -5,15 +5,22 @@ float masses are handled directly. ambiguity.wasserstein1 merges equal
 atoms before it calls the solver, so a side has as many rows or columns as
 it has distinct atoms (tens), not N points, and the dense cost matrix is
 fine.
+
+The search runs on Python lists of floats, not numpy arrays: on problems
+this small every step touches one scalar at a time, and indexing a numpy
+array per element costs several times a list lookup. The arithmetic is
+IEEE double either way, so the plan is the same; numpy is used only to
+check the input, to total the masses and to sum the final cost.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import DomainError, NumericalFailure
 
 MASS_EPS = 1e-15
 
@@ -23,19 +30,29 @@ def min_cost_transport(supply, demand, cost) -> tuple[float, np.ndarray]:
 
     supply: (n,), demand: (m,) with equal totals (tiny float imbalance is
     tolerated and left unshipped); cost: (n, m) non-negative. Returns
-    (total_cost, plan).
+    (total_cost, plan). Non-finite input raises DomainError; a negative
+    mass or cost raises ValueError.
     """
-    supply = np.asarray(supply, dtype=float).copy()
-    demand = np.asarray(demand, dtype=float).copy()
+    supply = np.asarray(supply, dtype=float)
+    demand = np.asarray(demand, dtype=float)
     cost = np.asarray(cost, dtype=float)
     n, m = cost.shape
     if supply.shape != (n,) or demand.shape != (m,):
         raise ValueError("supply/demand shapes do not match the cost matrix")
-    if np.any(cost < 0):
-        raise ValueError("cost matrix must be non-negative")
-    plan = np.zeros((n, m))
-    pot = np.zeros(n + m)  # Johnson potentials keep reduced costs non-negative
+    # min and max propagate NaN, and an infinity shows in one of them
+    values = np.concatenate([supply, demand, cost.ravel()])
+    lo, hi = float(values.min(initial=0.0)), float(values.max(initial=0.0))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("supply, demand and cost must be finite")
+    if lo < 0:
+        raise ValueError("supply, demand and cost must be non-negative")
     remaining = float(min(supply.sum(), demand.sum()))
+    rows = cost.tolist()
+    supply = supply.tolist()
+    demand = demand.tolist()
+    plan = [[0.0] * m for _ in range(n)]
+    nodes = n + m
+    pot = [0.0] * nodes  # Johnson potentials keep reduced costs non-negative
     max_rounds = 4 * (n * m + n + m) + 16
     rounds = 0
     # leave at most ~1e-13 mass unshipped: cost error is far below the 1e-9
@@ -44,14 +61,14 @@ def min_cost_transport(supply, demand, cost) -> tuple[float, np.ndarray]:
         rounds += 1
         if rounds > max_rounds:
             raise NumericalFailure("transport solver failed to converge")
-        dist = np.full(n + m, np.inf)
-        parent = np.full(n + m, -1, dtype=int)
-        heap = []
+        dist = [math.inf] * nodes
+        parent = [-1] * nodes
+        done = [False] * nodes
+        heap = []  # ascending sources already form a heap
         for i in range(n):
             if supply[i] > MASS_EPS:
                 dist[i] = 0.0
-                heapq.heappush(heap, (0.0, i))
-        done = np.zeros(n + m, dtype=bool)
+                heap.append((0.0, i))
         target = -1
         while heap:
             d, v = heapq.heappop(heap)
@@ -61,24 +78,28 @@ def min_cost_transport(supply, demand, cost) -> tuple[float, np.ndarray]:
             if v >= n and demand[v - n] > MASS_EPS:
                 target = v
                 break
-            # reduced cost of (u, w) is c(u, w) + pot(u) - pot(w); settled
-            # nodes are never re-relaxed so float noise cannot rewrite
-            # parent pointers into a cycle
+            # reduced cost of (u, w) is c(u, w) + pot(u) - pot(w), clamped
+            # at 0 like max(r, 0.0); settled nodes are never re-relaxed so
+            # float noise cannot rewrite parent pointers into a cycle
+            pv = pot[v]
             if v < n:
-                red = cost[v] + pot[v] - pot[n:]
-                for j in range(m):
-                    w = n + j
-                    nd = d + max(red[j], 0.0)
-                    if not done[w] and nd < dist[w] - 1e-15:
+                for w, c in zip(range(n, nodes), rows[v]):
+                    if done[w]:
+                        continue
+                    r = c + pv - pot[w]
+                    nd = d + (r if r >= 0.0 else 0.0)
+                    if nd < dist[w] - 1e-15:
                         dist[w] = nd
                         parent[w] = v
                         heapq.heappush(heap, (nd, w))
             else:
                 j = v - n
-                backs = np.nonzero(plan[:, j] > MASS_EPS)[0]
-                for i in backs:
-                    nd = d + max(-cost[i, j] + pot[v] - pot[i], 0.0)
-                    if not done[i] and nd < dist[i] - 1e-15:
+                for i, flows in enumerate(plan):
+                    if done[i] or not flows[j] > MASS_EPS:
+                        continue
+                    r = -rows[i][j] + pv - pot[i]
+                    nd = d + (r if r >= 0.0 else 0.0)
+                    if nd < dist[i] - 1e-15:
                         dist[i] = nd
                         parent[i] = v
                         heapq.heappush(heap, (nd, i))
@@ -96,17 +117,19 @@ def min_cost_transport(supply, demand, cost) -> tuple[float, np.ndarray]:
         for a, b in path:
             if a < n:  # forward arc
                 continue
-            bottleneck = min(bottleneck, plan[b, a - n])
+            bottleneck = min(bottleneck, plan[b][a - n])
         for a, b in path:
             if a < n:
-                plan[a, b - n] += bottleneck
+                plan[a][b - n] += bottleneck
             else:
-                plan[b, a - n] -= bottleneck
+                plan[b][a - n] -= bottleneck
         supply[src] -= bottleneck
         demand[target - n] -= bottleneck
         remaining -= bottleneck
         # cap at the target distance for every node, including unreached
         # ones: unreached nodes have no residual arc from reached ones, so
         # the uniform shift keeps all reduced costs non-negative
-        pot += np.minimum(dist, dist[target])
+        cap = dist[target]
+        pot = [p + (x if x < cap else cap) for p, x in zip(pot, dist)]
+    plan = np.array(plan, dtype=float).reshape(n, m)
     return float((plan * cost).sum()), plan

@@ -199,6 +199,57 @@ def test_chain_fast_path_matches_full_solver():
         assert abs(wasserstein1(p, q) - value) < 1e-9
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (5, 7), (24, 50)])
+def test_min_cost_transport_matches_lp_oracle(shape):
+    n, m = shape
+    rng = np.random.default_rng(1000 * n + m)
+    for case in range(4):
+        supply = rng.dirichlet(np.ones(n))
+        demand = rng.dirichlet(np.ones(m))
+        if n > 1:  # a zero-mass row
+            supply[rng.integers(n)] = 0.0
+            supply /= supply.sum()
+        if m > 1:  # a zero-mass column
+            demand[rng.integers(m)] = 0.0
+            demand /= demand.sum()
+        if case % 2:  # a tiny total imbalance, left unshipped
+            supply[rng.integers(n)] += 1e-14
+        cost = rng.uniform(0, 10, size=shape)
+        if case >= 2:  # half-integer costs: many equal path lengths
+            cost = np.round(2 * cost) / 2
+        value, plan = min_cost_transport(supply, demand, cost)
+        assert abs(value - transport_lp(supply, demand, cost)) <= 1e-9
+        assert plan.shape == shape and plan.min() >= 0.0
+        assert np.abs(plan.sum(axis=1) - supply).max() <= 1e-12
+        assert np.abs(plan.sum(axis=0) - demand).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["supply", "demand", "cost"])
+def test_min_cost_transport_rejects_non_finite_input(where, bad):
+    args = {
+        "supply": np.array([0.5, 0.5]),
+        "demand": np.array([1.0]),
+        "cost": np.array([[1.0], [2.0]]),
+    }
+    args[where].flat[-1] = bad
+    with pytest.raises(DomainError, match="finite"):
+        min_cost_transport(**args)
+
+
+@pytest.mark.parametrize(
+    "supply, demand, cost",
+    [
+        ([-0.5, 1.5], [1.0], [[1.0], [2.0]]),  # used to ship 1.0 and drop the -0.5
+        ([0.5, 0.5], [1.5, -0.5], [[1.0, 2.0], [2.0, 1.0]]),
+        ([0.5, 0.5], [1.0], [[1.0], [-2.0]]),
+    ],
+)
+def test_min_cost_transport_rejects_negative_input(supply, demand, cost):
+    with pytest.raises(ValueError, match="non-negative"):
+        min_cost_transport(supply, demand, cost)
+
+
 def test_projection_identity():
     cap = 6.0
     atoms = np.array([[0.7, 1.0], [2.7, 3.3], [3.8, 4.6], [5.0, 5.3]])

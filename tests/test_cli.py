@@ -502,6 +502,35 @@ def test_per_n_commands_print_the_rows_of_one_command(tmp_path):
     assert any(row.endswith("false") and row.split(",")[5] != "0" for row in rows)
 
 
+def test_repeated_main_calls_share_one_parser(tmp_path, capsys):
+    from evflex.cli import build_parser
+
+    path = write_scenario(tmp_path, BASE)
+    calls = [
+        ["montecarlo", "--scenario", path],
+        ["montecarlo", "--scenario", path, "--seed", "not-an-int"],
+        ["robust", "--scenario", path],
+        ["montecarlo", "--scenario", path],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own errors
+            code = exc.code
+        return code, capsys.readouterr()
+
+    single = []
+    for argv in calls:  # each on a freshly built parser
+        build_parser.cache_clear()
+        single.append(run(argv))
+    assert [code for code, _ in single] == [0, 2, 0, 0]
+    build_parser.cache_clear()
+    parser = build_parser()
+    assert [run(argv) for argv in calls] == single
+    assert build_parser() is parser
+
+
 def test_console_entry_point(tmp_path):
     import subprocess, sys
 

@@ -144,6 +144,45 @@ def test_clopper_pearson_closed_forms():
         clopper_pearson(1, 0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, 0.0, 1.0, 1.5])
+def test_clopper_pearson_rejects_bad_alpha(alpha):
+    # alpha=1.5 used to return an inverted interval, alpha=nan a nan one
+    with pytest.raises(ValueError, match="alpha"):
+        clopper_pearson(3, 10, alpha=alpha)
+
+
+def test_clopper_pearson_equals_beta_ppf():
+    # scipy.stats stays the oracle here; the package calls the ufunc behind it
+    from scipy.stats import beta
+
+    alpha = 0.05
+    for n in [*range(1, 401), 2000]:
+        k = np.arange(n + 1)
+        got = np.array([clopper_pearson(int(j), n, alpha) for j in k])
+        assert got[0, 0] == 0.0 and got[n, 1] == 1.0
+        lo = beta.ppf(alpha / 2, k[1:], n - k[1:] + 1)
+        hi = beta.ppf(1 - alpha / 2, k[:-1] + 1, n - k[:-1])
+        assert np.array_equal(got[1:, 0], lo), n
+        assert np.array_equal(got[:-1, 1], hi), n
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(evflex.harness.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, evflex; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_run_trials_point_mass_never_violates():
     grid = TimeGrid(4)
     p = DiscreteDistribution.point_mass(1.0, 2.0, 4.0)
