@@ -7,12 +7,15 @@ the distribution onto an equal-weight N-point support, then spend the
 remaining transport budget pushing that support toward the relevant
 boundary of the energy domain. Budget accounting is conservative: every
 push is charged its true per-atom transport cost (including the cost of
-keeping e_lo <= e_hi valid), and the final distances are recomputed exactly
-and checked against the requested radius.
+keeping e_lo <= e_hi valid). Each worst case is checked against the
+requested radius by a displacement certificate, the triangle bound through
+the projection, which needs no transport solve; its exact distance is
+computed only when it is read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
@@ -391,10 +394,14 @@ class RobustSetResult:
 
     Cost-type fields (epsilon, projection_cost, budgets, w1 distances) are
     in the caller's epsilon units (normalized when normalize=True); energies
-    (populations, kappa) are always in raw units.
+    (populations, kappa) are always in raw units. robust_set has checked
+    both worst cases against the radius by their displacement certificate;
+    w1_lo and w1_hi are their exact distances to the distribution, solved on
+    first read and kept.
     """
 
     flex: AggregateFlexSet
+    distribution: DiscreteDistribution  # the input, for the exact distances
     worst_lo: Population  # lower-bound energies pushed up
     worst_hi: Population  # upper-bound energies pushed down
     epsilon: float
@@ -407,12 +414,38 @@ class RobustSetResult:
     kappa_lo: float
     i_c_hi: int
     kappa_hi: float
-    w1_lo: float  # recomputed distance to the lower worst case
-    w1_hi: float  # recomputed distance to the upper worst case
     repaired_lo: int  # atoms whose e_hi had to be lifted to keep e_lo <= e_hi
     repaired_hi: int
     normalization: float
     empty: bool
+
+    @functools.cached_property
+    def w1_lo(self) -> float:
+        """Exact distance from the distribution to the lower worst case."""
+        return self._w1(self.worst_lo)
+
+    @functools.cached_property
+    def w1_hi(self) -> float:
+        """Exact distance from the distribution to the upper worst case."""
+        return self._w1(self.worst_hi)
+
+    def _w1(self, worst: Population) -> float:
+        support = DiscreteDistribution.equal_weights(
+            np.column_stack([worst.e_lo, worst.e_hi]), worst.power * worst.horizon
+        )
+        return wasserstein1(self.distribution, support) / self.normalization
+
+
+def _certified_distance(proj_cost, start, e_lo, e_hi) -> float:
+    """Upper bound on W1(p, worst case) by the triangle inequality.
+
+    W1(p, worst) <= W1(p, projection) + W1(projection, worst), and moving
+    each projected atom start[k] (weight 1/N) to (e_lo[k], e_hi[k]) is one
+    coupling of the last two, so its cost bounds their distance. The cost
+    is read off the arrays, not taken from the walk's own bookkeeping.
+    """
+    moved = np.abs(e_lo - start[:, 0]) + np.abs(e_hi - start[:, 1])
+    return proj_cost + float(moved.sum()) / start.shape[0]
 
 
 def robust_set(
@@ -429,10 +462,18 @@ def robust_set(
 
     Projects the distribution onto N equal-weight atoms, spends the
     remaining radius pushing lower-bound energies toward the energy cap and
-    upper-bound energies toward zero, verifies both resulting empirical
+    upper-bound energies toward zero, certifies both resulting empirical
     distributions are within eps of the input, and assembles the set
     parameterised by the two pushed populations: nu_lo of the lower worst
     case L and nu_hi of the upper worst case U.
+
+    The certificate is the projection cost plus the 1/N-weighted L1
+    displacement of every atom from the projected support, an upper bound
+    on the exact W1, so no transport problem is solved for it. It may
+    exceed eps by atol plus a fixed rounding allowance of
+    1e-12 + 1e-12 * max(1, m*T), so atol=0 holds; beyond that it raises
+    NumericalFailure. The exact distances w1_lo/w1_hi are solved when first
+    read.
 
     That pair describes exactly the intersection of the two worst cases'
     sets. Each walk moves every projected atom one way only: the lower walk
@@ -475,22 +516,28 @@ def robust_set(
     )
     i_c_hi = k_hi + 1
 
-    worst_lo = Population(l_lo, l_hi, grid.steps, power)
-    worst_hi = Population(u_lo, u_hi, grid.steps, power)
-
-    w1_lo = wasserstein1(p, DiscreteDistribution.equal_weights(np.column_stack([l_lo, l_hi]), cap))
-    w1_hi = wasserstein1(p, DiscreteDistribution.equal_weights(np.column_stack([u_lo, u_hi]), cap))
-    for name, value in (("lower", w1_lo), ("upper", w1_hi)):
-        if value > eps_raw + atol:
+    # the certificate may pass the radius by rounding alone: by the 1e-12
+    # the residual was granted above, and by a few ulps of displacement
+    # sums over energies up to the cap; atol comes on top
+    allowed = eps_raw + atol + 1e-12 + 1e-12 * max(1.0, cap)
+    for name, start, e_lo, e_hi in (
+        ("lower", support, l_lo, l_hi),
+        ("upper", support[order], u_lo, u_hi),
+    ):
+        bound = _certified_distance(proj_cost, start, e_lo, e_hi)
+        if bound > allowed:
             raise NumericalFailure(
-                f"budget accounting violated: {name} worst case at distance "
-                f"{value} > eps {eps_raw}"
+                f"budget accounting violated: {name} worst case certified at "
+                f"distance {bound} > eps {eps_raw}"
             )
 
+    worst_lo = Population(l_lo, l_hi, grid.steps, power)
+    worst_hi = Population(u_lo, u_hi, grid.steps, power)
     flex = AggregateFlexSet.from_bound_populations(worst_lo, worst_hi)
     beta = beta_from_epsilon(eps, n, constants) if constants is not None else None
     return RobustSetResult(
         flex=flex,
+        distribution=p,
         worst_lo=worst_lo,
         worst_hi=worst_hi,
         epsilon=eps,
@@ -503,8 +550,6 @@ def robust_set(
         kappa_lo=kappa_lo,
         i_c_hi=i_c_hi,
         kappa_hi=kappa_hi,
-        w1_lo=w1_lo / factor,
-        w1_hi=w1_hi / factor,
         repaired_lo=repaired_lo,
         repaired_hi=repaired_hi,
         normalization=factor,

@@ -10,6 +10,7 @@ from evflex import (
     DiscreteDistribution,
     DomainError,
     NegativeBudget,
+    NumericalFailure,
     RangeWarning,
     TimeGrid,
     beta_from_epsilon,
@@ -159,7 +160,8 @@ def test_robust_set_transport_sees_distinct_atoms_only(monkeypatch):
 
     monkeypatch.setattr(ambiguity, "wasserstein1", w1)
     monkeypatch.setattr(ambiguity, "min_cost_transport", solve)
-    robust_set(p, 1000, 0.5, TimeGrid(24), 1.0)
+    result = robust_set(p, 1000, 0.5, TimeGrid(24), 1.0)
+    result.w1_lo, result.w1_hi  # the exact distances are solved on first read
     assert len(pairs) == 3 and all(q_atoms == 1000 for _, q_atoms, _, _ in pairs)
     assert shapes, "the support is not a chain, so the solver must run"
     for (rows, cols), (_, _, distinct_p, distinct_q) in shapes:
@@ -510,7 +512,7 @@ def test_robust_set_rejects_bad_power(power):
 
 def _result_fields(result):
     """Every field of a RobustSetResult as plain values, the sets as their bound pair."""
-    fields = {}
+    fields = {"w1_lo": result.w1_lo, "w1_hi": result.w1_hi}
     for name, value in vars(result).items():
         if name == "flex":
             value = (value.nu_lo.tolist(), value.nu_hi.tolist())
@@ -672,3 +674,111 @@ def test_robust_set_repair_is_flagged_and_consistent():
     assert np.all(pop.e_lo <= pop.e_hi + 1e-12)
     pop = result.worst_hi
     assert np.all(pop.e_lo <= pop.e_hi + 1e-12)
+
+
+def _certificates(p, result):
+    """The triangle bound of each worst case, rebuilt from the arrays in raw units."""
+    support, proj_cost = project_to_n_points(p, result.projected_support.shape[0])
+    upper_order = np.argsort(support[:, 1], kind="stable")
+    out = []
+    for worst, start in ((result.worst_lo, support), (result.worst_hi, support[upper_order])):
+        moved = np.abs(worst.e_lo - start[:, 0]) + np.abs(worst.e_hi - start[:, 1])
+        out.append(proj_cost + moved.mean())
+    return out
+
+
+def _exact_w1(p, worst):
+    pairs = np.column_stack([worst.e_lo, worst.e_hi])
+    return wasserstein1(p, DiscreteDistribution.equal_weights(pairs, worst.power * worst.horizon))
+
+
+def test_budget_certificate_bounds_exact_w1_and_holds_at_zero_atol():
+    # seeded sweep over horizons, atom counts, N, power ratings and radii
+    # from the projection cost up to saturation; at atol=0 only the fixed
+    # rounding allowance separates the certificate from the radius
+    rng = np.random.default_rng(20240817)
+    for _ in range(600):
+        steps = int(rng.integers(1, 30))
+        power = float(rng.choice([0.7, 1.0, 2.5]))
+        cap = power * steps
+        p = random_distribution(rng, cap=cap, max_atoms=8)
+        n = int(rng.integers(1, 60))
+        eps0 = project_to_n_points(p, n)[1]
+        eps_raw = eps0 + (0.0 if rng.random() < 0.2 else rng.uniform(0, cap))
+        normalize = bool(rng.random() < 0.3)
+        eps = eps_raw / cap if normalize else eps_raw
+        result = robust_set(p, n, eps, TimeGrid(steps), power, normalize=normalize, atol=0.0)
+        allowed = eps * result.normalization + 1e-12 + 1e-12 * max(1.0, cap)
+        for bound, worst in zip(_certificates(p, result), (result.worst_lo, result.worst_hi)):
+            assert bound >= _exact_w1(p, worst) - 1e-12
+            assert bound <= allowed
+
+
+def test_paper_cells_hold_at_zero_atol():
+    # every cell of scenarios/concentration_experiment.json, where the
+    # certificate of a fully spent budget lands on the radius up to rounding
+    p = DiscreteDistribution(
+        np.array([[1, 12], [2, 15], [4, 14], [5, 17], [7, 19]]), np.full(5, 0.2), 24.0
+    )
+    for n in (5, 10, 20):
+        for eps in (0.4, 0.7, 1.0, 1.3, 1.6, 1.9):
+            try:
+                robust_set(p, n, eps, TimeGrid(24), 1.0, atol=0.0)
+            except BudgetInfeasible:
+                assert project_to_n_points(p, n)[1] > eps
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_lazy_w1_equals_wasserstein1_bit_for_bit(normalize):
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        p = random_distribution(rng, cap=6.0)
+        n = int(rng.integers(1, 12))
+        eps_raw = project_to_n_points(p, n)[1] + rng.uniform(0, 3)
+        factor = 6.0 if normalize else 1.0
+        result = robust_set(p, n, eps_raw / factor, TimeGrid(6), 1.0, normalize=normalize)
+        assert result.normalization == factor
+        assert result.w1_lo == _exact_w1(p, result.worst_lo) / factor
+        assert result.w1_hi == _exact_w1(p, result.worst_hi) / factor
+
+
+def test_robust_set_solves_no_transport_until_w1_is_read(monkeypatch):
+    import evflex.ambiguity as ambiguity
+
+    calls = []
+    real = ambiguity.wasserstein1
+
+    def counting(a, b):
+        calls.append(b.n_atoms)
+        return real(a, b)
+
+    monkeypatch.setattr(ambiguity, "wasserstein1", counting)
+    p = fig_distribution()
+    result = robust_set(p, 4, 0.9, TimeGrid(6), 1.0)
+    assert calls == [4]  # the projection's own distance
+    result.w1_lo, result.w1_hi, result.w1_lo
+    assert calls == [4, 4, 4]  # each worst case once, then kept
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_overshooting_push_raises_at_zero_atol(monkeypatch, side):
+    # a critical atom moved 1e-6 * cap further than the walk reports is a
+    # bookkeeping defect the certificate sees, with no tolerance to hide in
+    import evflex.ambiguity as ambiguity
+
+    real = ambiguity._push_walk
+    moved = []
+
+    def overshooting(values, partners, budget, target, sign):
+        p, q, k, kappa, spent, repaired = real(values, partners, budget, target, sign)
+        if sign == side and 0 <= k < p.size:
+            p[k] += sign * 1e-6 * 6.0
+            moved.append(k)
+        return p, q, k, kappa, spent, repaired
+
+    dist = fig_distribution()
+    robust_set(dist, 4, 0.9, TimeGrid(6), 1.0, atol=0.0)  # holds unaltered
+    monkeypatch.setattr(ambiguity, "_push_walk", overshooting)
+    with pytest.raises(NumericalFailure, match="budget accounting violated"):
+        robust_set(dist, 4, 0.9, TimeGrid(6), 1.0, atol=0.0)
+    assert moved

@@ -396,18 +396,20 @@ def test_robust_scalar_errors_name_the_field(tmp_path, capsys, case):
 
 
 def test_numerical_failure_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
-    # inflate every distance after the projection's own, so the budget
-    # accounting check of robust_set sees both worst cases outside the ball
+    # a bookkeeping defect: each walk moves its critical atom 1.0 further
+    # than it reports, so robust_set's budget certificate sees both worst
+    # cases outside the ball
     import evflex.ambiguity
 
-    real = evflex.ambiguity.wasserstein1
-    calls = []
+    real = evflex.ambiguity._push_walk
 
-    def inflated(p, q):
-        calls.append(q)
-        return real(p, q) + (100.0 if len(calls) > 1 else 0.0)
+    def overshooting(values, partners, budget, target, sign):
+        p, q, k, kappa, spent, repaired = real(values, partners, budget, target, sign)
+        if 0 <= k < p.size:
+            p[k] += sign * 1.0
+        return p, q, k, kappa, spent, repaired
 
-    monkeypatch.setattr(evflex.ambiguity, "wasserstein1", inflated)
+    monkeypatch.setattr(evflex.ambiguity, "_push_walk", overshooting)
     assert main(["robust", "--scenario", write_scenario(tmp_path, BASE)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: budget accounting violated")

@@ -268,6 +268,41 @@ def test_run_trials_draws_one_stream_per_cell(monkeypatch):
     assert calls == [(2**40 + 1, 4)]
 
 
+def test_monte_carlo_cell_solves_one_transport_problem(monkeypatch):
+    # no timing: a paper cell's only transport solve is its projection's,
+    # which every radius shares; the worst cases' W1 is never read
+    import evflex.ambiguity as ambiguity
+
+    solves, distances = [], []
+    real_solve, real_w1 = ambiguity.min_cost_transport, ambiguity.wasserstein1
+
+    def solve(supply, demand, cost):
+        solves.append(np.shape(cost))
+        return real_solve(supply, demand, cost)
+
+    def w1(p, q):
+        distances.append((p, q.n_atoms))
+        return real_w1(p, q)
+
+    monkeypatch.setattr(ambiguity, "min_cost_transport", solve)
+    monkeypatch.setattr(ambiguity, "wasserstein1", w1)
+    atoms = np.array([[1, 12], [2, 15], [4, 14], [5, 17], [7, 19]])
+    p = DiscreteDistribution(atoms, np.full(5, 0.2), 24.0)
+    cfg = TrialConfig(p, 5, (0.4, 0.7, 1.0, 1.3, 1.6, 1.9), 200, 20240817, TimeGrid(24))
+    stats = run_trials(cfg)
+    assert sum(not s.degenerate for s in stats) >= 5
+    assert len(solves) == 1 and distances == [(p, 5)]
+
+    # robust_set alone: one distance per new (distribution, N), none on a repeat
+    distances.clear()
+    for n in (5, 10, 5, 10):
+        robust_set(p, n, 1.9, TimeGrid(24), 1.0)
+    assert distances == [(p, 10)]
+    q = DiscreteDistribution(atoms, np.full(5, 0.2), 24.0)
+    robust_set(q, 5, 1.9, TimeGrid(24), 1.0)
+    assert distances == [(p, 10), (q, 5)]
+
+
 def test_every_radius_scores_the_same_draw(monkeypatch):
     scored = []
 
