@@ -190,11 +190,7 @@ class AggregateFlexSet:
 
     def _members(self, profiles: np.ndarray, atol: float) -> np.ndarray:
         """Membership of each row of a (V, T) non-negative stack in this set."""
-        total = profiles.sum(axis=1)
-        top = np.sort(profiles, axis=1)[:, ::-1].cumsum(axis=1)
-        bound = self._cut_caps(total[:, None])
-        bound += atol
-        return (top <= bound).all(axis=1) & (total >= self._caps[2] - atol)
+        return _member_matrix(self._caps, profiles, atol)
 
     def contains_profile(self, u, atol: float = DEFAULT_ATOL) -> bool:
         """Membership of an aggregate profile in this set."""
@@ -319,23 +315,22 @@ def _cap_parts(nu_lo: np.ndarray, nu_hi: np.ndarray):
     return reach, tail, nu_lo.sum(axis=-1)
 
 
-def _member_matrix(
-    nu_lo: np.ndarray, nu_hi: np.ndarray, profiles: np.ndarray, atol: float
-) -> np.ndarray:
-    """Membership of V profiles in R sets given by their generating vectors.
+def _member_matrix(caps, profiles: np.ndarray, atol: float) -> np.ndarray:
+    """Membership of V profiles in the sets given by their caps.
 
-    nu_lo, nu_hi: (R, T); profiles: (V, T) non-negative rows. Returns a
-    boolean (R, V) matrix: the total is at least sum(nu_lo) and, for every
-    k, top_k(u) <= min(sum_{t<=k} nu_hi[t], E - sum_{t>k} nu_lo[t]) (k = T
-    is the upper total).
+    caps: (reach, tail, lo_total) as _cap_parts gives them, with shapes
+    (..., T), (..., T) and (...); profiles: (V, T) non-negative rows.
+    Returns a boolean (..., V) array: the total is at least lo_total and,
+    for every k, top_k(u) <= min(reach[k], E - tail[k]) (k = T is the
+    upper total).
     """
+    reach, tail, lo_total = caps
     total = profiles.sum(axis=1)
     top = np.sort(profiles, axis=1)[:, ::-1].cumsum(axis=1)
-    reach, tail, lo_total = _cap_parts(nu_lo, nu_hi)
-    bound = np.minimum(reach[:, None, :], total[None, :, None] - tail[:, None, :])
+    bound = np.minimum(reach[..., None, :], total[:, None] - tail[..., None, :])
     bound += atol
-    inside = (top[None] <= bound).all(axis=2)
-    return inside & (total[None, :] >= lo_total[:, None] - atol)
+    inside = (top <= bound).all(axis=-1)
+    return inside & (total >= lo_total[..., None] - atol)
 
 
 def batch_contains(
@@ -371,7 +366,7 @@ def batch_contains(
     check_energy_domain(e_lo, e_hi, m * horizon, EnergyOutOfRange)
     nu_lo = _generating_vectors(e_lo, m, horizon)
     nu_hi = _generating_vectors(e_hi, m, horizon)
-    return _member_matrix(nu_lo, nu_hi, profiles, atol)
+    return _member_matrix(_cap_parts(nu_lo, nu_hi), profiles, atol)
 
 
 # ---------------------------------------------------------------------------

@@ -114,39 +114,6 @@ def _merged_atoms(p: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
     return atoms[starts], np.add.reduceat(p.weights, starts)
 
 
-def _is_chain(atoms: np.ndarray) -> bool:
-    """Support is totally ordered componentwise (after the lex sort)."""
-    return bool(
-        np.all(np.diff(atoms[:, 0]) >= -_TINY) and np.all(np.diff(atoms[:, 1]) >= -_TINY)
-    )
-
-
-def _quantile_coupling_cost(p_atoms, p_weights, q_atoms, q_weights) -> float:
-    """Sorted coupling; optimal when both supports are comonotone chains."""
-    i = j = 0
-    rem_p = p_weights[0]
-    rem_q = q_weights[0]
-    total = 0.0
-    while True:
-        d = min(rem_p, rem_q)
-        total += d * (
-            abs(p_atoms[i, 0] - q_atoms[j, 0]) + abs(p_atoms[i, 1] - q_atoms[j, 1])
-        )
-        rem_p -= d
-        rem_q -= d
-        if rem_p <= _TINY:
-            i += 1
-            if i >= p_atoms.shape[0]:
-                break
-            rem_p = p_weights[i]
-        if rem_q <= _TINY:
-            j += 1
-            if j >= q_atoms.shape[0]:
-                break
-            rem_q = q_weights[j]
-    return total
-
-
 def wasserstein1(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Exact W1 between two discrete distributions under the L1 ground metric.
 
@@ -158,8 +125,6 @@ def wasserstein1(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
         raise DomainError("distributions live on different energy domains")
     p_atoms, p_weights = _merged_atoms(p)
     q_atoms, q_weights = _merged_atoms(q)
-    if _is_chain(p_atoms) and _is_chain(q_atoms):
-        return float(_quantile_coupling_cost(p_atoms, p_weights, q_atoms, q_weights))
     cost = np.abs(p_atoms[:, None, 0] - q_atoms[None, :, 0]) + np.abs(
         p_atoms[:, None, 1] - q_atoms[None, :, 1]
     )
@@ -169,14 +134,6 @@ def wasserstein1(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 
 # ---------------------------------------------------------------------------
 # N-point projection
-
-
-def _weighted_lower_median(values: np.ndarray, weights: np.ndarray) -> float:
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
-    half = cum[-1] / 2.0
-    idx = int(np.searchsorted(cum, half - 1e-12))
-    return float(values[order][min(idx, len(values) - 1)])
 
 
 def _check_count(n) -> int:
@@ -211,13 +168,18 @@ def project_to_n_points(
 ) -> tuple[np.ndarray, float]:
     """Equal-weight N-point support plus its exact transport cost.
 
-    Construction: walk the lex-sorted atoms, cutting the cumulative mass
-    into N consecutive chunks of 1/N (atoms straddling a boundary are
-    split), and place each output atom at the per-coordinate weighted lower
-    median of its chunk. The construction is a heuristic; the returned cost
-    is the exact distance to the result, which is all downstream guarantees
-    rely on. The result is kept per (distribution, N), so a repeat call
-    returns a copy of the first one's support and its cost.
+    Construction: cut the lex-sorted atoms' cumulative mass into N
+    consecutive chunks of 1/N (an atom straddling a chunk edge is split)
+    and place each output atom at the per-coordinate weighted lower median
+    of its chunk. All chunks are done in one pass: the pieces lie between
+    consecutive points of the union of the atoms' cumulative-weight ends
+    and the edges k/N (pieces of mass at most 1e-15 are dropped), and a
+    chunk's lower median is its first piece, in value order, whose
+    in-chunk cumulative mass reaches half the chunk's less 1e-12. The
+    construction is a heuristic; the returned cost is the exact distance
+    to the result, which is all downstream guarantees rely on. The result
+    is kept per (distribution, N), so a repeat call returns a copy of the
+    first one's support and its cost.
     """
     n = _check_count(n)
     known = _PROJECTIONS.setdefault(p, {})
@@ -228,26 +190,29 @@ def project_to_n_points(
 
 
 def _project(p: DiscreteDistribution, n: int) -> tuple[np.ndarray, float]:
-    chunks: list[list[tuple[float, float, float]]] = [[] for _ in range(n)]
-    k = 0
-    cum = 0.0
-    for (lo, hi), w in zip(p.atoms, p.weights):
-        rem = float(w)
-        while rem > _TINY:
-            boundary = (k + 1) / n
-            room = boundary - cum if k < n - 1 else float("inf")
-            take = min(rem, room)
-            if take > _TINY:
-                chunks[k].append((float(lo), float(hi), take))
-                cum += take
-                rem -= take
-            if k < n - 1 and boundary - cum <= _TINY:
-                k += 1
+    ends = np.cumsum(p.weights)
+    edges = np.arange(1, n) / n
+    cuts = np.union1d(ends, edges)
+    starts = np.r_[0.0, cuts[:-1]]
+    mass = cuts - starts
+    keep = mass > _TINY
+    mass = mass[keep]
+    mid = (starts[keep] + cuts[keep]) / 2
+    atom = np.searchsorted(ends, mid)
+    # non-decreasing, so sorting by (chunk, value) keeps each chunk's pieces
+    # in its own slots first[k]..last[k]
+    chunk = np.searchsorted(edges, mid, side="right")
+    first = np.searchsorted(chunk, np.arange(n))
+    last = np.r_[first[1:], chunk.size] - 1
     support = np.empty((n, 2))
-    for k, chunk in enumerate(chunks):
-        vals = np.array(chunk)
-        support[k, 0] = _weighted_lower_median(vals[:, 0], vals[:, 2])
-        support[k, 1] = _weighted_lower_median(vals[:, 1], vals[:, 2])
+    for c in range(2):
+        values = p.atoms[atom, c]
+        order = np.lexsort((values, chunk))  # equal values keep atom order
+        cum = np.cumsum(mass[order])
+        before = np.r_[0.0, cum][first]
+        # the pieces below the median: in-chunk mass short of half, less 1e-12
+        short = cum - before[chunk] < (cum[last] - before)[chunk] / 2.0 - 1e-12
+        support[:, c] = values[order][first + np.bincount(chunk[short], minlength=n)]
     projected = DiscreteDistribution.equal_weights(support, p.energy_cap)
     cost = wasserstein1(p, projected)
     # the projection is canonical up to atom order; report it sorted

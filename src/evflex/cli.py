@@ -39,12 +39,20 @@ from .harness import (
 from .io import jsonify, parse_scenario, read_results_csv, write_results_csv
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=None, help="master random seed")
+def _add_out(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
+
+
+def _add_tolerance(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--tolerance", type=float, default=DEFAULT_ATOL, help="numeric tolerance"
     )
+
+
+def _tolerance(args) -> float:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise DomainError(f"--tolerance: must be finite and >= 0, got {args.tolerance}")
+    return args.tolerance
 
 
 def _emit_json(payload, out):
@@ -99,11 +107,12 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_member(args) -> int:
+    atol = _tolerance(args)
     sc = parse_scenario(args.scenario)
     if sc.population is None:
         raise ValidationError("population: required for the member command")
     u = _parse_profile(args)
-    result = decompose(sc.population, u, atol=args.tolerance)
+    result = decompose(sc.population, u, atol=atol)
     member = isinstance(result, Decomposition)
     payload = {"member": member, "profile": u}
     if member:
@@ -124,6 +133,7 @@ def _resolve_robust_n(sc) -> int:
 
 
 def _cmd_robust(args) -> int:
+    atol = _tolerance(args)
     sc = parse_scenario(args.scenario)
     if sc.distribution is None:
         raise ValidationError("distribution: required for the robust command")
@@ -143,7 +153,7 @@ def _cmd_robust(args) -> int:
         sc.power,
         constants=spec.constants,
         normalize=spec.normalize,
-        atol=args.tolerance,
+        atol=atol,
     )
     _emit_json(
         {
@@ -177,6 +187,7 @@ def _cmd_robust(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
+    atol = _tolerance(args)
     sc = parse_scenario(args.scenario)
     if sc.distribution is None:
         raise ValidationError("distribution: required for the montecarlo command")
@@ -198,7 +209,7 @@ def _cmd_montecarlo(args) -> int:
             seed=seed,
             grid=sc.grid,
             power=sc.power,
-            atol=args.tolerance,
+            atol=atol,
         )
         stats.extend(run_trials(cfg))
     metadata = {
@@ -256,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aggregate", help="population -> bound vectors and vertices")
     p.add_argument("--scenario", required=True)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_aggregate)
 
     p = sub.add_parser("member", help="aggregate profile membership and witness")
@@ -264,22 +275,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default=None, help="comma/space separated entries")
     p.add_argument("--profile-file", default=None, help="JSON array of entries")
     p.add_argument("--witness", action="store_true", help="emit a decomposition")
-    _add_common(p)
+    _add_out(p)
+    _add_tolerance(p)
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("robust", help="distributionally robust set summary")
     p.add_argument("--scenario", required=True)
-    _add_common(p)
+    _add_out(p)
+    _add_tolerance(p)
     p.set_defaults(func=_cmd_robust)
 
     p = sub.add_parser("montecarlo", help="violation-rate experiment -> CSV")
     p.add_argument("--scenario", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="master random seed")
+    _add_out(p)
+    _add_tolerance(p)
     p.set_defaults(func=_cmd_montecarlo)
 
     p = sub.add_parser("fit-constants", help="fit tail-bound constants from a CSV")
     p.add_argument("--csv", required=True)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_fit_constants)
     return parser
 
@@ -287,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-            raise DomainError(f"--tolerance: must be finite and >= 0, got {args.tolerance}")
         return args.func(args)
     except (ParseError, DimensionMismatch, NegativeEntry, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,8 +5,9 @@ membership is an LP over explicitly enumerated vertices, transport costs
 come from scipy's LP solver, 1-D distances from the CDF integral,
 flow decomposition from a circulation network that the runtime no longer
 builds, the balanced-split level from a per-call breakpoint search,
-generating vectors from a sum of explicit fastest-charge profiles, and
-sampling probabilities from an enumeration of every multiset.
+generating vectors from a sum of explicit fastest-charge profiles,
+sampling probabilities from an enumeration of every multiset, and the
+N-point projection from a walk over atom pieces, one chunk at a time.
 """
 
 from itertools import combinations, permutations
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.special import gammaln
 
-from evflex import DimensionMismatch, NegativeEntry
+from evflex import DimensionMismatch, DiscreteDistribution, NegativeEntry, wasserstein1
 from evflex.flows import feasible_circulation
 
 
@@ -260,3 +261,48 @@ def multisets_with_pmf(n, weights):
     counts = np.diff(np.hstack([ends, bars, ends + n + a]), axis=1) - 1
     log_pmf = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1) + counts @ np.log(weights)
     return counts, np.exp(log_pmf)
+
+
+_TINY = 1e-15  # pieces of at most this mass are dropped, as in the runtime
+
+
+def _weighted_lower_median(values: np.ndarray, weights: np.ndarray) -> float:
+    order = np.argsort(values, kind="stable")
+    cum = np.cumsum(weights[order])
+    half = cum[-1] / 2.0
+    idx = int(np.searchsorted(cum, half - 1e-12))
+    return float(values[order][min(idx, len(values) - 1)])
+
+
+def project_by_pieces(p, n):
+    """The N-point projection by a walk over atom pieces, chunk by chunk.
+
+    The reference for project_to_n_points: the lex-sorted atoms are walked
+    in order, each cut into pieces at the chunk boundaries k/N by a running
+    cumulative mass, and each chunk's pieces get two weighted lower medians
+    of their own. Returns the sorted support and its W1 cost.
+    """
+    chunks: list[list[tuple[float, float, float]]] = [[] for _ in range(n)]
+    k = 0
+    cum = 0.0
+    for (lo, hi), w in zip(p.atoms, p.weights):
+        rem = float(w)
+        while rem > _TINY:
+            boundary = (k + 1) / n
+            room = boundary - cum if k < n - 1 else float("inf")
+            take = min(rem, room)
+            if take > _TINY:
+                chunks[k].append((float(lo), float(hi), take))
+                cum += take
+                rem -= take
+            if k < n - 1 and boundary - cum <= _TINY:
+                k += 1
+    support = np.empty((n, 2))
+    for k, chunk in enumerate(chunks):
+        vals = np.array(chunk)
+        support[k, 0] = _weighted_lower_median(vals[:, 0], vals[:, 2])
+        support[k, 1] = _weighted_lower_median(vals[:, 1], vals[:, 2])
+    projected = DiscreteDistribution.equal_weights(support, p.energy_cap)
+    cost = wasserstein1(p, projected)
+    # the projection is canonical up to atom order; report it sorted
+    return projected.atoms, cost

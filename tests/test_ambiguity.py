@@ -28,7 +28,7 @@ from evflex import (
 )
 from evflex.transport import min_cost_transport
 
-from oracles import best_equal_weight_quantization_1d, transport_lp, w1_1d
+from oracles import best_equal_weight_quantization_1d, project_by_pieces, transport_lp, w1_1d
 
 
 def random_distribution(rng, cap=6.0, max_atoms=6):
@@ -163,7 +163,7 @@ def test_robust_set_transport_sees_distinct_atoms_only(monkeypatch):
     result = robust_set(p, 1000, 0.5, TimeGrid(24), 1.0)
     result.w1_lo, result.w1_hi  # the exact distances are solved on first read
     assert len(pairs) == 3 and all(q_atoms == 1000 for _, q_atoms, _, _ in pairs)
-    assert shapes, "the support is not a chain, so the solver must run"
+    assert shapes, "every W1 runs the solver"
     for (rows, cols), (_, _, distinct_p, distinct_q) in shapes:
         assert rows <= distinct_p and cols <= distinct_q < 1000
 
@@ -296,6 +296,58 @@ def test_projection_splits_atoms_across_chunks():
     support, cost = project_to_n_points(p, 3)
     np.testing.assert_allclose(support, [[1, 2]] * 3)
     assert cost < 1e-12
+
+
+def _projection_case(rng, kind):
+    """A distribution and N of one kind for the projection reference sweep."""
+    cap = 24.0
+    if kind == "equal-weights":  # atom ends fall on chunk edges
+        a = int(rng.integers(1, 13))
+        n = a * int(rng.integers(1, 6)) if rng.random() < 0.5 else max(a // int(rng.integers(1, 4)), 1)
+    elif kind == "atoms-over-n":
+        a = int(rng.integers(20, 80))
+        n = int(rng.integers(1, a // 2))
+    else:  # n-over-atoms and duplicated
+        a = int(rng.integers(1, 9))
+        n = int(rng.integers(100, 1001))
+    lo = rng.integers(0, 25, size=a) * 1.0
+    atoms = np.column_stack([lo, np.minimum(lo + rng.integers(0, 25, size=a), cap)])
+    if kind == "equal-weights":
+        weights = np.full(a, 1.0 / a)
+    elif kind == "duplicated":  # repeated rows with integer weights, unmerged
+        atoms = atoms[rng.integers(0, a, size=3 * a)]
+        counts = rng.integers(1, 10, size=3 * a).astype(float)
+        weights = counts / counts.sum()
+    else:
+        weights = rng.dirichlet(np.ones(a))
+    return DiscreteDistribution(atoms, weights, cap), n
+
+
+@pytest.mark.parametrize(
+    "seed, kind", enumerate(["equal-weights", "duplicated", "atoms-over-n", "n-over-atoms"])
+)
+def test_projection_equals_piece_walk(seed, kind):
+    # the vectorised projection picks the same medians as the walk over
+    # atom pieces, so support and cost agree exactly
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        p, n = _projection_case(rng, kind)
+        support, cost = project_to_n_points(p, n)
+        expected_support, expected_cost = project_by_pieces(p, n)
+        assert np.array_equal(support, expected_support)
+        assert cost == expected_cost
+
+
+def test_projection_equals_piece_walk_at_fleet_scale():
+    rng = np.random.default_rng(288)
+    cap = 288.0
+    lo = rng.uniform(0, cap / 2, size=24)
+    atoms = np.column_stack([lo, lo + rng.uniform(0, cap / 2, size=24)])
+    p = DiscreteDistribution(atoms, rng.dirichlet(np.ones(24)), cap)
+    support, cost = project_to_n_points(p, 10_000)
+    expected_support, expected_cost = project_by_pieces(p, 10_000)
+    assert np.array_equal(support, expected_support)
+    assert cost == expected_cost
 
 
 def test_push_lower_reference_case():

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +127,36 @@ def test_robust_command_and_budget_infeasible(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "projection cost" in err  # message names the minimum radius
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_robust_command_on_pushing_demo_is_pinned(tmp_path):
+    # the whole JSON, byte for byte: projection, pushes, exact W1 and bounds
+    out = tmp_path / "robust.json"
+    scenario = str(ROOT / "scenarios" / "pushing_demo.json")
+    assert main(["robust", "--scenario", scenario, "--out", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "data" / "pushing_demo_robust.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("aggregate", ["--seed", "1"]),
+        ("aggregate", ["--tolerance", "0"]),
+        ("member", ["--seed", "1"]),
+        ("robust", ["--seed", "1"]),
+        ("fit-constants", ["--seed", "1"]),
+        ("fit-constants", ["--tolerance", "0"]),
+    ],
+)
+def test_subcommands_reject_options_they_do_not_read(tmp_path, capsys, command, option):
+    source = "--csv" if command == "fit-constants" else "--scenario"
+    with pytest.raises(SystemExit) as exc:
+        main([command, source, write_scenario(tmp_path, BASE), *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + option[0] in capsys.readouterr().err
 
 
 def test_robust_command_from_beta(tmp_path, capsys):
