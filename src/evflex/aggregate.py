@@ -37,9 +37,11 @@ Everything that depends on the population alone is computed once per
 population, on its first query, and kept for as long as the population
 lives: the bound pair, the caps of the criterion and, from the first
 member decompose() on, the table of the balanced split. A later query
-does only per-profile work: a sort, a cap comparison and, for a member,
-one interpolation in that table and the mixing; there is no per-query
-level search.
+does only per-profile work, in a few small numpy calls: two reductions
+that validate the profile, one sort, the cap comparison on 1-D arrays
+and, for a member, one interpolation in that table and the mixing. In
+decompose() one stable argsort serves the verdict, the witness's column
+order and the certificate; there is no per-query level search.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ from .flows import feasible_circulation  # noqa: F401  (perfbench/tracing.py wra
 
 def _fastest_profiles(energies: np.ndarray, m: float, horizon: int) -> np.ndarray:
     """Fastest-charge profiles clip(e - m*k, 0, m): (..., N) -> (..., N, T)."""
-    steps = m * np.arange(horizon, dtype=float)
-    return (energies[..., None] - steps).clip(0.0, m)
+    profiles = energies[..., None] - m * np.arange(horizon, dtype=float)
+    np.maximum(profiles, 0.0, out=profiles)
+    return np.minimum(profiles, m, out=profiles)
 
 
 def _generating_vectors(energies: np.ndarray, m: float, horizon: int) -> np.ndarray:
@@ -189,13 +192,14 @@ class AggregateFlexSet:
         return np.minimum(reach, total - tail)
 
     def _members(self, profiles: np.ndarray, atol: float) -> np.ndarray:
-        """Membership of each row of a (V, T) non-negative stack in this set."""
-        return _member_matrix(self._caps, profiles, atol)
+        """Membership of a non-negative profile (T,), or of each row of a (V, T) stack."""
+        top = np.sort(profiles, axis=-1)[..., ::-1].cumsum(axis=-1)
+        return _member_matrix(self._caps, top, profiles.sum(axis=-1), atol)
 
     def contains_profile(self, u, atol: float = DEFAULT_ATOL) -> bool:
         """Membership of an aggregate profile in this set."""
         u = _check_profile(u, (self.horizon,), atol)
-        return not self.is_empty and bool(self._members(u[None], atol)[0])
+        return not self.is_empty and bool(self._members(u, atol))
 
     def vertices_are_members(self, atol: float = DEFAULT_ATOL) -> bool:
         """Whether every splice vertex belongs to the set itself.
@@ -264,7 +268,7 @@ class _Fleet:
         Outside [sum(e_lo), sum(e_hi)] this is the nearest end: e_lo or e_hi.
         """
         points, level = self.split_table
-        return np.clip(np.interp(total, level, points), self.e_lo, self.e_hi)
+        return np.minimum(np.maximum(np.interp(total, level, points), self.e_lo), self.e_hi)
 
 
 # A memo of a pure function of the (immutable) population, keyed by identity
@@ -291,11 +295,18 @@ def _check_atol(atol) -> None:
 
 
 def _check_profile(u, shape: tuple[int, ...], atol: float) -> np.ndarray:
-    """A profile (shape (T,)) or profile stack ((V, T)), negatives within atol clipped to 0."""
+    """A profile (shape (T,)) or profile stack ((V, T)), negatives within atol clipped to 0.
+
+    Returns a new array, never the caller's. A non-negative minimum and a
+    finite sum show every entry finite and non-negative in two reductions;
+    anything else goes through the full checks.
+    """
     _check_atol(atol)
     u = np.asarray(u, dtype=float)
     if u.shape != shape:
         raise DimensionMismatch(f"profile shape {u.shape} != {shape}")
+    if u.size and u.min() >= 0.0 and math.isfinite(u.sum()):
+        return u.copy()
     if not np.isfinite(u).all():
         raise DomainError("aggregate profile has a non-finite entry")
     if (u < -atol).any():
@@ -315,22 +326,22 @@ def _cap_parts(nu_lo: np.ndarray, nu_hi: np.ndarray):
     return reach, tail, nu_lo.sum(axis=-1)
 
 
-def _member_matrix(caps, profiles: np.ndarray, atol: float) -> np.ndarray:
-    """Membership of V profiles in the sets given by their caps.
+def _member_matrix(caps, top: np.ndarray, total, atol: float) -> np.ndarray:
+    """Membership of profiles in the sets given by their caps.
 
-    caps: (reach, tail, lo_total) as _cap_parts gives them, with shapes
-    (..., T), (..., T) and (...); profiles: (V, T) non-negative rows.
-    Returns a boolean (..., V) array: the total is at least lo_total and,
-    for every k, top_k(u) <= min(reach[k], E - tail[k]) (k = T is the
-    upper total).
+    top: (..., T) prefix sums of each profile sorted non-increasing, so
+    top[..., k-1] = top_k(u); total: (...) the profile totals E. caps:
+    (reach, tail, lo_total) as _cap_parts gives them, shaped by the caller
+    so that reach and tail broadcast against top and lo_total against
+    total. Returns the broadcast boolean verdicts: the total is at least
+    lo_total and, for every k, top_k(u) <= min(reach[k], E - tail[k])
+    (k = T is the upper total).
     """
     reach, tail, lo_total = caps
-    total = profiles.sum(axis=1)
-    top = np.sort(profiles, axis=1)[:, ::-1].cumsum(axis=1)
-    bound = np.minimum(reach[..., None, :], total[:, None] - tail[..., None, :])
+    bound = np.minimum(reach, total[..., None] - tail)
     bound += atol
     inside = (top <= bound).all(axis=-1)
-    return inside & (total >= lo_total[..., None] - atol)
+    return inside & (total >= lo_total - atol)
 
 
 def batch_contains(
@@ -366,7 +377,10 @@ def batch_contains(
     check_energy_domain(e_lo, e_hi, m * horizon, EnergyOutOfRange)
     nu_lo = _generating_vectors(e_lo, m, horizon)
     nu_hi = _generating_vectors(e_hi, m, horizon)
-    return _member_matrix(_cap_parts(nu_lo, nu_hi), profiles, atol)
+    reach, tail, lo_total = _cap_parts(nu_lo, nu_hi)
+    top = np.sort(profiles, axis=1)[:, ::-1].cumsum(axis=1)
+    caps = reach[:, None], tail[:, None], lo_total[:, None]  # (R, 1, T), (R, 1, T), (R, 1)
+    return _member_matrix(caps, top, profiles.sum(axis=1), atol)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +390,7 @@ def batch_contains(
 def contains(pop: Population, u, atol: float = DEFAULT_ATOL) -> bool:
     """True iff the population can jointly track the aggregate profile u."""
     u = _check_profile(u, (pop.horizon,), atol)
-    return bool(_fleet(pop).flex._members(u[None], atol)[0])
+    return bool(_fleet(pop).flex._members(u, atol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,45 +420,47 @@ def _mixing_matrix(nu: np.ndarray, target: np.ndarray) -> np.ndarray:
     target (decompose() has the construction and why it works). The
     cumulative excess and deficit curves of d = nu - target are merged, and
     each piece between consecutive breakpoints is one north-west-corner
-    pair (j, k) carrying mass delta. Pairs with j > k arise only from
-    rounding or a violation within tolerance, carry no more mass than that,
-    and are left out.
+    pair (j, k) carrying mass delta. Zero-length pieces (an end shared by
+    both curves, or a step with no excess or deficit) carry nothing. Pairs
+    with j > k arise only from rounding or a violation within tolerance,
+    carry no more mass than that, and are left out.
     """
     d = nu - target
-    excess = np.maximum(d, 0.0)
-    deficit = np.maximum(-d, 0.0)
-    reach_ex = np.cumsum(excess)
-    reach_de = np.cumsum(deficit)
-    ends = np.union1d(reach_ex, reach_de)
-    ends = ends[(ends > 0.0) & (ends <= min(reach_ex[-1], reach_de[-1]))]
+    reach_ex = np.maximum(d, 0.0).cumsum()
+    reach_de = np.maximum(-d, 0.0).cumsum()
+    ends = np.concatenate((reach_ex, reach_de))
+    ends.sort()
+    piece = ends.copy()
+    piece[1:] -= ends[:-1]
     j = np.searchsorted(reach_ex, ends)  # the excess whose stretch holds the piece
     k = np.searchsorted(reach_de, ends)
-    forward = j < k
-    j, k = j[forward], k[forward]
+    keep = (piece > 0.0) & (ends <= min(reach_ex[-1], reach_de[-1])) & (j < k)
+    j, k = j[keep], k[keep]
     # nu_j > target_j >= target_k > nu_k, so every gap is positive
-    alpha = np.diff(ends, prepend=0.0)[forward] / (nu[j] - nu[k])
-    mix = np.zeros((nu.size, nu.size))
+    alpha = piece[keep] / (nu[j] - nu[k])
+    size = nu.size
+    mix = np.zeros((size, size))
     mix[j, k] = alpha
     mix[k, j] = alpha
     # rounding can lift a row's weights past 1 by an ulp; D stays non-negative
-    np.fill_diagonal(mix, np.maximum(1.0 - mix.sum(axis=1), 0.0))
+    mix.ravel()[:: size + 1] = np.maximum(1.0 - mix.sum(axis=1), 0.0)
     return mix
 
 
-def _mix_fastest_profiles(energies: np.ndarray, u: np.ndarray, m: float) -> np.ndarray:
+def _mix_fastest_profiles(energies: np.ndarray, target: np.ndarray, order: np.ndarray, m: float):
     """Per-EV profiles with totals `energies` and columns summing to u.
 
-    Row i of F is the fastest-charge profile of e_i, and F's column sums
-    are nu. Mixing F's columns by the doubly stochastic D of
-    _mixing_matrix keeps every entry a convex combination of its row of F
-    (so in [0, m]) and every row total, and turns the column sums into
-    D @ nu, u sorted non-increasing; the columns then go back to u's
-    order. Returns the (N, T) profiles in the order of `energies`.
+    target = u[order] is u sorted non-increasing. Row i of F is the
+    fastest-charge profile of e_i, and F's column sums are nu. Mixing F's
+    columns by the doubly stochastic D of _mixing_matrix keeps every entry
+    a convex combination of its row of F (so in [0, m]) and every row
+    total, and turns the column sums into D @ nu = target; the columns
+    then go back to u's order. Returns the (N, T) profiles in the order
+    of `energies`.
     """
-    fastest = _fastest_profiles(energies, m, u.size)
-    order = np.argsort(-u, kind="stable")
+    fastest = _fastest_profiles(energies, m, target.size)
     per_ev = np.empty_like(fastest)
-    per_ev[:, order] = fastest @ _mixing_matrix(fastest.sum(axis=0), u[order])
+    per_ev[:, order] = fastest @ _mixing_matrix(fastest.sum(axis=0), target)
     return per_ev
 
 
@@ -489,15 +505,18 @@ def decompose(pop: Population, u, atol: float = DEFAULT_ATOL):
     u = _check_profile(u, (pop.horizon,), atol)
     fleet = _fleet(pop)
     flex = fleet.flex
+    # one sort serves the verdict, the witness's column order and the cut
+    order = np.argsort(-u, kind="stable")
+    target = u[order]
+    top = target.cumsum()
     total = u.sum()
-    if flex._members(u[None], atol)[0]:
+    if _member_matrix(flex._caps, top, total, atol):
         energies = fleet.balanced_energies(total)
-        return Decomposition(_mix_fastest_profiles(energies, u, pop.power))
+        return Decomposition(_mix_fastest_profiles(energies, target, order, pop.power))
     lo_total = flex._caps[2]
     if total < lo_total - atol:
         return Infeasible((), float(lo_total - total))
-    order = np.argsort(-u, kind="stable")
-    excess = np.cumsum(u[order]) - flex._cut_caps(total)
+    excess = top - flex._cut_caps(total)
     k = int(np.argmax(excess)) + 1
     return Infeasible(tuple(sorted(int(t) + 1 for t in order[:k])), float(excess[k - 1]))
 

@@ -19,8 +19,9 @@ on execution order. The CSV records this as stream version 2
 Each cell's violation rate carries a 95% Clopper-Pearson interval
 (``clopper_pearson``). Its bounds are beta quantiles from
 ``scipy.special.betaincinv``, the Boost routine behind
-``scipy.stats.beta.ppf``, called directly: the values are the same and
-importing the package does not load ``scipy.stats``.
+``scipy.stats.beta.ppf``, called directly: the values are the same.
+``scipy.special`` is imported on the first call, so importing the package
+loads neither ``scipy.stats`` nor ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .aggregate import _cap_parts, _check_atol, _fastest_profiles
 from .aggregate import batch_contains  # noqa: F401  (perfbench/tracing.py wraps this name)
@@ -103,6 +103,8 @@ def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
 
     The bounds equal ``scipy.stats.beta.ppf``'s bit for bit.
     """
+    from scipy.special import betaincinv  # most of the import time of the package; only this needs it
+
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
     if not 0 < alpha < 1:

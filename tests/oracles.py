@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own code paths: hull
 membership is an LP over explicitly enumerated vertices, transport costs
 come from scipy's LP solver, 1-D distances from the CDF integral,
 flow decomposition from a circulation network that the runtime no longer
-builds, the balanced-split level from a per-call breakpoint search,
+builds, the mixing matrix of a decomposition from a np.union1d merge of
+its breakpoints, the balanced-split level from a per-call breakpoint search,
 generating vectors from a sum of explicit fastest-charge profiles,
 sampling probabilities from an enumeration of every multiset, and the
 N-point projection from a walk over atom pieces, one chunk at a time.
@@ -243,6 +244,36 @@ def flow_decompose(pop, u, atol=1e-9):
         return None
     n = pop.n
     return np.array(flows[n : n + n * pop.horizon]).reshape(n, pop.horizon)
+
+
+def mixing_matrix_by_union(nu, target):
+    """A symmetric doubly stochastic D with D @ nu = target, by np.union1d.
+
+    The reference for aggregate._mixing_matrix: the cumulative excess and
+    deficit ends are merged by np.union1d, which drops the ends the two
+    curves share, and each piece between consecutive ends is one
+    north-west-corner pair (j, k) carrying mass delta; pairs with j > k are
+    left out.
+    """
+    d = nu - target
+    excess = np.maximum(d, 0.0)
+    deficit = np.maximum(-d, 0.0)
+    reach_ex = np.cumsum(excess)
+    reach_de = np.cumsum(deficit)
+    ends = np.union1d(reach_ex, reach_de)
+    ends = ends[(ends > 0.0) & (ends <= min(reach_ex[-1], reach_de[-1]))]
+    j = np.searchsorted(reach_ex, ends)  # the excess whose stretch holds the piece
+    k = np.searchsorted(reach_de, ends)
+    forward = j < k
+    j, k = j[forward], k[forward]
+    # nu_j > target_j >= target_k > nu_k, so every gap is positive
+    alpha = np.diff(ends, prepend=0.0)[forward] / (nu[j] - nu[k])
+    mix = np.zeros((nu.size, nu.size))
+    mix[j, k] = alpha
+    mix[k, j] = alpha
+    # rounding can lift a row's weights past 1 by an ulp; D stays non-negative
+    np.fill_diagonal(mix, np.maximum(1.0 - mix.sum(axis=1), 0.0))
+    return mix
 
 
 def multisets_with_pmf(n, weights):

@@ -31,7 +31,7 @@ from evflex import (
     strong_majorizes,
 )
 
-from evflex.aggregate import _fleet, _generating_vectors
+from evflex.aggregate import _check_profile, _fleet, _generating_vectors
 from oracles import (
     clip_level,
     flex_distance,
@@ -40,6 +40,7 @@ from oracles import (
     flow_decompose,
     generating_vectors,
     hull_member,
+    mixing_matrix_by_union,
 )
 
 
@@ -135,10 +136,15 @@ def test_contains_examples(member):
         member(pop, [1, 1, 1, -1])
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_profiles_rejected(bad):
+# a non-finite entry is reported before a negative one
+@pytest.mark.parametrize(
+    "u",
+    [[np.nan, 1, 1, 1], [np.inf, 1, 1, 1], [-np.inf, 1, 1, 1],
+     [np.nan, -1, 1, 1], [np.inf, -1, 1, 1]],
+    ids=["nan", "inf", "-inf", "nan-and-negative", "inf-and-negative"],
+)
+def test_non_finite_profiles_rejected(u):
     pop = two_ev_pop()
-    u = [bad, 1, 1, 1]
     with pytest.raises(DomainError):
         contains(pop, u)
     with pytest.raises(DomainError):
@@ -187,10 +193,18 @@ def test_batch_contains_checks_shapes():
             batch_contains(e_lo, e_hi, profiles, pop.power)
     with pytest.raises(DimensionMismatch):
         batch_contains(e_lo, e_hi[:, :1], np.ones((1, 4)), pop.power)
-    # a negative entry within atol counts as zero, as in contains
+    # a negative entry within atol counts as zero, as in contains and decompose
     u = np.array([1.5, 0.5, 0.0, -1e-12])
     assert contains(pop, u)
     assert batch_contains(e_lo, e_hi, u[None], pop.power)[0, 0]
+    result = decompose(pop, u)
+    assert isinstance(result, Decomposition)
+    clipped = np.maximum(u, 0.0)
+    np.testing.assert_allclose(result.per_ev.sum(axis=0), clipped, rtol=0, atol=1e-12)
+    # the checked profile is a new array: the caller's is never clipped or aliased
+    np.testing.assert_array_equal(u, [1.5, 0.5, 0.0, -1e-12])
+    for profile in (u, clipped):
+        assert not np.shares_memory(_check_profile(profile, (4,), 1e-9), profile)
 
 
 @pytest.mark.parametrize(
@@ -850,6 +864,14 @@ def criterion_excess(pop, u):
 def test_mixing_matrix_is_symmetric_doubly_stochastic():
     from evflex.aggregate import _fleet, _generating_vectors, _mixing_matrix
 
+    def check(nu, target, tol):
+        mix = _mixing_matrix(nu, target)
+        np.testing.assert_array_equal(mix, mixing_matrix_by_union(nu, target))
+        assert mix.min() >= 0.0
+        np.testing.assert_array_equal(mix, mix.T)
+        np.testing.assert_allclose(mix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mix @ nu, target, rtol=0, atol=tol)
+
     rng = np.random.default_rng(12)
     checked = 0
     for _ in range(300):
@@ -861,17 +883,29 @@ def test_mixing_matrix_is_symmetric_doubly_stochastic():
                 continue
             energies = _fleet(pop).balanced_energies(u.sum())
             nu = _generating_vectors(energies, power, horizon)
-            target = np.sort(u)[::-1]
-            mix = _mixing_matrix(nu, target)
-            assert mix.min() >= 0.0
-            np.testing.assert_array_equal(mix, mix.T)
-            np.testing.assert_allclose(mix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
             # a member may lie up to atol outside the set, and D @ nu may
             # then miss the target by that much, besides rounding noise
-            tol = criterion_excess(pop, u) + 1e-10
-            np.testing.assert_allclose(mix @ nu, target, rtol=0, atol=tol)
+            check(nu, np.sort(u)[::-1], criterion_excess(pop, u) + 1e-10)
             checked += 1
     assert checked > 1000
+    # integer lattice: nu from target by unit moves to larger entries, so nu
+    # majorizes target and the excess and deficit curves share ends
+    shared = 0
+    for _ in range(300):
+        target = np.sort(rng.integers(0, 4, int(rng.integers(2, 9))))[::-1].astype(float)
+        nu = target.copy()
+        for _ in range(int(rng.integers(1, 6))):
+            i, j = np.sort(rng.choice(nu.size, 2, replace=False))
+            if nu[j] >= 1:
+                nu[i] += 1
+                nu[j] -= 1
+                nu = np.sort(nu)[::-1]
+        check(nu, target, 1e-12)
+        d = nu - target
+        reach_ex, reach_de = np.cumsum(np.maximum(d, 0)), np.cumsum(np.maximum(-d, 0))
+        common = np.intersect1d(reach_ex, reach_de)
+        shared += np.any((common > 0) & (common < reach_ex[-1]))
+    assert shared > 40
 
 
 @pytest.mark.parametrize("n, horizon", [(10, 24), (50, 24), (200, 24), (50, 96), (200, 96),

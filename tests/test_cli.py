@@ -140,6 +140,24 @@ def test_robust_command_on_pushing_demo_is_pinned(tmp_path):
     assert out.read_bytes() == (ROOT / "tests" / "data" / "pushing_demo_robust.json").read_bytes()
 
 
+def test_aggregate_command_on_pushing_demo_is_pinned(tmp_path):
+    # the bound pair and every sorted vertex, byte for byte
+    out = tmp_path / "aggregate.json"
+    scenario = str(ROOT / "scenarios" / "pushing_demo.json")
+    assert main(["aggregate", "--scenario", scenario, "--out", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "data" / "pushing_demo_aggregate.json").read_bytes()
+
+
+def test_member_certificate_on_pushing_demo_is_pinned(tmp_path):
+    # a non-member's cut and shortfall, byte for byte; a member's witness
+    # goes through a BLAS matrix product, so its last bits are not pinned
+    out = tmp_path / "member.json"
+    scenario = str(ROOT / "scenarios" / "pushing_demo.json")
+    args = ["--profile", "1,3.9,2.7,3.8,1,0", "--witness", "--out", str(out)]
+    assert main(["member", "--scenario", scenario, *args]) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "data" / "pushing_demo_nonmember.json").read_bytes()
+
+
 @pytest.mark.parametrize(
     "command, option",
     [

@@ -166,7 +166,8 @@ def test_clopper_pearson_equals_beta_ppf():
         assert np.array_equal(got[:-1, 1], hi), n
 
 
-def test_import_leaves_scipy_stats_unloaded():
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.special"])
+def test_import_leaves_scipy_unloaded(module):
     import os
     import subprocess
     import sys
@@ -174,7 +175,7 @@ def test_import_leaves_scipy_stats_unloaded():
     src = os.path.dirname(os.path.dirname(evflex.harness.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, evflex; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, evflex; print({module!r} in sys.modules)"],
         capture_output=True,
         text=True,
         env=env,
