@@ -9,22 +9,25 @@ polymatroid with the paramodular pair p(S) = min(m|S|, e_hi) and
 b(S) = max(0, e_lo - m(T - |S|)), and a Minkowski sum of generalized
 polymatroids is the one of the summed pairs (Frank). Summed over the
 population, both functions depend on |S| only:
-p(S) = sum_{t<=|S|} nu_hi[t] and b(S) = sum_{t>T-|S|} nu_lo[t]. The
-conditions b(S) <= u(S) <= p(S) for every S therefore reduce to the sorted
-prefix sums of u, so a profile u with total E is a member iff
+p(k) = sum_{t<=k} nu_hi[t] and b(k) = sum_{t>T-k} nu_lo[t] for |S| = k.
+Over the sets of size k, u(S) ranges from bottom_k(u), the sum of the k
+smallest entries, to top_k(u), the sum of the k largest, so a profile u is
+a member iff for k = 1..T:
 
-    sum(nu_lo) <= E, and for k = 1..T:
-    top_k(u) <= min(sum_{t<=k} nu_hi[t], E - sum_{t>k} nu_lo[t])
+    b(k) <= bottom_k(u)  and  top_k(u) <= p(k)
 
-where top_k(u) is the sum of the k largest entries (k = T gives
-E <= sum(nu_hi)). One vectorised kernel evaluates this criterion for many
-profiles against many populations; single-profile membership, batch
-membership, decomposition, subset and nesting tests all use it.
+(k = T gives sum(nu_lo) <= sum(u) <= sum(nu_hi)). A set holds its caps as
+one row [p(1..T), -b(1..T)] and a profile gives one row of cut sums
+[top_k(u), -bottom_k(u)]; membership is the one comparison sums <= caps,
+entry by entry. One kernel (_member_matrix) makes it for many profiles
+against many populations; single-profile membership, batch membership,
+decomposition's verdict, the subset and nesting tests and the Monte Carlo
+harness all use it.
 decompose() then builds its per-EV profiles constructively: the most
 balanced split of the total into per-EV energies, then one doubly
 stochastic mixing of the columns of their fastest-charge profiles. A
-non-member gets the violated cut of the criterion as its certificate. No
-flow or LP solver runs.
+non-member gets a violated cut as its certificate. No flow or LP solver
+runs.
 
 The generating vectors themselves are a histogram of whole steps: an EV
 with energy e fills floor(e/m) steps with m and puts the remainder on the
@@ -35,13 +38,14 @@ decompose() forms that matrix, for its witness.
 
 Everything that depends on the population alone is computed once per
 population, on its first query, and kept for as long as the population
-lives: the bound pair, the caps of the criterion and, from the first
-member decompose() on, the table of the balanced split. A later query
-does only per-profile work, in a few small numpy calls: two reductions
-that validate the profile, one sort, the cap comparison on 1-D arrays
-and, for a member, one interpolation in that table and the mixing. In
-decompose() one stable argsort serves the verdict, the witness's column
-order and the certificate; there is no per-query level search.
+lives: the bound pair, the cap row and, from the first member
+decompose() on, the table of the balanced split. A later query does only
+per-profile work, in a few small numpy calls: two reductions that
+validate the profile, one sort, the cut sums and the cap comparison on
+1-D arrays and, for a member, one interpolation in that table and the
+mixing. In decompose() one stable argsort serves the verdict, the
+witness's column order and the certificate; there is no per-query level
+search.
 """
 
 from __future__ import annotations
@@ -102,10 +106,11 @@ class AggregateFlexSet:
 
     The set is {u : b(S) <= u(S) <= p(S) for every S}, with p the prefix
     sums of nu_hi and b the tail sums of nu_lo, and the two-vector
-    criterion decides membership from the pair alone. A set built from one
-    population carries that population's pair; a robust set carries the
-    lower worst case's nu_lo and the upper worst case's nu_hi (see
-    ambiguity.robust_set for why that is the intersection of their sets).
+    criterion decides membership from the pair alone, held as the cap row
+    [p(1..T), -b(1..T)]. A set built from one population carries that
+    population's pair; a robust set carries the lower worst case's nu_lo
+    and the upper worst case's nu_hi (see ambiguity.robust_set for why
+    that is the intersection of their sets).
     """
 
     nu_lo: np.ndarray
@@ -150,51 +155,25 @@ class AggregateFlexSet:
         return bool(self.nu_lo.sum() > self.nu_hi.sum() + DEFAULT_ATOL)
 
     @cached_property
-    def _caps(self) -> tuple[np.ndarray, np.ndarray, np.float64]:
-        """(reach, tail, sum(nu_lo)) of the criterion, computed on first use; see _cap_parts."""
-        return _cap_parts(self.nu_lo, self.nu_hi)
+    def _caps(self) -> np.ndarray:
+        """The cap row [p(1..T), -b(1..T)] of the criterion, computed on first use."""
+        return _cap_row(self.nu_lo, self.nu_hi)
 
     @cached_property
-    def _vertex_envelope(self) -> tuple[np.ndarray, np.ndarray, np.float64]:
-        """(top_max, slack, lo_floor) of the T+1 sorted vertices, computed on first use.
+    def _vertex_envelope(self) -> np.ndarray:
+        """The largest cut sums over the T+1 sorted vertices, computed on first use.
 
-        top_max[k-1] = max_v top_k(v), slack[k-1] = min_v (sum(v) - top_k(v))
-        and lo_floor = min_v sum(v), from the same sorted prefix sums the
-        criterion takes of each vertex; see _vertices_inside.
+        A population holds every vertex iff its cap row clears this one row:
+        max does not round, so the verdict is the one _member_matrix gives
+        vertex by vertex.
         """
-        vertices = sorted_vertices(self)
-        total = vertices.sum(axis=1)
-        top = np.sort(vertices, axis=1)[:, ::-1].cumsum(axis=1)
-        return top.max(axis=0), (total[:, None] - top).min(axis=0), total.min()
-
-    def _vertices_inside(self, reach, tail, lo_total, atol: float) -> np.ndarray:
-        """Whether each of R populations holds all T+1 sorted vertices of this set.
-
-        reach, tail: (R, T) and lo_total: (R,), the populations' caps as
-        _cap_parts gives them. Vertex v is a member of population r iff
-        top_k(v) <= min(reach_r[k], sum(v) - tail_r[k]) + atol for every k
-        and sum(v) >= lo_total_r - atol. Over all v that is three checks
-        against _vertex_envelope: top_max <= reach_r + atol,
-        tail_r <= slack + atol and lo_floor >= lo_total_r - atol, so the
-        (R,) verdicts of batch_contains(...).all(axis=1) cost (R, T)
-        comparisons, with no vertex axis.
-        """
-        top_max, slack, lo_floor = self._vertex_envelope
-        return (
-            (top_max <= reach + atol).all(axis=1)
-            & (tail <= slack + atol).all(axis=1)
-            & (lo_floor >= lo_total - atol)
-        )
-
-    def _cut_caps(self, total) -> np.ndarray:
-        """Caps min(sum_{t<=k} nu_hi[t], E - sum_{t>k} nu_lo[t]) on top_k(u), k = 1..T."""
-        reach, tail, _ = self._caps
-        return np.minimum(reach, total - tail)
+        vertices = np.sort(sorted_vertices(self), axis=1)[:, ::-1]
+        return _cap_row(vertices, vertices).max(axis=0)
 
     def _members(self, profiles: np.ndarray, atol: float) -> np.ndarray:
         """Membership of a non-negative profile (T,), or of each row of a (V, T) stack."""
-        top = np.sort(profiles, axis=-1)[..., ::-1].cumsum(axis=-1)
-        return _member_matrix(self._caps, top, profiles.sum(axis=-1), atol)
+        ordered = np.sort(profiles, axis=-1)[..., ::-1]
+        return _member_matrix(self._caps, _cap_row(ordered, ordered), atol)
 
     def contains_profile(self, u, atol: float = DEFAULT_ATOL) -> bool:
         """Membership of an aggregate profile in this set."""
@@ -314,34 +293,26 @@ def _check_profile(u, shape: tuple[int, ...], atol: float) -> np.ndarray:
     return np.maximum(u, 0.0)
 
 
-def _cap_parts(nu_lo: np.ndarray, nu_hi: np.ndarray):
-    """The pieces of the caps min(sum_{t<=k} nu_hi[t], E - sum_{t>k} nu_lo[t]).
+def _cap_row(nu_lo: np.ndarray, nu_hi: np.ndarray) -> np.ndarray:
+    """The caps [p(1..T), -b(1..T)] of a pair: (..., T) vectors -> (..., 2T).
 
-    nu_lo, nu_hi: (..., T). Returns reach = cumsum(nu_hi), tail[k-1] =
-    sum_{t>k} nu_lo[t] (zero at k = T), both (..., T), and sum(nu_lo).
+    p(k) = sum_{t<=k} nu_hi[t] bounds u(S) above and
+    b(k) = sum_{t>T-k} nu_lo[t] below, over the sets S of size k. For a
+    profile v sorted non-increasing, _cap_row(v, v) is its row of cut sums
+    [top_k(v), -bottom_k(v)], the extremes of v(S) over |S| = k.
     """
-    reach = nu_hi.cumsum(axis=-1)
-    tail = np.zeros_like(nu_lo)
-    tail[..., :-1] = nu_lo[..., :0:-1].cumsum(axis=-1)[..., ::-1]
-    return reach, tail, nu_lo.sum(axis=-1)
+    return np.concatenate((nu_hi.cumsum(axis=-1), -nu_lo[..., ::-1].cumsum(axis=-1)), axis=-1)
 
 
-def _member_matrix(caps, top: np.ndarray, total, atol: float) -> np.ndarray:
-    """Membership of profiles in the sets given by their caps.
+def _member_matrix(caps: np.ndarray, sums: np.ndarray, atol: float) -> np.ndarray:
+    """Membership b(k) <= bottom_k(u) and top_k(u) <= p(k), k = 1..T, within atol.
 
-    top: (..., T) prefix sums of each profile sorted non-increasing, so
-    top[..., k-1] = top_k(u); total: (...) the profile totals E. caps:
-    (reach, tail, lo_total) as _cap_parts gives them, shaped by the caller
-    so that reach and tail broadcast against top and lo_total against
-    total. Returns the broadcast boolean verdicts: the total is at least
-    lo_total and, for every k, top_k(u) <= min(reach[k], E - tail[k])
-    (k = T is the upper total).
+    caps: (..., 2T) cap rows of sets and sums: (..., 2T) cut sums of
+    profiles (or cap rows of sets to nest), both from _cap_row and shaped
+    by the caller so that the two broadcast. Returns the broadcast
+    boolean verdicts, one per (caps, sums) pair.
     """
-    reach, tail, lo_total = caps
-    bound = np.minimum(reach, total[..., None] - tail)
-    bound += atol
-    inside = (top <= bound).all(axis=-1)
-    return inside & (total >= lo_total - atol)
+    return (sums - atol <= caps).all(axis=-1)
 
 
 def batch_contains(
@@ -375,12 +346,10 @@ def batch_contains(
         raise DomainError("population energies must be finite")
     horizon = profiles.shape[1]
     check_energy_domain(e_lo, e_hi, m * horizon, EnergyOutOfRange)
-    nu_lo = _generating_vectors(e_lo, m, horizon)
-    nu_hi = _generating_vectors(e_hi, m, horizon)
-    reach, tail, lo_total = _cap_parts(nu_lo, nu_hi)
-    top = np.sort(profiles, axis=1)[:, ::-1].cumsum(axis=1)
-    caps = reach[:, None], tail[:, None], lo_total[:, None]  # (R, 1, T), (R, 1, T), (R, 1)
-    return _member_matrix(caps, top, profiles.sum(axis=1), atol)
+    caps = _cap_row(_generating_vectors(e_lo, m, horizon), _generating_vectors(e_hi, m, horizon))
+    ordered = np.sort(profiles, axis=1)[:, ::-1]
+    sums = _cap_row(ordered, ordered)
+    return _member_matrix(caps[:, None], sums, atol)  # (R, 1, 2T) against (V, 2T)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +374,11 @@ class Infeasible:
     """Witness of infeasibility: a set of steps S whose demand exceeds its cap.
 
     u(S) > min(p(|S|), E - b(T - |S|)) with p the prefix sums of nu_hi, b
-    the tail sums of nu_lo and E the profile total; shortfall is the excess.
-    S is empty when E falls short of sum(nu_lo).
+    the tail sums of nu_lo and E the profile total; shortfall is the excess,
+    always positive. S is empty when E falls short of b(T) = sum(nu_lo).
+    Where E - b(T - |S|) rounds the excess away, shortfall is the one the
+    membership test sees: u(S) - p(|S|) or b(T - |S|) - u(S'), with S' the
+    complement of S.
     """
 
     deficient_steps: tuple[int, ...]  # 1-indexed
@@ -497,10 +469,12 @@ def decompose(pop: Population, u, atol: float = DEFAULT_ATOL):
     Returns a Decomposition (rows in [0, m]^T with totals in
     [e_lo, e_hi], columns summing to u). A non-member gets an Infeasible
     certificate that anyone can check from (nu_lo, nu_hi): the empty set
-    with shortfall sum(nu_lo) - E when the total is too small, and
-    otherwise the steps of u's k largest entries for the most violated k,
-    with shortfall top_k(u) - min(sum_{t<=k} nu_hi[t], E - sum_{t>k} nu_lo[t]).
-    Any valid split or violated cut is correct; these are the ones chosen.
+    with shortfall b(T) - E when the total is too small, and otherwise the
+    steps of u's k largest entries for the most violated k, with shortfall
+    top_k(u) - min(sum_{t<=k} nu_hi[t], E - sum_{t>k} nu_lo[t]), or the
+    excess the membership test sees where that rounds to <= 0 (see
+    Infeasible). Any valid split or violated cut is correct; these are the
+    ones chosen.
     """
     u = _check_profile(u, (pop.horizon,), atol)
     fleet = _fleet(pop)
@@ -508,17 +482,24 @@ def decompose(pop: Population, u, atol: float = DEFAULT_ATOL):
     # one sort serves the verdict, the witness's column order and the cut
     order = np.argsort(-u, kind="stable")
     target = u[order]
-    top = target.cumsum()
-    total = u.sum()
-    if _member_matrix(flex._caps, top, total, atol):
-        energies = fleet.balanced_energies(total)
+    sums = _cap_row(target, target)
+    caps = flex._caps
+    if _member_matrix(caps, sums, atol):
+        energies = fleet.balanced_energies(u.sum())
         return Decomposition(_mix_fastest_profiles(energies, target, order, pop.power))
-    lo_total = flex._caps[2]
-    if total < lo_total - atol:
-        return Infeasible((), float(lo_total - total))
-    excess = top - flex._cut_caps(total)
+    if sums[-1] - atol > caps[-1]:  # bottom_T(u) = E falls short of b(T)
+        return Infeasible((), float(sums[-1] - caps[-1]))
+    horizon = u.size
+    cut = np.full(horizon, u.sum())
+    cut[:-1] += caps[horizon:-1][::-1]  # E - b(T - k), k = 1..T
+    excess = sums[:horizon] - np.minimum(caps[:horizon], cut)
     k = int(np.argmax(excess)) + 1
-    return Infeasible(tuple(sorted(int(t) + 1 for t in order[:k])), float(excess[k - 1]))
+    shortfall = excess[k - 1]
+    if shortfall <= 0:  # E - b(T - k) rounded the violation away: read it off the cut sums
+        gap = sums - caps
+        i = int(np.argmax(gap))
+        k, shortfall = (i + 1 if i < horizon else 2 * horizon - 1 - i), gap[i]
+    return Infeasible(tuple(sorted(int(t) + 1 for t in order[:k])), float(shortfall))
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +539,13 @@ def find_subset_violation(aset: AggregateFlexSet, pop: Population, atol: float =
 
 
 def is_subset_exact(aset: AggregateFlexSet, pop: Population, atol: float = DEFAULT_ATOL) -> bool:
-    """Exact test of aset being contained in the population's aggregate set."""
+    """Whether every sorted vertex of aset lies in the population's aggregate set.
+
+    Exact when aset.vertices_are_members() holds, as it always does for
+    single-population sets. Otherwise it is conservative, like
+    find_subset_violation: True certifies containment, but False can be
+    returned for a robust set that is in fact contained.
+    """
     return find_subset_violation(aset, pop, atol=atol) is None
 
 
@@ -575,11 +562,7 @@ def is_subset_fast(aset: AggregateFlexSet, pop: Population, atol: float = DEFAUL
     _check_atol(atol)
     if aset.is_empty:
         return True
-    pop_lo, pop_hi = nu_bounds(pop)
-    return bool(
-        np.all(np.cumsum(aset.nu_hi) <= np.cumsum(pop_hi) + atol)
-        and np.all(np.cumsum(aset.nu_lo[::-1]) >= np.cumsum(pop_lo[::-1]) - atol)
-    )
+    return bool(_member_matrix(_fleet(pop).flex._caps, aset._caps, atol))
 
 
 def is_nested(inner: AggregateFlexSet, outer: AggregateFlexSet, atol: float = DEFAULT_ATOL) -> bool:

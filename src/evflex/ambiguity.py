@@ -95,8 +95,10 @@ class ConcentrationConstants:
     c2: float
 
     def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("concentration constants must be positive")
+        if not (0 < self.c1 < math.inf and 0 < self.c2 < math.inf):
+            raise ValueError(
+                f"concentration constants must be positive and finite, got {self.c1}, {self.c2}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +324,7 @@ def beta_from_epsilon(eps: float, n: int, constants: ConcentrationConstants) -> 
     """Confidence complement for a ball radius: c1 * exp(-c2 * n * eps^2)."""
     if not 0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = _check_count(n)
     if eps > 1:
         warnings.warn(
             f"eps={eps} is outside the (0, 1] validity range of the tail bound",
@@ -337,8 +338,7 @@ def epsilon_from_beta(beta: float, n: int, constants: ConcentrationConstants) ->
     """Inverse of beta_from_epsilon."""
     if not 0 < beta < constants.c1:
         raise DomainError(f"beta must lie in (0, c1), got {beta}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n = _check_count(n)
     eps = math.sqrt(math.log(constants.c1 / beta) / (constants.c2 * n))
     if eps > 1:
         warnings.warn(

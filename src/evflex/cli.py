@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .aggregate import AggregateFlexSet, Decomposition, decompose, sorted_vertices
+from .aggregate import AggregateFlexSet, contains, decompose, sorted_vertices
 from .ambiguity import epsilon_from_beta, robust_set
 from .core import DEFAULT_ATOL
 from .errors import (
@@ -112,8 +112,10 @@ def _cmd_member(args) -> int:
     if sc.population is None:
         raise ValidationError("population: required for the member command")
     u = _parse_profile(args)
-    result = decompose(sc.population, u, atol=atol)
-    member = isinstance(result, Decomposition)
+    # contains gives a member's answer; only a witness or a certificate needs decompose
+    member = contains(sc.population, u, atol=atol)
+    if args.witness or not member:
+        result = decompose(sc.population, u, atol=atol)
     payload = {"member": member, "profile": u}
     if member:
         payload["witness"] = result.per_ev if args.witness else None

@@ -29,6 +29,11 @@ class TimeGrid:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
 
+def _check_power(power) -> None:
+    if not (math.isfinite(power) and power > 0):
+        raise ValueError(f"power must be positive and finite, got {power}")
+
+
 def check_energy_domain(e_lo: np.ndarray, e_hi: np.ndarray, cap: float, error: type) -> None:
     """Raise `error` naming the first pair that breaks 0 <= e_lo <= e_hi <= cap.
 
@@ -63,8 +68,7 @@ class Population:
             raise ValueError("e_lo and e_hi must be non-empty 1-D arrays of equal length")
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
-        if not (math.isfinite(power) and power > 0):
-            raise ValueError(f"power must be positive and finite, got {power}")
+        _check_power(power)
         check_energy_domain(e_lo, e_hi, power * horizon, ValueError)
         e_lo.flags.writeable = False
         e_hi.flags.writeable = False
@@ -95,8 +99,7 @@ def fastest_profile(energy: float, power: float, steps: int) -> np.ndarray:
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if power <= 0:
-        raise ValueError("power must be positive")
+    _check_power(power)
     if energy < 0 or energy > power * steps + 1e-12:
         raise EnergyOutOfRange(f"energy {energy} outside [0, {power * steps}]")
     full = min(int(np.floor(energy / power)), steps)
@@ -113,6 +116,7 @@ def is_individually_feasible(
 ) -> bool:
     """True when one EV can track `profile`: entries in [0, power] and a
     total in [e_lo, e_hi]."""
+    _check_power(power)
     u = np.asarray(profile, dtype=float)
     if u.ndim != 1:
         raise DimensionMismatch(f"profile must be 1-D, got shape {u.shape}")

@@ -3,10 +3,10 @@
 For each ball radius the robust set is built once and checked against
 populations sampled from the distribution, once per distinct population
 (multiset of atoms) among the trials. The check works in atom space: a
-population's caps are sums over its EVs, so they are its atom counts
-times per-atom cap tables built once per run, and they are compared with
-the robust set's vertex envelope, three vectors built once per set. No
-array on that path has a population-size or a T x T axis.
+population's cap row is a sum over its EVs, so it is its atom counts
+times a per-atom cap table built once per run, and it is compared with
+the robust set's vertex envelope, one row of cut sums built once per set.
+No array on that path has a population-size or a T x T axis.
 
 Randomness comes from one counter-based Philox stream per (master seed,
 population size), defined by ``trial_rng``. A cell draws all of its
@@ -32,11 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import _cap_parts, _check_atol, _fastest_profiles
+from .aggregate import _cap_row, _check_atol, _fastest_profiles, _member_matrix
 from .aggregate import batch_contains  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .ambiguity import (
     ConcentrationConstants,
     DiscreteDistribution,
+    _check_count,
     _check_power,
     robust_set,
 )
@@ -132,7 +133,7 @@ def sample_population(
     The draw is the multinomial atom counts of the n jobs, so the t-th call
     on trial_rng(seed, n) gives row t of run_trials' count matrix.
     """
-    counts = rng.multinomial(n, dist.weights)
+    counts = rng.multinomial(_check_count(n), dist.weights)
     return Population.from_energy_pairs(np.repeat(dist.atoms, counts, axis=0), grid.steps, power)
 
 
@@ -153,22 +154,20 @@ def _distinct_populations(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _atom_cap_table(atoms: np.ndarray, m: float, horizon: int) -> np.ndarray:
-    """(A, 2T+1) caps of each atom as a single EV: reach | tail | lo_total.
+    """(A, 2T) cap rows [p(1..T), -b(1..T)] of each atom as a single EV.
 
-    Every cap of the criterion (_cap_parts) is a sum over a population's
-    EVs, so a population with atom counts c has caps c @ table.
+    Every cap of the criterion (_cap_row) is a sum over a population's
+    EVs, so a population with atom counts c has the cap row c @ table.
     """
     lo = _fastest_profiles(atoms[:, 0], m, horizon)
     hi = _fastest_profiles(atoms[:, 1], m, horizon)
-    return np.column_stack(_cap_parts(lo, hi))
+    return _cap_row(lo, hi)
 
 
 def _populations_hold(flex, counts: np.ndarray, table: np.ndarray, atol: float) -> np.ndarray:
     """Whether each population, given by its (U, A) atom counts, holds every
-    sorted vertex of flex: batch_contains(...).all(axis=1) in (U, T) checks."""
-    caps = counts @ table
-    horizon = flex.horizon
-    return flex._vertices_inside(caps[:, :horizon], caps[:, horizon:-1], caps[:, -1], atol)
+    sorted vertex of flex: batch_contains(...).all(axis=1) in (U, 2T) checks."""
+    return _member_matrix(counts @ table, flex._vertex_envelope, atol)
 
 
 def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
@@ -184,10 +183,11 @@ def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
     by multiset once and each distinct one is scored once per radius; a
     verdict is therefore a function of the multiset, not of the draw
     order. Every cap of the criterion is a sum over the population's EVs,
-    so a population's caps are its atom counts times a per-atom table
-    built once per call, and they are checked against the set's vertex
-    envelope (AggregateFlexSet._vertices_inside): (U, T) comparisons, with
-    no (U, N) energy array and no (U, T+1, T) bound array.
+    so a population's cap row is its atom counts times a per-atom table
+    built once per call, and it is checked against the set's vertex
+    envelope, the largest cut sums over its vertices
+    (AggregateFlexSet._vertex_envelope): (U, 2T) comparisons, with no
+    (U, N) energy array and no (U, T+1, T) bound array.
     """
     dist = cfg.distribution
     n = cfg.population_size

@@ -1,7 +1,10 @@
 import gc
+import json
 import sys
 import threading
 import weakref
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +45,9 @@ from oracles import (
     hull_member,
     mixing_matrix_by_union,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def two_ev_pop(horizon=4):
@@ -313,6 +319,48 @@ def test_own_vertices_are_members():
         for vertex in sorted_vertices(AggregateFlexSet.from_population(pop)):
             assert contains(pop, vertex)
             assert flex_member(pop, vertex)
+
+
+def _zero_tolerance_vertex_cases():
+    rng = np.random.default_rng(11)
+    for i in range(60):
+        horizon, n = int(rng.integers(2, 25)), int(rng.integers(1, 30))
+        yield random_population(rng, horizon, n, (0.7, 1.0, 2.5)[i % 3]), None
+    demo = json.loads((ROOT / "scenarios" / "pushing_demo.json").read_text())
+    members = demo["population"]["members"]
+    yield Population.from_energy_pairs(members, demo["grid"]["T"], demo["power"]), 0
+
+
+@pytest.mark.parametrize("pop, row", list(_zero_tolerance_vertex_cases()))
+def test_own_sorted_vertices_are_members_at_zero_tolerance(pop, row):
+    # a vertex's cut sums are the set's own caps, or sums of smaller terms
+    # taken in the same order, so no rounding can put it outside; a criterion
+    # that subtracts two separately rounded sums rejects some of them
+    flex = AggregateFlexSet.from_population(pop)
+    vertices = sorted_vertices(flex)
+    if row is not None:  # only row 0 (nu_lo itself) on the shipped scenario
+        vertices = vertices[row:row + 1]
+    for vertex in vertices:
+        assert contains(pop, vertex, atol=0)
+        assert flex.contains_profile(vertex, atol=0)
+        assert isinstance(decompose(pop, vertex, atol=0), Decomposition)
+
+
+def test_zero_tolerance_certificate_shortfall_is_positive():
+    # the total falls an ulp short of the one EV's 5.0, which only the lower
+    # cut of the 7 smallest entries shows: E - b(T - k) rounds it away
+    pop = Population([5.0], [5.0], 11, 0.7)
+    u = np.array([0.7, 0, 0, 0.7, 0.7, 0.10000000000000052, 0, 0.7, 0.7, 0.7, 0.7])
+    assert not contains(pop, u, atol=0)
+    cert = decompose(pop, u, atol=0)
+    assert isinstance(cert, Infeasible) and cert.shortfall > 0
+    # the cut is violated in exact arithmetic on the float data
+    nu_lo, nu_hi = (list(map(Fraction, v)) for v in nu_bounds(pop))
+    steps = [t - 1 for t in cert.deficient_steps]
+    k = len(steps)
+    inside = sum(Fraction(u[t]) for t in steps)
+    outside = sum(Fraction(x) for t, x in enumerate(u) if t not in steps)
+    assert inside > sum(nu_hi[:k]) or sum(nu_lo[k:]) > outside
 
 
 def test_contains_matches_hull_oracle_small():

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import evflex.aggregate
 from evflex import ParseError, ValidationError
 from evflex.cli import main
 from evflex.harness import ViolationStats
@@ -104,6 +105,23 @@ def test_member_command_verdicts(tmp_path, capsys):
     assert payload["deficient_steps"] == [1]
 
     assert main(["member", "--scenario", path, "--profile", "1,1,1"]) == 2
+
+
+def test_member_command_builds_a_witness_only_when_asked(tmp_path, capsys, monkeypatch):
+    # a member's verdict comes from contains; only --witness mixes profiles
+    path = write_scenario(tmp_path, BASE)
+    mixed = []
+    original = evflex.aggregate._mix_fastest_profiles
+    monkeypatch.setattr(
+        evflex.aggregate, "_mix_fastest_profiles", lambda *a: mixed.append(1) or original(*a)
+    )
+    assert main(["member", "--scenario", path, "--profile", "1.5,0.5,0,0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["member"] is True and payload["witness"] is None
+    assert not mixed
+    assert main(["member", "--scenario", path, "--profile", "1.5,0.5,0,0", "--witness"]) == 0
+    assert json.loads(capsys.readouterr().out)["witness"] is not None
+    assert mixed == [1]
 
 
 def test_member_command_rejects_non_finite_profile(tmp_path, capsys):

@@ -68,6 +68,16 @@ def test_individual_feasibility_examples():
         is_individually_feasible(np.zeros((2, 4)), 1, 2, 1)
 
 
+@pytest.mark.parametrize("power", [np.inf, np.nan, 0.0, -1.0])
+def test_bad_power_rejected(power):
+    # an infinite rating would give an all-zero fastest profile, and a NaN
+    # one would pass every bound of the feasibility check
+    with pytest.raises(ValueError, match="power"):
+        fastest_profile(1.0, power, 4)
+    with pytest.raises(ValueError, match="power"):
+        is_individually_feasible([0.5, 0.5], 0, 2, power)
+
+
 def test_time_grid_invariants():
     assert TimeGrid(24).steps == 24
     with pytest.raises(ValueError):

@@ -7,17 +7,22 @@ from scipy.stats import spearmanr
 
 import evflex.harness
 from evflex import (
+    AggregateFlexSet,
     ConcentrationConstants,
     DiscreteDistribution,
     DomainError,
     InsufficientData,
+    Population,
     TimeGrid,
     TrialConfig,
     ViolationStats,
     batch_contains,
     beta_from_epsilon,
     clopper_pearson,
+    epsilon_from_beta,
     fit_constants,
+    find_subset_violation,
+    is_nested,
     is_subset_exact,
     project_to_n_points,
     robust_set,
@@ -36,6 +41,33 @@ def small_distribution(cap=4.0):
         np.array([0.5, 0.3, 0.2]),
         cap,
     )
+
+
+def _nan_constants_epsilon():
+    return epsilon_from_beta(0.1, 10, ConcentrationConstants(1.0, math.nan))
+
+
+# inputs that would otherwise give a wrong answer (nan, or 2 EVs for 2.5)
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: ConcentrationConstants(math.nan, 1.0), ValueError),
+        (lambda: ConcentrationConstants(1.0, math.inf), ValueError),
+        (lambda: ConcentrationConstants(math.inf, 1.0), ValueError),
+        (_nan_constants_epsilon, ValueError),
+        (lambda: beta_from_epsilon(0.1, 2.5, ConcentrationConstants(1.0, 1.0)), DomainError),
+        (lambda: beta_from_epsilon(0.1, True, ConcentrationConstants(1.0, 1.0)), DomainError),
+        (lambda: epsilon_from_beta(0.1, 2.5, ConcentrationConstants(1.0, 1.0)), DomainError),
+        (lambda: epsilon_from_beta(0.1, True, ConcentrationConstants(1.0, 1.0)), DomainError),
+        (lambda: sample_population(small_distribution(), 2.5, trial_rng(0, 2), TimeGrid(4)),
+         DomainError),
+    ],
+    ids=["c1-nan", "c2-inf", "c1-inf", "epsilon-nan-c2", "beta-n-float", "beta-n-bool",
+         "epsilon-n-float", "epsilon-n-bool", "sample-n-float"],
+)
+def test_bad_constants_and_counts_rejected(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_sample_point_mass():
@@ -390,7 +422,8 @@ def _random_robust_case(seed):
 
 def test_vertex_envelope_equals_vertex_route():
     # run_trials' check on atom counts decides each sampled population as
-    # batch_contains does on its energies and the T+1 sorted vertices
+    # batch_contains does on its energies and the T+1 sorted vertices, and
+    # as the vertex-based subset and nesting tests do on the population
     verdicts = np.zeros(2, dtype=int)
     for seed in range(200):
         case = _random_robust_case(seed)
@@ -405,6 +438,11 @@ def test_vertex_envelope_equals_vertex_route():
             p.atoms[idx, 0], p.atoms[idx, 1], sorted_vertices(flex), flex.power
         ).all(axis=1)
         np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}")
+        for rows, verdict in zip(idx, want):
+            pop = Population(p.atoms[rows, 0], p.atoms[rows, 1], flex.horizon, flex.power)
+            assert is_subset_exact(flex, pop) == verdict, seed
+            assert (find_subset_violation(flex, pop) is None) == verdict, seed
+            assert is_nested(flex, AggregateFlexSet.from_population(pop)) == verdict, seed
         verdicts += np.bincount(want, minlength=2)
     # both verdicts are common: about 45% of these populations violate
     assert verdicts.min() > 2000, verdicts
