@@ -304,15 +304,15 @@ def _cap_row(nu_lo: np.ndarray, nu_hi: np.ndarray) -> np.ndarray:
     return np.concatenate((nu_hi.cumsum(axis=-1), -nu_lo[..., ::-1].cumsum(axis=-1)), axis=-1)
 
 
-def _member_matrix(caps: np.ndarray, sums: np.ndarray, atol: float) -> np.ndarray:
+def _member_matrix(caps: np.ndarray, sums: np.ndarray, atol: float, axis: int = -1) -> np.ndarray:
     """Membership b(k) <= bottom_k(u) and top_k(u) <= p(k), k = 1..T, within atol.
 
-    caps: (..., 2T) cap rows of sets and sums: (..., 2T) cut sums of
-    profiles (or cap rows of sets to nest), both from _cap_row and shaped
-    by the caller so that the two broadcast. Returns the broadcast
+    caps: cap rows of sets and sums: cut sums of profiles (or cap rows of
+    sets to nest), both from _cap_row with their 2T entries on `axis` and
+    shaped by the caller so that the two broadcast. Returns the broadcast
     boolean verdicts, one per (caps, sums) pair.
     """
-    return (sums - atol <= caps).all(axis=-1)
+    return (sums - atol <= caps).all(axis=axis)
 
 
 def batch_contains(

@@ -112,7 +112,7 @@ def _merged_atoms(p: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
     neighbouring rows finds the runs and np.add.reduceat sums each run.
     """
     atoms = p.atoms
-    starts = np.flatnonzero(np.r_[True, (atoms[1:] != atoms[:-1]).any(axis=1)])
+    starts = np.flatnonzero(np.concatenate(([True], (atoms[1:] != atoms[:-1]).any(axis=1))))
     return atoms[starts], np.add.reduceat(p.weights, starts)
 
 
@@ -195,7 +195,7 @@ def _project(p: DiscreteDistribution, n: int) -> tuple[np.ndarray, float]:
     ends = np.cumsum(p.weights)
     edges = np.arange(1, n) / n
     cuts = np.union1d(ends, edges)
-    starts = np.r_[0.0, cuts[:-1]]
+    starts = np.concatenate(([0.0], cuts[:-1]))
     mass = cuts - starts
     keep = mass > _TINY
     mass = mass[keep]
@@ -205,13 +205,13 @@ def _project(p: DiscreteDistribution, n: int) -> tuple[np.ndarray, float]:
     # in its own slots first[k]..last[k]
     chunk = np.searchsorted(edges, mid, side="right")
     first = np.searchsorted(chunk, np.arange(n))
-    last = np.r_[first[1:], chunk.size] - 1
+    last = np.concatenate((first[1:], [chunk.size])) - 1
     support = np.empty((n, 2))
     for c in range(2):
         values = p.atoms[atom, c]
         order = np.lexsort((values, chunk))  # equal values keep atom order
         cum = np.cumsum(mass[order])
-        before = np.r_[0.0, cum][first]
+        before = np.concatenate(([0.0], cum))[first]
         # the pieces below the median: in-chunk mass short of half, less 1e-12
         short = cum - before[chunk] < (cum[last] - before)[chunk] / 2.0 - 1e-12
         support[:, c] = values[order][first + np.bincount(chunk[short], minlength=n)]

@@ -1,12 +1,14 @@
 """Monte Carlo certification of the tracking guarantee.
 
-For each ball radius the robust set is built once and checked against
-populations sampled from the distribution, once per distinct population
-(multiset of atoms) among the trials. The check works in atom space: a
+A cell is one population size with all its ball radii. Its trials are
+grouped by the population (multiset of atoms) they drew, and the work
+its radii share is done once. The check works in atom space: a
 population's cap row is a sum over its EVs, so it is its atom counts
-times a per-atom cap table built once per run, and it is compared with
-the robust set's vertex envelope, one row of cut sums built once per set.
-No array on that path has a population-size or a T x T axis.
+times a per-atom cap table. The cap rows of the cell's distinct
+populations are built once, as the columns of one (2T, U) array. Each
+radius builds its robust set and that set's vertex envelope (one row of
+cut sums) and compares the envelope with every cap column. No array on
+that path has a population-size or a T x T axis.
 
 Randomness comes from one counter-based Philox stream per (master seed,
 population size), defined by ``trial_rng``. A cell draws all of its
@@ -141,16 +143,26 @@ def _distinct_populations(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group (R, A) atom-count rows by the multiset they hold.
 
     Returns the (U, A) rows of the U distinct multisets and, for every
-    row, the index of its group.
+    row, the index of its group. Each row is packed into as few int64
+    keys as hold it, 63 // c.bit_length() atoms per key for the largest
+    count c (one key for the paper's 5 atoms), and the keys are sorted
+    in place of the A columns. Later atoms sit in higher bits and in
+    later keys, so the multisets come out in np.lexsort(counts.T) order.
     """
-    rows = counts.shape[0]
-    order = np.lexsort(counts.T)
-    ranked = counts[order]
+    rows, atoms = counts.shape
+    bits = max(int(counts.max()), 1).bit_length()
+    per_key = 63 // bits
+    col = np.arange(atoms)
+    packing = np.zeros((atoms, -(-atoms // per_key)), dtype=np.int64)
+    packing[col, col // per_key] = np.left_shift(1, bits * (col % per_key))
+    keys = counts @ packing  # disjoint bit fields: the sum is exact
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
     first = np.ones(rows, dtype=bool)
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     group = np.empty(rows, dtype=np.intp)
     group[order] = np.cumsum(first) - 1
-    return ranked[first], group
+    return counts[order[first]], group
 
 
 def _atom_cap_table(atoms: np.ndarray, m: float, horizon: int) -> np.ndarray:
@@ -164,10 +176,20 @@ def _atom_cap_table(atoms: np.ndarray, m: float, horizon: int) -> np.ndarray:
     return _cap_row(lo, hi)
 
 
-def _populations_hold(flex, counts: np.ndarray, table: np.ndarray, atol: float) -> np.ndarray:
-    """Whether each population, given by its (U, A) atom counts, holds every
-    sorted vertex of flex: batch_contains(...).all(axis=1) in (U, 2T) checks."""
-    return _member_matrix(counts @ table, flex._vertex_envelope, atol)
+def _cap_columns(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The cap rows of (U, A) atom counts, one per column: a contiguous (2T, U) array.
+
+    BLAS may round a product of non-dyadic entries differently with its
+    shape and orientation, so a cap row can move in its last bits with U;
+    on half-integer atoms at power 1, as in the paper, every sum is exact.
+    """
+    return table.T @ counts.T
+
+
+def _populations_clear(envelope: np.ndarray, caps: np.ndarray, atol: float) -> np.ndarray:
+    """Whether each population, a column of (2T, U) caps, clears the (2T,)
+    envelope row: the (U,) verdicts of _member_matrix, reduced over 2T."""
+    return _member_matrix(caps, envelope[:, None], atol, axis=0)
 
 
 def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
@@ -177,17 +199,28 @@ def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
     violation when the robust set is not inside the population's set: when
     one of the T+1 sorted vertices fails the membership criterion, the
     predicate of is_subset_exact and of batch_contains(...).all(axis=1).
-    All trials are drawn once, as a (trials, A) matrix of multinomial atom
-    counts from trial_rng(seed, N), and every radius scores that same draw.
-    Small populations drawn from few atoms repeat, so the rows are grouped
-    by multiset once and each distinct one is scored once per radius; a
-    verdict is therefore a function of the multiset, not of the draw
-    order. Every cap of the criterion is a sum over the population's EVs,
-    so a population's cap row is its atom counts times a per-atom table
-    built once per call, and it is checked against the set's vertex
-    envelope, the largest cut sums over its vertices
-    (AggregateFlexSet._vertex_envelope): (U, 2T) comparisons, with no
-    (U, N) energy array and no (U, T+1, T) bound array.
+
+    A cell (one population size, all its radii) shares its work:
+    - All trials are drawn once, as a (trials, A) matrix of multinomial
+      atom counts from trial_rng(seed, N), and every radius scores that
+      same draw.
+    - Small populations drawn from few atoms repeat, so the rows are
+      grouped by multiset (_distinct_populations) and each distinct one
+      is scored once per radius. A verdict is therefore a function of the
+      multiset, not of the draw order.
+    - Every cap of the criterion is a sum over the population's EVs, so a
+      population's cap row is its atom counts times a per-atom table.
+      The cap rows of the distinct multisets are built once per cell, as
+      the columns of one (2T, U) array (_cap_columns).
+    - robust_set runs once per radius, and each non-empty set's vertex
+      envelope (the largest cut sums over its vertices) is compared with
+      the cap columns by _populations_clear, reducing over the 2T axis:
+      (2T, U) comparisons, with no (U, N) energy array and no (U, T+1, T)
+      bound array.
+    On atoms whose caps are not exact in binary (not the paper's
+    half-integer ones) a cap can differ in its last bit from the one
+    earlier releases computed, so at atol=0 a violation count can differ
+    by one from theirs.
     """
     dist = cfg.distribution
     n = cfg.population_size
@@ -195,6 +228,7 @@ def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
     rng = trial_rng(cfg.seed, n)
     distinct, group = _distinct_populations(rng.multinomial(n, dist.weights, size=cfg.trials))
     sizes = np.bincount(group)
+    caps = _cap_columns(distinct, table)
     out = []
     for eps in cfg.epsilons:
         try:
@@ -217,7 +251,7 @@ def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
         if result.empty:
             violations = 0
         else:
-            inside = _populations_hold(result.flex, distinct, table, cfg.atol)
+            inside = _populations_clear(result.flex._vertex_envelope, caps, cfg.atol)
             violations = int(sizes[~inside].sum())
         ci_lo, ci_hi = clopper_pearson(violations, cfg.trials)
         out.append(

@@ -7,8 +7,9 @@ flow decomposition from a circulation network that the runtime no longer
 builds, the mixing matrix of a decomposition from a np.union1d merge of
 its breakpoints, the balanced-split level from a per-call breakpoint search,
 generating vectors from a sum of explicit fastest-charge profiles,
-sampling probabilities from an enumeration of every multiset, and the
-N-point projection from a walk over atom pieces, one chunk at a time.
+sampling probabilities from an enumeration of every multiset, the
+N-point projection from a walk over atom pieces, one chunk at a time, and
+the grouping of drawn count rows from a lexsort over every atom column.
 """
 
 from itertools import combinations, permutations
@@ -292,6 +293,22 @@ def multisets_with_pmf(n, weights):
     counts = np.diff(np.hstack([ends, bars, ends + n + a]), axis=1) - 1
     log_pmf = gammaln(n + 1) - gammaln(counts + 1).sum(axis=1) + counts @ np.log(weights)
     return counts, np.exp(log_pmf)
+
+
+def distinct_populations_by_lexsort(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group (R, A) atom-count rows by the multiset they hold.
+
+    Returns the (U, A) rows of the U distinct multisets and, for every
+    row, the index of its group.
+    """
+    rows = counts.shape[0]
+    order = np.lexsort(counts.T)
+    ranked = counts[order]
+    first = np.ones(rows, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty(rows, dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    return ranked[first], group
 
 
 _TINY = 1e-15  # pieces of at most this mass are dropped, as in the runtime

@@ -35,7 +35,13 @@ from evflex import (
     wasserstein1,
 )
 from evflex.core import DEFAULT_ATOL
-from evflex.harness import _atom_cap_table, _populations_hold, fit_constants, fit_per_n
+from evflex.harness import (
+    _atom_cap_table,
+    _cap_columns,
+    _populations_clear,
+    fit_constants,
+    fit_per_n,
+)
 from evflex.io import write_results_csv
 
 from oracles import (
@@ -416,7 +422,8 @@ def test_experiment_counts_match_exact_beta(experiment):
         assert abs(pmf.sum() - 1.0) < 1e-9
         result = robust_set(dist, s.population_size, s.epsilon, HORIZON)
         assert not (s.degenerate or result.empty)
-        beta = float(pmf[~_populations_hold(result.flex, counts, table, DEFAULT_ATOL)].sum())
+        caps = _cap_columns(counts, table)
+        beta = float(pmf[~_populations_clear(result.flex._vertex_envelope, caps, DEFAULT_ATOL)].sum())
         z = abs(s.violations - s.trials * beta) / math.sqrt(s.trials * beta * (1 - beta))
         assert z <= 5.0, (s.epsilon, s.population_size, s.violations, beta)
         worst = max(worst, z)

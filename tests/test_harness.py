@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -32,7 +33,14 @@ from evflex import (
     trial_rng,
 )
 from evflex.core import DEFAULT_ATOL
-from evflex.harness import _atom_cap_table, _distinct_populations, _populations_hold
+from evflex.harness import (
+    _atom_cap_table,
+    _cap_columns,
+    _distinct_populations,
+    _populations_clear,
+)
+
+from oracles import distinct_populations_by_lexsort
 
 
 def small_distribution(cap=4.0):
@@ -339,18 +347,18 @@ def test_monte_carlo_cell_solves_one_transport_problem(monkeypatch):
 def test_every_radius_scores_the_same_draw(monkeypatch):
     scored = []
 
-    def recording_hold(flex, counts, table, atol):
-        scored.append(counts.copy())
-        return _populations_hold(flex, counts, table, atol)
+    def recording_clear(envelope, caps, atol):
+        scored.append(caps.copy())
+        return _populations_clear(envelope, caps, atol)
 
-    monkeypatch.setattr(evflex.harness, "_populations_hold", recording_hold)
+    monkeypatch.setattr(evflex.harness, "_populations_clear", recording_clear)
     grid = TimeGrid(4)
     p = small_distribution()
     cfg = TrialConfig(p, 5, (0.15, 0.3, 0.45, 0.6, 0.75, 0.9), 300, 17, grid)
     stats = run_trials(cfg)
     assert len(scored) == sum(not s.degenerate for s in stats) >= 3
-    for counts in scored[1:]:
-        np.testing.assert_array_equal(counts, scored[0])
+    for caps in scored[1:]:
+        np.testing.assert_array_equal(caps, scored[0])
     # with one shared draw the counts of these nested sets fall with the
     # radius; independent draws per radius need not
     violations = [s.violations for s in stats]
@@ -395,6 +403,45 @@ def test_distinct_populations_groups_equal_multisets():
     assert 1 < len(counts) < 500
 
 
+@pytest.mark.parametrize("atoms", [1, 2, 5, 24, 64])
+@pytest.mark.parametrize("n", [1, 5, 20, 200, 10**4])
+def test_distinct_populations_matches_lexsort_oracle(atoms, n):
+    # packed keys: one key for small A*bits, several (A=24 at N=200: 4)
+    # and many (A=64 at N=10^4: 16); rows at the maximum count N fix the
+    # key width, a matrix of one repeated row is one group, and shuffled
+    # copies of the last atoms' maximum rows differ only in later keys
+    rng = np.random.default_rng(atoms * 100_003 + n)
+    drawn = rng.multinomial(n, rng.dirichlet(np.ones(atoms)), size=400)
+    drawn[:atoms] = n * np.eye(atoms, dtype=drawn.dtype)
+    last_atoms = drawn[max(atoms - 3, 0) : atoms]
+    for counts in (
+        drawn,
+        np.repeat(drawn[:1], 150, axis=0),
+        np.repeat(drawn[-1:], 150, axis=0),
+        last_atoms[rng.integers(0, len(last_atoms), 300)],
+    ):
+        distinct, group = _distinct_populations(counts)
+        want_distinct, want_group = distinct_populations_by_lexsort(counts)
+        np.testing.assert_array_equal(distinct[group], counts)
+        assert len({tuple(row) for row in distinct}) == len(distinct)
+        got = dict(zip(map(tuple, distinct), np.bincount(group)))
+        want = dict(zip(map(tuple, want_distinct), np.bincount(want_group)))
+        assert got == want
+
+
+def test_cell_scores_each_radius_as_alone():
+    # one cell holding a BudgetInfeasible radius, three non-empty sets and
+    # an empty one gives the rows of five one-radius cells
+    p = small_distribution()
+    epsilons = (1e-12, 0.5, 0.8, 1.0, 30.0)
+    cfg = TrialConfig(p, 2, epsilons, 400, 11, TimeGrid(4))
+    stats = run_trials(cfg)
+    alone = [run_trials(dataclasses.replace(cfg, epsilons=(eps,)))[0] for eps in epsilons]
+    assert repr(stats) == repr(alone)
+    assert stats[0].trials == 0 and stats[-1].degenerate and stats[-1].trials == 400
+    assert all(0 < s.violations < s.trials for s in stats[1:-1])
+
+
 def _random_robust_case(seed):
     """A random robust set and 40 populations sampled from its distribution.
 
@@ -433,7 +480,8 @@ def test_vertex_envelope_equals_vertex_route():
         drawn = (idx[..., None] == np.arange(p.n_atoms)).sum(axis=1)
         counts, group = _distinct_populations(drawn)
         table = _atom_cap_table(p.atoms, flex.power, flex.horizon)
-        got = _populations_hold(flex, counts, table, DEFAULT_ATOL)[group]
+        caps = _cap_columns(counts, table)
+        got = _populations_clear(flex._vertex_envelope, caps, DEFAULT_ATOL)[group]
         want = batch_contains(
             p.atoms[idx, 0], p.atoms[idx, 1], sorted_vertices(flex), flex.power
         ).all(axis=1)
