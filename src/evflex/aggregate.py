@@ -22,7 +22,10 @@ one row [p(1..T), -b(1..T)] and a profile gives one row of cut sums
 entry by entry. One kernel (_member_matrix) makes it for many profiles
 against many populations; single-profile membership, batch membership,
 decomposition's verdict, the subset and nesting tests and the Monte Carlo
-harness all use it.
+harness all use it. The subset, nesting and vertex-membership tests and
+the harness give it a set's T+1 sorted vertices as one row, their vertex
+envelope (the largest cut sums over the vertices); only the witness of
+find_subset_violation scans the vertices one by one.
 decompose() then builds its per-EV profiles constructively: the most
 balanced split of the total into per-EV energies, then one doubly
 stochastic mixing of the columns of their fastest-charge profiles. A
@@ -57,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_ATOL, Population, check_energy_domain
+from .core import DEFAULT_ATOL, Population, _check_power, check_energy_domain
 from .errors import DimensionMismatch, DomainError, EnergyOutOfRange, NegativeEntry
 from .flows import feasible_circulation  # noqa: F401  (perfbench/tracing.py wraps this name)
 
@@ -139,8 +142,7 @@ class AggregateFlexSet:
     @classmethod
     def from_bound_populations(cls, gen_lo: Population, gen_hi: Population) -> "AggregateFlexSet":
         """Set parameterised by gen_lo's lower vector and gen_hi's upper vector."""
-        if gen_lo.horizon != gen_hi.horizon or gen_lo.power != gen_hi.power:
-            raise DimensionMismatch("bound populations must share horizon and power")
+        _check_compatible(gen_lo, gen_hi)
         nu_lo = _generating_vectors(gen_lo.e_lo, gen_lo.power, gen_lo.horizon)
         nu_hi = _generating_vectors(gen_hi.e_hi, gen_hi.power, gen_hi.horizon)
         return cls(nu_lo, nu_hi, gen_lo.power)
@@ -163,17 +165,17 @@ class AggregateFlexSet:
     def _vertex_envelope(self) -> np.ndarray:
         """The largest cut sums over the T+1 sorted vertices, computed on first use.
 
-        A population holds every vertex iff its cap row clears this one row:
-        max does not round, so the verdict is the one _member_matrix gives
+        A population or set holds every vertex iff its cap row clears this
+        one row: float subtraction rounds monotonically, so
+        fl(max_v s_v - atol) <= c holds iff fl(s_v - atol) <= c holds for
+        every vertex v, and the verdict is the one _member_matrix gives
         vertex by vertex.
         """
-        vertices = np.sort(sorted_vertices(self), axis=1)[:, ::-1]
-        return _cap_row(vertices, vertices).max(axis=0)
+        return _cut_sums(sorted_vertices(self)).max(axis=0)
 
     def _members(self, profiles: np.ndarray, atol: float) -> np.ndarray:
         """Membership of a non-negative profile (T,), or of each row of a (V, T) stack."""
-        ordered = np.sort(profiles, axis=-1)[..., ::-1]
-        return _member_matrix(self._caps, _cap_row(ordered, ordered), atol)
+        return _member_matrix(self._caps, _cut_sums(profiles), atol)
 
     def contains_profile(self, u, atol: float = DEFAULT_ATOL) -> bool:
         """Membership of an aggregate profile in this set."""
@@ -189,9 +191,7 @@ class AggregateFlexSet:
         nesting checks are then conservative rather than exact.
         """
         _check_atol(atol)
-        if self.is_empty:
-            return False
-        return bool(self._members(sorted_vertices(self), atol).all())
+        return not self.is_empty and bool(_member_matrix(self._caps, self._vertex_envelope, atol))
 
 
 def sorted_vertices(aset: AggregateFlexSet) -> np.ndarray:
@@ -304,6 +304,12 @@ def _cap_row(nu_lo: np.ndarray, nu_hi: np.ndarray) -> np.ndarray:
     return np.concatenate((nu_hi.cumsum(axis=-1), -nu_lo[..., ::-1].cumsum(axis=-1)), axis=-1)
 
 
+def _cut_sums(profiles: np.ndarray) -> np.ndarray:
+    """Cut sums [top_k(u), -bottom_k(u)] of profiles: (..., T) -> (..., 2T)."""
+    ordered = np.sort(profiles, axis=-1)[..., ::-1]
+    return _cap_row(ordered, ordered)
+
+
 def _member_matrix(caps: np.ndarray, sums: np.ndarray, atol: float, axis: int = -1) -> np.ndarray:
     """Membership b(k) <= bottom_k(u) and top_k(u) <= p(k), k = 1..T, within atol.
 
@@ -340,16 +346,13 @@ def batch_contains(
         raise DimensionMismatch(
             f"e_lo {e_lo.shape} and e_hi {e_hi.shape} must be equal (R, N) with N >= 1"
         )
-    if not (math.isfinite(m) and m > 0):
-        raise DomainError(f"power must be positive and finite, got {m}")
+    _check_power(m, DomainError)
     if not (np.isfinite(e_lo).all() and np.isfinite(e_hi).all()):
         raise DomainError("population energies must be finite")
     horizon = profiles.shape[1]
     check_energy_domain(e_lo, e_hi, m * horizon, EnergyOutOfRange)
     caps = _cap_row(_generating_vectors(e_lo, m, horizon), _generating_vectors(e_hi, m, horizon))
-    ordered = np.sort(profiles, axis=1)[:, ::-1]
-    sums = _cap_row(ordered, ordered)
-    return _member_matrix(caps[:, None], sums, atol)  # (R, 1, 2T) against (V, 2T)
+    return _member_matrix(caps[:, None], _cut_sums(profiles), atol)  # (R, 1, 2T) against (V, 2T)
 
 
 # ---------------------------------------------------------------------------
@@ -506,47 +509,44 @@ def decompose(pop: Population, u, atol: float = DEFAULT_ATOL):
 # subset tests
 
 
-def _check_compatible(aset: AggregateFlexSet, pop: Population):
-    if aset.horizon != pop.horizon:
-        raise DimensionMismatch(
-            f"horizon mismatch: set {aset.horizon} vs population {pop.horizon}"
-        )
-    if aset.power != pop.power:
-        raise DimensionMismatch(
-            f"power mismatch: set {aset.power} vs population {pop.power}"
-        )
+def _check_compatible(a, b) -> None:
+    """Raise DimensionMismatch unless a and b (sets or populations) share horizon and power."""
+    if a.horizon != b.horizon:
+        raise DimensionMismatch(f"horizon mismatch: {a.horizon} vs {b.horizon}")
+    if a.power != b.power:
+        raise DimensionMismatch(f"power mismatch: {a.power} vs {b.power}")
 
 
 def find_subset_violation(aset: AggregateFlexSet, pop: Population, atol: float = DEFAULT_ATOL):
     """First sorted vertex of aset outside the population's set, or None.
 
-    Checking the T+1 sorted representatives is exact when
-    aset.vertices_are_members() holds (always true for single-population
-    sets): the population's aggregate set is convex and permutation
-    symmetric, and every vertex of aset is a coordinate permutation of a
-    sorted representative, so aset is contained iff each representative is
-    a member. Otherwise the representatives describe an outer family, even
-    when the prefix sums of nu_lo stay below nu_hi's, and the test is
-    conservative (a pass still certifies containment of the true set).
+    The verdict is is_subset_exact's; only a violation pays for the scan
+    of the T+1 sorted vertices that names the first one outside.
     """
-    _check_compatible(aset, pop)
-    _check_atol(atol)
-    if aset.is_empty:
+    if is_subset_exact(aset, pop, atol):
         return None
     vertices = sorted_vertices(aset)
-    outside = np.flatnonzero(~_fleet(pop).flex._members(vertices, atol))
-    return vertices[outside[0]] if outside.size else None
+    return vertices[np.argmin(_fleet(pop).flex._members(vertices, atol))]
 
 
 def is_subset_exact(aset: AggregateFlexSet, pop: Population, atol: float = DEFAULT_ATOL) -> bool:
     """Whether every sorted vertex of aset lies in the population's aggregate set.
 
-    Exact when aset.vertices_are_members() holds, as it always does for
-    single-population sets. Otherwise it is conservative, like
-    find_subset_violation: True certifies containment, but False can be
-    returned for a robust set that is in fact contained.
+    The population's set is convex and permutation symmetric, and every
+    vertex of aset is a coordinate permutation of a sorted representative,
+    so every vertex lies inside iff the population's cap row clears aset's
+    vertex envelope, the largest cut sums over the representatives. That
+    is exact when aset.vertices_are_members() holds (always true for
+    single-population sets). Otherwise the representatives describe an
+    outer family, even when the prefix sums of nu_lo stay below nu_hi's,
+    and the test is conservative: True certifies containment, but False
+    can be returned for a robust set that is in fact contained.
     """
-    return find_subset_violation(aset, pop, atol=atol) is None
+    _check_compatible(aset, pop)
+    _check_atol(atol)
+    if aset.is_empty:
+        return True
+    return bool(_member_matrix(_fleet(pop).flex._caps, aset._vertex_envelope, atol))
 
 
 def is_subset_fast(aset: AggregateFlexSet, pop: Population, atol: float = DEFAULT_ATOL) -> bool:
@@ -572,9 +572,8 @@ def is_nested(inner: AggregateFlexSet, outer: AggregateFlexSet, atol: float = DE
     otherwise the vertex family overstates inner, so False may be returned
     for sets that are in fact nested (never the other way around).
     """
-    if inner.horizon != outer.horizon or inner.power != outer.power:
-        raise DimensionMismatch("sets must share horizon and power")
+    _check_compatible(inner, outer)
     _check_atol(atol)
     if inner.is_empty:
         return True
-    return not outer.is_empty and bool(outer._members(sorted_vertices(inner), atol).all())
+    return not outer.is_empty and bool(_member_matrix(outer._caps, inner._vertex_envelope, atol))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ import numpy as np
 
 from .aggregate import AggregateFlexSet, _check_atol
 from .core import DEFAULT_ATOL, Population, TimeGrid, check_energy_domain
+from .core import _check_integer, _check_power
 from .errors import (
     BudgetInfeasible,
     DomainError,
@@ -140,20 +140,10 @@ def wasserstein1(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 
 def _check_count(n) -> int:
     """n as a positive int; a float, bool or other non-integer is a DomainError."""
-    if isinstance(n, (bool, np.bool_)):
-        raise DomainError(f"n must be an integer, got {n!r}")
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise DomainError(f"n must be an integer, got {n!r}") from None
+    n = _check_integer(n, "n", DomainError)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     return n
-
-
-def _check_power(power) -> None:
-    if not (math.isfinite(power) and power > 0):
-        raise DomainError(f"power must be positive and finite, got {power}")
 
 
 # Projections already made, per distribution and N: a memo of a pure function
@@ -451,7 +441,7 @@ def robust_set(
     """
     if not 0 <= eps < math.inf:
         raise DomainError(f"eps must be non-negative and finite, got {eps}")
-    _check_power(power)
+    _check_power(power, DomainError)
     _check_atol(atol)
     n = _check_count(n)
     cap = power * grid.steps

@@ -29,9 +29,19 @@ class TimeGrid:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
 
-def _check_power(power) -> None:
+def _check_power(power, error: type = ValueError) -> None:
     if not (math.isfinite(power) and power > 0):
-        raise ValueError(f"power must be positive and finite, got {power}")
+        raise error(f"power must be positive and finite, got {power}")
+
+
+def _check_integer(value, name: str, error: type = ValueError) -> int:
+    """value as an int; a float, bool or other non-integer raises `error`."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def check_energy_domain(e_lo: np.ndarray, e_hi: np.ndarray, cap: float, error: type) -> None:

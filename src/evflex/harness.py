@@ -36,15 +36,9 @@ import numpy as np
 
 from .aggregate import _cap_row, _check_atol, _fastest_profiles, _member_matrix
 from .aggregate import batch_contains  # noqa: F401  (perfbench/tracing.py wraps this name)
-from .ambiguity import (
-    ConcentrationConstants,
-    DiscreteDistribution,
-    _check_count,
-    _check_power,
-    robust_set,
-)
-from .core import DEFAULT_ATOL, Population, TimeGrid
-from .errors import BudgetInfeasible, InsufficientData
+from .ambiguity import ConcentrationConstants, DiscreteDistribution, _check_count, robust_set
+from .core import DEFAULT_ATOL, Population, TimeGrid, _check_integer, _check_power
+from .errors import BudgetInfeasible, DomainError, InsufficientData
 
 SEED_LIMIT = 2**64  # master seeds are 64-bit
 # an input bound on trials per cell; at 2**32 trials a cell's (trials,
@@ -66,6 +60,8 @@ class TrialConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
+        for name in ("population_size", "trials", "seed"):
+            object.__setattr__(self, name, _check_integer(getattr(self, name), name))
         if not 1 <= self.trials <= TRIAL_LIMIT:
             raise ValueError(f"trials must be in [1, {TRIAL_LIMIT}], got {self.trials}")
         if self.population_size < 1:
@@ -76,7 +72,7 @@ class TrialConfig:
             raise ValueError("epsilons must be strictly increasing")
         if not (0 <= self.seed < SEED_LIMIT):
             raise ValueError("seed must fit in 64 bits")
-        _check_power(self.power)
+        _check_power(self.power, DomainError)
         _check_atol(self.atol)
 
 
@@ -233,38 +229,28 @@ def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
     for eps in cfg.epsilons:
         try:
             result = robust_set(dist, n, eps, cfg.grid, cfg.power, atol=cfg.atol)
-        except BudgetInfeasible:
-            out.append(
-                ViolationStats(
-                    epsilon=eps,
-                    population_size=n,
-                    horizon=cfg.grid.steps,
-                    trials=0,
-                    violations=0,
-                    beta_hat=math.nan,
-                    ci_lo=math.nan,
-                    ci_hi=math.nan,
-                    degenerate=True,
-                )
-            )
-            continue
-        if result.empty:
-            violations = 0
+        except BudgetInfeasible:  # no set exists: no trials and no estimates
+            trials = violations = 0
+            beta_hat = ci_lo = ci_hi = math.nan
+            degenerate = True
         else:
-            inside = _populations_clear(result.flex._vertex_envelope, caps, cfg.atol)
-            violations = int(sizes[~inside].sum())
-        ci_lo, ci_hi = clopper_pearson(violations, cfg.trials)
+            trials, violations, degenerate = cfg.trials, 0, result.empty
+            if not result.empty:
+                inside = _populations_clear(result.flex._vertex_envelope, caps, cfg.atol)
+                violations = int(sizes[~inside].sum())
+            beta_hat = violations / trials
+            ci_lo, ci_hi = clopper_pearson(violations, trials)
         out.append(
             ViolationStats(
                 epsilon=eps,
                 population_size=n,
                 horizon=cfg.grid.steps,
-                trials=cfg.trials,
+                trials=trials,
                 violations=violations,
-                beta_hat=violations / cfg.trials,
+                beta_hat=beta_hat,
                 ci_lo=ci_lo,
                 ci_hi=ci_hi,
-                degenerate=result.empty,
+                degenerate=degenerate,
             )
         )
     return out

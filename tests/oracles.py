@@ -8,8 +8,10 @@ builds, the mixing matrix of a decomposition from a np.union1d merge of
 its breakpoints, the balanced-split level from a per-call breakpoint search,
 generating vectors from a sum of explicit fastest-charge profiles,
 sampling probabilities from an enumeration of every multiset, the
-N-point projection from a walk over atom pieces, one chunk at a time, and
-the grouping of drawn count rows from a lexsort over every atom column.
+N-point projection from a walk over atom pieces, one chunk at a time, the
+grouping of drawn count rows from a lexsort over every atom column, and
+the vertex subset, nesting and vertex-membership tests from a scan that
+sorts and checks one sorted vertex at a time.
 """
 
 from itertools import combinations, permutations
@@ -354,3 +356,22 @@ def project_by_pieces(p, n):
     cost = wasserstein1(p, projected)
     # the projection is canonical up to atom order; report it sorted
     return projected.atoms, cost
+
+
+def first_vertex_outside(vertices, nu_lo, nu_hi, atol):
+    """Index of the first row of vertices outside the set of (nu_lo, nu_hi), or None.
+
+    The per-vertex route: each row is sorted on its own, and its sums of
+    the k largest and k smallest entries are checked against
+    p(k) = sum(nu_hi[:k]) and b(k) = sum(nu_lo[T-k:]) within atol, one
+    vertex after the other.
+    """
+    p = np.cumsum(nu_hi)
+    b = np.cumsum(nu_lo[::-1])
+    for i, row in enumerate(vertices):
+        ascending = np.sort(row)
+        top = np.cumsum(ascending[::-1])
+        bottom = np.cumsum(ascending)
+        if (top - atol > p).any() or (bottom + atol < b).any():
+            return i
+    return None

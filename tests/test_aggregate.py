@@ -37,6 +37,7 @@ from evflex import (
 from evflex.aggregate import _check_profile, _fleet, _generating_vectors
 from oracles import (
     clip_level,
+    first_vertex_outside,
     flex_distance,
     flex_member,
     flex_set_vertices,
@@ -48,6 +49,23 @@ from oracles import (
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_quick_start_runs():
+    # the "Library quick start" block of README.md, run as written, gives
+    # the values its comments state
+    section = (ROOT / "README.md").read_text().split("## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    pop, aset, result = names["pop"], names["aset"], names["result"]
+    np.testing.assert_array_equal(aset.nu_lo, [1.5, 0.5, 0, 0])
+    np.testing.assert_array_equal(aset.nu_hi, [2, 2, 1.5, 0.5])
+    same = Population.from_energy_pairs([(1.5, 2.5), (0.5, 3.5)], 4)
+    np.testing.assert_array_equal(np.stack(nu_bounds(same)), np.stack(nu_bounds(pop)))
+    assert contains(pop, [1, 1, 1, 1]) is True
+    assert isinstance(decompose(pop, [1, 1, 1, 1]), Decomposition)
+    assert result.flex.contains_profile(sorted_vertices(result.flex)[0])
 
 
 def two_ev_pop(horizon=4):
@@ -557,6 +575,83 @@ def test_mismatched_set_and_population():
         is_subset_exact(aset, Population.from_energy_pairs([(0.5, 1.0)], 5, 1.0))
     with pytest.raises(DimensionMismatch):
         is_subset_exact(aset, Population.from_energy_pairs([(0.5, 1.0)], 4, 2.0))
+    for other in (Population.from_energy_pairs([(0.5, 1.0)], 5, 1.0),
+                  Population.from_energy_pairs([(0.5, 1.0)], 4, 2.0)):
+        with pytest.raises(DimensionMismatch):
+            find_subset_violation(aset, other)
+        with pytest.raises(DimensionMismatch):
+            is_nested(aset, AggregateFlexSet.from_population(other))
+        with pytest.raises(DimensionMismatch):
+            AggregateFlexSet.from_bound_populations(two_ev_pop(), other)
+
+
+def _robust_sets_and_samples(seed):
+    """Three robust sets of one random distribution and six populations drawn from it.
+
+    Atoms are uniform draws (odd seeds: rounded down to sevenths), so caps
+    and cut sums are not exact in binary; the largest radii empty some sets.
+    """
+    from evflex import DiscreteDistribution, TimeGrid, project_to_n_points, robust_set
+
+    rng = np.random.default_rng(seed)
+    horizon = int(rng.integers(2, 9))
+    power = float(rng.choice([0.7, 1.0, 1.5]))
+    cap = power * horizon
+    k = int(rng.integers(1, 6))
+    lo = rng.uniform(0, cap, size=k)
+    hi = lo + rng.uniform(0, cap - lo)
+    if seed % 2:
+        lo, hi = np.floor(lo * 7) / 7, np.floor(hi * 7) / 7
+    dist = DiscreteDistribution(np.column_stack([lo, hi]), rng.dirichlet(np.ones(k)), cap)
+    n = int(rng.integers(1, 9))
+    _, eps0 = project_to_n_points(dist, n)
+    radii = eps0 + np.sort(rng.uniform(0, 0.4 * cap, size=3)) * rng.random()
+    results = [robust_set(dist, n, eps, TimeGrid(horizon), power) for eps in radii]
+    idx = rng.choice(k, size=(6, n), p=dist.weights)
+    pops = [Population(dist.atoms[r, 0], dist.atoms[r, 1], horizon, power) for r in idx]
+    return results, pops
+
+
+@pytest.mark.parametrize("atol", [0.0, 1e-9])
+def test_vertex_tests_match_per_vertex_route(atol):
+    # vertices_are_members, is_subset_exact, is_nested and
+    # find_subset_violation read the vertex envelope; the oracle sorts and
+    # checks each sorted vertex on its own. Verdicts and the returned
+    # vertex (the first one outside) must agree bit for bit.
+    tally = dict(empty=0, outside_vertices=0, inside=0, outside=0)
+    for seed in range(100):
+        results, pops = _robust_sets_and_samples(seed)
+        for result in results:
+            aset = result.flex
+            vertices = sorted_vertices(aset)
+            tally["empty"] += aset.is_empty
+
+            def first_outside(outer):
+                if aset.is_empty:
+                    return None
+                return first_vertex_outside(vertices, outer.nu_lo, outer.nu_hi, atol)
+
+            own = first_outside(aset)
+            assert aset.vertices_are_members(atol) == (not aset.is_empty and own is None), seed
+            tally["outside_vertices"] += own is not None
+            for pop in (*pops, result.worst_lo, result.worst_hi):
+                outer = AggregateFlexSet.from_population(pop)
+                first = first_outside(outer)
+                assert is_subset_exact(aset, pop, atol) == (first is None), seed
+                assert is_nested(aset, outer, atol) == (first is None), seed
+                witness = find_subset_violation(aset, pop, atol)
+                if first is None:
+                    assert witness is None, seed
+                else:
+                    np.testing.assert_array_equal(witness, vertices[first], err_msg=f"seed {seed}")
+                tally["inside" if first is None else "outside"] += 1
+            for other in results:
+                outer = other.flex
+                expected = aset.is_empty or (not outer.is_empty and first_outside(outer) is None)
+                assert is_nested(aset, outer, atol) == expected, seed
+    # every branch is common: empty sets, sets whose own vertices leave
+    # them, and populations on both sides of the subset test
+    assert min(tally.values()) > 50, tally
 
 
 def test_single_population_sets_have_member_vertices():

@@ -618,6 +618,37 @@ def test_trial_config_validation():
         TrialConfig(small_distribution(), 0, (0.1,), 10, 0, grid)
 
 
+# population_size=2.5 and seed=1.5 would fail inside SeedSequence,
+# trials=10.5 inside multinomial, and trials=True would run one trial
+# and report trials=True
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("population_size", 2.5),
+        ("population_size", True),
+        ("trials", 10.5),
+        ("trials", True),
+        ("trials", np.float64(10.0)),
+        ("seed", 1.5),
+        ("seed", False),
+        ("seed", np.True_),
+    ],
+)
+def test_trial_config_rejects_non_integer_counts(field, value):
+    counts = dict(population_size=3, trials=10, seed=0)
+    counts[field] = value
+    with pytest.raises(ValueError, match=field):
+        TrialConfig(small_distribution(), epsilons=(0.1,), grid=TimeGrid(4), **counts)
+
+
+def test_trial_config_takes_numpy_integers():
+    grid = TimeGrid(4)
+    cfg = TrialConfig(small_distribution(), np.int64(3), (0.1, 0.4), np.int32(50), np.uint64(7), grid)
+    assert (cfg.population_size, cfg.trials, cfg.seed) == (3, 50, 7)
+    assert all(type(v) is int for v in (cfg.population_size, cfg.trials, cfg.seed))
+    assert run_trials(cfg) == run_trials(TrialConfig(small_distribution(), 3, (0.1, 0.4), 50, 7, grid))
+
+
 @pytest.mark.parametrize("atol", [math.nan, math.inf, -1.0])
 def test_trial_config_rejects_bad_atol(atol):
     # run_trials' check takes atol as given, so a nan would count every
