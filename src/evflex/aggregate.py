@@ -60,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_ATOL, Population, _check_power, check_energy_domain
+from .core import DEFAULT_ATOL, Population, _check_atol, _check_power, check_energy_domain
 from .errors import DimensionMismatch, DomainError, EnergyOutOfRange, NegativeEntry
 from .flows import feasible_circulation  # noqa: F401  (perfbench/tracing.py wraps this name)
 
@@ -266,11 +266,6 @@ def _fleet(pop: Population) -> _Fleet:
 
 # ---------------------------------------------------------------------------
 # membership: the two-vector criterion
-
-
-def _check_atol(atol) -> None:
-    if not (math.isfinite(atol) and atol >= 0):
-        raise DomainError(f"atol must be finite and non-negative, got {atol}")
 
 
 def _check_profile(u, shape: tuple[int, ...], atol: float) -> np.ndarray:

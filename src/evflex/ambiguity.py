@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import AggregateFlexSet, _check_atol
+from .aggregate import AggregateFlexSet
 from .core import DEFAULT_ATOL, Population, TimeGrid, check_energy_domain
-from .core import _check_integer, _check_power
+from .core import _check_atol, _check_integer, _check_power
 from .errors import (
     BudgetInfeasible,
     DomainError,
@@ -138,14 +138,6 @@ def wasserstein1(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 # N-point projection
 
 
-def _check_count(n) -> int:
-    """n as a positive int; a float, bool or other non-integer is a DomainError."""
-    n = _check_integer(n, "n", DomainError)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return n
-
-
 # Projections already made, per distribution and N: a memo of a pure function
 # of the (immutable) distribution, keyed by identity (DiscreteDistribution is
 # eq=False). Every radius of a Monte Carlo cell projects the same (p, N).
@@ -173,7 +165,7 @@ def project_to_n_points(
     is kept per (distribution, N), so a repeat call returns a copy of the
     first one's support and its cost.
     """
-    n = _check_count(n)
+    n = _check_integer(n, "n", DomainError, minimum=1)
     known = _PROJECTIONS.setdefault(p, {})
     if n not in known:
         known[n] = _project(p, n)
@@ -314,7 +306,7 @@ def beta_from_epsilon(eps: float, n: int, constants: ConcentrationConstants) -> 
     """Confidence complement for a ball radius: c1 * exp(-c2 * n * eps^2)."""
     if not 0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps}")
-    n = _check_count(n)
+    n = _check_integer(n, "n", DomainError, minimum=1)
     if eps > 1:
         warnings.warn(
             f"eps={eps} is outside the (0, 1] validity range of the tail bound",
@@ -328,7 +320,7 @@ def epsilon_from_beta(beta: float, n: int, constants: ConcentrationConstants) ->
     """Inverse of beta_from_epsilon."""
     if not 0 < beta < constants.c1:
         raise DomainError(f"beta must lie in (0, c1), got {beta}")
-    n = _check_count(n)
+    n = _check_integer(n, "n", DomainError, minimum=1)
     eps = math.sqrt(math.log(constants.c1 / beta) / (constants.c2 * n))
     if eps > 1:
         warnings.warn(
@@ -443,7 +435,7 @@ def robust_set(
         raise DomainError(f"eps must be non-negative and finite, got {eps}")
     _check_power(power, DomainError)
     _check_atol(atol)
-    n = _check_count(n)
+    n = _check_integer(n, "n", DomainError, minimum=1)
     cap = power * grid.steps
     if abs(p.energy_cap - cap) > 1e-9:
         raise DomainError(

@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
 
 from .aggregate import AggregateFlexSet, contains, decompose, sorted_vertices
 from .ambiguity import epsilon_from_beta, robust_set
-from .core import DEFAULT_ATOL
+from .core import DEFAULT_ATOL, _check_atol
 from .errors import (
     BudgetInfeasible,
     DimensionMismatch,
@@ -47,12 +46,6 @@ def _add_tolerance(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--tolerance", type=float, default=DEFAULT_ATOL, help="numeric tolerance"
     )
-
-
-def _tolerance(args) -> float:
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        raise DomainError(f"--tolerance: must be finite and >= 0, got {args.tolerance}")
-    return args.tolerance
 
 
 def _emit_json(payload, out):
@@ -107,15 +100,15 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    atol = _tolerance(args)
+    _check_atol(args.tolerance, "--tolerance")
     sc = parse_scenario(args.scenario)
     if sc.population is None:
         raise ValidationError("population: required for the member command")
     u = _parse_profile(args)
     # contains gives a member's answer; only a witness or a certificate needs decompose
-    member = contains(sc.population, u, atol=atol)
+    member = contains(sc.population, u, atol=args.tolerance)
     if args.witness or not member:
-        result = decompose(sc.population, u, atol=atol)
+        result = decompose(sc.population, u, atol=args.tolerance)
     payload = {"member": member, "profile": u}
     if member:
         payload["witness"] = result.per_ev if args.witness else None
@@ -135,7 +128,7 @@ def _resolve_robust_n(sc) -> int:
 
 
 def _cmd_robust(args) -> int:
-    atol = _tolerance(args)
+    _check_atol(args.tolerance, "--tolerance")
     sc = parse_scenario(args.scenario)
     if sc.distribution is None:
         raise ValidationError("distribution: required for the robust command")
@@ -155,7 +148,7 @@ def _cmd_robust(args) -> int:
         sc.power,
         constants=spec.constants,
         normalize=spec.normalize,
-        atol=atol,
+        atol=args.tolerance,
     )
     _emit_json(
         {
@@ -189,7 +182,7 @@ def _cmd_robust(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    atol = _tolerance(args)
+    _check_atol(args.tolerance, "--tolerance")
     sc = parse_scenario(args.scenario)
     if sc.distribution is None:
         raise ValidationError("distribution: required for the montecarlo command")
@@ -211,7 +204,7 @@ def _cmd_montecarlo(args) -> int:
             seed=seed,
             grid=sc.grid,
             power=sc.power,
-            atol=atol,
+            atol=args.tolerance,
         )
         stats.extend(run_trials(cfg))
     metadata = {
@@ -221,10 +214,7 @@ def _cmd_montecarlo(args) -> int:
         "power": sc.power,
         "stream": STREAM_VERSION,
     }
-    if args.out:
-        write_results_csv(args.out, stats, metadata)
-    else:
-        write_results_csv(sys.stdout, stats, metadata)
+    write_results_csv(args.out or sys.stdout, stats, metadata)
     return 0
 
 

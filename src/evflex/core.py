@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EnergyOutOfRange
+from .errors import DimensionMismatch, DomainError, EnergyOutOfRange
 
 DEFAULT_ATOL = 1e-9
 
@@ -25,8 +25,10 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        steps = _check_integer(self.steps, "steps", TypeError)
+        if steps < 1:
+            raise ValueError(f"steps must be >= 1, got {steps}")
+        object.__setattr__(self, "steps", steps)
 
 
 def _check_power(power, error: type = ValueError) -> None:
@@ -34,13 +36,23 @@ def _check_power(power, error: type = ValueError) -> None:
         raise error(f"power must be positive and finite, got {power}")
 
 
-def _check_integer(value, name: str, error: type = ValueError) -> int:
-    """value as an int; a float, bool or other non-integer raises `error`."""
+def _check_atol(atol, name: str = "atol") -> None:
+    if not (math.isfinite(atol) and atol >= 0):
+        raise DomainError(f"{name} must be finite and non-negative, got {atol}")
+
+
+def _check_integer(value, name: str, error: type = ValueError, minimum: int | None = None) -> int:
+    """value as an int; a float, bool or other non-integer, or an int below
+    `minimum`, raises `error`."""
     if not isinstance(value, (bool, np.bool_)):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
+        else:
+            if minimum is not None and value < minimum:
+                raise error(f"{name} must be >= {minimum}, got {value}")
+            return value
     raise error(f"{name} must be an integer, got {value!r}")
 
 
@@ -72,7 +84,7 @@ class Population:
     def __post_init__(self):
         e_lo = np.array(self.e_lo, dtype=float)
         e_hi = np.array(self.e_hi, dtype=float)
-        horizon = operator.index(self.horizon)
+        horizon = _check_integer(self.horizon, "horizon", TypeError)
         power = float(self.power)
         if e_lo.ndim != 1 or e_lo.shape != e_hi.shape or e_lo.size == 0:
             raise ValueError("e_lo and e_hi must be non-empty 1-D arrays of equal length")
@@ -107,7 +119,7 @@ def fastest_profile(energy: float, power: float, steps: int) -> np.ndarray:
     (omitted when zero), then zeros. The entries are non-increasing and sum
     to `energy` exactly.
     """
-    if steps < 1:
+    if _check_integer(steps, "steps", TypeError) < 1:
         raise ValueError("steps must be >= 1")
     _check_power(power)
     if energy < 0 or energy > power * steps + 1e-12:
@@ -127,6 +139,7 @@ def is_individually_feasible(
     """True when one EV can track `profile`: entries in [0, power] and a
     total in [e_lo, e_hi]."""
     _check_power(power)
+    _check_atol(atol)
     u = np.asarray(profile, dtype=float)
     if u.ndim != 1:
         raise DimensionMismatch(f"profile must be 1-D, got shape {u.shape}")

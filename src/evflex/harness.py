@@ -34,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import _cap_row, _check_atol, _fastest_profiles, _member_matrix
+from .aggregate import _cap_row, _fastest_profiles, _member_matrix
 from .aggregate import batch_contains  # noqa: F401  (perfbench/tracing.py wraps this name)
-from .ambiguity import ConcentrationConstants, DiscreteDistribution, _check_count, robust_set
-from .core import DEFAULT_ATOL, Population, TimeGrid, _check_integer, _check_power
+from .ambiguity import ConcentrationConstants, DiscreteDistribution, robust_set
+from .core import DEFAULT_ATOL, Population, TimeGrid, _check_atol, _check_integer, _check_power
 from .errors import BudgetInfeasible, DomainError, InsufficientData
 
 SEED_LIMIT = 2**64  # master seeds are 64-bit
@@ -60,12 +60,11 @@ class TrialConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        for name in ("population_size", "trials", "seed"):
-            object.__setattr__(self, name, _check_integer(getattr(self, name), name))
+        for name, minimum in (("population_size", 1), ("trials", None), ("seed", None)):
+            value = _check_integer(getattr(self, name), name, minimum=minimum)
+            object.__setattr__(self, name, value)
         if not 1 <= self.trials <= TRIAL_LIMIT:
             raise ValueError(f"trials must be in [1, {TRIAL_LIMIT}], got {self.trials}")
-        if self.population_size < 1:
-            raise ValueError("population_size must be >= 1")
         if not all(map(math.isfinite, self.epsilons)):
             raise ValueError(f"epsilons must be finite, got {self.epsilons!r}")
         if len(self.epsilons) == 0 or np.any(np.diff(self.epsilons) <= 0):
@@ -131,7 +130,8 @@ def sample_population(
     The draw is the multinomial atom counts of the n jobs, so the t-th call
     on trial_rng(seed, n) gives row t of run_trials' count matrix.
     """
-    counts = rng.multinomial(_check_count(n), dist.weights)
+    n = _check_integer(n, "n", DomainError, minimum=1)
+    counts = rng.multinomial(n, dist.weights)
     return Population.from_energy_pairs(np.repeat(dist.atoms, counts, axis=0), grid.steps, power)
 
 

@@ -7,6 +7,7 @@ significant digits so every artifact re-ingests without loss.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io as _io
 import json
@@ -281,8 +282,7 @@ def write_results_csv(target, stats: list[ViolationStats], metadata: dict | None
     "# key=value" lines above the header.
     """
     own = isinstance(target, (str, os.PathLike))
-    fh = open(target, "w", newline="") if own else target
-    try:
+    with open(target, "w", newline="") if own else contextlib.nullcontext(target) as fh:
         for key, value in (metadata or {}).items():
             fh.write(f"# {key}={value}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -302,19 +302,16 @@ def write_results_csv(target, stats: list[ViolationStats], metadata: dict | None
                     "true" if s.degenerate else "false",
                 ]
             )
-    finally:
-        if own:
-            fh.close()
 
 
 def read_results_csv(source) -> tuple[list[ViolationStats], dict]:
     """Inverse of write_results_csv; returns (rows, metadata)."""
     own = isinstance(source, (str, os.PathLike))
     try:
-        fh = open(source, newline="") if own else source
+        opened = open(source, newline="") if own else contextlib.nullcontext(source)
     except OSError as exc:
         raise ParseError(f"cannot read results {source}: {exc}") from exc
-    try:
+    with opened as fh:
         metadata = {}
         lines = []
         for line in fh:
@@ -325,9 +322,6 @@ def read_results_csv(source) -> tuple[list[ViolationStats], dict]:
                     metadata[key.strip()] = value.strip()
                 continue
             lines.append(line)
-    finally:
-        if own:
-            fh.close()
     reader = csv.reader(_io.StringIO("".join(lines)))
     try:
         header = next(reader)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_ATOL
+from .core import DEFAULT_ATOL, _check_atol
 from .errors import DimensionMismatch, NotMonotone
 
 
@@ -28,6 +28,7 @@ def _check_same_length(x, y):
 def strong_majorizes(y, x, atol: float = DEFAULT_ATOL) -> bool:
     """True iff x is majorized by y: sorted prefix sums of x never exceed
     those of y, with equal totals."""
+    _check_atol(atol)
     x, y = _check_same_length(x, y)
     px = np.cumsum(_sorted_desc(x))
     py = np.cumsum(_sorted_desc(y))
@@ -41,6 +42,7 @@ def prefix_dominates(y, x, atol: float = DEFAULT_ATOL) -> bool:
 
     No total-equality requirement.
     """
+    _check_atol(atol)
     x, y = _check_same_length(x, y)
     px = np.cumsum(_sorted_desc(x))
     py = np.cumsum(_sorted_desc(y))
@@ -63,6 +65,7 @@ def minkowski_sum_permutahedra(x, y, atol: float = DEFAULT_ATOL) -> np.ndarray:
     For monotone non-increasing generators the sum of the permutahedra is the
     permutahedron of the elementwise sum.
     """
+    _check_atol(atol)
     x, y = _check_same_length(x, y)
     for name, vec in (("x", x), ("y", y)):
         if np.any(np.diff(vec) > atol):

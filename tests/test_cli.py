@@ -216,7 +216,7 @@ def test_montecarlo_csv_roundtrip_and_fit(tmp_path, capsys):
     assert metadata["seed"] == "21"
     assert metadata["stream"] == "2"
     assert len(rows) == 2
-    header = open(out_csv).read().splitlines()
+    header = Path(out_csv).read_text().splitlines()
     data_start = next(i for i, line in enumerate(header) if not line.startswith("#"))
     assert header[data_start] == (
         "epsilon,epsilon_sq,N,T,trials,violations,beta_hat,ci_lo,ci_hi,degenerate"
@@ -437,6 +437,14 @@ ROBUST_FIELD_CASES = {
     "overflowing-epsilon": "robust.epsilon",
 }
 
+# The flag each rejected command-line option names in its error message.
+FLAG_CASES = {
+    "negative-seed-flag": "--seed",
+    "nan-tolerance": "--tolerance",
+    "negative-tolerance": "--tolerance",
+    "inf-tolerance-member": "--tolerance",
+}
+
 
 @pytest.mark.filterwarnings("ignore:excluded 1 rows")
 @pytest.mark.parametrize("case", sorted(EXIT_CODE_CASES))
@@ -460,6 +468,13 @@ def test_robust_scalar_errors_name_the_field(tmp_path, capsys, case):
     build, _ = EXIT_CODE_CASES[case]
     assert main(build(tmp_path)) == 3
     assert ROBUST_FIELD_CASES[case] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(FLAG_CASES))
+def test_option_errors_name_the_flag(tmp_path, capsys, case):
+    build, _ = EXIT_CODE_CASES[case]
+    assert main(build(tmp_path)) == 2
+    assert FLAG_CASES[case] in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
@@ -546,7 +561,7 @@ def test_montecarlo_seed_flag_overrides(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["montecarlo", "--scenario", path, "--out", a, "--seed", "77"]) == 0
     assert main(["montecarlo", "--scenario", path, "--out", b, "--seed", "77"]) == 0
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_per_n_commands_print_the_rows_of_one_command(tmp_path):
@@ -556,7 +571,7 @@ def test_per_n_commands_print_the_rows_of_one_command(tmp_path):
     whole = str(tmp_path / "whole.csv")
     assert main(["montecarlo", "--scenario", write_scenario(tmp_path, _with("harness", harness)),
                  "--out", whole]) == 0
-    text = open(whole).read()
+    text = Path(whole).read_text()
     lines = [line for line in text.splitlines() if not line.startswith("#")]
     header, rows = lines[0], lines[1:]
     split = []
@@ -564,7 +579,7 @@ def test_per_n_commands_print_the_rows_of_one_command(tmp_path):
         path = write_scenario(tmp_path, _with("harness", {**harness, "N": [n]}), f"n{n}.json")
         out = str(tmp_path / f"n{n}.csv")
         assert main(["montecarlo", "--scenario", path, "--out", out]) == 0
-        part = [line for line in open(out).read().splitlines() if not line.startswith("#")]
+        part = [line for line in Path(out).read_text().splitlines() if not line.startswith("#")]
         assert part[0] == header
         split += part[1:]
     assert split == rows and len(rows) == 12

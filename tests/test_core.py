@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from evflex import (
     DimensionMismatch,
+    DomainError,
     EnergyOutOfRange,
     Population,
     TimeGrid,
@@ -21,6 +22,15 @@ def test_fastest_profile_examples():
         fastest_profile(4.5, 1, 4)
     with pytest.raises(EnergyOutOfRange):
         fastest_profile(-0.1, 1, 4)
+
+
+def test_fastest_profile_steps_is_a_count():
+    np.testing.assert_allclose(fastest_profile(2.5, 1, np.int64(4)), [1, 1, 0.5, 0])
+    for steps in (4.0, True):
+        with pytest.raises(TypeError, match="steps"):
+            fastest_profile(1.0, 1.0, steps)
+    with pytest.raises(ValueError):
+        fastest_profile(0.0, 1.0, 0)
 
 
 def test_fastest_profile_partial_slot_only_when_positive():
@@ -78,10 +88,22 @@ def test_bad_power_rejected(power):
         is_individually_feasible([0.5, 0.5], 0, 2, power)
 
 
+@pytest.mark.parametrize("atol", [np.nan, np.inf, -np.inf, -1.0])
+def test_individual_feasibility_rejects_bad_atol(atol):
+    # an infinite tolerance would accept any profile
+    with pytest.raises(DomainError, match="atol"):
+        is_individually_feasible([3, 0.5], 0.5, 1.5, 1.0, atol=atol)
+
+
 def test_time_grid_invariants():
     assert TimeGrid(24).steps == 24
+    steps = TimeGrid(np.int64(3)).steps
+    assert steps == 3 and type(steps) is int
     with pytest.raises(ValueError):
         TimeGrid(0)
+    for steps in (2.5, True, np.bool_(True), np.float64(3.0)):
+        with pytest.raises(TypeError):
+            TimeGrid(steps)
 
 
 def test_requirement_invariants():
@@ -113,7 +135,10 @@ def test_population_invariants():
         Population([], [], 4)
     with pytest.raises(ValueError):
         Population([0.5], [1.0], 0)
-    with pytest.raises(TypeError):
-        Population([0.5], [1.0], 4.5)  # the horizon is a step count
+    horizon = Population([0.5], [1.0], np.int64(4)).horizon
+    assert horizon == 4 and type(horizon) is int
+    for horizon in (4.5, 4.0, True, np.bool_(True)):
+        with pytest.raises(TypeError):
+            Population([0.5], [1.0], horizon)  # the horizon is a step count
     with pytest.raises(ValueError):
         Population.from_energy_pairs([0.5, 1.0], 4)  # not (e_lo, e_hi) rows

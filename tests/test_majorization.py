@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from evflex import (
     DimensionMismatch,
+    DomainError,
     NotMonotone,
     minkowski_sum_permutahedra,
     permutahedron_contains,
@@ -24,6 +25,16 @@ def test_strong_majorizes_examples():
     assert strong_majorizes([2, 1, 0], [2, 1, 0])
     with pytest.raises(DimensionMismatch):
         strong_majorizes([1, 2], [1, 2, 3])
+
+
+@pytest.mark.parametrize("atol", [np.nan, np.inf, -np.inf, -1.0])
+def test_bad_atol_rejected(atol):
+    # a NaN tolerance fails every comparison and an infinite one passes
+    # every comparison, so neither can give an answer
+    for check in (strong_majorizes, prefix_dominates, permutahedron_contains,
+                  permutahedron_subset, minkowski_sum_permutahedra):
+        with pytest.raises(DomainError, match="atol"):
+            check([2, 0], [1, 1], atol=atol)
 
 
 def test_prefix_dominates_examples():
