@@ -1,8 +1,7 @@
 """Command-line surface.
 
 Subcommands: aggregate, member, robust, montecarlo, fit-constants.
-Exit codes: 0 success, 1 computational infeasibility, 2 parse/input error,
-3 scenario validation error.
+Exit codes: 0 success, else the ``exit_code`` the error's class declares.
 """
 
 from __future__ import annotations
@@ -17,16 +16,7 @@ import numpy as np
 from .aggregate import AggregateFlexSet, contains, decompose, sorted_vertices
 from .ambiguity import epsilon_from_beta, robust_set
 from .core import DEFAULT_ATOL, _check_atol
-from .errors import (
-    BudgetInfeasible,
-    DimensionMismatch,
-    DomainError,
-    EVFlexError,
-    InsufficientData,
-    NegativeEntry,
-    ParseError,
-    ValidationError,
-)
+from .errors import DomainError, EVFlexError, ParseError, ValidationError
 from .harness import (
     SEED_LIMIT,
     STREAM_VERSION,
@@ -80,10 +70,19 @@ def _parse_profile(args) -> np.ndarray:
     raise ParseError("one of --profile/--profile-file is required")
 
 
-def _cmd_aggregate(args) -> int:
+def _load_scenario(args, *sections):
+    """Check --tolerance if the command has it, then parse the scenario and require sections."""
+    if hasattr(args, "tolerance"):
+        _check_atol(args.tolerance, "--tolerance")
     sc = parse_scenario(args.scenario)
-    if sc.population is None:
-        raise ValidationError("population: required for the aggregate command")
+    for section in sections:
+        if getattr(sc, section) is None:
+            raise ValidationError(f"{section}: required for the {args.command} command")
+    return sc
+
+
+def _cmd_aggregate(args) -> int:
+    sc = _load_scenario(args, "population")
     aset = AggregateFlexSet.from_population(sc.population)
     _emit_json(
         {
@@ -100,10 +99,7 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    _check_atol(args.tolerance, "--tolerance")
-    sc = parse_scenario(args.scenario)
-    if sc.population is None:
-        raise ValidationError("population: required for the member command")
+    sc = _load_scenario(args, "population")
     u = _parse_profile(args)
     # contains gives a member's answer; only a witness or a certificate needs decompose
     member = contains(sc.population, u, atol=args.tolerance)
@@ -128,12 +124,7 @@ def _resolve_robust_n(sc) -> int:
 
 
 def _cmd_robust(args) -> int:
-    _check_atol(args.tolerance, "--tolerance")
-    sc = parse_scenario(args.scenario)
-    if sc.distribution is None:
-        raise ValidationError("distribution: required for the robust command")
-    if sc.robust is None:
-        raise ValidationError("robust: required for the robust command")
+    sc = _load_scenario(args, "distribution", "robust")
     n = _resolve_robust_n(sc)
     spec = sc.robust
     if spec.epsilon is not None:
@@ -182,12 +173,7 @@ def _cmd_robust(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    _check_atol(args.tolerance, "--tolerance")
-    sc = parse_scenario(args.scenario)
-    if sc.distribution is None:
-        raise ValidationError("distribution: required for the montecarlo command")
-    if sc.harness is None:
-        raise ValidationError("harness: required for the montecarlo command")
+    sc = _load_scenario(args, "distribution", "harness")
     if args.seed is not None and not 0 <= args.seed < SEED_LIMIT:
         raise DomainError(f"--seed: must be in [0, 2**64), got {args.seed}")
     seed = args.seed if args.seed is not None else sc.harness.seed
@@ -295,18 +281,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, DimensionMismatch, NegativeEntry, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (BudgetInfeasible, InsufficientData) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 1
     except EVFlexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,13 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Each error class declares the CLI's exit code and stderr label for it.
+"""
 
 
 class EVFlexError(Exception):
     """Base class for all evflex errors."""
+    exit_code = 1
+    label = "error"
 
 
 class EnergyOutOfRange(EVFlexError):
@@ -11,10 +16,12 @@ class EnergyOutOfRange(EVFlexError):
 
 class DimensionMismatch(EVFlexError):
     """Vector/profile length does not match the expected horizon."""
+    exit_code = 2
 
 
 class NegativeEntry(EVFlexError):
     """A profile entry is negative beyond tolerance."""
+    exit_code = 2
 
 
 class NotMonotone(EVFlexError):
@@ -27,10 +34,12 @@ class NegativeBudget(EVFlexError):
 
 class DomainError(EVFlexError):
     """Argument outside the mathematical domain of the operation."""
+    exit_code = 2
 
 
 class BudgetInfeasible(EVFlexError):
     """The requested ball radius is smaller than the unavoidable projection cost."""
+    label = "infeasible"
 
     def __init__(self, epsilon: float, projection_cost: float):
         self.epsilon = epsilon
@@ -42,20 +51,22 @@ class BudgetInfeasible(EVFlexError):
 
 class InsufficientData(EVFlexError):
     """Not enough usable points to fit the concentration constants."""
+    label = "infeasible"
 
 
 class NumericalFailure(EVFlexError):
     """A computation broke its own guarantee: a worst case outside the ball
-    after budget accounting, or a transport solve that did not converge.
-    CLI exit code 1."""
+    after budget accounting, or a transport solve that did not converge."""
 
 
 class ParseError(EVFlexError):
-    """Scenario or result file is unreadable or malformed. CLI exit code 2."""
+    """Scenario or result file is unreadable or malformed."""
+    exit_code = 2
 
 
 class ValidationError(EVFlexError):
-    """Scenario content breaks a model invariant. CLI exit code 3."""
+    """Scenario content breaks a model invariant."""
+    exit_code = 3
 
 
 class RangeWarning(UserWarning):

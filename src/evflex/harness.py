@@ -279,7 +279,7 @@ def _positive_rows(stats: list[ViolationStats]) -> list[ViolationStats]:
     return [
         s
         for s in stats
-        if s.trials > 0 and not math.isnan(s.beta_hat) and s.beta_hat > 0
+        if s.trials > 0 and math.isfinite(s.beta_hat) and s.beta_hat > 0
     ]
 
 
@@ -296,14 +296,15 @@ def _log_linear_fit(x: np.ndarray, rates: list[float]) -> tuple[float, float, fl
 def fit_constants(stats: list[ViolationStats]) -> FitResult:
     """Least-squares fit of log violation rates against N * eps^2.
 
-    Rows with a zero (or undefined) violation estimate carry no log
-    information and are excluded with a warning.
+    Rows with a zero or non-finite violation estimate carry no log
+    information and are excluded with a warning. A fit whose constants are
+    not positive and finite raises InsufficientData.
     """
     rows = _positive_rows(stats)
     excluded = len(stats) - len(rows)
     if excluded:
         warnings.warn(
-            f"excluded {excluded} rows with zero or undefined violation estimates",
+            f"excluded {excluded} rows with zero or non-finite violation estimates",
             stacklevel=2,
         )
     if len(rows) < 3:
@@ -314,8 +315,14 @@ def fit_constants(stats: list[ViolationStats]) -> FitResult:
     slope, intercept, r_squared = _log_linear_fit(x, [s.beta_hat for s in rows])
     if slope >= 0:
         raise InsufficientData("violation rates do not decay; cannot fit positive constants")
+    with np.errstate(over="ignore"):  # an overflow gives c1 = inf, rejected below
+        c1 = float(np.exp(intercept))
+    try:
+        constants = ConcentrationConstants(c1=c1, c2=-slope)
+    except ValueError as exc:
+        raise InsufficientData(f"cannot fit the constants: {exc}") from exc
     return FitResult(
-        constants=ConcentrationConstants(c1=float(np.exp(intercept)), c2=-slope),
+        constants=constants,
         r_squared=r_squared,
         n_used=len(rows),
         n_excluded=excluded,

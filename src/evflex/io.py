@@ -118,10 +118,11 @@ def _radii(values, field: str) -> tuple[float, ...]:
 
 
 def _parse_distribution(obj, cap: float, base_dir: str) -> DiscreteDistribution:
-    if not isinstance(obj, dict):
-        raise ValidationError("distribution: expected an object")
+    _require(isinstance(obj, dict), "distribution: expected an object")
     if "file" in obj:
-        path = os.path.join(base_dir, obj["file"])
+        name = obj["file"]
+        _require(isinstance(name, str), f"distribution.file: must be a path, got {name!r}")
+        path = os.path.join(base_dir, name)
         try:
             with open(path) as fh:
                 obj = json.load(fh)
@@ -129,6 +130,7 @@ def _parse_distribution(obj, cap: float, base_dir: str) -> DiscreteDistribution:
             raise ParseError(f"distribution.file: cannot read {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"distribution.file: invalid JSON in {path}: {exc}") from exc
+        _require(isinstance(obj, dict), f"distribution.file: {path} must hold a JSON object")
     _require("atoms" in obj, "distribution.atoms: missing")
     _require("weights" in obj, "distribution.weights: missing")
     atoms = _finite_array(obj["atoms"], "distribution.atoms", width=2)
@@ -140,8 +142,7 @@ def _parse_distribution(obj, cap: float, base_dir: str) -> DiscreteDistribution:
 
 
 def _parse_robust(obj) -> RobustSpec:
-    if not isinstance(obj, dict):
-        raise ValidationError("robust: expected an object")
+    _require(isinstance(obj, dict), "robust: expected an object")
     epsilon = obj.get("epsilon")
     beta = obj.get("beta")
     _require(
@@ -182,13 +183,14 @@ def _parse_robust(obj) -> RobustSpec:
 
 
 def _parse_harness(obj) -> HarnessSpec:
-    if not isinstance(obj, dict):
-        raise ValidationError("harness: expected an object")
+    _require(isinstance(obj, dict), "harness: expected an object")
     _require("N" in obj, "harness.N: missing")
     raw_n = obj["N"]
     sizes = tuple(
         _integer(v, "harness.N", 1) for v in (raw_n if isinstance(raw_n, list) else [raw_n])
     )
+    # a repeated size would rerun the same (seed, N) stream as a second, dependent cell
+    _require(len(set(sizes)) == len(sizes), f"harness.N: sizes must be distinct, got {raw_n!r}")
     _require("epsilons" in obj, "harness.epsilons: missing")
     raw_eps = obj["epsilons"]
     if isinstance(raw_eps, dict):
@@ -231,8 +233,7 @@ def parse_scenario(path: str) -> Scenario:
         raise ParseError(f"cannot read scenario {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError("scenario: top level must be an object")
+    _require(isinstance(raw, dict), "scenario: top level must be an object")
     base_dir = os.path.dirname(os.path.abspath(path))
 
     grid_obj = raw.get("grid", {})

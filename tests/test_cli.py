@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import evflex.aggregate
+import evflex.cli
+import evflex.errors
 from evflex import ParseError, ValidationError
 from evflex.cli import main
 from evflex.harness import ViolationStats
@@ -273,15 +275,40 @@ def _malformed_json(tmp_path):
     return ["aggregate", "--scenario", str(path)]
 
 
-def _sparse_results(tmp_path):
-    # two rows with positive violation estimates and one zero row
-    rows = [
-        ViolationStats(eps, 10, 24, 100, v, v / 100, 0.0, 1.0, False)
-        for eps, v in ((0.1, 20), (0.2, 5), (0.3, 0))
-    ]
-    path = str(tmp_path / "sparse.csv")
-    write_results_csv(path, rows, {"seed": 0})
-    return ["fit-constants", "--csv", path]
+def _results_command(rows):
+    def build(tmp_path):
+        path = str(tmp_path / "results.csv")
+        write_results_csv(path, rows, {"seed": 0})
+        return ["fit-constants", "--csv", path]
+
+    return build
+
+
+# two rows with positive violation estimates and one zero row
+SPARSE_ROWS = [
+    ViolationStats(eps, 10, 24, 100, v, v / 100, 0.0, 1.0, False)
+    for eps, v in ((0.1, 20), (0.2, 5), (0.3, 0))
+]
+
+# log-linear rates so steep that the fitted c1 = exp(intercept) overflows
+STEEP_ROWS = [
+    ViolationStats(eps, 1, 24, 1000, 1, beta, 0.0, 1.0, False)
+    for eps, beta in ((10, 0.5), (10.0001, math.sqrt(0.5 * 1e-305)), (10.0002, 1e-305))
+]
+# an inf beta_hat is excluded like a zero row, which leaves two rows to fit
+INF_BETA_ROWS = [
+    ViolationStats(eps, 10, 24, 100, v, beta, 0.0, 1.0, False)
+    for eps, v, beta in ((0.1, 20, 0.2), (0.2, 5, math.inf), (0.3, 1, 0.01))
+]
+
+
+def _distribution_file_command(content):
+    def build(tmp_path):
+        (tmp_path / "dist.json").write_text(json.dumps(content))
+        payload = _with("distribution", {"file": "dist.json"})
+        return ["robust", "--scenario", write_scenario(tmp_path, payload)]
+
+    return build
 
 
 def _profile_file_command(content):
@@ -309,7 +336,9 @@ EXIT_CODE_CASES = {
     "negative-entry": (_scenario_command("member", BASE, "--profile", "1,1,1,-1"), 2),
     "non-finite-profile": (_scenario_command("member", BASE, "--profile", "nan,1,1,1"), 2),
     "budget": (_scenario_command("robust", _with("robust", {"epsilon": 1e-9, "N": 2})), 1),
-    "insufficient-data": (_sparse_results, 1),
+    "insufficient-data": (_results_command(SPARSE_ROWS), 1),
+    "overflowing-fit": (_results_command(STEEP_ROWS), 1),
+    "inf-beta-hat": (_results_command(INF_BETA_ROWS), 1),
     "nan-epsilon": (_scenario_command("robust", _with("robust", {"epsilon": math.nan, "N": 4})), 3),
     "inf-epsilon": (_scenario_command("robust", _with("robust", {"epsilon": math.inf, "N": 4})), 3),
     "nan-beta": (
@@ -416,9 +445,18 @@ EXIT_CODE_CASES = {
         ),
         3,
     ),
+    "non-string-distribution-file": (
+        _scenario_command("robust", _with("distribution", {"file": 5})),
+        3,
+    ),
+    "non-object-distribution-file": (_distribution_file_command("atoms and weights"), 3),
+    "repeated-harness-N": (
+        _scenario_command("montecarlo", _with("harness", {**BASE["harness"], "N": [3, 3]})),
+        3,
+    ),
 }
 
-# The field each scenario array case names in its error message.
+# The field each scenario array or file case names in its error message.
 ARRAY_FIELD_CASES = {
     "string-atom": "distribution.atoms",
     "string-weight": "distribution.weights",
@@ -426,6 +464,9 @@ ARRAY_FIELD_CASES = {
     "string-constant": "robust.constants.c1",
     "overflowing-member": "population.members",
     "overflowing-weight": "distribution.weights",
+    "non-string-distribution-file": "distribution.file",
+    "non-object-distribution-file": "distribution.file",
+    "repeated-harness-N": "harness.N",
 }
 
 # The field each rejected robust scalar names in its error message.
@@ -475,6 +516,46 @@ def test_option_errors_name_the_flag(tmp_path, capsys, case):
     build, _ = EXIT_CODE_CASES[case]
     assert main(build(tmp_path)) == 2
     assert FLAG_CASES[case] in capsys.readouterr().err
+
+
+# Every error class, with the exit code and stderr label the CLI reports it with.
+ERROR_CLASS_EXITS = {
+    "EVFlexError": (1, "error"),
+    "EnergyOutOfRange": (1, "error"),
+    "NotMonotone": (1, "error"),
+    "NegativeBudget": (1, "error"),
+    "NumericalFailure": (1, "error"),
+    "BudgetInfeasible": (1, "infeasible"),
+    "InsufficientData": (1, "infeasible"),
+    "ParseError": (2, "error"),
+    "DimensionMismatch": (2, "error"),
+    "NegativeEntry": (2, "error"),
+    "DomainError": (2, "error"),
+    "ValidationError": (3, "error"),
+}
+
+
+def test_exit_code_table_covers_every_error_class():
+    classes = {
+        name
+        for name, cls in vars(evflex.errors).items()
+        if isinstance(cls, type) and issubclass(cls, evflex.errors.EVFlexError)
+    }
+    assert classes == set(ERROR_CLASS_EXITS)
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CLASS_EXITS))
+def test_each_error_class_exits_with_its_code_and_label(capsys, monkeypatch, name):
+    cls = getattr(evflex.errors, name)
+    exc = cls(0.1, 0.25) if cls is evflex.errors.BudgetInfeasible else cls("a failure")
+
+    def failing(path):
+        raise exc
+
+    monkeypatch.setattr(evflex.cli, "parse_scenario", failing)
+    code, label = ERROR_CLASS_EXITS[name]
+    assert main(["aggregate", "--scenario", "unread.json"]) == code
+    assert capsys.readouterr().err == f"{label}: {exc}\n"
 
 
 def test_numerical_failure_exits_1_without_traceback(tmp_path, capsys, monkeypatch):

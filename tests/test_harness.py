@@ -38,6 +38,7 @@ from evflex.harness import (
     _cap_columns,
     _distinct_populations,
     _populations_clear,
+    fit_per_n,
 )
 
 from oracles import distinct_populations_by_lexsort
@@ -597,6 +598,31 @@ def test_fit_constants_excludes_zero_rows_with_warning():
         fit = fit_constants(rows)
     assert fit.n_excluded == 1
     assert abs(fit.constants.c2 - 1.5) < 1e-6
+
+
+def test_fit_constants_excludes_non_finite_rows_with_warning():
+    constants = ConcentrationConstants(2.0, 1.5)
+    rows = [
+        _stats_row(eps, 10, beta_from_epsilon(eps, 10, constants))
+        for eps in (0.05, 0.1, 0.2, 0.3)
+    ]
+    rows.append(dataclasses.replace(_stats_row(0.9, 10, 0.5), beta_hat=math.inf))
+    with pytest.warns(UserWarning, match="excluded 1 rows"):
+        fit = fit_constants(rows)
+    assert fit.n_excluded == 1
+    assert abs(fit.constants.c2 - 1.5) < 1e-6
+    (per_n,) = fit_per_n(rows)
+    assert per_n.rows == 4
+    assert per_n.slope == pytest.approx(-15.0, abs=1e-6)
+
+
+def test_fit_constants_rejects_non_finite_constants():
+    # log-linear rates so steep that exp(intercept) overflows: c1 would be
+    # inf. An overflow RuntimeWarning would fail the test.
+    rates = ((10, 0.5), (10.0001, math.sqrt(0.5 * 1e-305)), (10.0002, 1e-305))
+    rows = [_stats_row(eps, 1, beta) for eps, beta in rates]
+    with pytest.raises(InsufficientData, match="positive and finite"):
+        fit_constants(rows)
 
 
 def test_fit_constants_insufficient_data():
