@@ -29,8 +29,8 @@ find_subset_violation scans the vertices one by one.
 decompose() then builds its per-EV profiles constructively: the most
 balanced split of the total into per-EV energies, then one doubly
 stochastic mixing of the columns of their fastest-charge profiles. A
-non-member gets a violated cut as its certificate. No flow or LP solver
-runs.
+non-member gets the most violated cut of its row as its certificate. No
+flow or LP solver runs.
 
 The generating vectors themselves are a histogram of whole steps: an EV
 with energy e fills floor(e/m) steps with m and puts the remainder on the
@@ -128,8 +128,11 @@ class AggregateFlexSet:
         object.__setattr__(self, "nu_lo", nu_lo)
         object.__setattr__(self, "nu_hi", nu_hi)
         object.__setattr__(self, "power", float(self.power))
+        _check_power(self.power, DomainError)
         if nu_lo.shape != nu_hi.shape or nu_lo.ndim != 1:
             raise DimensionMismatch("nu_lo and nu_hi must be 1-D of equal length")
+        if not np.isfinite((nu_lo, nu_hi)).all():
+            raise DomainError("nu_lo and nu_hi must be finite")
         for name, vec in (("nu_lo", nu_lo), ("nu_hi", nu_hi)):
             if (vec[1:] - vec[:-1] > DEFAULT_ATOL).any():
                 raise ValueError(f"{name} must be sorted non-increasing")
@@ -372,11 +375,10 @@ class Infeasible:
     """Witness of infeasibility: a set of steps S whose demand exceeds its cap.
 
     u(S) > min(p(|S|), E - b(T - |S|)) with p the prefix sums of nu_hi, b
-    the tail sums of nu_lo and E the profile total; shortfall is the excess,
-    always positive. S is empty when E falls short of b(T) = sum(nu_lo).
-    Where E - b(T - |S|) rounds the excess away, shortfall is the one the
-    membership test sees: u(S) - p(|S|) or b(T - |S|) - u(S'), with S' the
-    complement of S.
+    the tail sums of nu_lo and E the profile total. shortfall is the excess
+    as the membership test computes it: u(S) - p(|S|), or b(T - |S|) - u(S')
+    with S' the complement of S, which is u(S) - (E - b(T - |S|)) in exact
+    arithmetic. It is always positive, and S is empty when it is b(T) - E.
     """
 
     deficient_steps: tuple[int, ...]  # 1-indexed
@@ -466,13 +468,11 @@ def decompose(pop: Population, u, atol: float = DEFAULT_ATOL):
 
     Returns a Decomposition (rows in [0, m]^T with totals in
     [e_lo, e_hi], columns summing to u). A non-member gets an Infeasible
-    certificate that anyone can check from (nu_lo, nu_hi): the empty set
-    with shortfall b(T) - E when the total is too small, and otherwise the
-    steps of u's k largest entries for the most violated k, with shortfall
-    top_k(u) - min(sum_{t<=k} nu_hi[t], E - sum_{t>k} nu_lo[t]), or the
-    excess the membership test sees where that rounds to <= 0 (see
-    Infeasible). Any valid split or violated cut is correct; these are the
-    ones chosen.
+    certificate that anyone can check from (nu_lo, nu_hi): the most
+    violated entry of the cut-sum row the verdict compared, the first on a
+    tie, as the steps of u's k largest entries. Its shortfall is positive
+    because fl(s - atol) > c implies s > c. Any valid split or violated cut
+    is correct; these are the ones chosen.
     """
     u = _check_profile(u, (pop.horizon,), atol)
     fleet = _fleet(pop)
@@ -485,19 +485,12 @@ def decompose(pop: Population, u, atol: float = DEFAULT_ATOL):
     if _member_matrix(caps, sums, atol):
         energies = fleet.balanced_energies(u.sum())
         return Decomposition(_mix_fastest_profiles(energies, target, order, pop.power))
-    if sums[-1] - atol > caps[-1]:  # bottom_T(u) = E falls short of b(T)
-        return Infeasible((), float(sums[-1] - caps[-1]))
-    horizon = u.size
-    cut = np.full(horizon, u.sum())
-    cut[:-1] += caps[horizon:-1][::-1]  # E - b(T - k), k = 1..T
-    excess = sums[:horizon] - np.minimum(caps[:horizon], cut)
-    k = int(np.argmax(excess)) + 1
-    shortfall = excess[k - 1]
-    if shortfall <= 0:  # E - b(T - k) rounded the violation away: read it off the cut sums
-        gap = sums - caps
-        i = int(np.argmax(gap))
-        k, shortfall = (i + 1 if i < horizon else 2 * horizon - 1 - i), gap[i]
-    return Infeasible(tuple(sorted(int(t) + 1 for t in order[:k])), float(shortfall))
+    # entry i < T is top_k(u) - p(k) with k = i + 1; entry T + j - 1 is
+    # b(j) - bottom_j(u), the cut of u's k = T - j largest entries
+    gap = sums - caps
+    i = int(gap.argmax())
+    k = i + 1 if i < u.size else 2 * u.size - 1 - i
+    return Infeasible(tuple(sorted([t + 1 for t in order[:k].tolist()])), float(gap[i]))
 
 
 # ---------------------------------------------------------------------------

@@ -275,11 +275,12 @@ class PerNFit:
 
 
 def _positive_rows(stats: list[ViolationStats]) -> list[ViolationStats]:
-    """Rows whose violation estimate carries log information."""
+    """Rows whose violation estimate carries log information at a finite N * eps^2."""
     return [
         s
         for s in stats
-        if s.trials > 0 and math.isfinite(s.beta_hat) and s.beta_hat > 0
+        if s.trials > 0 and 0 < s.beta_hat < math.inf
+        and math.isfinite(s.population_size * (s.epsilon * s.epsilon))
     ]
 
 
@@ -297,21 +298,22 @@ def fit_constants(stats: list[ViolationStats]) -> FitResult:
     """Least-squares fit of log violation rates against N * eps^2.
 
     Rows with a zero or non-finite violation estimate carry no log
-    information and are excluded with a warning. A fit whose constants are
+    information and rows whose N * eps^2 overflows have no place on the
+    axis; both are excluded with a warning. A fit whose constants are
     not positive and finite raises InsufficientData.
     """
     rows = _positive_rows(stats)
     excluded = len(stats) - len(rows)
     if excluded:
         warnings.warn(
-            f"excluded {excluded} rows with zero or non-finite violation estimates",
+            f"excluded {excluded} rows with zero or non-finite violation estimates or N * eps^2",
             stacklevel=2,
         )
     if len(rows) < 3:
         raise InsufficientData(
             f"need at least 3 rows with positive violation estimates, got {len(rows)}"
         )
-    x = np.array([s.population_size * s.epsilon**2 for s in rows])
+    x = np.array([s.population_size * (s.epsilon * s.epsilon) for s in rows])
     slope, intercept, r_squared = _log_linear_fit(x, [s.beta_hat for s in rows])
     if slope >= 0:
         raise InsufficientData("violation rates do not decay; cannot fit positive constants")
@@ -341,7 +343,7 @@ def fit_per_n(stats: list[ViolationStats]) -> list[PerNFit]:
         rows = [s for s in usable if s.population_size == size]
         slope = r_squared = math.nan
         if len(rows) >= 3:
-            x = np.array([s.epsilon**2 for s in rows])
+            x = np.array([s.epsilon * s.epsilon for s in rows])
             slope, _, r_squared = _log_linear_fit(x, [s.beta_hat for s in rows])
         fits.append(PerNFit(size, len(rows), slope, r_squared))
     return fits

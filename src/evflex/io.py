@@ -194,14 +194,14 @@ def _parse_harness(obj) -> HarnessSpec:
     _require("epsilons" in obj, "harness.epsilons: missing")
     raw_eps = obj["epsilons"]
     if isinstance(raw_eps, dict):
-        try:
-            by_n = {int(k): _radii(v, f"harness.epsilons[{k}]") for k, v in raw_eps.items()}
-        except ValueError as exc:
-            raise ValidationError(f"harness.epsilons: {exc}") from exc
+        # a key is the decimal of a size, so "03" or "3_0" cannot stand in for 3 or 30
+        names = {str(size): size for size in sizes}
         _require(
-            set(by_n) == set(sizes),
-            "harness.epsilons: keyed grids must cover exactly the sizes in N",
+            raw_eps.keys() == names.keys(),
+            f"harness.epsilons: keyed grids must be keyed by exactly the sizes in N, "
+            f"written as decimals, got keys {sorted(raw_eps)!r}",
         )
+        by_n = {names[k]: _radii(v, f"harness.epsilons[{k}]") for k, v in raw_eps.items()}
     else:
         grid = _radii(raw_eps, "harness.epsilons")
         by_n = {size: grid for size in sizes}
@@ -292,7 +292,7 @@ def write_results_csv(target, stats: list[ViolationStats], metadata: dict | None
             writer.writerow(
                 [
                     fmt_float(s.epsilon),
-                    fmt_float(s.epsilon**2),
+                    fmt_float(s.epsilon * s.epsilon),  # ** raises OverflowError where * gives inf
                     s.population_size,
                     s.horizon,
                     s.trials,

@@ -177,6 +177,24 @@ def test_non_finite_profiles_rejected(u):
         AggregateFlexSet.from_population(pop).contains_profile(u)
 
 
+@pytest.mark.parametrize(
+    "nu_lo, nu_hi, power, error",
+    [
+        ([np.nan, 0.5], [1.0, 1.0], 1.0, DomainError),
+        ([1.0, 0.5], [np.inf, 1.0], 1.0, DomainError),
+        ([1.0, -np.inf], [1.0, 1.0], 1.0, DomainError),
+        ([1.0, 0.5], [1.0, 1.0], -1.0, DomainError),
+        ([1.0, 0.5], [1.0, 1.0], np.nan, DomainError),
+        ([1.0, 0.5], [1.0, 1.0], 0.0, DomainError),
+        ([0.5, 1.0], [1.0, 1.0], 1.0, ValueError),  # unsorted
+    ],
+    ids=["nan-lo", "inf-hi", "-inf-lo", "negative-power", "nan-power", "zero-power", "unsorted"],
+)
+def test_flex_set_rejects_bad_bounds(nu_lo, nu_hi, power, error):
+    with pytest.raises(error):
+        AggregateFlexSet(nu_lo, nu_hi, power)
+
+
 @pytest.mark.parametrize("atol", [np.nan, np.inf, -np.inf, -1.0])
 def test_bad_atol_rejected(atol):
     pop = Population([1, 2], [3, 4], 4)
@@ -462,6 +480,16 @@ def test_decompose_infeasible_low_total_has_empty_cut():
     result = decompose(two_ev_pop(), [0.5, 0, 0, 0])  # total below 2.0 minimum
     assert isinstance(result, Infeasible)
     assert result.deficient_steps == ()
+
+
+def test_decompose_names_the_most_violated_cut_over_a_short_total():
+    # the total 1.9 falls 0.1 short of b(4) = 2.0, but the three smallest
+    # entries, 0, fall 0.5 short of b(3): the cut of step 1 is violated more
+    result = decompose(two_ev_pop(), [1.9, 0, 0, 0])
+    assert isinstance(result, Infeasible)
+    assert result.deficient_steps == (1,)
+    assert result.shortfall == pytest.approx(0.5, rel=0, abs=1e-12)
+    assert_valid_decompose_result(two_ev_pop(), np.array([1.9, 0, 0, 0]), result)
 
 
 def test_decompose_at_lower_generator():

@@ -300,6 +300,11 @@ INF_BETA_ROWS = [
     ViolationStats(eps, 10, 24, 100, v, beta, 0.0, 1.0, False)
     for eps, v, beta in ((0.1, 20, 0.2), (0.2, 5, math.inf), (0.3, 1, 0.01))
 ]
+# an inf radius has no finite N * eps^2 and is excluded too, leaving two rows to fit
+INF_EPSILON_ROWS = [
+    ViolationStats(eps, 10, 24, 100, v, v / 100, 0.0, 1.0, False)
+    for eps, v in ((0.1, 20), (0.2, 5), (math.inf, 1))
+]
 
 
 def _distribution_file_command(content):
@@ -339,6 +344,7 @@ EXIT_CODE_CASES = {
     "insufficient-data": (_results_command(SPARSE_ROWS), 1),
     "overflowing-fit": (_results_command(STEEP_ROWS), 1),
     "inf-beta-hat": (_results_command(INF_BETA_ROWS), 1),
+    "inf-epsilon-row": (_results_command(INF_EPSILON_ROWS), 1),
     "nan-epsilon": (_scenario_command("robust", _with("robust", {"epsilon": math.nan, "N": 4})), 3),
     "inf-epsilon": (_scenario_command("robust", _with("robust", {"epsilon": math.inf, "N": 4})), 3),
     "nan-beta": (
@@ -454,6 +460,14 @@ EXIT_CODE_CASES = {
         _scenario_command("montecarlo", _with("harness", {**BASE["harness"], "N": [3, 3]})),
         3,
     ),
+    # "03" would read as a second grid for size 3, and the last one would win
+    "non-decimal-harness-key": (
+        _scenario_command(
+            "montecarlo",
+            _with("harness", {**BASE["harness"], "epsilons": {"3": [0.2], "03": [0.5]}}),
+        ),
+        3,
+    ),
 }
 
 # The field each scenario array or file case names in its error message.
@@ -467,6 +481,7 @@ ARRAY_FIELD_CASES = {
     "non-string-distribution-file": "distribution.file",
     "non-object-distribution-file": "distribution.file",
     "repeated-harness-N": "harness.N",
+    "non-decimal-harness-key": "harness.epsilons",
 }
 
 # The field each rejected robust scalar names in its error message.
@@ -587,9 +602,26 @@ def test_keyed_epsilon_grid(tmp_path):
     rows, _ = read_results_csv(out_csv)
     assert [(r.epsilon, r.population_size) for r in rows] == [(1.5, 2), (2.0, 2), (1.8, 3)]
 
-    for bad in ({"2": [1.5, 2.0], "4": [1.8]}, {"2": [2.0, 1.5], "3": [1.8]}):
+    # keys must be the sizes' decimals: "02" and " 3" name no size, and "3_0" is not 30
+    for bad in ({"2": [1.5, 2.0], "4": [1.8]}, {"2": [2.0, 1.5], "3": [1.8]},
+                {"02": [1.5, 2.0], "3": [1.8]}, {"2": [1.5, 2.0], " 3": [1.8]}):
         path = write_scenario(tmp_path, _with("harness", {**harness, "epsilons": bad}), "bad.json")
         assert main(["montecarlo", "--scenario", path]) == 3
+    underscored = {**harness, "N": [2, 30], "epsilons": {"2": [1.5], "3_0": [1.8]}}
+    path = write_scenario(tmp_path, _with("harness", underscored), "bad.json")
+    assert main(["montecarlo", "--scenario", path]) == 3
+
+
+def test_montecarlo_writes_a_huge_finite_radius(tmp_path):
+    # eps**2 overflows a float: the row carries epsilon_sq = inf, not an OverflowError
+    harness = {**BASE["harness"], "epsilons": [0.5, 1e200]}
+    out_csv = str(tmp_path / "huge.csv")
+    path = write_scenario(tmp_path, _with("harness", harness))
+    assert main(["montecarlo", "--scenario", path, "--out", out_csv]) == 0
+    rows, _ = read_results_csv(out_csv)
+    assert [r.epsilon for r in rows] == [0.5, 1e200]
+    lines = [line for line in Path(out_csv).read_text().splitlines() if not line.startswith("#")]
+    assert lines[-1].split(",")[1] == "inf"
 
 
 def test_results_csv_roundtrip_lossless(tmp_path):
