@@ -47,6 +47,7 @@ from .errors import (
     InsufficientData,
     NegativeBudget,
     NegativeEntry,
+    NotAnInteger,
     NotMonotone,
     NumericalFailure,
     ParseError,

@@ -61,7 +61,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import DEFAULT_ATOL, Population, _check_atol, _check_power, check_energy_domain
-from .errors import DimensionMismatch, DomainError, EnergyOutOfRange, NegativeEntry
+from .errors import DimensionMismatch, DomainError, NegativeEntry, NotMonotone
 from .flows import feasible_circulation  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 
@@ -128,14 +128,14 @@ class AggregateFlexSet:
         object.__setattr__(self, "nu_lo", nu_lo)
         object.__setattr__(self, "nu_hi", nu_hi)
         object.__setattr__(self, "power", float(self.power))
-        _check_power(self.power, DomainError)
-        if nu_lo.shape != nu_hi.shape or nu_lo.ndim != 1:
-            raise DimensionMismatch("nu_lo and nu_hi must be 1-D of equal length")
+        _check_power(self.power)
+        if nu_lo.shape != nu_hi.shape or nu_lo.ndim != 1 or nu_lo.size == 0:
+            raise DimensionMismatch("nu_lo and nu_hi must be non-empty 1-D of equal length")
         if not np.isfinite((nu_lo, nu_hi)).all():
             raise DomainError("nu_lo and nu_hi must be finite")
         for name, vec in (("nu_lo", nu_lo), ("nu_hi", nu_hi)):
             if (vec[1:] - vec[:-1] > DEFAULT_ATOL).any():
-                raise ValueError(f"{name} must be sorted non-increasing")
+                raise NotMonotone(f"{name} must be sorted non-increasing")
 
     @classmethod
     def from_population(cls, pop: Population) -> "AggregateFlexSet":
@@ -344,11 +344,11 @@ def batch_contains(
         raise DimensionMismatch(
             f"e_lo {e_lo.shape} and e_hi {e_hi.shape} must be equal (R, N) with N >= 1"
         )
-    _check_power(m, DomainError)
+    _check_power(m)
     if not (np.isfinite(e_lo).all() and np.isfinite(e_hi).all()):
         raise DomainError("population energies must be finite")
     horizon = profiles.shape[1]
-    check_energy_domain(e_lo, e_hi, m * horizon, EnergyOutOfRange)
+    check_energy_domain(e_lo, e_hi, m * horizon)
     caps = _cap_row(_generating_vectors(e_lo, m, horizon), _generating_vectors(e_hi, m, horizon))
     return _member_matrix(caps[:, None], _cut_sums(profiles), atol)  # (R, 1, 2T) against (V, 2T)
 

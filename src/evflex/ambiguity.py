@@ -28,8 +28,11 @@ from .core import DEFAULT_ATOL, Population, TimeGrid, check_energy_domain
 from .core import _check_atol, _check_integer, _check_power
 from .errors import (
     BudgetInfeasible,
+    DimensionMismatch,
     DomainError,
+    EnergyOutOfRange,
     NegativeBudget,
+    NotMonotone,
     NumericalFailure,
     RangeWarning,
 )
@@ -50,19 +53,19 @@ class DiscreteDistribution:
         atoms = np.array(self.atoms, dtype=float)
         weights = np.array(self.weights, dtype=float)
         if atoms.ndim != 2 or atoms.shape[1] != 2 or atoms.shape[0] == 0:
-            raise ValueError("atoms must be a non-empty (n, 2) array")
+            raise DimensionMismatch("atoms must be a non-empty (n, 2) array")
         if weights.shape != (atoms.shape[0],):
-            raise ValueError("weights must match the number of atoms")
+            raise DimensionMismatch("weights must match the number of atoms")
         if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
-            raise ValueError("atoms and weights must be finite")
+            raise DomainError("atoms and weights must be finite")
         if not math.isfinite(self.energy_cap):
-            raise ValueError(f"energy_cap must be finite, got {self.energy_cap!r}")
+            raise DomainError(f"energy_cap must be finite, got {self.energy_cap!r}")
         if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
+            raise DomainError("weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {weights.sum()!r}, expected 1")
+            raise DomainError(f"weights sum to {weights.sum()!r}, expected 1")
         # the domain of a Population, so every atom can be a population's EV
-        check_energy_domain(atoms[:, 0], atoms[:, 1], self.energy_cap, ValueError)
+        check_energy_domain(atoms[:, 0], atoms[:, 1], self.energy_cap)
         order = np.lexsort((atoms[:, 1], atoms[:, 0]))
         atoms = atoms[order]
         weights = weights[order]
@@ -96,7 +99,7 @@ class ConcentrationConstants:
 
     def __post_init__(self):
         if not (0 < self.c1 < math.inf and 0 < self.c2 < math.inf):
-            raise ValueError(
+            raise DomainError(
                 f"concentration constants must be positive and finite, got {self.c1}, {self.c2}"
             )
 
@@ -165,7 +168,7 @@ def project_to_n_points(
     is kept per (distribution, N), so a repeat call returns a copy of the
     first one's support and its cost.
     """
-    n = _check_integer(n, "n", DomainError, minimum=1)
+    n = _check_integer(n, "n", minimum=1)
     known = _PROJECTIONS.setdefault(p, {})
     if n not in known:
         known[n] = _project(p, n)
@@ -261,11 +264,11 @@ def _push_walk(values, partners, budget, target, sign):
 def _validate_push_args(values, budget):
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
-        raise ValueError("values must be a non-empty 1-D array")
+        raise DimensionMismatch("values must be a non-empty 1-D array")
     if not (np.isfinite(values).all() and math.isfinite(budget)):
         raise DomainError("values and budget must be finite")
     if np.any(np.diff(values) < -1e-12):
-        raise ValueError("values must be sorted non-decreasing")
+        raise NotMonotone("values must be sorted non-decreasing")
     if budget < 0:
         raise NegativeBudget(f"budget must be non-negative, got {budget}")
     return values
@@ -283,7 +286,7 @@ def push_lower(values, budget: float, ceiling: float):
     if not math.isfinite(ceiling):
         raise DomainError(f"ceiling must be finite, got {ceiling}")
     if np.any(values > ceiling + 1e-12):
-        raise ValueError("values must not exceed the ceiling")
+        raise EnergyOutOfRange("values must not exceed the ceiling")
     pinned = np.full(values.size, float(ceiling))
     out, _, k, kappa, _, _ = _push_walk(values[::-1], pinned, budget, ceiling, 1.0)
     return out[::-1], values.size - k, kappa
@@ -293,7 +296,7 @@ def push_upper(values, budget: float):
     """Mirror of push_lower: masses move toward zero, smallest first."""
     values = _validate_push_args(values, budget)
     if np.any(values < -1e-12):
-        raise ValueError("values must be non-negative")
+        raise EnergyOutOfRange("values must be non-negative")
     out, _, k, kappa, _, _ = _push_walk(values, np.zeros(values.size), budget, 0.0, -1.0)
     return out, k + 1, kappa
 
@@ -306,7 +309,7 @@ def beta_from_epsilon(eps: float, n: int, constants: ConcentrationConstants) -> 
     """Confidence complement for a ball radius: c1 * exp(-c2 * n * eps^2)."""
     if not 0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps}")
-    n = _check_integer(n, "n", DomainError, minimum=1)
+    n = _check_integer(n, "n", minimum=1)
     if eps > 1:
         warnings.warn(
             f"eps={eps} is outside the (0, 1] validity range of the tail bound",
@@ -320,7 +323,7 @@ def epsilon_from_beta(beta: float, n: int, constants: ConcentrationConstants) ->
     """Inverse of beta_from_epsilon."""
     if not 0 < beta < constants.c1:
         raise DomainError(f"beta must lie in (0, c1), got {beta}")
-    n = _check_integer(n, "n", DomainError, minimum=1)
+    n = _check_integer(n, "n", minimum=1)
     eps = math.sqrt(math.log(constants.c1 / beta) / (constants.c2 * n))
     if eps > 1:
         warnings.warn(
@@ -433,9 +436,9 @@ def robust_set(
     """
     if not 0 <= eps < math.inf:
         raise DomainError(f"eps must be non-negative and finite, got {eps}")
-    _check_power(power, DomainError)
+    _check_power(power)
     _check_atol(atol)
-    n = _check_integer(n, "n", DomainError, minimum=1)
+    n = _check_integer(n, "n", minimum=1)
     cap = power * grid.steps
     if abs(p.energy_cap - cap) > 1e-9:
         raise DomainError(

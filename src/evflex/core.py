@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, EnergyOutOfRange
+from .errors import DimensionMismatch, DomainError, EnergyOutOfRange, NotAnInteger
 
 DEFAULT_ATOL = 1e-9
 
@@ -25,15 +25,12 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        steps = _check_integer(self.steps, "steps", TypeError)
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "steps", _check_integer(self.steps, "steps", minimum=1))
 
 
-def _check_power(power, error: type = ValueError) -> None:
+def _check_power(power) -> None:
     if not (math.isfinite(power) and power > 0):
-        raise error(f"power must be positive and finite, got {power}")
+        raise DomainError(f"power must be positive and finite, got {power}")
 
 
 def _check_atol(atol, name: str = "atol") -> None:
@@ -41,9 +38,9 @@ def _check_atol(atol, name: str = "atol") -> None:
         raise DomainError(f"{name} must be finite and non-negative, got {atol}")
 
 
-def _check_integer(value, name: str, error: type = ValueError, minimum: int | None = None) -> int:
-    """value as an int; a float, bool or other non-integer, or an int below
-    `minimum`, raises `error`."""
+def _check_integer(value, name: str, minimum: int | None = None) -> int:
+    """value as an int; a float, bool or other non-integer raises
+    NotAnInteger, and an int below `minimum` DomainError."""
     if not isinstance(value, (bool, np.bool_)):
         try:
             value = operator.index(value)
@@ -51,20 +48,20 @@ def _check_integer(value, name: str, error: type = ValueError, minimum: int | No
             pass
         else:
             if minimum is not None and value < minimum:
-                raise error(f"{name} must be >= {minimum}, got {value}")
+                raise DomainError(f"{name} must be >= {minimum}, got {value}")
             return value
-    raise error(f"{name} must be an integer, got {value!r}")
+    raise NotAnInteger(f"{name} must be an integer, got {value!r}")
 
 
-def check_energy_domain(e_lo: np.ndarray, e_hi: np.ndarray, cap: float, error: type) -> None:
-    """Raise `error` naming the first pair that breaks 0 <= e_lo <= e_hi <= cap.
+def check_energy_domain(e_lo: np.ndarray, e_hi: np.ndarray, cap: float) -> None:
+    """Raise EnergyOutOfRange naming the first pair that breaks 0 <= e_lo <= e_hi <= cap.
 
     The cap is m*T and allows 1e-12 of rounding; a NaN breaks every bound.
     """
     valid = (e_lo >= 0) & (e_lo <= e_hi) & (e_hi <= cap + 1e-12)
     if not valid.all():
         i = np.unravel_index(np.argmin(valid), valid.shape)
-        raise error(f"need 0 <= e_lo <= e_hi <= m*T: ({e_lo[i]}, {e_hi[i]}) vs cap {cap}")
+        raise EnergyOutOfRange(f"need 0 <= e_lo <= e_hi <= m*T: ({e_lo[i]}, {e_hi[i]}) vs cap {cap}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,14 +81,12 @@ class Population:
     def __post_init__(self):
         e_lo = np.array(self.e_lo, dtype=float)
         e_hi = np.array(self.e_hi, dtype=float)
-        horizon = _check_integer(self.horizon, "horizon", TypeError)
+        horizon = _check_integer(self.horizon, "horizon", minimum=1)
         power = float(self.power)
         if e_lo.ndim != 1 or e_lo.shape != e_hi.shape or e_lo.size == 0:
-            raise ValueError("e_lo and e_hi must be non-empty 1-D arrays of equal length")
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+            raise DimensionMismatch("e_lo and e_hi must be non-empty 1-D arrays of equal length")
         _check_power(power)
-        check_energy_domain(e_lo, e_hi, power * horizon, ValueError)
+        check_energy_domain(e_lo, e_hi, power * horizon)
         e_lo.flags.writeable = False
         e_hi.flags.writeable = False
         object.__setattr__(self, "e_lo", e_lo)
@@ -104,7 +99,7 @@ class Population:
         """Population from (e_lo, e_hi) rows."""
         pairs = np.array(pairs, dtype=float)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError("pairs must be (e_lo, e_hi) rows")
+            raise DimensionMismatch("pairs must be (e_lo, e_hi) rows")
         return cls(pairs[:, 0], pairs[:, 1], horizon, power)
 
     @property
@@ -119,10 +114,9 @@ def fastest_profile(energy: float, power: float, steps: int) -> np.ndarray:
     (omitted when zero), then zeros. The entries are non-increasing and sum
     to `energy` exactly.
     """
-    if _check_integer(steps, "steps", TypeError) < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _check_integer(steps, "steps", minimum=1)
     _check_power(power)
-    if energy < 0 or energy > power * steps + 1e-12:
+    if not 0 <= energy <= power * steps + 1e-12:
         raise EnergyOutOfRange(f"energy {energy} outside [0, {power * steps}]")
     full = min(int(np.floor(energy / power)), steps)
     rest = energy - power * full
@@ -143,6 +137,10 @@ def is_individually_feasible(
     u = np.asarray(profile, dtype=float)
     if u.ndim != 1:
         raise DimensionMismatch(f"profile must be 1-D, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise DomainError("profile has a non-finite entry")
+    if not (math.isfinite(e_lo) and math.isfinite(e_hi)):
+        raise EnergyOutOfRange(f"e_lo and e_hi must be finite, got ({e_lo}, {e_hi})")
     if np.any(u < -atol) or np.any(u > power + atol):
         return False
     total = float(u.sum())

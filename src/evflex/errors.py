@@ -1,10 +1,15 @@
 """Exception and warning types shared across the package.
 
-Each error class declares the CLI's exit code and stderr label for it.
+Each input rule raises its own class, whoever calls it: a wrong shape
+DimensionMismatch, a non-finite or out-of-range number DomainError, a
+float or boolean count NotAnInteger, an energy outside its domain
+EnergyOutOfRange and unsorted input NotMonotone. Every class is a
+ValueError (NotAnInteger is also a TypeError) and declares the CLI's exit
+code and stderr label for it.
 """
 
 
-class EVFlexError(Exception):
+class EVFlexError(ValueError):
     """Base class for all evflex errors."""
     exit_code = 1
     label = "error"
@@ -35,6 +40,10 @@ class NegativeBudget(EVFlexError):
 class DomainError(EVFlexError):
     """Argument outside the mathematical domain of the operation."""
     exit_code = 2
+
+
+class NotAnInteger(DomainError, TypeError):
+    """A count was given as a float, a boolean or another non-integer."""
 
 
 class BudgetInfeasible(EVFlexError):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections import deque
 
+from .errors import DomainError
+
 RESIDUAL_EPS = 1e-12
 
 
@@ -93,7 +95,7 @@ def feasible_circulation(
     eids = []
     for (u, v, low, cap) in arcs:
         if low > cap + atol:
-            raise ValueError(f"arc ({u},{v}) has low {low} > cap {cap}")
+            raise DomainError(f"arc ({u},{v}) has low {low} > cap {cap}")
         eids.append(net.add_edge(u, v, max(cap - low, 0.0)))
         excess[v] += low
         excess[u] -= low

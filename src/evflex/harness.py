@@ -38,7 +38,7 @@ from .aggregate import _cap_row, _fastest_profiles, _member_matrix
 from .aggregate import batch_contains  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .ambiguity import ConcentrationConstants, DiscreteDistribution, robust_set
 from .core import DEFAULT_ATOL, Population, TimeGrid, _check_atol, _check_integer, _check_power
-from .errors import BudgetInfeasible, DomainError, InsufficientData
+from .errors import BudgetInfeasible, DomainError, InsufficientData, NotMonotone
 
 SEED_LIMIT = 2**64  # master seeds are 64-bit
 # an input bound on trials per cell; at 2**32 trials a cell's (trials,
@@ -64,14 +64,14 @@ class TrialConfig:
             value = _check_integer(getattr(self, name), name, minimum=minimum)
             object.__setattr__(self, name, value)
         if not 1 <= self.trials <= TRIAL_LIMIT:
-            raise ValueError(f"trials must be in [1, {TRIAL_LIMIT}], got {self.trials}")
+            raise DomainError(f"trials must be in [1, {TRIAL_LIMIT}], got {self.trials}")
         if not all(map(math.isfinite, self.epsilons)):
-            raise ValueError(f"epsilons must be finite, got {self.epsilons!r}")
+            raise DomainError(f"epsilons must be finite, got {self.epsilons!r}")
         if len(self.epsilons) == 0 or np.any(np.diff(self.epsilons) <= 0):
-            raise ValueError("epsilons must be strictly increasing")
+            raise NotMonotone("epsilons must be strictly increasing")
         if not (0 <= self.seed < SEED_LIMIT):
-            raise ValueError("seed must fit in 64 bits")
-        _check_power(self.power, DomainError)
+            raise DomainError("seed must fit in 64 bits")
+        _check_power(self.power)
         _check_atol(self.atol)
 
 
@@ -103,10 +103,11 @@ def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
     """
     from scipy.special import betaincinv  # most of the import time of the package; only this needs it
 
+    k, n = _check_integer(k, "k"), _check_integer(n, "n")
     if n < 1 or not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
+        raise DomainError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
     if not 0 < alpha < 1:
-        raise ValueError(f"need 0 < alpha < 1, got alpha={alpha}")
+        raise DomainError(f"need 0 < alpha < 1, got alpha={alpha}")
     lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
     hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
     return lo, hi
@@ -114,6 +115,8 @@ def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
 
 def trial_rng(seed: int, population_size: int) -> np.random.Generator:
     """The Philox stream of one (seed, N) cell, shared by all its radii."""
+    seed = _check_integer(seed, "seed", minimum=0)
+    population_size = _check_integer(population_size, "population_size", minimum=0)
     seq = np.random.SeedSequence(seed, spawn_key=(population_size,))
     return np.random.Generator(np.random.Philox(seq))
 
@@ -130,7 +133,7 @@ def sample_population(
     The draw is the multinomial atom counts of the n jobs, so the t-th call
     on trial_rng(seed, n) gives row t of run_trials' count matrix.
     """
-    n = _check_integer(n, "n", DomainError, minimum=1)
+    n = _check_integer(n, "n", minimum=1)
     counts = rng.multinomial(n, dist.weights)
     return Population.from_energy_pairs(np.repeat(dist.atoms, counts, axis=0), grid.steps, power)
 

@@ -336,6 +336,8 @@ def read_results_csv(source) -> tuple[list[ViolationStats], dict]:
             continue
         if len(record) != len(RESULT_COLUMNS):
             raise ParseError(f"malformed results row {record}")
+        if record[9] not in ("true", "false"):
+            raise ParseError(f"malformed results row {record}: degenerate must be true or false")
         try:
             rows.append(
                 ViolationStats(

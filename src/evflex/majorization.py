@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DEFAULT_ATOL, _check_atol
-from .errors import DimensionMismatch, NotMonotone
+from .errors import DimensionMismatch, DomainError, NotMonotone
 
 
 def _sorted_desc(x) -> np.ndarray:
@@ -20,8 +20,10 @@ def _sorted_desc(x) -> np.ndarray:
 def _check_same_length(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimensionMismatch(f"length mismatch: {x.shape} vs {y.shape}")
+    if x.shape != y.shape or x.ndim != 1 or x.size == 0:
+        raise DimensionMismatch(f"need non-empty vectors of one length: {x.shape} vs {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError("vectors must be finite")
     return x, y
 
 

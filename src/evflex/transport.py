@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericalFailure
+from .errors import DimensionMismatch, DomainError, NumericalFailure
 
 MASS_EPS = 1e-15
 
@@ -30,22 +30,22 @@ def min_cost_transport(supply, demand, cost) -> tuple[float, np.ndarray]:
 
     supply: (n,), demand: (m,) with equal totals (tiny float imbalance is
     tolerated and left unshipped); cost: (n, m) non-negative. Returns
-    (total_cost, plan). Non-finite input raises DomainError; a negative
-    mass or cost raises ValueError.
+    (total_cost, plan). A shape mismatch raises DimensionMismatch, and a
+    non-finite or negative mass or cost DomainError.
     """
     supply = np.asarray(supply, dtype=float)
     demand = np.asarray(demand, dtype=float)
     cost = np.asarray(cost, dtype=float)
     n, m = cost.shape
     if supply.shape != (n,) or demand.shape != (m,):
-        raise ValueError("supply/demand shapes do not match the cost matrix")
+        raise DimensionMismatch("supply/demand shapes do not match the cost matrix")
     # min and max propagate NaN, and an infinity shows in one of them
     values = np.concatenate([supply, demand, cost.ravel()])
     lo, hi = float(values.min(initial=0.0)), float(values.max(initial=0.0))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("supply, demand and cost must be finite")
     if lo < 0:
-        raise ValueError("supply, demand and cost must be non-negative")
+        raise DomainError("supply, demand and cost must be non-negative")
     remaining = float(min(supply.sum(), demand.sum()))
     rows = cost.tolist()
     supply = supply.tolist()

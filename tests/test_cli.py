@@ -284,6 +284,15 @@ def _results_command(rows):
     return build
 
 
+def _results_text_command(text):
+    def build(tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text(text)
+        return ["fit-constants", "--csv", str(path)]
+
+    return build
+
+
 # two rows with positive violation estimates and one zero row
 SPARSE_ROWS = [
     ViolationStats(eps, 10, 24, 100, v, v / 100, 0.0, 1.0, False)
@@ -345,6 +354,14 @@ EXIT_CODE_CASES = {
     "overflowing-fit": (_results_command(STEEP_ROWS), 1),
     "inf-beta-hat": (_results_command(INF_BETA_ROWS), 1),
     "inf-epsilon-row": (_results_command(INF_EPSILON_ROWS), 1),
+    # a degenerate flag other than true/false is malformed, not read as false
+    "unknown-degenerate-flag": (
+        _results_text_command(
+            "epsilon,epsilon_sq,N,T,trials,violations,beta_hat,ci_lo,ci_hi,degenerate\n"
+            "0.1,0.01,10,24,100,20,0.2,0,1,yes\n"
+        ),
+        2,
+    ),
     "nan-epsilon": (_scenario_command("robust", _with("robust", {"epsilon": math.nan, "N": 4})), 3),
     "inf-epsilon": (_scenario_command("robust", _with("robust", {"epsilon": math.inf, "N": 4})), 3),
     "nan-beta": (
@@ -546,6 +563,7 @@ ERROR_CLASS_EXITS = {
     "DimensionMismatch": (2, "error"),
     "NegativeEntry": (2, "error"),
     "DomainError": (2, "error"),
+    "NotAnInteger": (2, "error"),
     "ValidationError": (3, "error"),
 }
 

@@ -1,0 +1,322 @@
+"""Every public entry point rejects a broken input with the class of its rule.
+
+One row per (entry point, broken input): NaN, infinity, float and boolean
+counts, wrong shapes and out-of-domain energies. Each must raise exactly
+the listed EVFlexError subclass, with no warning on the way. Entry points
+that only take objects already checked by a constructor here (nu_bounds,
+sorted_vertices, run_trials) and plain result records (Decomposition,
+Infeasible, RobustSetResult, ViolationStats, FitResult) have no row.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import evflex
+from evflex import (
+    AggregateFlexSet,
+    ConcentrationConstants,
+    DimensionMismatch,
+    DiscreteDistribution,
+    DomainError,
+    EnergyOutOfRange,
+    InsufficientData,
+    NegativeBudget,
+    NegativeEntry,
+    NotAnInteger,
+    NotMonotone,
+    Population,
+    TimeGrid,
+    TrialConfig,
+    batch_contains,
+    beta_from_epsilon,
+    clopper_pearson,
+    contains,
+    decompose,
+    epsilon_from_beta,
+    fastest_profile,
+    find_subset_violation,
+    fit_constants,
+    is_individually_feasible,
+    is_nested,
+    is_subset_exact,
+    is_subset_fast,
+    minkowski_sum_permutahedra,
+    permutahedron_contains,
+    permutahedron_subset,
+    prefix_dominates,
+    project_to_n_points,
+    push_lower,
+    push_upper,
+    robust_set,
+    sample_population,
+    strong_majorizes,
+    trial_rng,
+    wasserstein1,
+)
+
+nan, inf = math.nan, math.inf
+GRID = TimeGrid(4)
+POP = Population([0.5, 1.0], [2.0, 3.0], 4)
+FLEX = AggregateFlexSet.from_population(POP)
+DIST = DiscreteDistribution([[0.5, 2.0], [1.0, 3.0]], [0.5, 0.5], 4.0)
+CONSTANTS = ConcentrationConstants(2.0, 1.0)
+U = [1.0, 1.0, 0.5, 0.5]
+
+
+def _trial_config(**change):
+    args = dict(
+        distribution=DIST, population_size=3, epsilons=(0.5, 1.0), trials=10, seed=0, grid=GRID
+    )
+    return TrialConfig(**{**args, **change})
+
+
+# id -> (call, the class it must raise)
+CASES = {
+    # counts: a float or boolean is NotAnInteger, an int below the minimum DomainError
+    "TimeGrid-float": (lambda: TimeGrid(4.0), NotAnInteger),
+    "TimeGrid-bool": (lambda: TimeGrid(True), NotAnInteger),
+    "TimeGrid-nan": (lambda: TimeGrid(nan), NotAnInteger),
+    "TimeGrid-zero": (lambda: TimeGrid(0), DomainError),
+    "Population-float-horizon": (lambda: Population([0.5], [1.0], 4.0), NotAnInteger),
+    "Population-bool-horizon": (lambda: Population([0.5], [1.0], True), NotAnInteger),
+    "Population-zero-horizon": (lambda: Population([0.5], [1.0], 0), DomainError),
+    "fastest_profile-float-steps": (lambda: fastest_profile(1.0, 1.0, 4.0), NotAnInteger),
+    "fastest_profile-bool-steps": (lambda: fastest_profile(1.0, 1.0, True), NotAnInteger),
+    "fastest_profile-zero-steps": (lambda: fastest_profile(0.0, 1.0, 0), DomainError),
+    "project_to_n_points-float-n": (lambda: project_to_n_points(DIST, 2.0), NotAnInteger),
+    "project_to_n_points-zero-n": (lambda: project_to_n_points(DIST, 0), DomainError),
+    "robust_set-bool-n": (lambda: robust_set(DIST, True, 0.5, GRID), NotAnInteger),
+    "sample_population-float-n": (
+        lambda: sample_population(DIST, 3.0, trial_rng(0, 3), GRID),
+        NotAnInteger,
+    ),
+    "beta_from_epsilon-float-n": (lambda: beta_from_epsilon(0.5, 2.0, CONSTANTS), NotAnInteger),
+    "epsilon_from_beta-bool-n": (lambda: epsilon_from_beta(0.5, True, CONSTANTS), NotAnInteger),
+    "TrialConfig-float-trials": (lambda: _trial_config(trials=10.0), NotAnInteger),
+    "TrialConfig-bool-size": (lambda: _trial_config(population_size=True), NotAnInteger),
+    "TrialConfig-float-seed": (lambda: _trial_config(seed=1.5), NotAnInteger),
+    "TrialConfig-zero-trials": (lambda: _trial_config(trials=0), DomainError),
+    "TrialConfig-64-bit-seed": (lambda: _trial_config(seed=2**64), DomainError),
+    "trial_rng-float-seed": (lambda: trial_rng(1.5, 3), NotAnInteger),
+    "trial_rng-negative-seed": (lambda: trial_rng(-1, 3), DomainError),
+    "trial_rng-bool-size": (lambda: trial_rng(0, True), NotAnInteger),
+    "clopper_pearson-float-k": (lambda: clopper_pearson(2.5, 10), NotAnInteger),
+    "clopper_pearson-bool-n": (lambda: clopper_pearson(0, True), NotAnInteger),
+    "clopper_pearson-k-above-n": (lambda: clopper_pearson(11, 10), DomainError),
+    # non-finite or out-of-range scalars
+    "Population-nan-power": (lambda: Population([0.5], [1.0], 4, nan), DomainError),
+    "Population-zero-power": (lambda: Population([0.5], [1.0], 4, 0.0), DomainError),
+    "fastest_profile-inf-power": (lambda: fastest_profile(1.0, inf, 4), DomainError),
+    "AggregateFlexSet-nan-power": (lambda: AggregateFlexSet([1.0], [1.0], nan), DomainError),
+    "AggregateFlexSet-nan-bound": (lambda: AggregateFlexSet([nan], [1.0], 1.0), DomainError),
+    "AggregateFlexSet-inf-bound": (lambda: AggregateFlexSet([1.0], [inf], 1.0), DomainError),
+    "ConcentrationConstants-nan": (lambda: ConcentrationConstants(nan, 1.0), DomainError),
+    "ConcentrationConstants-zero": (lambda: ConcentrationConstants(1.0, 0.0), DomainError),
+    "beta_from_epsilon-nan": (lambda: beta_from_epsilon(nan, 2, CONSTANTS), DomainError),
+    "epsilon_from_beta-inf": (lambda: epsilon_from_beta(inf, 2, CONSTANTS), DomainError),
+    "robust_set-nan-eps": (lambda: robust_set(DIST, 2, nan, GRID), DomainError),
+    "robust_set-inf-power": (lambda: robust_set(DIST, 2, 0.5, GRID, power=inf), DomainError),
+    "robust_set-nan-atol": (lambda: robust_set(DIST, 2, 0.5, GRID, atol=nan), DomainError),
+    "DiscreteDistribution-nan-atom": (
+        lambda: DiscreteDistribution([[nan, 1.0]], [1.0], 4.0),
+        DomainError,
+    ),
+    "DiscreteDistribution-inf-weight": (
+        lambda: DiscreteDistribution([[0.5, 1.0], [1.0, 2.0]], [inf, 0.5], 4.0),
+        DomainError,
+    ),
+    "DiscreteDistribution-nan-cap": (
+        lambda: DiscreteDistribution([[0.5, 1.0]], [1.0], nan),
+        DomainError,
+    ),
+    "DiscreteDistribution-weights-sum": (
+        lambda: DiscreteDistribution([[0.5, 1.0]], [0.5], 4.0),
+        DomainError,
+    ),
+    "wasserstein1-other-domain": (
+        lambda: wasserstein1(DIST, DiscreteDistribution([[0.5, 1.0]], [1.0], 5.0)),
+        DomainError,
+    ),
+    "push_lower-nan-budget": (lambda: push_lower([0.5, 1.0], nan, 4.0), DomainError),
+    "push_lower-inf-ceiling": (lambda: push_lower([0.5, 1.0], 0.1, inf), DomainError),
+    "push_upper-nan-value": (lambda: push_upper([nan, 1.0], 0.1), DomainError),
+    "push_upper-negative-budget": (lambda: push_upper([0.5, 1.0], -0.1), NegativeBudget),
+    "TrialConfig-nan-epsilon": (lambda: _trial_config(epsilons=(nan,)), DomainError),
+    "TrialConfig-nan-power": (lambda: _trial_config(power=nan), DomainError),
+    "TrialConfig-inf-atol": (lambda: _trial_config(atol=inf), DomainError),
+    "clopper_pearson-nan-alpha": (lambda: clopper_pearson(1, 10, nan), DomainError),
+    "contains-nan-profile": (lambda: contains(POP, [nan, 1.0, 1.0, 0.0]), DomainError),
+    "contains-inf-profile": (lambda: contains(POP, [inf, 1.0, 1.0, 0.0]), DomainError),
+    "contains-nan-atol": (lambda: contains(POP, U, atol=nan), DomainError),
+    "decompose-nan-profile": (lambda: decompose(POP, [1.0, nan, 1.0, 0.0]), DomainError),
+    "contains_profile-inf-profile": (
+        lambda: FLEX.contains_profile([1.0, 1.0, inf, 0.0]),
+        DomainError,
+    ),
+    "batch_contains-nan-profile": (
+        lambda: batch_contains([[0.5]], [[2.0]], [[nan, 1.0, 0.0, 0.0]], 1.0),
+        DomainError,
+    ),
+    "batch_contains-nan-energy": (
+        lambda: batch_contains([[nan]], [[2.0]], [U], 1.0),
+        DomainError,
+    ),
+    "batch_contains-inf-power": (lambda: batch_contains([[0.5]], [[2.0]], [U], inf), DomainError),
+    "is_subset_exact-nan-atol": (lambda: is_subset_exact(FLEX, POP, atol=nan), DomainError),
+    "is_subset_fast-inf-atol": (lambda: is_subset_fast(FLEX, POP, atol=inf), DomainError),
+    "is_nested-negative-atol": (lambda: is_nested(FLEX, FLEX, atol=-1.0), DomainError),
+    "find_subset_violation-nan-atol": (
+        lambda: find_subset_violation(FLEX, POP, atol=nan),
+        DomainError,
+    ),
+    "vertices_are_members-nan-atol": (lambda: FLEX.vertices_are_members(nan), DomainError),
+    "is_individually_feasible-nan-profile": (
+        lambda: is_individually_feasible([nan, 0.5], 0.5, 1.5, 1.0),
+        DomainError,
+    ),
+    "is_individually_feasible-nan-power": (
+        lambda: is_individually_feasible([0.5, 0.5], 0.5, 1.5, nan),
+        DomainError,
+    ),
+    "strong_majorizes-nan": (lambda: strong_majorizes([nan, 0.0], [1.0, 0.0]), DomainError),
+    "prefix_dominates-inf": (lambda: prefix_dominates([1.0, 0.0], [inf, 0.0]), DomainError),
+    "permutahedron_contains-nan": (
+        lambda: permutahedron_contains([1.0, 0.0], [0.5, nan]),
+        DomainError,
+    ),
+    "permutahedron_subset-nan": (lambda: permutahedron_subset([nan, 0.0], [1.0, 0.0]), DomainError),
+    "minkowski_sum_permutahedra-nan": (
+        lambda: minkowski_sum_permutahedra([nan, 0.0], [1.0, 0.0]),
+        DomainError,
+    ),
+    "strong_majorizes-nan-atol": (
+        lambda: strong_majorizes([1.0, 0.0], [1.0, 0.0], atol=nan),
+        DomainError,
+    ),
+    "fit_constants-no-rows": (lambda: fit_constants([]), InsufficientData),
+    # energies outside their domain
+    "Population-nan-energy": (lambda: Population([nan], [1.0], 4), EnergyOutOfRange),
+    "Population-inf-energy": (lambda: Population([0.5], [inf], 4), EnergyOutOfRange),
+    "Population-inverted-pair": (lambda: Population([2.0], [1.0], 4), EnergyOutOfRange),
+    "Population-above-cap": (lambda: Population([0.0], [5.0], 4), EnergyOutOfRange),
+    "Population-negative-energy": (lambda: Population([-0.5], [1.0], 4), EnergyOutOfRange),
+    "DiscreteDistribution-above-cap": (
+        lambda: DiscreteDistribution([[0.5, 5.0]], [1.0], 4.0),
+        EnergyOutOfRange,
+    ),
+    "batch_contains-inverted-pair": (
+        lambda: batch_contains([[2.0]], [[1.0]], [U], 1.0),
+        EnergyOutOfRange,
+    ),
+    "fastest_profile-nan-energy": (lambda: fastest_profile(nan, 1.0, 4), EnergyOutOfRange),
+    "fastest_profile-inf-energy": (lambda: fastest_profile(inf, 1.0, 4), EnergyOutOfRange),
+    "fastest_profile-above-cap": (lambda: fastest_profile(4.5, 1.0, 4), EnergyOutOfRange),
+    "is_individually_feasible-nan-e_lo": (
+        lambda: is_individually_feasible([0.5, 0.5], nan, 1.5, 1.0),
+        EnergyOutOfRange,
+    ),
+    "is_individually_feasible-nan-e_hi": (
+        lambda: is_individually_feasible([0.5, 0.5], 0.5, nan, 1.0),
+        EnergyOutOfRange,
+    ),
+    "push_lower-above-ceiling": (lambda: push_lower([0.5, 5.0], 0.1, 4.0), EnergyOutOfRange),
+    "push_upper-negative-value": (lambda: push_upper([-0.5, 1.0], 0.1), EnergyOutOfRange),
+    # wrong shapes
+    "Population-lengths-differ": (lambda: Population([0.5, 0.5], [1.0], 4), DimensionMismatch),
+    "Population-empty": (lambda: Population([], [], 4), DimensionMismatch),
+    "Population-2d": (lambda: Population([[0.5]], [[1.0]], 4), DimensionMismatch),
+    "from_energy_pairs-not-rows": (
+        lambda: Population.from_energy_pairs([0.5, 1.0], 4),
+        DimensionMismatch,
+    ),
+    "AggregateFlexSet-empty": (lambda: AggregateFlexSet([], [], 1.0), DimensionMismatch),
+    "AggregateFlexSet-lengths-differ": (
+        lambda: AggregateFlexSet([1.0], [1.0, 0.5], 1.0),
+        DimensionMismatch,
+    ),
+    "contains-wrong-length": (lambda: contains(POP, [1.0, 1.0]), DimensionMismatch),
+    "decompose-2d": (lambda: decompose(POP, [U]), DimensionMismatch),
+    "batch_contains-1d-profiles": (lambda: batch_contains([[0.5]], [[2.0]], U, 1.0), DimensionMismatch),
+    "batch_contains-1d-energies": (lambda: batch_contains([0.5], [2.0], [U], 1.0), DimensionMismatch),
+    "is_subset_exact-other-horizon": (
+        lambda: is_subset_exact(FLEX, Population([0.5], [1.0], 3)),
+        DimensionMismatch,
+    ),
+    "is_nested-other-power": (
+        lambda: is_nested(FLEX, AggregateFlexSet.from_population(Population([0.5], [1.0], 4, 2.0))),
+        DimensionMismatch,
+    ),
+    "is_individually_feasible-2d": (
+        lambda: is_individually_feasible([[0.5]], 0.5, 1.5, 1.0),
+        DimensionMismatch,
+    ),
+    "DiscreteDistribution-no-atoms": (
+        lambda: DiscreteDistribution(np.empty((0, 2)), [], 4.0),
+        DimensionMismatch,
+    ),
+    "DiscreteDistribution-atom-width": (
+        lambda: DiscreteDistribution([[0.5, 1.0, 2.0]], [1.0], 4.0),
+        DimensionMismatch,
+    ),
+    "DiscreteDistribution-weights-length": (
+        lambda: DiscreteDistribution([[0.5, 1.0]], [0.5, 0.5], 4.0),
+        DimensionMismatch,
+    ),
+    "push_lower-empty": (lambda: push_lower([], 0.1, 4.0), DimensionMismatch),
+    "strong_majorizes-lengths-differ": (
+        lambda: strong_majorizes([1.0, 0.0], [1.0]),
+        DimensionMismatch,
+    ),
+    "strong_majorizes-empty": (lambda: strong_majorizes([], []), DimensionMismatch),
+    "minkowski_sum_permutahedra-2d": (
+        lambda: minkowski_sum_permutahedra([[1.0]], [[1.0]]),
+        DimensionMismatch,
+    ),
+    # unsorted input and negative entries
+    "AggregateFlexSet-unsorted": (lambda: AggregateFlexSet([0.5, 1.0], [1.0, 1.0], 1.0), NotMonotone),
+    "push_upper-unsorted": (lambda: push_upper([1.0, 0.5], 0.1), NotMonotone),
+    "minkowski_sum_permutahedra-unsorted": (
+        lambda: minkowski_sum_permutahedra([0.0, 1.0], [1.0, 0.0]),
+        NotMonotone,
+    ),
+    "TrialConfig-unsorted-epsilons": (lambda: _trial_config(epsilons=(1.0, 0.5)), NotMonotone),
+    "contains-negative-entry": (lambda: contains(POP, [-1.0, 1.0, 1.0, 0.0]), NegativeEntry),
+}
+
+# the float and boolean counts that code written against TypeError still catches
+TYPE_ERROR_CASES = sorted(
+    case
+    for case in CASES
+    if case.split("-")[0] in ("TimeGrid", "Population", "fastest_profile")
+    and CASES[case][1] is NotAnInteger
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_broken_input_raises_the_class_of_its_rule(case):
+    # caught as a ValueError, as code written before the classes existed catches it
+    call, expected = CASES[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is expected, (info.type, info.value)
+
+
+@pytest.mark.parametrize("case", TYPE_ERROR_CASES)
+def test_float_and_boolean_counts_are_type_errors(case):
+    call, _ = CASES[case]
+    with pytest.raises(TypeError, match="must be an integer"):
+        call()
+
+
+def test_every_error_class_is_a_value_error():
+    classes = [
+        cls
+        for cls in vars(evflex.errors).values()
+        if isinstance(cls, type) and issubclass(cls, evflex.EVFlexError)
+    ]
+    assert all(issubclass(cls, ValueError) for cls in classes)
+    assert issubclass(NotAnInteger, DomainError) and issubclass(NotAnInteger, TypeError)
+    assert {expected for _, expected in CASES.values()} <= set(classes)
