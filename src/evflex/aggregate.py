@@ -127,15 +127,11 @@ class AggregateFlexSet:
         nu_hi.flags.writeable = False
         object.__setattr__(self, "nu_lo", nu_lo)
         object.__setattr__(self, "nu_hi", nu_hi)
-        object.__setattr__(self, "power", float(self.power))
         _check_power(self.power)
-        if nu_lo.shape != nu_hi.shape or nu_lo.ndim != 1 or nu_lo.size == 0:
+        object.__setattr__(self, "power", float(self.power))
+        if nu_lo.ndim != 1:
             raise DimensionMismatch("nu_lo and nu_hi must be non-empty 1-D of equal length")
-        if not np.isfinite((nu_lo, nu_hi)).all():
-            raise DomainError("nu_lo and nu_hi must be finite")
-        for name, vec in (("nu_lo", nu_lo), ("nu_hi", nu_hi)):
-            if (vec[1:] - vec[:-1] > DEFAULT_ATOL).any():
-                raise NotMonotone(f"{name} must be sorted non-increasing")
+        _check_pair(nu_lo, nu_hi)
 
     @classmethod
     def from_population(cls, pop: Population) -> "AggregateFlexSet":
@@ -156,8 +152,7 @@ class AggregateFlexSet:
 
     @cached_property
     def is_empty(self) -> bool:
-        # Large transport budgets can push the lower total past the upper one.
-        return bool(self.nu_lo.sum() > self.nu_hi.sum() + DEFAULT_ATOL)
+        return bool(_is_empty(self.nu_lo, self.nu_hi))
 
     @cached_property
     def _caps(self) -> np.ndarray:
@@ -166,15 +161,8 @@ class AggregateFlexSet:
 
     @cached_property
     def _vertex_envelope(self) -> np.ndarray:
-        """The largest cut sums over the T+1 sorted vertices, computed on first use.
-
-        A population or set holds every vertex iff its cap row clears this
-        one row: float subtraction rounds monotonically, so
-        fl(max_v s_v - atol) <= c holds iff fl(s_v - atol) <= c holds for
-        every vertex v, and the verdict is the one _member_matrix gives
-        vertex by vertex.
-        """
-        return _cut_sums(sorted_vertices(self)).max(axis=0)
+        """The set's vertex envelope (_vertex_envelope), computed on first use."""
+        return _vertex_envelope(self.nu_lo, self.nu_hi)
 
     def _members(self, profiles: np.ndarray, atol: float) -> np.ndarray:
         """Membership of a non-negative profile (T,), or of each row of a (V, T) stack."""
@@ -197,6 +185,50 @@ class AggregateFlexSet:
         return not self.is_empty and bool(_member_matrix(self._caps, self._vertex_envelope, atol))
 
 
+def _check_pair(nu_lo: np.ndarray, nu_hi: np.ndarray) -> None:
+    """Check bound pairs (..., T): equal shapes with T >= 1, finite, each non-increasing."""
+    if nu_lo.shape != nu_hi.shape or nu_lo.ndim == 0 or nu_lo.shape[-1] == 0:
+        raise DimensionMismatch("nu_lo and nu_hi must be non-empty and of equal shape")
+    if not (np.isfinite(nu_lo).all() and np.isfinite(nu_hi).all()):
+        raise DomainError("nu_lo and nu_hi must be finite")
+    for name, vec in (("nu_lo", nu_lo), ("nu_hi", nu_hi)):
+        if (vec[..., 1:] - vec[..., :-1] > DEFAULT_ATOL).any():
+            raise NotMonotone(f"{name} must be sorted non-increasing")
+
+
+def _is_empty(nu_lo: np.ndarray, nu_hi: np.ndarray) -> np.ndarray:
+    """Whether each pair (..., T) is empty: its lower total passes its upper one.
+
+    Large transport budgets can push a robust set's lower total past its
+    upper one.
+    """
+    return nu_lo.sum(axis=-1) > nu_hi.sum(axis=-1) + DEFAULT_ATOL
+
+
+def _vertices(nu_lo: np.ndarray, nu_hi: np.ndarray) -> np.ndarray:
+    """The T+1 sorted vertex representatives of pairs: (..., T) -> (..., T+1, T)."""
+    horizon = nu_lo.shape[-1]
+    hi_part = np.tri(horizon + 1, horizon, k=-1, dtype=bool)  # row t: columns < t
+    return np.where(hi_part, nu_hi[..., None, :], nu_lo[..., None, :])
+
+
+def _vertex_envelope(nu_lo: np.ndarray, nu_hi: np.ndarray) -> np.ndarray:
+    """The largest cut sums over the T+1 sorted vertices of pairs: (..., T) -> (..., 2T).
+
+    Entry k < T is max_v top_k(v) and entry T + k - 1 is -min_v bottom_k(v),
+    the max over the vertices of their cut-sum rows (_cut_sums): negation is
+    exact, so the max of the negated bottoms is the negated min. A
+    population or set holds every vertex iff its cap row clears this one
+    row: float subtraction rounds monotonically, so fl(max_v s_v - atol) <= c
+    holds iff fl(s_v - atol) <= c holds for every vertex v, and the verdict
+    is the one _member_matrix gives vertex by vertex.
+    """
+    ascending = np.sort(_vertices(nu_lo, nu_hi), axis=-1)
+    top = ascending[..., ::-1].cumsum(axis=-1).max(axis=-2)
+    bottom = ascending.cumsum(axis=-1).min(axis=-2)
+    return np.concatenate((top, -bottom), axis=-1)
+
+
 def sorted_vertices(aset: AggregateFlexSet) -> np.ndarray:
     """The T+1 sorted vertex representatives, one per energy level.
 
@@ -204,9 +236,7 @@ def sorted_vertices(aset: AggregateFlexSet) -> np.ndarray:
     and T are the two generating vectors themselves. Every vertex of the set
     is a coordinate permutation of one of these rows.
     """
-    horizon = aset.horizon
-    hi_part = np.tri(horizon + 1, horizon, k=-1, dtype=bool)  # row t: columns < t
-    return np.where(hi_part, aset.nu_hi, aset.nu_lo)
+    return _vertices(aset.nu_lo, aset.nu_hi)
 
 
 class _Fleet:
@@ -279,7 +309,10 @@ def _check_profile(u, shape: tuple[int, ...], atol: float) -> np.ndarray:
     anything else goes through the full checks.
     """
     _check_atol(atol)
-    u = np.asarray(u, dtype=float)
+    try:
+        u = np.asarray(u, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"aggregate profile must be numeric: {exc}") from exc
     if u.shape != shape:
         raise DimensionMismatch(f"profile shape {u.shape} != {shape}")
     if u.size and u.min() >= 0.0 and math.isfinite(u.sum()):

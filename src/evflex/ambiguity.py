@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import AggregateFlexSet
+from .aggregate import AggregateFlexSet, _generating_vectors
 from .core import DEFAULT_ATOL, Population, TimeGrid, check_energy_domain
-from .core import _check_atol, _check_integer, _check_power
+from .core import _check_atol, _check_integer, _check_power, _is_finite
 from .errors import (
     BudgetInfeasible,
     DimensionMismatch,
@@ -307,7 +307,7 @@ def push_upper(values, budget: float):
 
 def beta_from_epsilon(eps: float, n: int, constants: ConcentrationConstants) -> float:
     """Confidence complement for a ball radius: c1 * exp(-c2 * n * eps^2)."""
-    if not 0 < eps < math.inf:
+    if not (_is_finite(eps) and eps > 0):
         raise DomainError(f"eps must be positive and finite, got {eps}")
     n = _check_integer(n, "n", minimum=1)
     if eps > 1:
@@ -321,7 +321,7 @@ def beta_from_epsilon(eps: float, n: int, constants: ConcentrationConstants) -> 
 
 def epsilon_from_beta(beta: float, n: int, constants: ConcentrationConstants) -> float:
     """Inverse of beta_from_epsilon."""
-    if not 0 < beta < constants.c1:
+    if not (_is_finite(beta) and 0 < beta < constants.c1):
         raise DomainError(f"beta must lie in (0, c1), got {beta}")
     n = _check_integer(n, "n", minimum=1)
     eps = math.sqrt(math.log(constants.c1 / beta) / (constants.c2 * n))
@@ -386,16 +386,121 @@ class RobustSetResult:
         return wasserstein1(self.distribution, support) / self.normalization
 
 
-def _certified_distance(proj_cost, start, e_lo, e_hi) -> float:
-    """Upper bound on W1(p, worst case) by the triangle inequality.
+def _certified_distances(proj_cost, starts, e_lo, e_hi) -> np.ndarray:
+    """Upper bounds on W1(p, worst case) by the triangle inequality.
 
     W1(p, worst) <= W1(p, projection) + W1(projection, worst), and moving
     each projected atom start[k] (weight 1/N) to (e_lo[k], e_hi[k]) is one
-    coupling of the last two, so its cost bounds their distance. The cost
-    is read off the arrays, not taken from the walk's own bookkeeping.
+    coupling of the last two, so its cost bounds their distance. starts
+    holds one (N, 2) support per side, e_lo and e_hi one (R, N) stack of
+    worst cases per side; the (side, R) bounds are read off the arrays, not
+    taken from the walks' own bookkeeping.
     """
-    moved = np.abs(e_lo - start[:, 0]) + np.abs(e_hi - start[:, 1])
-    return proj_cost + float(moved.sum()) / start.shape[0]
+    moved = np.abs(e_lo - starts[:, None, :, 0]) + np.abs(e_hi - starts[:, None, :, 1])
+    return proj_cost + moved.sum(axis=-1) / starts.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class _WorstCases:
+    """The two worst cases of one (distribution, N) at each feasible radius.
+
+    Radius r is feasible when it covers the projection cost; worst, nu_lo
+    and nu_hi hold the R' feasible radii in their given order. Costs are in
+    raw energy units.
+    """
+
+    support: np.ndarray  # (N, 2) projected support
+    projection_cost: float
+    normalization: float
+    feasible: np.ndarray  # (R,) bool
+    worst: np.ndarray  # (2, 2, R', N): [lower, upper case][e_lo, e_hi][radius]
+    nu_lo: np.ndarray  # (R', T): the lower worst cases' lower generating vectors
+    nu_hi: np.ndarray  # (R', T): the upper worst cases' upper generating vectors
+    walks: list  # per feasible radius: (i_c, kappa, spent, repaired) of the lower and upper walk
+
+
+def _worst_cases(
+    p: DiscreteDistribution,
+    n: int,
+    epsilons,
+    grid: TimeGrid,
+    power: float = 1.0,
+    normalize: bool = False,
+    atol: float = DEFAULT_ATOL,
+) -> _WorstCases:
+    """Both worst cases and the bound pair of robust_set for every radius at once.
+
+    The arguments are checked and the projection looked up once; each
+    feasible radius runs its own two walks, and their stacked worst cases
+    get one certificate check, one domain check and one generating-vector
+    pass per side. Each radius's arrays are those robust_set(p, n, eps, ...)
+    builds alone, bit for bit.
+    """
+    epsilons = tuple(epsilons)
+    for eps in epsilons:
+        if not (_is_finite(eps) and eps >= 0):
+            raise DomainError(f"eps must be non-negative and finite, got {eps}")
+    _check_power(power)
+    _check_atol(atol)
+    n = _check_integer(n, "n", minimum=1)
+    cap = power * grid.steps
+    if abs(p.energy_cap - cap) > 1e-9:
+        raise DomainError(
+            f"distribution domain cap {p.energy_cap} != power*steps = {cap}"
+        )
+    factor = cap if normalize else 1.0
+    eps_raw = np.array([eps * factor for eps in epsilons])
+
+    support, proj_cost = project_to_n_points(p, n)
+    residuals = eps_raw - proj_cost
+    feasible = residuals >= -1e-12
+    eps_raw = eps_raw[feasible]
+    residuals = np.maximum(residuals[feasible], 0.0)
+
+    # lower worst case: support is lex-sorted, so the largest e_lo comes last;
+    # upper worst case: the smallest e_hi comes first
+    rev = support[::-1]
+    ordered = support[np.argsort(support[:, 1], kind="stable")]
+    worst = np.empty((2, 2, residuals.size, n))
+    walks = []
+    for r, residual in enumerate(residuals.tolist()):
+        l_lo, l_hi, k_lo, kappa_lo, spent_lo, repaired_lo = _push_walk(
+            rev[:, 0], rev[:, 1], residual, cap, 1.0
+        )
+        worst[0, 0, r], worst[0, 1, r] = l_lo[::-1], l_hi[::-1]
+        u_hi, u_lo, k_hi, kappa_hi, spent_hi, repaired_hi = _push_walk(
+            ordered[:, 1], ordered[:, 0], residual, 0.0, -1.0
+        )
+        worst[1, 0, r], worst[1, 1, r] = u_lo, u_hi
+        lower = (n - k_lo, kappa_lo, spent_lo, repaired_lo)
+        walks.append((lower, (k_hi + 1, kappa_hi, spent_hi, repaired_hi)))
+
+    # the certificate may pass the radius by rounding alone: by the 1e-12
+    # the residual was granted above, and by a few ulps of displacement
+    # sums over energies up to the cap; atol comes on top
+    allowed = eps_raw + atol + 1e-12 + 1e-12 * max(1.0, cap)
+    bounds = _certified_distances(
+        proj_cost, np.stack((support, ordered)), worst[:, 0], worst[:, 1]
+    )
+    over = bounds > allowed
+    if over.any():
+        r = int(over.any(axis=0).argmax())  # the first radius, lower side first
+        side = 0 if over[0, r] else 1
+        raise NumericalFailure(
+            f"budget accounting violated: {('lower', 'upper')[side]} worst case certified at "
+            f"distance {float(bounds[side, r])} > eps {float(eps_raw[r])}"
+        )
+    check_energy_domain(worst[:, 0], worst[:, 1], cap)
+    return _WorstCases(
+        support=support,
+        projection_cost=proj_cost,
+        normalization=factor,
+        feasible=feasible,
+        worst=worst,
+        nu_lo=_generating_vectors(worst[0, 0], power, grid.steps),
+        nu_hi=_generating_vectors(worst[1, 1], power, grid.steps),
+        walks=walks,
+    )
 
 
 def robust_set(
@@ -415,7 +520,9 @@ def robust_set(
     upper-bound energies toward zero, certifies both resulting empirical
     distributions are within eps of the input, and assembles the set
     parameterised by the two pushed populations: nu_lo of the lower worst
-    case L and nu_hi of the upper worst case U.
+    case L and nu_hi of the upper worst case U. This is the one-radius case
+    of _worst_cases, the core the Monte Carlo harness runs on all of a
+    cell's radii at once, wrapped as populations, a set and a result.
 
     The certificate is the projection cost plus the 1/N-weighted L1
     displacement of every atom from the projected support, an upper bound
@@ -434,56 +541,14 @@ def robust_set(
     hence p_U <= p_L and b_L >= b_U, and the intersection
     {b_L <= u(S) <= p_L} & {b_U <= u(S) <= p_U} is {b_L <= u(S) <= p_U}.
     """
-    if not 0 <= eps < math.inf:
-        raise DomainError(f"eps must be non-negative and finite, got {eps}")
-    _check_power(power)
-    _check_atol(atol)
-    n = _check_integer(n, "n", minimum=1)
-    cap = power * grid.steps
-    if abs(p.energy_cap - cap) > 1e-9:
-        raise DomainError(
-            f"distribution domain cap {p.energy_cap} != power*steps = {cap}"
-        )
-    factor = cap if normalize else 1.0
-    eps_raw = eps * factor
-
-    support, proj_cost = project_to_n_points(p, n)
-    residual = eps_raw - proj_cost
-    if residual < -1e-12:
-        raise BudgetInfeasible(float(eps), float(proj_cost / factor))
-    residual = max(residual, 0.0)
-
-    # lower worst case: support is lex-sorted, so the largest e_lo comes last
-    rev = support[::-1]
-    l_lo, l_hi, k_lo, kappa_lo, spent_lo, repaired_lo = _push_walk(
-        rev[:, 0], rev[:, 1], residual, cap, 1.0
-    )
-    l_lo, l_hi, i_c_lo = l_lo[::-1], l_hi[::-1], n - k_lo
-    # upper worst case: the smallest e_hi comes first
-    order = np.argsort(support[:, 1], kind="stable")
-    u_hi, u_lo, k_hi, kappa_hi, spent_hi, repaired_hi = _push_walk(
-        support[order, 1], support[order, 0], residual, 0.0, -1.0
-    )
-    i_c_hi = k_hi + 1
-
-    # the certificate may pass the radius by rounding alone: by the 1e-12
-    # the residual was granted above, and by a few ulps of displacement
-    # sums over energies up to the cap; atol comes on top
-    allowed = eps_raw + atol + 1e-12 + 1e-12 * max(1.0, cap)
-    for name, start, e_lo, e_hi in (
-        ("lower", support, l_lo, l_hi),
-        ("upper", support[order], u_lo, u_hi),
-    ):
-        bound = _certified_distance(proj_cost, start, e_lo, e_hi)
-        if bound > allowed:
-            raise NumericalFailure(
-                f"budget accounting violated: {name} worst case certified at "
-                f"distance {bound} > eps {eps_raw}"
-            )
-
-    worst_lo = Population(l_lo, l_hi, grid.steps, power)
-    worst_hi = Population(u_lo, u_hi, grid.steps, power)
-    flex = AggregateFlexSet.from_bound_populations(worst_lo, worst_hi)
+    cell = _worst_cases(p, n, (eps,), grid, power, normalize, atol)
+    factor = cell.normalization
+    if not cell.feasible[0]:
+        raise BudgetInfeasible(float(eps), float(cell.projection_cost / factor))
+    lower, upper = cell.walks[0]
+    worst_lo = Population(cell.worst[0, 0, 0], cell.worst[0, 1, 0], grid.steps, power)
+    worst_hi = Population(cell.worst[1, 0, 0], cell.worst[1, 1, 0], grid.steps, power)
+    flex = AggregateFlexSet(cell.nu_lo[0], cell.nu_hi[0], power)
     beta = beta_from_epsilon(eps, n, constants) if constants is not None else None
     return RobustSetResult(
         flex=flex,
@@ -492,16 +557,16 @@ def robust_set(
         worst_hi=worst_hi,
         epsilon=eps,
         beta=beta,
-        projection_cost=proj_cost / factor,
-        projected_support=support,
-        budget_lo=spent_lo / factor,
-        budget_hi=spent_hi / factor,
-        i_c_lo=i_c_lo,
-        kappa_lo=kappa_lo,
-        i_c_hi=i_c_hi,
-        kappa_hi=kappa_hi,
-        repaired_lo=repaired_lo,
-        repaired_hi=repaired_hi,
+        projection_cost=cell.projection_cost / factor,
+        projected_support=cell.support,
+        budget_lo=lower[2] / factor,
+        budget_hi=upper[2] / factor,
+        i_c_lo=lower[0],
+        kappa_lo=lower[1],
+        i_c_hi=upper[0],
+        kappa_hi=upper[1],
+        repaired_lo=lower[3],
+        repaired_hi=upper[3],
         normalization=factor,
         empty=flex.is_empty,
     )

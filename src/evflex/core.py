@@ -28,13 +28,21 @@ class TimeGrid:
         object.__setattr__(self, "steps", _check_integer(self.steps, "steps", minimum=1))
 
 
+def _is_finite(value) -> bool:
+    """Whether value is a finite real number; a string, None or other non-number is not."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
 def _check_power(power) -> None:
-    if not (math.isfinite(power) and power > 0):
+    if not (_is_finite(power) and power > 0):
         raise DomainError(f"power must be positive and finite, got {power}")
 
 
 def _check_atol(atol, name: str = "atol") -> None:
-    if not (math.isfinite(atol) and atol >= 0):
+    if not (_is_finite(atol) and atol >= 0):
         raise DomainError(f"{name} must be finite and non-negative, got {atol}")
 
 
@@ -82,10 +90,10 @@ class Population:
         e_lo = np.array(self.e_lo, dtype=float)
         e_hi = np.array(self.e_hi, dtype=float)
         horizon = _check_integer(self.horizon, "horizon", minimum=1)
-        power = float(self.power)
         if e_lo.ndim != 1 or e_lo.shape != e_hi.shape or e_lo.size == 0:
             raise DimensionMismatch("e_lo and e_hi must be non-empty 1-D arrays of equal length")
-        _check_power(power)
+        _check_power(self.power)
+        power = float(self.power)
         check_energy_domain(e_lo, e_hi, power * horizon)
         e_lo.flags.writeable = False
         e_hi.flags.writeable = False

@@ -5,10 +5,12 @@ grouped by the population (multiset of atoms) they drew, and the work
 its radii share is done once. The check works in atom space: a
 population's cap row is a sum over its EVs, so it is its atom counts
 times a per-atom cap table. The cap rows of the cell's distinct
-populations are built once, as the columns of one (2T, U) array. Each
-radius builds its robust set and that set's vertex envelope (one row of
-cut sums) and compares the envelope with every cap column. No array on
-that path has a population-size or a T x T axis.
+populations are built once, as the columns of one (2T, U) array. The
+robust sets of all the cell's radii come from one worst-case pass, and
+their vertex envelopes (one row of cut sums per non-empty set) are
+compared with every cap column in one (R', U) comparison. No array on
+that path has a population-size axis, and the only T x T one is the
+envelope's (R', T+1, T) vertex stack.
 
 Randomness comes from one counter-based Philox stream per (master seed,
 population size), defined by ``trial_rng``. A cell draws all of its
@@ -34,11 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import _cap_row, _fastest_profiles, _member_matrix
+from .aggregate import _cap_row, _check_pair, _fastest_profiles, _is_empty, _member_matrix
+from .aggregate import _vertex_envelope
 from .aggregate import batch_contains  # noqa: F401  (perfbench/tracing.py wraps this name)
-from .ambiguity import ConcentrationConstants, DiscreteDistribution, robust_set
+from .ambiguity import ConcentrationConstants, DiscreteDistribution, _worst_cases
+from .ambiguity import robust_set  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .core import DEFAULT_ATOL, Population, TimeGrid, _check_atol, _check_integer, _check_power
-from .errors import BudgetInfeasible, DomainError, InsufficientData, NotMonotone
+from .errors import DomainError, InsufficientData, NotMonotone
 
 SEED_LIMIT = 2**64  # master seeds are 64-bit
 # an input bound on trials per cell; at 2**32 trials a cell's (trials,
@@ -185,10 +189,10 @@ def _cap_columns(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table.T @ counts.T
 
 
-def _populations_clear(envelope: np.ndarray, caps: np.ndarray, atol: float) -> np.ndarray:
-    """Whether each population, a column of (2T, U) caps, clears the (2T,)
-    envelope row: the (U,) verdicts of _member_matrix, reduced over 2T."""
-    return _member_matrix(caps, envelope[:, None], atol, axis=0)
+def _populations_clear(envelopes: np.ndarray, caps: np.ndarray, atol: float) -> np.ndarray:
+    """Whether each population, a column of (2T, U) caps, clears each (..., 2T)
+    envelope row: the (..., U) verdicts of _member_matrix, reduced over 2T."""
+    return _member_matrix(caps, envelopes[..., None], atol, axis=-2)
 
 
 def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
@@ -205,21 +209,28 @@ def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
       same draw.
     - Small populations drawn from few atoms repeat, so the rows are
       grouped by multiset (_distinct_populations) and each distinct one
-      is scored once per radius. A verdict is therefore a function of the
-      multiset, not of the draw order.
+      is scored once. A verdict is therefore a function of the multiset,
+      not of the draw order.
     - Every cap of the criterion is a sum over the population's EVs, so a
       population's cap row is its atom counts times a per-atom table.
       The cap rows of the distinct multisets are built once per cell, as
       the columns of one (2T, U) array (_cap_columns).
-    - robust_set runs once per radius, and each non-empty set's vertex
-      envelope (the largest cut sums over its vertices) is compared with
-      the cap columns by _populations_clear, reducing over the 2T axis:
-      (2T, U) comparisons, with no (U, N) energy array and no (U, T+1, T)
-      bound array.
-    On atoms whose caps are not exact in binary (not the paper's
-    half-integer ones) a cap can differ in its last bit from the one
-    earlier releases computed, so at atol=0 a violation count can differ
-    by one from theirs.
+    - The robust sets of all radii come from one worst-case pass
+      (ambiguity._worst_cases, the core of robust_set): one argument check
+      and projection lookup, the two walks per radius, then one
+      certificate, domain check and generating-vector pass over the
+      stacked worst cases. Their (R, T) bound pairs get the checks of
+      AggregateFlexSet at once.
+    - The non-empty sets' vertex envelopes (the largest cut sums over
+      their vertices) are built as one (R', 2T) array and compared with
+      the cap columns in one _populations_clear call, reducing over the
+      2T axis: (R', 2T, U) comparisons, with no (U, N) energy array and
+      no (U, T+1, T) bound array.
+    Every radius's set, verdicts and counts are those robust_set and a
+    one-radius cell give it alone. On atoms whose caps are not exact in
+    binary (not the paper's half-integer ones) a cap can differ in its last
+    bit from the one earlier releases computed, so at atol=0 a violation
+    count can differ by one from theirs.
     """
     dist = cfg.distribution
     n = cfg.population_size
@@ -228,28 +239,33 @@ def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
     distinct, group = _distinct_populations(rng.multinomial(n, dist.weights, size=cfg.trials))
     sizes = np.bincount(group)
     caps = _cap_columns(distinct, table)
+    cell = _worst_cases(dist, n, cfg.epsilons, cfg.grid, cfg.power, atol=cfg.atol)
+    _check_pair(cell.nu_lo, cell.nu_hi)
+    empty = _is_empty(cell.nu_lo, cell.nu_hi)
+    full = ~empty
+    violations = np.zeros(empty.size, dtype=np.int64)
+    if full.any():
+        envelopes = _vertex_envelope(cell.nu_lo[full], cell.nu_hi[full])
+        violations[full] = (~_populations_clear(envelopes, caps, cfg.atol) * sizes).sum(axis=1)
     out = []
-    for eps in cfg.epsilons:
-        try:
-            result = robust_set(dist, n, eps, cfg.grid, cfg.power, atol=cfg.atol)
-        except BudgetInfeasible:  # no set exists: no trials and no estimates
-            trials = violations = 0
+    made = iter(zip(empty.tolist(), violations.tolist()))
+    for eps, feasible in zip(cfg.epsilons, cell.feasible.tolist()):
+        if feasible:
+            degenerate, count = next(made)
+            trials = cfg.trials
+            beta_hat = count / trials
+            ci_lo, ci_hi = clopper_pearson(count, trials)
+        else:  # no set exists: no trials and no estimates
+            trials = count = 0
             beta_hat = ci_lo = ci_hi = math.nan
             degenerate = True
-        else:
-            trials, violations, degenerate = cfg.trials, 0, result.empty
-            if not result.empty:
-                inside = _populations_clear(result.flex._vertex_envelope, caps, cfg.atol)
-                violations = int(sizes[~inside].sum())
-            beta_hat = violations / trials
-            ci_lo, ci_hi = clopper_pearson(violations, trials)
         out.append(
             ViolationStats(
                 epsilon=eps,
                 population_size=n,
                 horizon=cfg.grid.steps,
                 trials=trials,
-                violations=violations,
+                violations=count,
                 beta_hat=beta_hat,
                 ci_lo=ci_lo,
                 ci_hi=ci_hi,

@@ -34,7 +34,7 @@ from evflex import (
     strong_majorizes,
 )
 
-from evflex.aggregate import _check_profile, _fleet, _generating_vectors
+from evflex.aggregate import _check_profile, _fleet, _generating_vectors, _vertex_envelope
 from oracles import (
     clip_level,
     first_vertex_outside,
@@ -680,6 +680,30 @@ def test_vertex_tests_match_per_vertex_route(atol):
     # every branch is common: empty sets, sets whose own vertices leave
     # them, and populations on both sides of the subset test
     assert min(tally.values()) > 50, tally
+
+
+def _envelope_by_concatenate(aset):
+    """The envelope as first written: the max over the full (T+1, 2T) cut-sum rows."""
+    ordered = np.sort(sorted_vertices(aset), axis=-1)[:, ::-1]
+    rows = np.concatenate((ordered.cumsum(axis=-1), -ordered[:, ::-1].cumsum(axis=-1)), axis=-1)
+    return rows.max(axis=0)
+
+
+def test_vertex_envelope_equals_concatenated_cut_sums():
+    # the envelope takes max_v top_k(v) and -min_v bottom_k(v), with no
+    # concatenate of the vertices' cut sums and no negated array; negation
+    # is exact, so on random non-dyadic pairs the bits are the old
+    # formula's, one pair at a time and for a stack of pairs
+    rng = np.random.default_rng(31)
+    for trial in range(200):
+        horizon = int(rng.integers(1, 31))
+        scale = (1.0, 1 / 7, 0.3)[trial % 3]
+        nu_lo, nu_hi = (-np.sort(-rng.uniform(0, 3, (4, horizon)) * scale) for _ in range(2))
+        sets = [AggregateFlexSet(lo, hi, 1.0) for lo, hi in zip(nu_lo, nu_hi)]
+        want = np.stack([_envelope_by_concatenate(aset) for aset in sets])
+        assert np.array_equal(_vertex_envelope(nu_lo, nu_hi), want), trial
+        for aset, row in zip(sets, want):
+            assert np.array_equal(aset._vertex_envelope, row), trial
 
 
 def test_single_population_sets_have_member_vertices():

@@ -168,6 +168,16 @@ def test_aggregate_command_on_pushing_demo_is_pinned(tmp_path):
     assert out.read_bytes() == (ROOT / "tests" / "data" / "pushing_demo_aggregate.json").read_bytes()
 
 
+def test_montecarlo_command_on_paper_scenario_is_pinned(tmp_path):
+    # the paper's 18 cells at the scenario's seed, byte for byte: counts,
+    # intervals and metadata, under every numpy the suite runs on
+    out = tmp_path / "results.csv"
+    scenario = str(ROOT / "scenarios" / "concentration_experiment.json")
+    assert main(["montecarlo", "--scenario", scenario, "--out", str(out)]) == 0
+    pinned = ROOT / "tests" / "data" / "concentration_experiment_20240817.csv"
+    assert out.read_bytes() == pinned.read_bytes()
+
+
 def test_member_certificate_on_pushing_demo_is_pinned(tmp_path):
     # a non-member's cut and shortfall, byte for byte; a member's witness
     # goes through a BLAS matrix product, so its last bits are not pinned

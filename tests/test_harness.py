@@ -9,6 +9,7 @@ from scipy.stats import spearmanr
 import evflex.harness
 from evflex import (
     AggregateFlexSet,
+    BudgetInfeasible,
     ConcentrationConstants,
     DiscreteDistribution,
     DomainError,
@@ -32,6 +33,8 @@ from evflex import (
     sorted_vertices,
     trial_rng,
 )
+from evflex.aggregate import _is_empty, _vertex_envelope
+from evflex.ambiguity import _worst_cases
 from evflex.core import DEFAULT_ATOL
 from evflex.harness import (
     _atom_cap_table,
@@ -348,18 +351,23 @@ def test_monte_carlo_cell_solves_one_transport_problem(monkeypatch):
 def test_every_radius_scores_the_same_draw(monkeypatch):
     scored = []
 
-    def recording_clear(envelope, caps, atol):
-        scored.append(caps.copy())
-        return _populations_clear(envelope, caps, atol)
+    def recording_clear(envelopes, caps, atol):
+        scored.append((envelopes.copy(), caps.copy()))
+        return _populations_clear(envelopes, caps, atol)
 
     monkeypatch.setattr(evflex.harness, "_populations_clear", recording_clear)
     grid = TimeGrid(4)
     p = small_distribution()
     cfg = TrialConfig(p, 5, (0.15, 0.3, 0.45, 0.6, 0.75, 0.9), 300, 17, grid)
     stats = run_trials(cfg)
-    assert len(scored) == sum(not s.degenerate for s in stats) >= 3
-    for caps in scored[1:]:
-        np.testing.assert_array_equal(caps, scored[0])
+    # one comparison per cell: a row per non-empty set against the cap
+    # columns of the cell's one draw
+    ((envelopes, caps),) = scored
+    assert len(envelopes) == sum(not s.degenerate for s in stats) >= 3
+    distinct, _ = _distinct_populations(trial_rng(17, 5).multinomial(5, p.weights, size=300))
+    np.testing.assert_array_equal(caps, _cap_columns(distinct, _atom_cap_table(p.atoms, 1.0, 4)))
+    sets = [robust_set(p, 5, s.epsilon, grid).flex for s in stats if not s.degenerate]
+    np.testing.assert_array_equal(envelopes, [flex._vertex_envelope for flex in sets])
     # with one shared draw the counts of these nested sets fall with the
     # radius; independent draws per radius need not
     violations = [s.violations for s in stats]
@@ -443,6 +451,70 @@ def test_cell_scores_each_radius_as_alone():
     assert all(0 < s.violations < s.trials for s in stats[1:-1])
 
 
+def test_cell_core_equals_single_radius_robust_sets():
+    # _worst_cases on a cell's radii gives, row for row, the bits of one
+    # robust_set call per radius, and run_trials scores each set as the
+    # per-radius route did: T 1..30, power 0.7, 1 or 2.5, atoms on a
+    # half-integer grid, on a k/7 grid or unrounded, atol 0 or the default,
+    # a radius below the projection cost and one that empties the set;
+    # kinds counts the radii that are infeasible, empty, or violated by
+    # some draws and not all
+    kinds = np.zeros(3, dtype=int)
+    for seed in range(60):
+        rng = np.random.default_rng(seed + 7000)
+        horizon = 1 + seed % 30
+        power = (0.7, 1.0, 2.5)[seed % 3]
+        cap = power * horizon
+        n_atoms = int(rng.integers(2, 7))
+        n = int(rng.integers(2, 13))
+        lo = rng.uniform(0, cap, n_atoms)
+        hi = lo + rng.uniform(0, cap - lo)
+        denominator = (2, 7, None)[seed // 3 % 3]
+        if denominator:
+            lo, hi = (np.floor(e * denominator) / denominator for e in (lo, hi))
+        p = DiscreteDistribution(np.column_stack([lo, hi]), rng.dirichlet(np.ones(n_atoms)), cap)
+        grid = TimeGrid(horizon)
+        atol = (0.0, DEFAULT_ATOL)[seed % 2]
+        cost = project_to_n_points(p, n)[1]
+        epsilons = (cost / 2, cost + 0.1 * power, cost + 0.4 * power, cost + 2 * cap + 1)
+        cfg = TrialConfig(p, n, epsilons, 200, seed, grid, power=power, atol=atol)
+        cell = _worst_cases(p, n, epsilons, grid, power, atol=atol)
+        envelopes = _vertex_envelope(cell.nu_lo, cell.nu_hi)
+        distinct, group = _distinct_populations(
+            trial_rng(seed, n).multinomial(n, p.weights, size=200)
+        )
+        caps = _cap_columns(distinct, _atom_cap_table(p.atoms, power, horizon))
+        stats = run_trials(cfg)
+        row = 0
+        for eps, feasible, s in zip(epsilons, cell.feasible, stats):
+            try:
+                result = robust_set(p, n, eps, grid, power, atol=atol)
+            except BudgetInfeasible:
+                assert not feasible and s.trials == 0, seed
+                kinds[0] += 1
+                continue
+            assert feasible, seed
+            flex = result.flex
+            np.testing.assert_array_equal(cell.nu_lo[row], flex.nu_lo)
+            np.testing.assert_array_equal(cell.nu_hi[row], flex.nu_hi)
+            for side, worst in enumerate((result.worst_lo, result.worst_hi)):
+                np.testing.assert_array_equal(cell.worst[side, 0, row], worst.e_lo)
+                np.testing.assert_array_equal(cell.worst[side, 1, row], worst.e_hi)
+            assert _is_empty(cell.nu_lo[row], cell.nu_hi[row]) == result.empty == s.degenerate
+            np.testing.assert_array_equal(envelopes[row], flex._vertex_envelope)
+            violations = 0
+            if not result.empty:
+                inside = _populations_clear(flex._vertex_envelope, caps, atol)
+                violations = int(np.bincount(group)[~inside].sum())
+            assert s.violations == violations, (seed, eps)
+            kinds[1] += result.empty
+            kinds[2] += 0 < violations < 200
+            row += 1
+        assert row == len(cell.walks) == cell.feasible.sum()
+        assert result.empty, seed  # the largest radius pushes every atom to its bound
+    assert kinds.min() >= 10, kinds
+
+
 def _random_robust_case(seed):
     """A random robust set and 40 populations sampled from its distribution.
 
@@ -510,11 +582,12 @@ def test_run_trials_memory_at_fleet_scale(monkeypatch):
     grid = TimeGrid(288)
     p = fleet_distribution(288.0)
     cfg = TrialConfig(p, 1000, (2.0, 4.0), 200, 3, grid)
-    # the robust sets are built before tracing starts: robust_set's Python
-    # loops run about 15x slower under tracemalloc, and its allocations are
-    # not what this test bounds
+    # the worst cases are built before tracing starts: the walks' Python
+    # loops run about 15x slower under tracemalloc, and their allocations
+    # are not what this test bounds
+    cell = _worst_cases(p, 1000, cfg.epsilons, grid)
     results = {eps: robust_set(p, 1000, eps, grid) for eps in cfg.epsilons}
-    monkeypatch.setattr(evflex.harness, "robust_set", lambda dist, n, eps, *a, **k: results[eps])
+    monkeypatch.setattr(evflex.harness, "_worst_cases", lambda *a, **k: cell)
     tracemalloc.start()
     try:
         stats = run_trials(cfg)

@@ -283,6 +283,14 @@ CASES = {
     ),
     "TrialConfig-unsorted-epsilons": (lambda: _trial_config(epsilons=(1.0, 0.5)), NotMonotone),
     "contains-negative-entry": (lambda: contains(POP, [-1.0, 1.0, 1.0, 0.0]), NegativeEntry),
+    # non-numeric scalars and entries are out of their domain
+    "robust_set-atol-none": (lambda: robust_set(DIST, 3, 0.5, GRID, atol=None), DomainError),
+    "Population-power-str": (lambda: Population([0.5], [1.0], 4, "x"), DomainError),
+    "beta_from_epsilon-eps-str": (lambda: beta_from_epsilon("a", 2, CONSTANTS), DomainError),
+    "epsilon_from_beta-beta-str": (lambda: epsilon_from_beta("a", 2, CONSTANTS), DomainError),
+    "AggregateFlexSet-power-str": (lambda: AggregateFlexSet([1.0], [1.0], "x"), DomainError),
+    "contains-str-entry": (lambda: contains(POP, [1.0, "a", 0.5, 0.5]), DomainError),
+    "decompose-str-entry": (lambda: decompose(POP, [1.0, "a", 0.5, 0.5]), DomainError),
 }
 
 # the float and boolean counts that code written against TypeError still catches
