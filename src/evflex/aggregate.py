@@ -60,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_ATOL, Population, _check_atol, _check_power, check_energy_domain
+from .core import DEFAULT_ATOL, Population, _check_atol, _check_power, _floats, check_energy_domain
 from .errors import DimensionMismatch, DomainError, NegativeEntry, NotMonotone
 from .flows import feasible_circulation  # noqa: F401  (perfbench/tracing.py wraps this name)
 
@@ -121,8 +121,8 @@ class AggregateFlexSet:
     power: float
 
     def __post_init__(self):
-        nu_lo = np.array(self.nu_lo, dtype=float)
-        nu_hi = np.array(self.nu_hi, dtype=float)
+        nu_lo = _floats(self.nu_lo, "nu_lo")
+        nu_hi = _floats(self.nu_hi, "nu_hi")
         nu_lo.flags.writeable = False
         nu_hi.flags.writeable = False
         object.__setattr__(self, "nu_lo", nu_lo)
@@ -309,14 +309,11 @@ def _check_profile(u, shape: tuple[int, ...], atol: float) -> np.ndarray:
     anything else goes through the full checks.
     """
     _check_atol(atol)
-    try:
-        u = np.asarray(u, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"aggregate profile must be numeric: {exc}") from exc
+    u = _floats(u, "aggregate profile")
     if u.shape != shape:
         raise DimensionMismatch(f"profile shape {u.shape} != {shape}")
     if u.size and u.min() >= 0.0 and math.isfinite(u.sum()):
-        return u.copy()
+        return u
     if not np.isfinite(u).all():
         raise DomainError("aggregate profile has a non-finite entry")
     if (u < -atol).any():
@@ -367,19 +364,17 @@ def batch_contains(
     and applies the two-vector criterion; returns a boolean (R, V) matrix
     with the same decisions as contains().
     """
-    profiles = np.asarray(profiles, dtype=float)
+    profiles = _floats(profiles, "profiles")
     if profiles.ndim != 2 or profiles.shape[1] == 0:
         raise DimensionMismatch(f"profiles must be a (V, T) stack with T >= 1, got {profiles.shape}")
     profiles = _check_profile(profiles, profiles.shape, atol)
-    e_lo = np.asarray(e_lo, dtype=float)
-    e_hi = np.asarray(e_hi, dtype=float)
+    e_lo = _floats(e_lo, "e_lo")
+    e_hi = _floats(e_hi, "e_hi")
     if e_lo.ndim != 2 or e_lo.shape != e_hi.shape or e_lo.shape[1] == 0:
         raise DimensionMismatch(
             f"e_lo {e_lo.shape} and e_hi {e_hi.shape} must be equal (R, N) with N >= 1"
         )
     _check_power(m)
-    if not (np.isfinite(e_lo).all() and np.isfinite(e_hi).all()):
-        raise DomainError("population energies must be finite")
     horizon = profiles.shape[1]
     check_energy_domain(e_lo, e_hi, m * horizon)
     caps = _cap_row(_generating_vectors(e_lo, m, horizon), _generating_vectors(e_hi, m, horizon))

@@ -18,14 +18,13 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .aggregate import AggregateFlexSet, _generating_vectors
 from .core import DEFAULT_ATOL, Population, TimeGrid, check_energy_domain
-from .core import _check_atol, _check_integer, _check_power, _is_finite
+from .core import _check_atol, _check_integer, _check_power, _floats, _is_finite
 from .errors import (
     BudgetInfeasible,
     DimensionMismatch,
@@ -50,15 +49,17 @@ class DiscreteDistribution:
     energy_cap: float  # domain is [0, energy_cap] per coordinate
 
     def __post_init__(self):
-        atoms = np.array(self.atoms, dtype=float)
-        weights = np.array(self.weights, dtype=float)
+        atoms = _floats(self.atoms, "atoms")
+        weights = _floats(self.weights, "weights")
         if atoms.ndim != 2 or atoms.shape[1] != 2 or atoms.shape[0] == 0:
             raise DimensionMismatch("atoms must be a non-empty (n, 2) array")
         if weights.shape != (atoms.shape[0],):
             raise DimensionMismatch("weights must match the number of atoms")
-        if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(weights))):
-            raise DomainError("atoms and weights must be finite")
-        if not math.isfinite(self.energy_cap):
+        # NaN passes both weight tests below; a non-finite atom is an
+        # energy outside its domain, which check_energy_domain reports
+        if not np.isfinite(weights).all():
+            raise DomainError("weights must be finite")
+        if not _is_finite(self.energy_cap):
             raise DomainError(f"energy_cap must be finite, got {self.energy_cap!r}")
         if np.any(weights <= 0):
             raise DomainError("weights must be positive")
@@ -76,13 +77,13 @@ class DiscreteDistribution:
 
     @classmethod
     def point_mass(cls, e_lo: float, e_hi: float, energy_cap: float) -> "DiscreteDistribution":
-        return cls(np.array([[e_lo, e_hi]]), np.array([1.0]), energy_cap)
+        return cls([[e_lo, e_hi]], [1.0], energy_cap)
 
     @classmethod
     def equal_weights(cls, pairs, energy_cap: float) -> "DiscreteDistribution":
-        pairs = np.asarray(pairs, dtype=float)
-        n = pairs.shape[0]
-        # zero pairs reach the constructor, which rejects an empty support
+        pairs = _floats(pairs, "pairs")
+        n = pairs.shape[0] if pairs.ndim else 0
+        # zero pairs or a scalar reach the constructor, which rejects the shape
         return cls(pairs, np.full(n, 1.0 / max(n, 1)), energy_cap)
 
     @property
@@ -98,7 +99,7 @@ class ConcentrationConstants:
     c2: float
 
     def __post_init__(self):
-        if not (0 < self.c1 < math.inf and 0 < self.c2 < math.inf):
+        if not (_is_finite(self.c1) and _is_finite(self.c2) and self.c1 > 0 and self.c2 > 0):
             raise DomainError(
                 f"concentration constants must be positive and finite, got {self.c1}, {self.c2}"
             )
@@ -141,15 +142,6 @@ def wasserstein1(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 # N-point projection
 
 
-# Projections already made, per distribution and N: a memo of a pure function
-# of the (immutable) distribution, keyed by identity (DiscreteDistribution is
-# eq=False). Every radius of a Monte Carlo cell projects the same (p, N).
-# Two threads that race on a new (p, N) build equal data, and either copy serves.
-_PROJECTIONS: weakref.WeakKeyDictionary[
-    DiscreteDistribution, dict[int, tuple[np.ndarray, float]]
-] = weakref.WeakKeyDictionary()
-
-
 def project_to_n_points(
     p: DiscreteDistribution, n: int
 ) -> tuple[np.ndarray, float]:
@@ -164,19 +156,10 @@ def project_to_n_points(
     chunk's lower median is its first piece, in value order, whose
     in-chunk cumulative mass reaches half the chunk's less 1e-12. The
     construction is a heuristic; the returned cost is the exact distance
-    to the result, which is all downstream guarantees rely on. The result
-    is kept per (distribution, N), so a repeat call returns a copy of the
-    first one's support and its cost.
+    to the result, which is all downstream guarantees rely on. The
+    support comes back lex-sorted, in a new writable array.
     """
     n = _check_integer(n, "n", minimum=1)
-    known = _PROJECTIONS.setdefault(p, {})
-    if n not in known:
-        known[n] = _project(p, n)
-    support, cost = known[n]
-    return support.copy(), cost
-
-
-def _project(p: DiscreteDistribution, n: int) -> tuple[np.ndarray, float]:
     ends = np.cumsum(p.weights)
     edges = np.arange(1, n) / n
     cuts = np.union1d(ends, edges)
@@ -203,7 +186,7 @@ def _project(p: DiscreteDistribution, n: int) -> tuple[np.ndarray, float]:
     projected = DiscreteDistribution.equal_weights(support, p.energy_cap)
     cost = wasserstein1(p, projected)
     # the projection is canonical up to atom order; report it sorted
-    return projected.atoms, cost
+    return projected.atoms.copy(), cost
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +245,10 @@ def _push_walk(values, partners, budget, target, sign):
 
 
 def _validate_push_args(values, budget):
-    values = np.asarray(values, dtype=float)
+    values = _floats(values, "values")
     if values.ndim != 1 or values.size == 0:
         raise DimensionMismatch("values must be a non-empty 1-D array")
-    if not (np.isfinite(values).all() and math.isfinite(budget)):
+    if not (np.isfinite(values).all() and _is_finite(budget)):
         raise DomainError("values and budget must be finite")
     if np.any(np.diff(values) < -1e-12):
         raise NotMonotone("values must be sorted non-decreasing")
@@ -283,7 +266,7 @@ def push_lower(values, budget: float, ceiling: float):
     recorded as the critical index (1-based). Returns (pushed, i_c, kappa).
     """
     values = _validate_push_args(values, budget)
-    if not math.isfinite(ceiling):
+    if not _is_finite(ceiling):
         raise DomainError(f"ceiling must be finite, got {ceiling}")
     if np.any(values > ceiling + 1e-12):
         raise EnergyOutOfRange("values must not exceed the ceiling")
@@ -430,7 +413,7 @@ def _worst_cases(
 ) -> _WorstCases:
     """Both worst cases and the bound pair of robust_set for every radius at once.
 
-    The arguments are checked and the projection looked up once; each
+    The arguments are checked and the projection made once; each
     feasible radius runs its own two walks, and their stacked worst cases
     get one certificate check, one domain check and one generating-vector
     pass per side. Each radius's arrays are those robust_set(p, n, eps, ...)

@@ -29,11 +29,21 @@ class TimeGrid:
 
 
 def _is_finite(value) -> bool:
-    """Whether value is a finite real number; a string, None or other non-number is not."""
+    """Whether value is a finite real number; a string, None, other non-number
+    or integer beyond the float range is not."""
     try:
         return math.isfinite(value)
-    except TypeError:
+    except (TypeError, OverflowError):
         return False
+
+
+def _floats(values, name: str) -> np.ndarray:
+    """A new float array of a caller's values; an entry that is not a number,
+    or a ragged nesting, raises DomainError naming the argument."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be numeric: {exc}") from exc
 
 
 def _check_power(power) -> None:
@@ -87,8 +97,8 @@ class Population:
     power: float = 1.0
 
     def __post_init__(self):
-        e_lo = np.array(self.e_lo, dtype=float)
-        e_hi = np.array(self.e_hi, dtype=float)
+        e_lo = _floats(self.e_lo, "e_lo")
+        e_hi = _floats(self.e_hi, "e_hi")
         horizon = _check_integer(self.horizon, "horizon", minimum=1)
         if e_lo.ndim != 1 or e_lo.shape != e_hi.shape or e_lo.size == 0:
             raise DimensionMismatch("e_lo and e_hi must be non-empty 1-D arrays of equal length")
@@ -105,7 +115,7 @@ class Population:
     @classmethod
     def from_energy_pairs(cls, pairs, horizon: int, power: float = 1.0) -> "Population":
         """Population from (e_lo, e_hi) rows."""
-        pairs = np.array(pairs, dtype=float)
+        pairs = _floats(pairs, "pairs")
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise DimensionMismatch("pairs must be (e_lo, e_hi) rows")
         return cls(pairs[:, 0], pairs[:, 1], horizon, power)
@@ -124,7 +134,8 @@ def fastest_profile(energy: float, power: float, steps: int) -> np.ndarray:
     """
     steps = _check_integer(steps, "steps", minimum=1)
     _check_power(power)
-    if not 0 <= energy <= power * steps + 1e-12:
+    if not (_is_finite(energy) and 0 <= energy <= power * steps + 1e-12):
+        _floats(energy, "energy")  # a non-number is a DomainError, not an energy out of range
         raise EnergyOutOfRange(f"energy {energy} outside [0, {power * steps}]")
     full = min(int(np.floor(energy / power)), steps)
     rest = energy - power * full
@@ -142,12 +153,13 @@ def is_individually_feasible(
     total in [e_lo, e_hi]."""
     _check_power(power)
     _check_atol(atol)
-    u = np.asarray(profile, dtype=float)
+    u = _floats(profile, "profile")
     if u.ndim != 1:
         raise DimensionMismatch(f"profile must be 1-D, got shape {u.shape}")
     if not np.isfinite(u).all():
         raise DomainError("profile has a non-finite entry")
-    if not (math.isfinite(e_lo) and math.isfinite(e_hi)):
+    if not (_is_finite(e_lo) and _is_finite(e_hi)):
+        _floats((e_lo, e_hi), "e_lo and e_hi")  # a non-number is a DomainError
         raise EnergyOutOfRange(f"e_lo and e_hi must be finite, got ({e_lo}, {e_hi})")
     if np.any(u < -atol) or np.any(u > power + atol):
         return False

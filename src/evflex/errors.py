@@ -1,11 +1,12 @@
 """Exception and warning types shared across the package.
 
 Each input rule raises its own class, whoever calls it: a wrong shape
-DimensionMismatch, a non-finite or out-of-range number DomainError, a
-float or boolean count NotAnInteger, an energy outside its domain
-EnergyOutOfRange and unsorted input NotMonotone. Every class is a
-ValueError (NotAnInteger is also a TypeError) and declares the CLI's exit
-code and stderr label for it.
+DimensionMismatch, a non-finite, out-of-range or non-numeric number (or a
+ragged array) DomainError, a float or boolean count NotAnInteger, an
+energy outside its domain, NaN and infinity included, EnergyOutOfRange
+and unsorted input NotMonotone. Every class is a ValueError (NotAnInteger
+is also a TypeError) and declares the CLI's exit code and stderr label
+for it.
 """
 
 

@@ -42,7 +42,8 @@ from .aggregate import batch_contains  # noqa: F401  (perfbench/tracing.py wraps
 from .ambiguity import ConcentrationConstants, DiscreteDistribution, _worst_cases
 from .ambiguity import robust_set  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .core import DEFAULT_ATOL, Population, TimeGrid, _check_atol, _check_integer, _check_power
-from .errors import DomainError, InsufficientData, NotMonotone
+from .core import _floats, _is_finite
+from .errors import DimensionMismatch, DomainError, InsufficientData, NotMonotone
 
 SEED_LIMIT = 2**64  # master seeds are 64-bit
 # an input bound on trials per cell; at 2**32 trials a cell's (trials,
@@ -63,15 +64,18 @@ class TrialConfig:
     atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
+        epsilons = _floats(self.epsilons, "epsilons")
+        if epsilons.ndim != 1:
+            raise DimensionMismatch(f"epsilons must be a 1-D sequence, got shape {epsilons.shape}")
+        object.__setattr__(self, "epsilons", tuple(epsilons.tolist()))
         for name, minimum in (("population_size", 1), ("trials", None), ("seed", None)):
             value = _check_integer(getattr(self, name), name, minimum=minimum)
             object.__setattr__(self, name, value)
         if not 1 <= self.trials <= TRIAL_LIMIT:
             raise DomainError(f"trials must be in [1, {TRIAL_LIMIT}], got {self.trials}")
-        if not all(map(math.isfinite, self.epsilons)):
+        if not np.isfinite(epsilons).all():
             raise DomainError(f"epsilons must be finite, got {self.epsilons!r}")
-        if len(self.epsilons) == 0 or np.any(np.diff(self.epsilons) <= 0):
+        if epsilons.size == 0 or np.any(np.diff(epsilons) <= 0):
             raise NotMonotone("epsilons must be strictly increasing")
         if not (0 <= self.seed < SEED_LIMIT):
             raise DomainError("seed must fit in 64 bits")
@@ -110,7 +114,7 @@ def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
     k, n = _check_integer(k, "k"), _check_integer(n, "n")
     if n < 1 or not 0 <= k <= n:
         raise DomainError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
-    if not 0 < alpha < 1:
+    if not (_is_finite(alpha) and 0 < alpha < 1):
         raise DomainError(f"need 0 < alpha < 1, got alpha={alpha}")
     lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
     hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
@@ -217,10 +221,10 @@ def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
       the columns of one (2T, U) array (_cap_columns).
     - The robust sets of all radii come from one worst-case pass
       (ambiguity._worst_cases, the core of robust_set): one argument check
-      and projection lookup, the two walks per radius, then one
-      certificate, domain check and generating-vector pass over the
-      stacked worst cases. Their (R, T) bound pairs get the checks of
-      AggregateFlexSet at once.
+      and projection, the two walks per radius, then one certificate,
+      domain check and generating-vector pass over the stacked worst
+      cases. Their (R, T) bound pairs get the checks of AggregateFlexSet
+      at once.
     - The non-empty sets' vertex envelopes (the largest cut sums over
       their vertices) are built as one (R', 2T) array and compared with
       the cap columns in one _populations_clear call, reducing over the

@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_ATOL, _check_atol
+from .core import DEFAULT_ATOL, _check_atol, _floats
 from .errors import DimensionMismatch, DomainError, NotMonotone
 
 
-def _sorted_desc(x) -> np.ndarray:
-    return -np.sort(-np.asarray(x, dtype=float))
+def _sorted_desc(x: np.ndarray) -> np.ndarray:
+    return -np.sort(-x)
 
 
 def _check_same_length(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = _floats(x, "x")
+    y = _floats(y, "y")
     if x.shape != y.shape or x.ndim != 1 or x.size == 0:
         raise DimensionMismatch(f"need non-empty vectors of one length: {x.shape} vs {y.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):

@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from .core import _floats
 from .errors import DimensionMismatch, DomainError, NumericalFailure
 
 MASS_EPS = 1e-15
@@ -33,12 +34,12 @@ def min_cost_transport(supply, demand, cost) -> tuple[float, np.ndarray]:
     (total_cost, plan). A shape mismatch raises DimensionMismatch, and a
     non-finite or negative mass or cost DomainError.
     """
-    supply = np.asarray(supply, dtype=float)
-    demand = np.asarray(demand, dtype=float)
-    cost = np.asarray(cost, dtype=float)
-    n, m = cost.shape
-    if supply.shape != (n,) or demand.shape != (m,):
+    supply = _floats(supply, "supply")
+    demand = _floats(demand, "demand")
+    cost = _floats(cost, "cost")
+    if (supply.ndim, demand.ndim) != (1, 1) or supply.shape + demand.shape != cost.shape:
         raise DimensionMismatch("supply/demand shapes do not match the cost matrix")
+    n, m = cost.shape
     # min and max propagate NaN, and an infinity shows in one of them
     values = np.concatenate([supply, demand, cost.ravel()])
     lo, hi = float(values.min(initial=0.0)), float(values.max(initial=0.0))

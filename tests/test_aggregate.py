@@ -256,8 +256,8 @@ def test_batch_contains_checks_shapes():
         (-1.0, 1.0, 2.0, DomainError),
         (np.nan, 1.0, 2.0, DomainError),
         (np.inf, 1.0, 2.0, DomainError),
-        (1.0, np.nan, 2.0, DomainError),
-        (1.0, 1.0, np.inf, DomainError),
+        (1.0, np.nan, 2.0, EnergyOutOfRange),
+        (1.0, 1.0, np.inf, EnergyOutOfRange),
         (1.0, -0.5, 2.0, EnergyOutOfRange),
         (1.0, 3.0, 2.0, EnergyOutOfRange),
         (1.0, 1.0, 20.0, EnergyOutOfRange),

@@ -577,8 +577,7 @@ def _result_fields(result):
 
 
 def test_projection_cache_leaves_robust_sets_unchanged():
-    import evflex.ambiguity as ambiguity
-
+    # no projection is kept between calls: two calls give identical fields
     rng = np.random.default_rng(8)
     for _ in range(20):
         p = random_distribution(rng)
@@ -586,17 +585,17 @@ def test_projection_cache_leaves_robust_sets_unchanged():
         grid = TimeGrid(6)
         eps0 = project_to_n_points(p, n)[1]
         for eps in eps0 + np.array([0.0, 0.3, 1.1, 4.0]):
-            cached = robust_set(p, n, eps, grid, 1.0)
-            assert n in ambiguity._PROJECTIONS[p]
-            ambiguity._PROJECTIONS.clear()
-            fresh = robust_set(p, n, eps, grid, 1.0)
-            assert _result_fields(cached) == _result_fields(fresh)
+            first = robust_set(p, n, eps, grid, 1.0)
+            again = robust_set(p, n, eps, grid, 1.0)
+            assert _result_fields(first) == _result_fields(again)
 
 
 def test_projection_cache_hands_out_copies():
+    # each call returns its own writable support
     p = fig_distribution()
     support, cost = project_to_n_points(p, 4)
     kept = support.copy()
+    assert support.flags.writeable
     support[:] = -1.0
     again, again_cost = project_to_n_points(p, 4)
     np.testing.assert_array_equal(again, kept)

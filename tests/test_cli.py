@@ -178,6 +178,16 @@ def test_montecarlo_command_on_paper_scenario_is_pinned(tmp_path):
     assert out.read_bytes() == pinned.read_bytes()
 
 
+def test_montecarlo_command_at_zero_tolerance_is_pinned(tmp_path):
+    # every robust set holds its radius with no tolerance, and on the
+    # paper's half-integer atoms every count is the default tolerance's
+    out = tmp_path / "results.csv"
+    scenario = str(ROOT / "scenarios" / "concentration_experiment.json")
+    assert main(["montecarlo", "--scenario", scenario, "--tolerance", "0", "--out", str(out)]) == 0
+    pinned = ROOT / "tests" / "data" / "concentration_experiment_20240817.csv"
+    assert out.read_bytes() == pinned.read_bytes()
+
+
 def test_member_certificate_on_pushing_demo_is_pinned(tmp_path):
     # a non-member's cut and shortfall, byte for byte; a member's witness
     # goes through a BLAS matrix product, so its last bits are not pinned

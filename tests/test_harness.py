@@ -338,14 +338,11 @@ def test_monte_carlo_cell_solves_one_transport_problem(monkeypatch):
     assert sum(not s.degenerate for s in stats) >= 5
     assert len(solves) == 1 and distances == [(p, 5)]
 
-    # robust_set alone: one distance per new (distribution, N), none on a repeat
+    # robust_set alone: one distance per call, its projection's
     distances.clear()
-    for n in (5, 10, 5, 10):
+    for n in (5, 10, 5):
         robust_set(p, n, 1.9, TimeGrid(24), 1.0)
-    assert distances == [(p, 10)]
-    q = DiscreteDistribution(atoms, np.full(5, 0.2), 24.0)
-    robust_set(q, 5, 1.9, TimeGrid(24), 1.0)
-    assert distances == [(p, 10), (q, 5)]
+    assert distances == [(p, 5), (p, 10), (p, 5)]
 
 
 def test_every_radius_scores_the_same_draw(monkeypatch):

@@ -1,7 +1,8 @@
 """Every public entry point rejects a broken input with the class of its rule.
 
 One row per (entry point, broken input): NaN, infinity, float and boolean
-counts, wrong shapes and out-of-domain energies. Each must raise exactly
+counts, wrong shapes, out-of-domain energies and non-numeric or ragged
+entries. Each must raise exactly
 the listed EVFlexError subclass, with no warning on the way. Entry points
 that only take objects already checked by a constructor here (nu_bounds,
 sorted_vertices, run_trials) and plain result records (Decomposition,
@@ -55,6 +56,7 @@ from evflex import (
     trial_rng,
     wasserstein1,
 )
+from evflex.transport import min_cost_transport
 
 nan, inf = math.nan, math.inf
 GRID = TimeGrid(4)
@@ -119,10 +121,6 @@ CASES = {
     "robust_set-nan-eps": (lambda: robust_set(DIST, 2, nan, GRID), DomainError),
     "robust_set-inf-power": (lambda: robust_set(DIST, 2, 0.5, GRID, power=inf), DomainError),
     "robust_set-nan-atol": (lambda: robust_set(DIST, 2, 0.5, GRID, atol=nan), DomainError),
-    "DiscreteDistribution-nan-atom": (
-        lambda: DiscreteDistribution([[nan, 1.0]], [1.0], 4.0),
-        DomainError,
-    ),
     "DiscreteDistribution-inf-weight": (
         lambda: DiscreteDistribution([[0.5, 1.0], [1.0, 2.0]], [inf, 0.5], 4.0),
         DomainError,
@@ -157,10 +155,6 @@ CASES = {
     ),
     "batch_contains-nan-profile": (
         lambda: batch_contains([[0.5]], [[2.0]], [[nan, 1.0, 0.0, 0.0]], 1.0),
-        DomainError,
-    ),
-    "batch_contains-nan-energy": (
-        lambda: batch_contains([[nan]], [[2.0]], [U], 1.0),
         DomainError,
     ),
     "batch_contains-inf-power": (lambda: batch_contains([[0.5]], [[2.0]], [U], inf), DomainError),
@@ -202,6 +196,18 @@ CASES = {
     "Population-inverted-pair": (lambda: Population([2.0], [1.0], 4), EnergyOutOfRange),
     "Population-above-cap": (lambda: Population([0.0], [5.0], 4), EnergyOutOfRange),
     "Population-negative-energy": (lambda: Population([-0.5], [1.0], 4), EnergyOutOfRange),
+    "DiscreteDistribution-nan-atom": (
+        lambda: DiscreteDistribution([[nan, 1.0]], [1.0], 4.0),
+        EnergyOutOfRange,
+    ),
+    "DiscreteDistribution-inf-atom": (
+        lambda: DiscreteDistribution([[0.5, inf]], [1.0], 4.0),
+        EnergyOutOfRange,
+    ),
+    "batch_contains-nan-energy": (
+        lambda: batch_contains([[nan]], [[2.0]], [U], 1.0),
+        EnergyOutOfRange,
+    ),
     "DiscreteDistribution-above-cap": (
         lambda: DiscreteDistribution([[0.5, 5.0]], [1.0], 4.0),
         EnergyOutOfRange,
@@ -265,6 +271,15 @@ CASES = {
         DimensionMismatch,
     ),
     "push_lower-empty": (lambda: push_lower([], 0.1, 4.0), DimensionMismatch),
+    "equal_weights-scalar": (
+        lambda: DiscreteDistribution.equal_weights(0.5, 4.0),
+        DimensionMismatch,
+    ),
+    "min_cost_transport-1d-cost": (
+        lambda: min_cost_transport([1.0], [1.0], [1.0]),
+        DimensionMismatch,
+    ),
+    "TrialConfig-scalar-epsilons": (lambda: _trial_config(epsilons=0.5), DimensionMismatch),
     "strong_majorizes-lengths-differ": (
         lambda: strong_majorizes([1.0, 0.0], [1.0]),
         DimensionMismatch,
@@ -291,6 +306,65 @@ CASES = {
     "AggregateFlexSet-power-str": (lambda: AggregateFlexSet([1.0], [1.0], "x"), DomainError),
     "contains-str-entry": (lambda: contains(POP, [1.0, "a", 0.5, 0.5]), DomainError),
     "decompose-str-entry": (lambda: decompose(POP, [1.0, "a", 0.5, 0.5]), DomainError),
+    "Population-str-energy": (lambda: Population([0.5], ["a"], 4), DomainError),
+    "from_energy_pairs-str-entry": (
+        lambda: Population.from_energy_pairs([[0.5, "a"]], 4),
+        DomainError,
+    ),
+    "from_energy_pairs-ragged": (
+        lambda: Population.from_energy_pairs([[0.5, 1.0], [0.5]], 4),
+        DomainError,
+    ),
+    "AggregateFlexSet-str-bound": (lambda: AggregateFlexSet(["a"], [1.0], 1.0), DomainError),
+    "batch_contains-str-profile": (
+        lambda: batch_contains([[0.5]], [[2.0]], [["a", 1.0, 0.0, 0.0]], 1.0),
+        DomainError,
+    ),
+    "batch_contains-str-energy": (lambda: batch_contains([["a"]], [[2.0]], [U], 1.0), DomainError),
+    "DiscreteDistribution-str-atom": (
+        lambda: DiscreteDistribution([[0.5, "a"]], [1.0], 4.0),
+        DomainError,
+    ),
+    "DiscreteDistribution-str-weight": (
+        lambda: DiscreteDistribution([[0.5, 1.0]], ["a"], 4.0),
+        DomainError,
+    ),
+    "DiscreteDistribution-str-cap": (
+        lambda: DiscreteDistribution([[0.5, 1.0]], [1.0], "a"),
+        DomainError,
+    ),
+    "equal_weights-str-pair": (
+        lambda: DiscreteDistribution.equal_weights([[0.5, "a"]], 4.0),
+        DomainError,
+    ),
+    "point_mass-str-energy": (lambda: DiscreteDistribution.point_mass("a", 1.0, 4.0), DomainError),
+    "ConcentrationConstants-str": (lambda: ConcentrationConstants("a", 1.0), DomainError),
+    "push_lower-str-budget": (lambda: push_lower([1.0], "a", 4.0), DomainError),
+    "push_lower-str-ceiling": (lambda: push_lower([1.0], 0.1, "a"), DomainError),
+    "push_upper-str-value": (lambda: push_upper(["a"], 0.1), DomainError),
+    "fastest_profile-str-energy": (lambda: fastest_profile("a", 1.0, 4), DomainError),
+    "is_individually_feasible-str-profile": (
+        lambda: is_individually_feasible(["a", 0.5], 0.5, 1.5, 1.0),
+        DomainError,
+    ),
+    "is_individually_feasible-str-e_lo": (
+        lambda: is_individually_feasible([0.5, 0.5], "a", 1.5, 1.0),
+        DomainError,
+    ),
+    "strong_majorizes-str": (lambda: strong_majorizes(["a", 0.0], [1.0, 0.0]), DomainError),
+    "prefix_dominates-str": (lambda: prefix_dominates([1.0, 0.0], ["a", 0.0]), DomainError),
+    "permutahedron_contains-str": (
+        lambda: permutahedron_contains([1.0, 0.0], ["a", 0.0]),
+        DomainError,
+    ),
+    "permutahedron_subset-str": (lambda: permutahedron_subset(["a", 0.0], [1.0, 0.0]), DomainError),
+    "minkowski_sum_permutahedra-str": (
+        lambda: minkowski_sum_permutahedra([1.0, 0.0], ["a", 0.0]),
+        DomainError,
+    ),
+    "min_cost_transport-str": (lambda: min_cost_transport(["a"], [1.0], [[1.0]]), DomainError),
+    "TrialConfig-str-epsilon": (lambda: _trial_config(epsilons=("a",)), DomainError),
+    "clopper_pearson-str-alpha": (lambda: clopper_pearson(1, 10, "a"), DomainError),
 }
 
 # the float and boolean counts that code written against TypeError still catches
