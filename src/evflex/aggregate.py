@@ -301,17 +301,21 @@ def _fleet(pop: Population) -> _Fleet:
 # membership: the two-vector criterion
 
 
-def _check_profile(u, shape: tuple[int, ...], atol: float) -> np.ndarray:
+def _check_profile(u, shape: tuple, atol: float) -> np.ndarray:
     """A profile (shape (T,)) or profile stack ((V, T)), negatives within atol clipped to 0.
 
-    Returns a new array, never the caller's. A non-negative minimum and a
-    finite sum show every entry finite and non-negative in two reductions;
-    anything else goes through the full checks.
+    A None in shape matches any length, and the last axis (T) must not be
+    empty. Returns a new array, never the caller's. A non-negative minimum
+    and a finite sum show every entry finite and non-negative in two
+    reductions; anything else goes through the full checks.
     """
     _check_atol(atol)
     u = _floats(u, "aggregate profile")
-    if u.shape != shape:
-        raise DimensionMismatch(f"profile shape {u.shape} != {shape}")
+    fits = u.shape == shape or u.ndim == len(shape) and all(
+        want in (None, got) for got, want in zip(u.shape, shape)
+    )
+    if not fits or not u.shape[-1]:
+        raise DimensionMismatch(f"profile shape {u.shape} does not fit {shape} with T >= 1")
     if u.size and u.min() >= 0.0 and math.isfinite(u.sum()):
         return u
     if not np.isfinite(u).all():
@@ -364,10 +368,7 @@ def batch_contains(
     and applies the two-vector criterion; returns a boolean (R, V) matrix
     with the same decisions as contains().
     """
-    profiles = _floats(profiles, "profiles")
-    if profiles.ndim != 2 or profiles.shape[1] == 0:
-        raise DimensionMismatch(f"profiles must be a (V, T) stack with T >= 1, got {profiles.shape}")
-    profiles = _check_profile(profiles, profiles.shape, atol)
+    profiles = _check_profile(profiles, (None, None), atol)
     e_lo = _floats(e_lo, "e_lo")
     e_hi = _floats(e_hi, "e_hi")
     if e_lo.ndim != 2 or e_lo.shape != e_hi.shape or e_lo.shape[1] == 0:

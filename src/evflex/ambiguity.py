@@ -101,7 +101,7 @@ class ConcentrationConstants:
     def __post_init__(self):
         if not (_is_finite(self.c1) and _is_finite(self.c2) and self.c1 > 0 and self.c2 > 0):
             raise DomainError(
-                f"concentration constants must be positive and finite, got {self.c1}, {self.c2}"
+                f"concentration constants must be positive and finite, got {self.c1!r}, {self.c2!r}"
             )
 
 
@@ -249,11 +249,11 @@ def _validate_push_args(values, budget):
     if values.ndim != 1 or values.size == 0:
         raise DimensionMismatch("values must be a non-empty 1-D array")
     if not (np.isfinite(values).all() and _is_finite(budget)):
-        raise DomainError("values and budget must be finite")
+        raise DomainError(f"values and budget must be finite, got budget {budget!r}")
     if np.any(np.diff(values) < -1e-12):
         raise NotMonotone("values must be sorted non-decreasing")
     if budget < 0:
-        raise NegativeBudget(f"budget must be non-negative, got {budget}")
+        raise NegativeBudget(f"budget must be non-negative, got {budget!r}")
     return values
 
 
@@ -267,7 +267,7 @@ def push_lower(values, budget: float, ceiling: float):
     """
     values = _validate_push_args(values, budget)
     if not _is_finite(ceiling):
-        raise DomainError(f"ceiling must be finite, got {ceiling}")
+        raise DomainError(f"ceiling must be finite, got {ceiling!r}")
     if np.any(values > ceiling + 1e-12):
         raise EnergyOutOfRange("values must not exceed the ceiling")
     pinned = np.full(values.size, float(ceiling))
@@ -291,7 +291,7 @@ def push_upper(values, budget: float):
 def beta_from_epsilon(eps: float, n: int, constants: ConcentrationConstants) -> float:
     """Confidence complement for a ball radius: c1 * exp(-c2 * n * eps^2)."""
     if not (_is_finite(eps) and eps > 0):
-        raise DomainError(f"eps must be positive and finite, got {eps}")
+        raise DomainError(f"eps must be positive and finite, got {eps!r}")
     n = _check_integer(n, "n", minimum=1)
     if eps > 1:
         warnings.warn(
@@ -302,10 +302,15 @@ def beta_from_epsilon(eps: float, n: int, constants: ConcentrationConstants) -> 
     return constants.c1 * math.exp(-constants.c2 * n * eps * eps)
 
 
+def _check_beta(beta, constants: ConcentrationConstants) -> None:
+    """A confidence complement the tail bound can invert: 0 < beta < c1."""
+    if not (_is_finite(beta) and 0 < beta < constants.c1):
+        raise DomainError(f"beta must lie in (0, c1), got {beta!r}")
+
+
 def epsilon_from_beta(beta: float, n: int, constants: ConcentrationConstants) -> float:
     """Inverse of beta_from_epsilon."""
-    if not (_is_finite(beta) and 0 < beta < constants.c1):
-        raise DomainError(f"beta must lie in (0, c1), got {beta}")
+    _check_beta(beta, constants)
     n = _check_integer(n, "n", minimum=1)
     eps = math.sqrt(math.log(constants.c1 / beta) / (constants.c2 * n))
     if eps > 1:
@@ -383,6 +388,19 @@ def _certified_distances(proj_cost, starts, e_lo, e_hi) -> np.ndarray:
     return proj_cost + moved.sum(axis=-1) / starts.shape[1]
 
 
+def _check_radii(epsilons) -> np.ndarray:
+    """Ball radii as a new float array: a non-empty 1-D sequence of finite,
+    non-negative and strictly increasing numbers (one radius is a grid of one)."""
+    radii = _floats(epsilons, "epsilons")
+    if radii.ndim != 1:
+        raise DimensionMismatch(f"epsilons must be a 1-D sequence, got shape {radii.shape}")
+    if not (np.isfinite(radii).all() and (radii >= 0).all()):
+        raise DomainError(f"epsilons must be finite and non-negative, got {radii.tolist()}")
+    if radii.size == 0 or (np.diff(radii) <= 0).any():
+        raise NotMonotone(f"epsilons must be strictly increasing, got {radii.tolist()}")
+    return radii
+
+
 @dataclass(frozen=True, eq=False)
 class _WorstCases:
     """The two worst cases of one (distribution, N) at each feasible radius.
@@ -419,10 +437,7 @@ def _worst_cases(
     pass per side. Each radius's arrays are those robust_set(p, n, eps, ...)
     builds alone, bit for bit.
     """
-    epsilons = tuple(epsilons)
-    for eps in epsilons:
-        if not (_is_finite(eps) and eps >= 0):
-            raise DomainError(f"eps must be non-negative and finite, got {eps}")
+    radii = _check_radii(epsilons)
     _check_power(power)
     _check_atol(atol)
     n = _check_integer(n, "n", minimum=1)
@@ -432,7 +447,7 @@ def _worst_cases(
             f"distribution domain cap {p.energy_cap} != power*steps = {cap}"
         )
     factor = cap if normalize else 1.0
-    eps_raw = np.array([eps * factor for eps in epsilons])
+    eps_raw = radii * factor
 
     support, proj_cost = project_to_n_points(p, n)
     residuals = eps_raw - proj_cost

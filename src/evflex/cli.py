@@ -16,16 +16,9 @@ import numpy as np
 from .aggregate import AggregateFlexSet, contains, decompose, sorted_vertices
 from .ambiguity import epsilon_from_beta, robust_set
 from .core import DEFAULT_ATOL, _check_atol
-from .errors import DomainError, EVFlexError, ParseError, ValidationError
-from .harness import (
-    SEED_LIMIT,
-    STREAM_VERSION,
-    TrialConfig,
-    fit_constants,
-    fit_per_n,
-    run_trials,
-)
-from .io import jsonify, parse_scenario, read_results_csv, write_results_csv
+from .errors import EVFlexError, ParseError, ValidationError
+from .harness import STREAM_VERSION, TrialConfig, _check_seed, fit_constants, fit_per_n, run_trials
+from .io import _numbers, jsonify, parse_scenario, read_results_csv, write_results_csv
 
 
 def _add_out(parser: argparse.ArgumentParser):
@@ -59,14 +52,10 @@ def _parse_profile(args) -> np.ndarray:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read profile file: {exc}") from exc
-        if not isinstance(data, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in data
-        ):
-            raise ParseError("--profile-file: must hold a JSON array of numbers")
-        try:
-            return np.array(data, dtype=float)
-        except OverflowError as exc:
-            raise ParseError(f"--profile-file: {exc}") from exc
+        try:  # the scenario's rule for a list of JSON numbers, reported as a malformed file
+            return _numbers(data, "--profile-file")
+        except ValidationError as exc:
+            raise ParseError(str(exc)) from exc
     raise ParseError("one of --profile/--profile-file is required")
 
 
@@ -127,10 +116,7 @@ def _cmd_robust(args) -> int:
     sc = _load_scenario(args, "distribution", "robust")
     n = _resolve_robust_n(sc)
     spec = sc.robust
-    if spec.epsilon is not None:
-        eps = spec.epsilon
-    else:
-        eps = epsilon_from_beta(spec.beta, n, spec.constants)
+    eps = spec.epsilon if spec.beta is None else epsilon_from_beta(spec.beta, n, spec.constants)
     result = robust_set(
         sc.distribution,
         n,
@@ -174,9 +160,7 @@ def _cmd_robust(args) -> int:
 
 def _cmd_montecarlo(args) -> int:
     sc = _load_scenario(args, "distribution", "harness")
-    if args.seed is not None and not 0 <= args.seed < SEED_LIMIT:
-        raise DomainError(f"--seed: must be in [0, 2**64), got {args.seed}")
-    seed = args.seed if args.seed is not None else sc.harness.seed
+    seed = _check_seed(args.seed, "--seed") if args.seed is not None else sc.harness.seed
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**63))
         print(f"generated seed: {seed}", file=sys.stderr)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,27 +39,34 @@ def _is_finite(value) -> bool:
 
 
 def _floats(values, name: str) -> np.ndarray:
-    """A new float array of a caller's values; an entry that is not a number,
-    or a ragged nesting, raises DomainError naming the argument."""
+    """A new float array of a caller's values; an entry that is not a number
+    (a string, bytes or None included), or a ragged nesting, raises
+    DomainError naming the argument. Numeric arrays skip the entry scan."""
     try:
-        return np.array(values, dtype=float)
+        raw = np.asarray(values)
+        # numpy parses strings and reads None as NaN, so an object array's entries are looked at
+        if raw.dtype.kind in "biuf" or raw.dtype.kind == "O" and not any(
+            v is None or isinstance(v, (str, bytes)) for v in raw.flat
+        ):
+            return np.array(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must be numeric: {exc}") from exc
+    raise DomainError(f"{name} must be numeric, got {reprlib.repr(values)}")
 
 
 def _check_power(power) -> None:
     if not (_is_finite(power) and power > 0):
-        raise DomainError(f"power must be positive and finite, got {power}")
+        raise DomainError(f"power must be positive and finite, got {power!r}")
 
 
 def _check_atol(atol, name: str = "atol") -> None:
     if not (_is_finite(atol) and atol >= 0):
-        raise DomainError(f"{name} must be finite and non-negative, got {atol}")
+        raise DomainError(f"{name} must be finite and non-negative, got {atol!r}")
 
 
-def _check_integer(value, name: str, minimum: int | None = None) -> int:
+def _check_integer(value, name: str, minimum=None, maximum=None) -> int:
     """value as an int; a float, bool or other non-integer raises
-    NotAnInteger, and an int below `minimum` DomainError."""
+    NotAnInteger, and an int outside [minimum, maximum] DomainError."""
     if not isinstance(value, (bool, np.bool_)):
         try:
             value = operator.index(value)
@@ -66,7 +74,9 @@ def _check_integer(value, name: str, minimum: int | None = None) -> int:
             pass
         else:
             if minimum is not None and value < minimum:
-                raise DomainError(f"{name} must be >= {minimum}, got {value}")
+                raise DomainError(f"{name} must be >= {minimum}, got {value!r}")
+            if maximum is not None and value > maximum:
+                raise DomainError(f"{name} must be <= {maximum}, got {value!r}")
             return value
     raise NotAnInteger(f"{name} must be an integer, got {value!r}")
 

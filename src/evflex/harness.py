@@ -39,17 +39,25 @@ import numpy as np
 from .aggregate import _cap_row, _check_pair, _fastest_profiles, _is_empty, _member_matrix
 from .aggregate import _vertex_envelope
 from .aggregate import batch_contains  # noqa: F401  (perfbench/tracing.py wraps this name)
-from .ambiguity import ConcentrationConstants, DiscreteDistribution, _worst_cases
+from .ambiguity import ConcentrationConstants, DiscreteDistribution, _check_radii, _worst_cases
 from .ambiguity import robust_set  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .core import DEFAULT_ATOL, Population, TimeGrid, _check_atol, _check_integer, _check_power
-from .core import _floats, _is_finite
-from .errors import DimensionMismatch, DomainError, InsufficientData, NotMonotone
+from .core import _is_finite
+from .errors import DomainError, InsufficientData
 
 SEED_LIMIT = 2**64  # master seeds are 64-bit
 # an input bound on trials per cell; at 2**32 trials a cell's (trials,
 # atoms) count matrix already needs 32 GiB per atom
 TRIAL_LIMIT = 2**32
 STREAM_VERSION = 2  # written as "# stream=2" in the results CSV
+
+
+def _check_seed(seed, name: str = "seed") -> int:
+    return _check_integer(seed, name, minimum=0, maximum=SEED_LIMIT - 1)
+
+
+def _check_trials(trials) -> int:
+    return _check_integer(trials, "trials", minimum=1, maximum=TRIAL_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -64,21 +72,11 @@ class TrialConfig:
     atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
-        epsilons = _floats(self.epsilons, "epsilons")
-        if epsilons.ndim != 1:
-            raise DimensionMismatch(f"epsilons must be a 1-D sequence, got shape {epsilons.shape}")
-        object.__setattr__(self, "epsilons", tuple(epsilons.tolist()))
-        for name, minimum in (("population_size", 1), ("trials", None), ("seed", None)):
-            value = _check_integer(getattr(self, name), name, minimum=minimum)
-            object.__setattr__(self, name, value)
-        if not 1 <= self.trials <= TRIAL_LIMIT:
-            raise DomainError(f"trials must be in [1, {TRIAL_LIMIT}], got {self.trials}")
-        if not np.isfinite(epsilons).all():
-            raise DomainError(f"epsilons must be finite, got {self.epsilons!r}")
-        if epsilons.size == 0 or np.any(np.diff(epsilons) <= 0):
-            raise NotMonotone("epsilons must be strictly increasing")
-        if not (0 <= self.seed < SEED_LIMIT):
-            raise DomainError("seed must fit in 64 bits")
+        object.__setattr__(self, "epsilons", tuple(_check_radii(self.epsilons).tolist()))
+        size = _check_integer(self.population_size, "population_size", minimum=1)
+        object.__setattr__(self, "population_size", size)
+        object.__setattr__(self, "trials", _check_trials(self.trials))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         _check_power(self.power)
         _check_atol(self.atol)
 
@@ -111,9 +109,8 @@ def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
     """
     from scipy.special import betaincinv  # most of the import time of the package; only this needs it
 
-    k, n = _check_integer(k, "k"), _check_integer(n, "n")
-    if n < 1 or not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
+    n = _check_integer(n, "n", minimum=1)
+    k = _check_integer(k, "k", minimum=0, maximum=n)
     if not (_is_finite(alpha) and 0 < alpha < 1):
         raise DomainError(f"need 0 < alpha < 1, got alpha={alpha}")
     lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
@@ -123,7 +120,7 @@ def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
 
 def trial_rng(seed: int, population_size: int) -> np.random.Generator:
     """The Philox stream of one (seed, N) cell, shared by all its radii."""
-    seed = _check_integer(seed, "seed", minimum=0)
+    seed = _check_seed(seed)
     population_size = _check_integer(population_size, "population_size", minimum=0)
     seq = np.random.SeedSequence(seed, spawn_key=(population_size,))
     return np.random.Generator(np.random.Philox(seq))

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import ConcentrationConstants, DiscreteDistribution
-from .core import Population, TimeGrid
-from .errors import ParseError, ValidationError
-from .harness import SEED_LIMIT, TRIAL_LIMIT, ViolationStats
+from .ambiguity import ConcentrationConstants, DiscreteDistribution, _check_beta, _check_radii
+from .core import Population, TimeGrid, _check_integer, _check_power
+from .errors import EVFlexError, ParseError, ValidationError
+from .harness import ViolationStats, _check_seed, _check_trials
 
 RESULT_COLUMNS = (
     "epsilon",
@@ -75,46 +75,52 @@ def _require(cond: bool, msg: str):
         raise ValidationError(msg)
 
 
+def _judged(field: str, rule, *args):
+    """rule(*args), the library rule that owns a value, with the EVFlexError it
+    raises re-raised as a ValidationError naming the scenario field. io itself
+    checks only the JSON's structure and types, never a value's range, order or
+    finiteness."""
+    try:
+        return rule(*args)
+    except EVFlexError as exc:
+        raise ValidationError(f"{field}: {exc}") from exc
+
+
 def _number(value, field: str) -> float:
-    """A JSON number; booleans and strings are rejected, not coerced."""
+    """A JSON number as a float; booleans and strings are rejected, not coerced."""
     _require(
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f"{field}: must be a number, got {value!r}",
     )
     try:
         return float(value)
-    except OverflowError:  # a JSON integer beyond the float range
-        raise ValidationError(
-            f"{field}: must be finite, got an integer beyond the float range"
-        ) from None
+    except OverflowError:
+        raise ValidationError(f"{field}: got an integer beyond the float range") from None
 
 
-def _finite(value, field: str) -> float:
-    number = _number(value, field)
-    _require(math.isfinite(number), f"{field}: must be finite, got {value!r}")
-    return number
-
-
-def _integer(value, field: str, minimum: int) -> int:
-    """An integral JSON number >= minimum; fractions are rejected, not truncated."""
-    _require(_finite(value, field).is_integer(), f"{field}: must be an integer, got {value!r}")
-    _require(value >= minimum, f"{field}: must be >= {minimum}, got {value!r}")
+def _integer(value, field: str) -> int:
+    """An integral JSON number; fractions are rejected, not truncated."""
+    _require(_number(value, field).is_integer(), f"{field}: must be an integer, got {value!r}")
     return int(value)
 
 
-def _finite_array(values, field: str, width: int | None = None) -> np.ndarray:
-    """A list of finite numbers, or with width a list of width-long lists of them."""
+def _size(value, field: str) -> int:
+    """A population size, judged by the count rule (an integer >= 1)."""
+    return _judged(field, _check_integer, _integer(value, field), "N", 1)
+
+
+def _numbers(values, field: str, width: int | None = None) -> np.ndarray:
+    """A list of numbers, or with width a list of width-long lists of them."""
     _require(isinstance(values, list), f"{field}: expected a list")
     if width is None:
-        return np.array([_finite(v, field) for v in values], dtype=float)
-    rows = [_finite_array(row, field) for row in values]
+        return np.array([_number(v, field) for v in values], dtype=float)
+    rows = [_numbers(row, field) for row in values]
     _require(all(row.shape == (width,) for row in rows), f"{field}: expected rows of {width} numbers")
     return np.array(rows, dtype=float).reshape(-1, width)
 
 
 def _radii(values, field: str) -> tuple[float, ...]:
-    _require(isinstance(values, list), f"{field}: expected a list")
-    return tuple(_finite(e, field) for e in values)
+    return tuple(_judged(field, _check_radii, _numbers(values, field)).tolist())
 
 
 def _parse_distribution(obj, cap: float, base_dir: str) -> DiscreteDistribution:
@@ -133,22 +139,16 @@ def _parse_distribution(obj, cap: float, base_dir: str) -> DiscreteDistribution:
         _require(isinstance(obj, dict), f"distribution.file: {path} must hold a JSON object")
     _require("atoms" in obj, "distribution.atoms: missing")
     _require("weights" in obj, "distribution.weights: missing")
-    atoms = _finite_array(obj["atoms"], "distribution.atoms", width=2)
-    weights = _finite_array(obj["weights"], "distribution.weights")
-    try:
-        return DiscreteDistribution(atoms, weights, cap)
-    except ValueError as exc:
-        raise ValidationError(f"distribution: {exc}") from exc
+    atoms = _numbers(obj["atoms"], "distribution.atoms", width=2)
+    weights = _numbers(obj["weights"], "distribution.weights")
+    return _judged("distribution", DiscreteDistribution, atoms, weights, cap)
 
 
 def _parse_robust(obj) -> RobustSpec:
     _require(isinstance(obj, dict), "robust: expected an object")
     epsilon = obj.get("epsilon")
     beta = obj.get("beta")
-    _require(
-        (epsilon is None) != (beta is None),
-        "robust: exactly one of epsilon/beta must be given",
-    )
+    _require((epsilon is None) != (beta is None), "robust: exactly one of epsilon/beta must be given")
     constants = None
     if "constants" in obj:
         cobj = obj["constants"]
@@ -156,29 +156,24 @@ def _parse_robust(obj) -> RobustSpec:
             isinstance(cobj, dict) and "c1" in cobj and "c2" in cobj,
             "robust.constants: need c1 and c2",
         )
-        try:
-            constants = ConcentrationConstants(
-                _finite(cobj["c1"], "robust.constants.c1"),
-                _finite(cobj["c2"], "robust.constants.c2"),
-            )
-        except ValueError as exc:
-            raise ValidationError(f"robust.constants: {exc}") from exc
-    _require(
-        beta is None or constants is not None,
-        "robust.beta requires robust.constants",
-    )
+        c1 = _number(cobj["c1"], "robust.constants.c1")
+        c2 = _number(cobj["c2"], "robust.constants.c2")
+        constants = _judged("robust.constants", ConcentrationConstants, c1, c2)
+    if epsilon is not None:
+        epsilon = _radii([epsilon], "robust.epsilon")[0]
+    else:
+        _require(constants is not None, "robust.beta requires robust.constants")
+        beta = _number(beta, "robust.beta")
+        _judged("robust.beta", _check_beta, beta, constants)
     size = obj.get("N")
     normalize = obj.get("normalize", False)
-    _require(
-        isinstance(normalize, bool),
-        f"robust.normalize: must be true or false, got {normalize!r}",
-    )
+    _require(isinstance(normalize, bool), f"robust.normalize: must be true or false, got {normalize!r}")
     return RobustSpec(
-        epsilon=None if epsilon is None else _finite(epsilon, "robust.epsilon"),
-        beta=None if beta is None else _finite(beta, "robust.beta"),
+        epsilon=epsilon,
+        beta=beta,
         constants=constants,
         normalize=normalize,
-        population_size=None if size is None else _integer(size, "robust.N", 1),
+        population_size=None if size is None else _size(size, "robust.N"),
     )
 
 
@@ -186,9 +181,7 @@ def _parse_harness(obj) -> HarnessSpec:
     _require(isinstance(obj, dict), "harness: expected an object")
     _require("N" in obj, "harness.N: missing")
     raw_n = obj["N"]
-    sizes = tuple(
-        _integer(v, "harness.N", 1) for v in (raw_n if isinstance(raw_n, list) else [raw_n])
-    )
+    sizes = tuple(_size(v, "harness.N") for v in (raw_n if isinstance(raw_n, list) else [raw_n]))
     # a repeated size would rerun the same (seed, N) stream as a second, dependent cell
     _require(len(set(sizes)) == len(sizes), f"harness.N: sizes must be distinct, got {raw_n!r}")
     _require("epsilons" in obj, "harness.epsilons: missing")
@@ -205,21 +198,14 @@ def _parse_harness(obj) -> HarnessSpec:
     else:
         grid = _radii(raw_eps, "harness.epsilons")
         by_n = {size: grid for size in sizes}
-    for size, grid in by_n.items():
-        _require(
-            len(grid) > 0 and all(b > a for a, b in zip(grid, grid[1:])),
-            f"harness.epsilons[{size}]: must be strictly increasing",
-        )
     seed = obj.get("seed")
     if seed is not None:
-        seed = _integer(seed, "harness.seed", 0)
-        _require(seed < SEED_LIMIT, f"harness.seed: must be < 2**64, got {seed}")
-    trials = _integer(obj.get("trials", 1000), "harness.trials", 1)
-    _require(trials <= TRIAL_LIMIT, f"harness.trials: must be <= 2**32, got {trials}")
+        seed = _judged("harness.seed", _check_seed, _integer(seed, "harness.seed"))
+    trials = _integer(obj.get("trials", 1000), "harness.trials")
     return HarnessSpec(
         population_sizes=sizes,
         epsilons_by_n=by_n,
-        trials=trials,
+        trials=_judged("harness.trials", _check_trials, trials),
         seed=seed,
     )
 
@@ -238,9 +224,9 @@ def parse_scenario(path: str) -> Scenario:
 
     grid_obj = raw.get("grid", {})
     _require(isinstance(grid_obj, dict), "grid: expected an object")
-    grid = TimeGrid(_integer(grid_obj.get("T", DEFAULT_HORIZON), "grid.T", 1))
-    power = _finite(raw.get("power", DEFAULT_POWER), "power")
-    _require(power > 0, "power: must be positive")
+    grid = _judged("grid.T", TimeGrid, _integer(grid_obj.get("T", DEFAULT_HORIZON), "grid.T"))
+    power = _number(raw.get("power", DEFAULT_POWER), "power")
+    _judged("power", _check_power, power)
     cap = power * grid.steps
 
     distribution = None
@@ -254,11 +240,8 @@ def parse_scenario(path: str) -> Scenario:
             isinstance(pobj, dict) and "members" in pobj,
             "population.members: missing",
         )
-        members = _finite_array(pobj["members"], "population.members", width=2)
-        try:
-            population = Population.from_energy_pairs(members, grid.steps, power)
-        except ValueError as exc:
-            raise ValidationError(f"population: {exc}") from exc
+        members = _numbers(pobj["members"], "population.members", width=2)
+        population = _judged("population", Population.from_energy_pairs, members, grid.steps, power)
 
     robust = _parse_robust(raw["robust"]) if "robust" in raw else None
     harness = _parse_harness(raw["harness"]) if "harness" in raw else None

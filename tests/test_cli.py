@@ -418,6 +418,7 @@ EXIT_CODE_CASES = {
         3,
     ),
     "negative-seed-flag": (_scenario_command("montecarlo", BASE, "--seed", "-5"), 2),
+    "64-bit-seed-flag": (_scenario_command("montecarlo", BASE, "--seed", str(2**64)), 2),
     "nan-tolerance": (_scenario_command("montecarlo", BASE, "--tolerance", "nan"), 2),
     "negative-tolerance": (_scenario_command("montecarlo", BASE, "--tolerance", "-5"), 2),
     "inf-tolerance-member": (
@@ -497,6 +498,31 @@ EXIT_CODE_CASES = {
         _scenario_command("montecarlo", _with("harness", {**BASE["harness"], "N": [3, 3]})),
         3,
     ),
+    # a value the library's rule rejects is reported at load, naming its field
+    "negative-epsilon": (_scenario_command("robust", _with("robust", {"epsilon": -1, "N": 4})), 3),
+    "negative-beta": (
+        _scenario_command(
+            "robust", _with("robust", {"beta": -0.1, "N": 4, "constants": _CONSTANTS})
+        ),
+        3,
+    ),
+    "beta-above-c1": (
+        _scenario_command(
+            "robust", _with("robust", {"beta": 5.0, "N": 4, "constants": _CONSTANTS})
+        ),
+        3,
+    ),
+    "negative-keyed-harness-epsilon": (
+        _scenario_command(
+            "montecarlo",
+            _with("harness", {**BASE["harness"], "N": [2, 3], "epsilons": {"2": [0.5], "3": [-0.5]}}),
+        ),
+        3,
+    ),
+    "64-bit-seed": (
+        _scenario_command("montecarlo", _with("harness", {**BASE["harness"], "seed": 2**64})),
+        3,
+    ),
     # "03" would read as a second grid for size 3, and the last one would win
     "non-decimal-harness-key": (
         _scenario_command(
@@ -528,11 +554,23 @@ ROBUST_FIELD_CASES = {
     "nan-beta": "robust.beta",
     "string-normalize": "robust.normalize",
     "overflowing-epsilon": "robust.epsilon",
+    "negative-epsilon": "robust.epsilon",
+    "negative-beta": "robust.beta",
+    "beta-above-c1": "robust.beta",
+}
+
+# The field each rejected harness value names in its error message.
+HARNESS_FIELD_CASES = {
+    "negative-keyed-harness-epsilon": "harness.epsilons[3]",
+    "64-bit-seed": "harness.seed",
+    "negative-seed": "harness.seed",
+    "too-many-trials": "harness.trials",
 }
 
 # The flag each rejected command-line option names in its error message.
 FLAG_CASES = {
     "negative-seed-flag": "--seed",
+    "64-bit-seed-flag": "--seed",
     "nan-tolerance": "--tolerance",
     "negative-tolerance": "--tolerance",
     "inf-tolerance-member": "--tolerance",
@@ -561,6 +599,25 @@ def test_robust_scalar_errors_name_the_field(tmp_path, capsys, case):
     build, _ = EXIT_CODE_CASES[case]
     assert main(build(tmp_path)) == 3
     assert ROBUST_FIELD_CASES[case] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(HARNESS_FIELD_CASES))
+def test_harness_value_errors_name_the_field(tmp_path, capsys, case):
+    build, _ = EXIT_CODE_CASES[case]
+    assert main(build(tmp_path)) == 3
+    assert HARNESS_FIELD_CASES[case] in capsys.readouterr().err
+
+
+def test_keyed_grid_error_is_raised_at_load_before_any_cell(tmp_path, monkeypatch):
+    # the first size's grid is valid: its cell must not run before the second's is rejected
+    cells = []
+    monkeypatch.setattr(evflex.cli, "run_trials", lambda cfg: cells.append(cfg) or [])
+    build, _ = EXIT_CODE_CASES["negative-keyed-harness-epsilon"]
+    argv = build(tmp_path)
+    with pytest.raises(ValidationError, match=r"harness\.epsilons\[3\]"):
+        parse_scenario(argv[2])
+    assert main(argv) == 3
+    assert cells == []
 
 
 @pytest.mark.parametrize("case", sorted(FLAG_CASES))

@@ -101,6 +101,7 @@ CASES = {
     "TrialConfig-float-seed": (lambda: _trial_config(seed=1.5), NotAnInteger),
     "TrialConfig-zero-trials": (lambda: _trial_config(trials=0), DomainError),
     "TrialConfig-64-bit-seed": (lambda: _trial_config(seed=2**64), DomainError),
+    "trial_rng-64-bit-seed": (lambda: trial_rng(2**64, 5), DomainError),
     "trial_rng-float-seed": (lambda: trial_rng(1.5, 3), NotAnInteger),
     "trial_rng-negative-seed": (lambda: trial_rng(-1, 3), DomainError),
     "trial_rng-bool-size": (lambda: trial_rng(0, True), NotAnInteger),
@@ -142,6 +143,7 @@ CASES = {
     "push_upper-nan-value": (lambda: push_upper([nan, 1.0], 0.1), DomainError),
     "push_upper-negative-budget": (lambda: push_upper([0.5, 1.0], -0.1), NegativeBudget),
     "TrialConfig-nan-epsilon": (lambda: _trial_config(epsilons=(nan,)), DomainError),
+    "TrialConfig-negative-epsilon": (lambda: _trial_config(epsilons=(-0.5, 0.5)), DomainError),
     "TrialConfig-nan-power": (lambda: _trial_config(power=nan), DomainError),
     "TrialConfig-inf-atol": (lambda: _trial_config(atol=inf), DomainError),
     "clopper_pearson-nan-alpha": (lambda: clopper_pearson(1, 10, nan), DomainError),
@@ -364,6 +366,25 @@ CASES = {
     ),
     "min_cost_transport-str": (lambda: min_cost_transport(["a"], [1.0], [[1.0]]), DomainError),
     "TrialConfig-str-epsilon": (lambda: _trial_config(epsilons=("a",)), DomainError),
+    # numpy would parse a numeric string and read None as NaN; neither is a number
+    "Population-numeric-str-energies": (lambda: Population(["0.5"], ["1.0"], 4), DomainError),
+    "Population-none-energy": (lambda: Population([None], [1.0], 4), DomainError),
+    "Population-bytes-energy": (lambda: Population([b"0.5"], [1.0], 4), DomainError),
+    "from_energy_pairs-none-entry": (
+        lambda: Population.from_energy_pairs([[0.5, None]], 4),
+        DomainError,
+    ),
+    "DiscreteDistribution-numeric-str-weight": (
+        lambda: DiscreteDistribution([[0.5, 1.0]], ["1.0"], 4.0),
+        DomainError,
+    ),
+    "contains-none-entry": (lambda: contains(POP, [1.0, None, 0.5, 0.5]), DomainError),
+    "batch_contains-numeric-str-profile": (
+        lambda: batch_contains([[0.5]], [[2.0]], [["1.0", 1.0, 0.0, 0.0]], 1.0),
+        DomainError,
+    ),
+    "fastest_profile-none-energy": (lambda: fastest_profile(None, 1.0, 4), DomainError),
+    "TrialConfig-none-epsilon": (lambda: _trial_config(epsilons=(None,)), DomainError),
     "clopper_pearson-str-alpha": (lambda: clopper_pearson(1, 10, "a"), DomainError),
 }
 
@@ -391,6 +412,27 @@ def test_float_and_boolean_counts_are_type_errors(case):
     call, _ = CASES[case]
     with pytest.raises(TypeError, match="must be an integer"):
         call()
+
+
+# a scalar rule prints the value it rejected with repr, so a string is not read as a number
+REPR_CASES = {
+    "Population-str-power": (lambda: Population([0.5], [1.0], 4, "1.0"), "'1.0'"),
+    "contains-str-atol": (lambda: contains(POP, U, atol="0"), "'0'"),
+    "TimeGrid-str-steps": (lambda: TimeGrid("4"), "'4'"),
+    "ConcentrationConstants-str": (lambda: ConcentrationConstants("2", 1.0), "'2'"),
+    "beta_from_epsilon-str-eps": (lambda: beta_from_epsilon("0.5", 2, CONSTANTS), "'0.5'"),
+    "epsilon_from_beta-str-beta": (lambda: epsilon_from_beta("0.1", 2, CONSTANTS), "'0.1'"),
+    "push_lower-str-ceiling": (lambda: push_lower([1.0], 0.1, "4"), "'4'"),
+    "push_upper-str-budget": (lambda: push_upper([1.0], "0.1"), "'0.1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPR_CASES))
+def test_scalar_errors_print_the_value_repr(case):
+    call, shown = REPR_CASES[case]
+    with pytest.raises(DomainError) as info:
+        call()
+    assert shown in str(info.value)
 
 
 def test_every_error_class_is_a_value_error():
