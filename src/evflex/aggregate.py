@@ -43,12 +43,12 @@ Everything that depends on the population alone is computed once per
 population, on its first query, and kept for as long as the population
 lives: the bound pair, the cap row and, from the first member
 decompose() on, the table of the balanced split. A later query does only
-per-profile work, in a few small numpy calls: two reductions that
-validate the profile, one sort, the cut sums and the cap comparison on
-1-D arrays and, for a member, one interpolation in that table and the
-mixing. In decompose() one stable argsort serves the verdict, the
-witness's column order and the certificate; there is no per-query level
-search.
+per-profile work, in a few small numpy calls read off one sort of the
+profile: its two ends validate it, one cumsum gives its cut sums and one
+comparison the verdict. In decompose() the sort is a stable argsort that
+also gives the certificate's steps and the column order the mixing
+matrix is written in, so a member costs one interpolation in that table
+and the mixing; there is no per-query level search.
 """
 
 from __future__ import annotations
@@ -164,14 +164,10 @@ class AggregateFlexSet:
         """The set's vertex envelope (_vertex_envelope), computed on first use."""
         return _vertex_envelope(self.nu_lo, self.nu_hi)
 
-    def _members(self, profiles: np.ndarray, atol: float) -> np.ndarray:
-        """Membership of a non-negative profile (T,), or of each row of a (V, T) stack."""
-        return _member_matrix(self._caps, _cut_sums(profiles), atol)
-
     def contains_profile(self, u, atol: float = DEFAULT_ATOL) -> bool:
         """Membership of an aggregate profile in this set."""
-        u = _check_profile(u, (self.horizon,), atol)
-        return not self.is_empty and bool(self._members(u, atol))
+        sums = _profile_cut_row(u, self.horizon, atol)
+        return not self.is_empty and bool(_member_matrix(self._caps, sums, atol))
 
     def vertices_are_members(self, atol: float = DEFAULT_ATOL) -> bool:
         """Whether every splice vertex belongs to the set itself.
@@ -302,12 +298,10 @@ def _fleet(pop: Population) -> _Fleet:
 
 
 def _check_profile(u, shape: tuple, atol: float) -> np.ndarray:
-    """A profile (shape (T,)) or profile stack ((V, T)), negatives within atol clipped to 0.
+    """A profile (shape (T,)) or profile stack ((V, T)) as a new float array.
 
     A None in shape matches any length, and the last axis (T) must not be
-    empty. Returns a new array, never the caller's. A non-negative minimum
-    and a finite sum show every entry finite and non-negative in two
-    reductions; anything else goes through the full checks.
+    empty. The entries are judged by _needs_clip, on the caller's sort.
     """
     _check_atol(atol)
     u = _floats(u, "aggregate profile")
@@ -316,13 +310,32 @@ def _check_profile(u, shape: tuple, atol: float) -> np.ndarray:
     )
     if not fits or not u.shape[-1]:
         raise DimensionMismatch(f"profile shape {u.shape} does not fit {shape} with T >= 1")
-    if u.size and u.min() >= 0.0 and math.isfinite(u.sum()):
-        return u
+    return u
+
+
+def _needs_clip(u: np.ndarray, lowest, highest, atol: float) -> bool:
+    """The value rule of a checked profile: whether u has entries in [-atol, 0) to clip.
+
+    lowest and highest are u's extreme entries (a sort's ends; NaN sorts
+    last, so it fails a test). Any other u goes through the full checks: a
+    non-finite entry raises DomainError before one below -atol NegativeEntry.
+    """
+    if lowest >= 0.0 and math.isfinite(highest):
+        return False
     if not np.isfinite(u).all():
         raise DomainError("aggregate profile has a non-finite entry")
     if (u < -atol).any():
         raise NegativeEntry("aggregate profile has a negative entry")
-    return np.maximum(u, 0.0)
+    return True
+
+
+def _profile_cut_row(u, horizon: int, atol: float) -> np.ndarray:
+    """The cut sums of a checked profile (T,) from one in-place sort, which a clip keeps."""
+    u = _check_profile(u, (horizon,), atol)
+    u.sort()
+    if _needs_clip(u, u[0], u[-1], atol):
+        u = np.maximum(u, 0.0)
+    return _cut_row(u[::-1])
 
 
 def _cap_row(nu_lo: np.ndarray, nu_hi: np.ndarray) -> np.ndarray:
@@ -340,6 +353,18 @@ def _cut_sums(profiles: np.ndarray) -> np.ndarray:
     """Cut sums [top_k(u), -bottom_k(u)] of profiles: (..., T) -> (..., 2T)."""
     ordered = np.sort(profiles, axis=-1)[..., ::-1]
     return _cap_row(ordered, ordered)
+
+
+def _cut_row(ordered: np.ndarray) -> np.ndarray:
+    """Cut sums [top_k(v), -bottom_k(v)] of a profile v sorted non-increasing: (T,) -> (2T,).
+
+    One cumsum along the rows [v, -v[::-1]] is _cap_row(v, v) entry for entry:
+    negation is exact and cumsum adds in order.
+    """
+    rows = np.empty((2, ordered.size))
+    rows[0] = ordered
+    np.negative(ordered[::-1], out=rows[1])
+    return np.add.accumulate(rows, axis=1).ravel()
 
 
 def _member_matrix(caps: np.ndarray, sums: np.ndarray, atol: float, axis: int = -1) -> np.ndarray:
@@ -369,6 +394,8 @@ def batch_contains(
     with the same decisions as contains().
     """
     profiles = _check_profile(profiles, (None, None), atol)
+    if _needs_clip(profiles, profiles.min(), profiles.max(), atol):
+        profiles = np.maximum(profiles, 0.0)
     e_lo = _floats(e_lo, "e_lo")
     e_hi = _floats(e_hi, "e_hi")
     if e_lo.ndim != 2 or e_lo.shape != e_hi.shape or e_lo.shape[1] == 0:
@@ -388,8 +415,8 @@ def batch_contains(
 
 def contains(pop: Population, u, atol: float = DEFAULT_ATOL) -> bool:
     """True iff the population can jointly track the aggregate profile u."""
-    u = _check_profile(u, (pop.horizon,), atol)
-    return bool(_fleet(pop).flex._members(u, atol))
+    sums = _profile_cut_row(u, pop.horizon, atol)
+    return bool(_member_matrix(_fleet(pop).flex._caps, sums, atol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,38 +441,44 @@ class Infeasible:
     shortfall: float
 
 
-def _mixing_matrix(nu: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """A symmetric doubly stochastic D with D @ nu = target.
+def _mixing_matrix(nu: np.ndarray, target: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """A symmetric doubly stochastic D with D @ nu = target, its columns in u's order.
 
-    nu and target are non-increasing, with equal totals, and nu majorizes
-    target (decompose() has the construction and why it works). The
-    cumulative excess and deficit curves of d = nu - target are merged, and
-    each piece between consecutive breakpoints is one north-west-corner
-    pair (j, k) carrying mass delta. Zero-length pieces (an end shared by
-    both curves, or a step with no excess or deficit) carry nothing. Pairs
-    with j > k arise only from rounding or a violation within tolerance,
-    carry no more mass than that, and are left out.
+    nu and target = u[order] are non-increasing, with equal totals, and nu
+    majorizes target (decompose() has the construction and why it works).
+    The cumulative excess and deficit curves of d = nu - target are
+    merged, and each piece between consecutive breakpoints is one
+    north-west-corner pair (j, k) carrying mass delta. Zero-length pieces
+    (an end shared by both curves, or a step with no excess or deficit)
+    carry nothing. Pairs with j > k arise only from rounding or a violation
+    within tolerance, carry no more mass than that, and are left out.
+    Column k of D is written as column order[k], so result[:, order] is D.
     """
     d = nu - target
-    reach_ex = np.maximum(d, 0.0).cumsum()
-    reach_de = np.maximum(-d, 0.0).cumsum()
-    ends = np.concatenate((reach_ex, reach_de))
+    excess = np.maximum(d, 0.0)
+    # the deficit max(-d, 0) is excess - d exactly; one cumsum gives both reach curves
+    reach = np.add.accumulate(np.concatenate((excess, excess - d)).reshape(2, -1), axis=1)
+    reach_ex, reach_de = reach[0], reach[1]
+    ends = reach.flatten()
     ends.sort()
     piece = ends.copy()
     piece[1:] -= ends[:-1]
-    j = np.searchsorted(reach_ex, ends)  # the excess whose stretch holds the piece
-    k = np.searchsorted(reach_de, ends)
+    j = reach_ex.searchsorted(ends)  # the excess whose stretch holds the piece
+    k = reach_de.searchsorted(ends)
     keep = (piece > 0.0) & (ends <= min(reach_ex[-1], reach_de[-1])) & (j < k)
     j, k = j[keep], k[keep]
     # nu_j > target_j >= target_k > nu_k, so every gap is positive
     alpha = piece[keep] / (nu[j] - nu[k])
     size = nu.size
-    mix = np.zeros((size, size))
-    mix[j, k] = alpha
-    mix[k, j] = alpha
+    # D is symmetric, so with its row k as row order[k] of `rows`, rows.T has
+    # D's column k at column order[k]; each row keeps D's layout, so its sum
+    # rounds as D's does
+    rows = np.zeros((size, size))
+    rows[order[j], k] = alpha
+    rows[order[k], j] = alpha
     # rounding can lift a row's weights past 1 by an ulp; D stays non-negative
-    mix.ravel()[:: size + 1] = np.maximum(1.0 - mix.sum(axis=1), 0.0)
-    return mix
+    rows[order, np.arange(size)] = np.maximum(1.0 - rows.sum(axis=1), 0.0)[order]
+    return rows.T
 
 
 def _mix_fastest_profiles(energies: np.ndarray, target: np.ndarray, order: np.ndarray, m: float):
@@ -455,14 +488,12 @@ def _mix_fastest_profiles(energies: np.ndarray, target: np.ndarray, order: np.nd
     fastest-charge profile of e_i, and F's column sums are nu. Mixing F's
     columns by the doubly stochastic D of _mixing_matrix keeps every entry
     a convex combination of its row of F (so in [0, m]) and every row
-    total, and turns the column sums into D @ nu = target; the columns
-    then go back to u's order. Returns the (N, T) profiles in the order
-    of `energies`.
+    total, and turns the column sums into D @ nu = target; D's columns
+    sit in u's order, so the product is already in it. Returns the (N, T)
+    profiles in the order of `energies`.
     """
     fastest = _fastest_profiles(energies, m, target.size)
-    per_ev = np.empty_like(fastest)
-    per_ev[:, order] = fastest @ _mixing_matrix(fastest.sum(axis=0), target)
-    return per_ev
+    return fastest @ _mixing_matrix(fastest.sum(axis=0), target, order)
 
 
 def decompose(pop: Population, u, atol: float = DEFAULT_ATOL):
@@ -490,10 +521,10 @@ def decompose(pop: Population, u, atol: float = DEFAULT_ATOL):
        row sum to at most 1 (delta_jk sums to excess_j along a row and to
        deficit_k down a column). Placed at (j, k) and (k, j), with the
        rest of each row on the diagonal, they give a symmetric doubly
-       stochastic D with D @ nu = v. F @ D, its columns put back in u's
-       order, is the witness: its entries are convex combinations of a
-       row of F (in [0, m]), its row totals are e and its column sums are
-       nu^T D = v.
+       stochastic D with D @ nu = v. D's columns are written in u's
+       order, so F @ D is the witness as it stands: its entries are convex
+       combinations of a row of F (in [0, m]), its row totals are e and
+       its column sums are nu^T D = v, in u's order.
 
     Returns a Decomposition (rows in [0, m]^T with totals in
     [e_lo, e_hi], columns summing to u). A non-member gets an Infeasible
@@ -504,13 +535,16 @@ def decompose(pop: Population, u, atol: float = DEFAULT_ATOL):
     is correct; these are the ones chosen.
     """
     u = _check_profile(u, (pop.horizon,), atol)
-    fleet = _fleet(pop)
-    flex = fleet.flex
-    # one sort serves the verdict, the witness's column order and the cut
-    order = np.argsort(-u, kind="stable")
+    # one stable sort serves the value rule, the verdict, the witness's
+    # column order and the cut; a clip sorts again, so ties keep index order
+    order = (-u).argsort(kind="stable")
+    if _needs_clip(u, u[order[-1]], u[order[0]], atol):
+        u = np.maximum(u, 0.0)
+        order = (-u).argsort(kind="stable")
     target = u[order]
-    sums = _cap_row(target, target)
-    caps = flex._caps
+    fleet = _fleet(pop)
+    sums = _cut_row(target)
+    caps = fleet.flex._caps
     if _member_matrix(caps, sums, atol):
         energies = fleet.balanced_energies(u.sum())
         return Decomposition(_mix_fastest_profiles(energies, target, order, pop.power))
@@ -543,7 +577,7 @@ def find_subset_violation(aset: AggregateFlexSet, pop: Population, atol: float =
     if is_subset_exact(aset, pop, atol):
         return None
     vertices = sorted_vertices(aset)
-    return vertices[np.argmin(_fleet(pop).flex._members(vertices, atol))]
+    return vertices[np.argmin(_member_matrix(_fleet(pop).flex._caps, _cut_sums(vertices), atol))]
 
 
 def is_subset_exact(aset: AggregateFlexSet, pop: Population, atol: float = DEFAULT_ATOL) -> bool:

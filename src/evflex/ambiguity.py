@@ -290,8 +290,7 @@ def push_upper(values, budget: float):
 
 def beta_from_epsilon(eps: float, n: int, constants: ConcentrationConstants) -> float:
     """Confidence complement for a ball radius: c1 * exp(-c2 * n * eps^2)."""
-    if not (_is_finite(eps) and eps > 0):
-        raise DomainError(f"eps must be positive and finite, got {eps!r}")
+    _check_epsilon(eps)
     n = _check_integer(n, "n", minimum=1)
     if eps > 1:
         warnings.warn(
@@ -300,6 +299,12 @@ def beta_from_epsilon(eps: float, n: int, constants: ConcentrationConstants) -> 
             stacklevel=2,
         )
     return constants.c1 * math.exp(-constants.c2 * n * eps * eps)
+
+
+def _check_epsilon(eps) -> None:
+    """A radius the tail bound can read: positive and finite."""
+    if not (_is_finite(eps) and eps > 0):
+        raise DomainError(f"eps must be positive and finite, got {eps!r}")
 
 
 def _check_beta(beta, constants: ConcentrationConstants) -> None:

@@ -26,7 +26,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", _check_integer(self.steps, "steps", minimum=1))
+        object.__setattr__(self, "steps", _check_horizon(self.steps, "steps"))
 
 
 def _is_finite(value) -> bool:
@@ -81,6 +81,14 @@ def _check_integer(value, name: str, minimum=None, maximum=None) -> int:
     raise NotAnInteger(f"{name} must be an integer, got {value!r}")
 
 
+def _check_horizon(value, name: str, power: float = 1.0) -> int:
+    """A horizon T as an int >= 1 whose energy cap power*T is a finite float."""
+    value = _check_integer(value, name, minimum=1)
+    if not (_is_finite(value) and math.isfinite(float(power) * value)):
+        raise DomainError(f"{name} {reprlib.repr(value)} times power {power!r} is not finite")
+    return value
+
+
 def check_energy_domain(e_lo: np.ndarray, e_hi: np.ndarray, cap: float) -> None:
     """Raise EnergyOutOfRange naming the first pair that breaks 0 <= e_lo <= e_hi <= cap.
 
@@ -109,11 +117,11 @@ class Population:
     def __post_init__(self):
         e_lo = _floats(self.e_lo, "e_lo")
         e_hi = _floats(self.e_hi, "e_hi")
-        horizon = _check_integer(self.horizon, "horizon", minimum=1)
         if e_lo.ndim != 1 or e_lo.shape != e_hi.shape or e_lo.size == 0:
             raise DimensionMismatch("e_lo and e_hi must be non-empty 1-D arrays of equal length")
         _check_power(self.power)
         power = float(self.power)
+        horizon = _check_horizon(self.horizon, "horizon", power)
         check_energy_domain(e_lo, e_hi, power * horizon)
         e_lo.flags.writeable = False
         e_hi.flags.writeable = False
@@ -142,8 +150,8 @@ def fastest_profile(energy: float, power: float, steps: int) -> np.ndarray:
     (omitted when zero), then zeros. The entries are non-increasing and sum
     to `energy` exactly.
     """
-    steps = _check_integer(steps, "steps", minimum=1)
     _check_power(power)
+    steps = _check_horizon(steps, "steps", power)
     if not (_is_finite(energy) and 0 <= energy <= power * steps + 1e-12):
         _floats(energy, "energy")  # a non-number is a DomainError, not an energy out of range
         raise EnergyOutOfRange(f"energy {energy} outside [0, {power * steps}]")

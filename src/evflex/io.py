@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import ConcentrationConstants, DiscreteDistribution, _check_beta, _check_radii
+from .ambiguity import ConcentrationConstants, DiscreteDistribution
+from .ambiguity import _check_beta, _check_epsilon, _check_radii
 from .core import Population, TimeGrid, _check_integer, _check_power
 from .errors import EVFlexError, ParseError, ValidationError
 from .harness import ViolationStats, _check_seed, _check_trials
@@ -161,6 +162,8 @@ def _parse_robust(obj) -> RobustSpec:
         constants = _judged("robust.constants", ConcentrationConstants, c1, c2)
     if epsilon is not None:
         epsilon = _radii([epsilon], "robust.epsilon")[0]
+        if constants is not None:  # the tail bound reads the radius, which must then be positive
+            _judged("robust.epsilon", _check_epsilon, epsilon)
     else:
         _require(constants is not None, "robust.beta requires robust.constants")
         beta = _number(beta, "robust.beta")

@@ -1059,8 +1059,10 @@ def criterion_excess(pop, u):
 def test_mixing_matrix_is_symmetric_doubly_stochastic():
     from evflex.aggregate import _fleet, _generating_vectors, _mixing_matrix
 
-    def check(nu, target, tol):
-        mix = _mixing_matrix(nu, target)
+    def check(nu, target, tol, order):
+        # D is written with column k at column order[k]; [:, order] undoes that
+        placed = _mixing_matrix(nu, target, order)
+        mix = placed[:, order]
         np.testing.assert_array_equal(mix, mixing_matrix_by_union(nu, target))
         assert mix.min() >= 0.0
         np.testing.assert_array_equal(mix, mix.T)
@@ -1080,12 +1082,14 @@ def test_mixing_matrix_is_symmetric_doubly_stochastic():
             nu = _generating_vectors(energies, power, horizon)
             # a member may lie up to atol outside the set, and D @ nu may
             # then miss the target by that much, besides rounding noise
-            check(nu, np.sort(u)[::-1], criterion_excess(pop, u) + 1e-10)
+            order = np.argsort(-u, kind="stable")
+            check(nu, u[order], criterion_excess(pop, u) + 1e-10, order)
             checked += 1
     assert checked > 1000
     # integer lattice: nu from target by unit moves to larger entries, so nu
     # majorizes target and the excess and deficit curves share ends
     shared = 0
+    order_rng = np.random.default_rng(13)  # column orders, apart from the lattice's draws
     for _ in range(300):
         target = np.sort(rng.integers(0, 4, int(rng.integers(2, 9))))[::-1].astype(float)
         nu = target.copy()
@@ -1095,12 +1099,73 @@ def test_mixing_matrix_is_symmetric_doubly_stochastic():
                 nu[i] += 1
                 nu[j] -= 1
                 nu = np.sort(nu)[::-1]
-        check(nu, target, 1e-12)
+        check(nu, target, 1e-12, order_rng.permutation(nu.size))
         d = nu - target
         reach_ex, reach_de = np.cumsum(np.maximum(d, 0)), np.cumsum(np.maximum(-d, 0))
         common = np.intersect1d(reach_ex, reach_de)
         shared += np.any((common > 0) & (common < reach_ex[-1]))
     assert shared > 40
+
+
+def _verdict_by_cap_row(pop, u, atol):
+    """Cut sums, verdict and certificate of u by the two-cumsum reference.
+
+    u is clipped, given its stable non-increasing order and cut by
+    _cap_row(v, v); the verdict and the most violated cut are read off that
+    row as decompose() reads them off its own.
+    """
+    from evflex.aggregate import _cap_row
+
+    u = np.maximum(u, 0.0)
+    order = np.argsort(-u, kind="stable")
+    v = u[order]
+    sums = _cap_row(v, v)
+    caps = _fleet(pop).flex._caps
+    if (sums - atol <= caps).all():
+        return v, sums, None
+    gap = sums - caps
+    i = int(gap.argmax())
+    k = i + 1 if i < u.size else 2 * u.size - 1 - i
+    return v, sums, Infeasible(tuple(sorted(int(t) + 1 for t in order[:k])), float(gap[i]))
+
+
+def test_one_cumsum_cut_sums_match_the_cap_row_reference():
+    from evflex.aggregate import _cut_row, _profile_cut_row
+
+    rng = np.random.default_rng(27)
+    seen = {"member": 0, "certificate": 0, "clipped": 0, "negative": 0, "tie": 0}
+    for _ in range(500):
+        horizon, n = int(rng.integers(1, 30)), int(rng.integers(1, 12))
+        power = float(rng.choice([0.5, 1.0, 1.5, 2.0]))
+        pop = probe_population(rng, n, horizon, power)
+        flex = AggregateFlexSet.from_population(pop)
+        for u in member_probes(pop, rng, 6):  # 3,000 profiles
+            if rng.random() < 0.3:  # ties on a non-dyadic grid
+                u = np.round(u / (0.1 * power)) * (0.1 * power)
+            if rng.random() < 0.25:
+                u[rng.integers(horizon)] = -1e-12
+            seen["tie"] += np.unique(u).size < horizon
+            for atol in (0.0, 1e-9, 1e-6):
+                if (u < -atol).any():
+                    seen["negative"] += 1
+                    for query in (contains, decompose):
+                        with pytest.raises(NegativeEntry):
+                            query(pop, u, atol=atol)
+                    continue
+                v, sums, certificate = _verdict_by_cap_row(pop, u, atol)
+                seen["clipped"] += bool((u < 0).any())
+                assert _cut_row(v).tobytes() == sums.tobytes()
+                assert _profile_cut_row(u, horizon, atol).tobytes() == sums.tobytes()
+                assert contains(pop, u, atol=atol) == flex.contains_profile(u, atol) == (certificate is None)
+                result = decompose(pop, u, atol=atol)
+                if certificate is None:
+                    seen["member"] += 1
+                    assert isinstance(result, Decomposition)
+                else:
+                    seen["certificate"] += 1
+                    assert result.deficient_steps == certificate.deficient_steps
+                    assert result.shortfall.hex() == certificate.shortfall.hex()
+    assert min(seen.values()) > 300, seen
 
 
 @pytest.mark.parametrize("n, horizon", [(10, 24), (50, 24), (200, 24), (50, 96), (200, 96),

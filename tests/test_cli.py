@@ -390,6 +390,13 @@ EXIT_CODE_CASES = {
         ),
         3,
     ),
+    # a zero radius is a valid ball, but the tail bound of robust.constants needs eps > 0
+    "zero-epsilon-with-constants": (
+        _scenario_command(
+            "robust", _with("robust", {"epsilon": 0, "N": 4, "constants": _CONSTANTS})
+        ),
+        3,
+    ),
     "inf-power": (_scenario_command("aggregate", {**POPULATION_ONLY, "power": math.inf}), 3),
     "fractional-T": (_scenario_command("aggregate", _with("grid", {"T": 6.9})), 3),
     "boolean-T": (_scenario_command("aggregate", {**POPULATION_ONLY, "grid": {"T": True}}), 3),
@@ -552,6 +559,7 @@ ROBUST_FIELD_CASES = {
     "nan-epsilon": "robust.epsilon",
     "inf-epsilon": "robust.epsilon",
     "nan-beta": "robust.beta",
+    "zero-epsilon-with-constants": "robust.epsilon",
     "string-normalize": "robust.normalize",
     "overflowing-epsilon": "robust.epsilon",
     "negative-epsilon": "robust.epsilon",

@@ -87,6 +87,11 @@ CASES = {
     "fastest_profile-float-steps": (lambda: fastest_profile(1.0, 1.0, 4.0), NotAnInteger),
     "fastest_profile-bool-steps": (lambda: fastest_profile(1.0, 1.0, True), NotAnInteger),
     "fastest_profile-zero-steps": (lambda: fastest_profile(0.0, 1.0, 0), DomainError),
+    # a horizon whose energy cap m*T is beyond the float range
+    "TimeGrid-beyond-float-steps": (lambda: TimeGrid(10**400), DomainError),
+    "Population-beyond-float-horizon": (lambda: Population([0.5], [1.0], 10**400), DomainError),
+    "Population-overflowing-cap": (lambda: Population([0.5], [1.0], 10**300, 1e10), DomainError),
+    "fastest_profile-beyond-float-steps": (lambda: fastest_profile(0.0, 1.0, 10**400), DomainError),
     "project_to_n_points-float-n": (lambda: project_to_n_points(DIST, 2.0), NotAnInteger),
     "project_to_n_points-zero-n": (lambda: project_to_n_points(DIST, 0), DomainError),
     "robust_set-bool-n": (lambda: robust_set(DIST, True, 0.5, GRID), NotAnInteger),
@@ -151,6 +156,22 @@ CASES = {
     "contains-inf-profile": (lambda: contains(POP, [inf, 1.0, 1.0, 0.0]), DomainError),
     "contains-nan-atol": (lambda: contains(POP, U, atol=nan), DomainError),
     "decompose-nan-profile": (lambda: decompose(POP, [1.0, nan, 1.0, 0.0]), DomainError),
+    # a non-finite entry is reported before a negative one, whatever the sort puts first
+    "contains-nan-and-negative": (lambda: contains(POP, [nan, -1.0, 1.0, 0.0]), DomainError),
+    "contains-inf-and-negative": (lambda: contains(POP, [inf, -1.0, 1.0, 0.0]), DomainError),
+    "contains--inf-profile": (lambda: contains(POP, [-inf, 1.0, 1.0, 0.0]), DomainError),
+    "decompose-nan-and-negative": (lambda: decompose(POP, [nan, -1.0, 1.0, 0.0]), DomainError),
+    "decompose-inf-and-negative": (lambda: decompose(POP, [inf, -1.0, 1.0, 0.0]), DomainError),
+    "decompose--inf-profile": (lambda: decompose(POP, [-inf, 1.0, 1.0, 0.0]), DomainError),
+    "contains_profile-nan-and-negative": (
+        lambda: FLEX.contains_profile([nan, -1.0, 1.0, 0.0]),
+        DomainError,
+    ),
+    "contains_profile-inf-and-negative": (
+        lambda: FLEX.contains_profile([inf, -1.0, 1.0, 0.0]),
+        DomainError,
+    ),
+    "contains_profile--inf-profile": (lambda: FLEX.contains_profile([-inf, 1.0, 1.0, 0.0]), DomainError),
     "contains_profile-inf-profile": (
         lambda: FLEX.contains_profile([1.0, 1.0, inf, 0.0]),
         DomainError,
