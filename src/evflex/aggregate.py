@@ -170,15 +170,13 @@ class AggregateFlexSet:
         return not self.is_empty and bool(_member_matrix(self._caps, sums, atol))
 
     def vertices_are_members(self, atol: float = DEFAULT_ATOL) -> bool:
-        """Whether every splice vertex belongs to the set itself.
+        """Whether the set is non-empty and nested in itself (is_nested).
 
-        Sets built from one population always pass. A robust set's pair
-        comes from two different populations, and when this fails its
-        splice vertices describe an outer family: vertex-based subset and
-        nesting checks are then conservative rather than exact.
+        Sets built from one population always pass. When a robust set
+        fails, its splice vertices describe an outer family and the
+        vertex-based verdicts are conservative (see is_nested).
         """
-        _check_atol(atol)
-        return not self.is_empty and bool(_member_matrix(self._caps, self._vertex_envelope, atol))
+        return is_nested(self, self, atol) and not self.is_empty
 
 
 def _check_pair(nu_lo: np.ndarray, nu_hi: np.ndarray) -> None:
@@ -583,21 +581,10 @@ def find_subset_violation(aset: AggregateFlexSet, pop: Population, atol: float =
 def is_subset_exact(aset: AggregateFlexSet, pop: Population, atol: float = DEFAULT_ATOL) -> bool:
     """Whether every sorted vertex of aset lies in the population's aggregate set.
 
-    The population's set is convex and permutation symmetric, and every
-    vertex of aset is a coordinate permutation of a sorted representative,
-    so every vertex lies inside iff the population's cap row clears aset's
-    vertex envelope, the largest cut sums over the representatives. That
-    is exact when aset.vertices_are_members() holds (always true for
-    single-population sets). Otherwise the representatives describe an
-    outer family, even when the prefix sums of nu_lo stay below nu_hi's,
-    and the test is conservative: True certifies containment, but False
-    can be returned for a robust set that is in fact contained.
+    This is is_nested(aset, the population's set), exact or conservative
+    as that is.
     """
-    _check_compatible(aset, pop)
-    _check_atol(atol)
-    if aset.is_empty:
-        return True
-    return bool(_member_matrix(_fleet(pop).flex._caps, aset._vertex_envelope, atol))
+    return is_nested(aset, _fleet(pop).flex, atol)
 
 
 def is_subset_fast(aset: AggregateFlexSet, pop: Population, atol: float = DEFAULT_ATOL) -> bool:
@@ -606,8 +593,10 @@ def is_subset_fast(aset: AggregateFlexSet, pop: Population, atol: float = DEFAUL
     Compares the paramodular pairs: aset lies in the g-polymatroid
     b(S) <= u(S) <= p(S) with p the prefix sums of aset.nu_hi and b the
     tail sums of aset.nu_lo, so p <= p_pop and b >= b_pop imply containment
-    for every set, robust intersections included. For single-population
-    sets the pair is tight and the test agrees with is_subset_exact.
+    for every set, robust intersections included. aset's vertex envelope
+    is at least its cap row, and equal to it when nu_lo <= nu_hi entry by
+    entry (every single-population set), so this test accepts whatever
+    is_subset_exact accepts and agrees with it there.
     """
     _check_compatible(aset, pop)
     _check_atol(atol)
@@ -619,9 +608,13 @@ def is_subset_fast(aset: AggregateFlexSet, pop: Population, atol: float = DEFAUL
 def is_nested(inner: AggregateFlexSet, outer: AggregateFlexSet, atol: float = DEFAULT_ATOL) -> bool:
     """True iff inner's vertex family lies inside outer.
 
-    Exact containment test when inner.vertices_are_members() holds;
-    otherwise the vertex family overstates inner, so False may be returned
-    for sets that are in fact nested (never the other way around).
+    Every vertex of inner is a coordinate permutation of a sorted
+    representative and outer is convex and permutation symmetric, so this
+    is outer's cap row clearing inner's vertex envelope. It is exact when
+    inner.vertices_are_members() holds (always for single-population
+    sets); otherwise the representatives describe an outer family, and
+    False may be returned for sets that are in fact nested (never the
+    other way around).
     """
     _check_compatible(inner, outer)
     _check_atol(atol)

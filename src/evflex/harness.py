@@ -229,9 +229,9 @@ def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
       no (U, T+1, T) bound array.
     Every radius's set, verdicts and counts are those robust_set and a
     one-radius cell give it alone. On atoms whose caps are not exact in
-    binary (not the paper's half-integer ones) a cap can differ in its last
-    bit from the one earlier releases computed, so at atol=0 a violation
-    count can differ by one from theirs.
+    binary (not the paper's half-integer ones) a cap summed per atom can
+    differ in its last bit from the one the population's own set sums per
+    EV, so at atol=0 a verdict can differ from is_subset_exact's.
     """
     dist = cfg.distribution
     n = cfg.population_size
@@ -290,7 +290,7 @@ class PerNFit:
 
     population_size: int
     rows: int
-    slope: float  # nan when fewer than 3 rows are usable
+    slope: float  # nan when fewer than 3 rows or 2 distinct eps^2 are usable
     r_squared: float
 
 
@@ -319,8 +319,9 @@ def fit_constants(stats: list[ViolationStats]) -> FitResult:
 
     Rows with a zero or non-finite violation estimate carry no log
     information and rows whose N * eps^2 overflows have no place on the
-    axis; both are excluded with a warning. A fit whose constants are
-    not positive and finite raises InsufficientData.
+    axis; both are excluded with a warning. Too few usable rows (3, at 2
+    distinct N * eps^2, determine a line) or constants that are not
+    positive and finite raise InsufficientData.
     """
     rows = _positive_rows(stats)
     excluded = len(stats) - len(rows)
@@ -334,6 +335,8 @@ def fit_constants(stats: list[ViolationStats]) -> FitResult:
             f"need at least 3 rows with positive violation estimates, got {len(rows)}"
         )
     x = np.array([s.population_size * (s.epsilon * s.epsilon) for s in rows])
+    if np.unique(x).size < 2:
+        raise InsufficientData(f"all {len(rows)} usable rows share one N * eps^2; a line needs two")
     slope, intercept, r_squared = _log_linear_fit(x, [s.beta_hat for s in rows])
     if slope >= 0:
         raise InsufficientData("violation rates do not decay; cannot fit positive constants")
@@ -355,15 +358,15 @@ def fit_per_n(stats: list[ViolationStats]) -> list[PerNFit]:
     """Per population size, fit log violation rates against eps^2.
 
     The tail bound predicts a slope of -c2 * N for each size. Sizes with
-    fewer than 3 positive rows report a nan slope and R^2.
+    fewer than 3 positive rows or 2 distinct eps^2 report a nan slope and R^2.
     """
     usable = _positive_rows(stats)
     fits = []
     for size in sorted({s.population_size for s in stats}):
         rows = [s for s in usable if s.population_size == size]
+        x = np.array([s.epsilon * s.epsilon for s in rows])
         slope = r_squared = math.nan
-        if len(rows) >= 3:
-            x = np.array([s.epsilon * s.epsilon for s in rows])
+        if len(rows) >= 3 and np.unique(x).size >= 2:
             slope, _, r_squared = _log_linear_fit(x, [s.beta_hat for s in rows])
         fits.append(PerNFit(size, len(rows), slope, r_squared))
     return fits

@@ -735,6 +735,58 @@ def test_prefix_consistent_robust_set_can_have_outside_vertices():
     assert flex_distance(gen.e_lo, gen.e_hi, gen.power, outside) > 0.05
 
 
+def test_vertex_envelope_dominates_the_cap_row():
+    # vertex T is nu_hi and vertex 0 nu_lo, whose cut sums are the cap row
+    # bit for bit, so the envelope is never below it; with nu_lo <= nu_hi
+    # entry by entry every vertex lies below nu_hi (and above nu_lo), and
+    # the two rows are equal. Pairs of independent populations (like a
+    # robust set's worst cases) cover both cases.
+    from evflex.aggregate import _cap_row
+
+    rng = np.random.default_rng(28)
+    ordered = strict = 0
+    for trial in range(400):
+        power = (0.7, 2.5)[trial % 2]
+        horizon, n = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        a, b, c = (rng.integers(0, 7 * horizon + 1, (8, n)) * power / 7 for _ in range(3))
+        nu_lo = _generating_vectors(np.minimum(a, b), power, horizon)
+        nu_hi = _generating_vectors(np.maximum(a, b) if trial % 4 < 2 else c, power, horizon)
+        envelope, caps = _vertex_envelope(nu_lo, nu_hi), _cap_row(nu_lo, nu_hi)
+        assert (envelope >= caps).all(), trial
+        rows = (nu_lo <= nu_hi).all(axis=1)
+        assert np.array_equal(envelope[rows], caps[rows]), trial
+        ordered += int(rows.sum())
+        strict += int((envelope > caps).any(axis=1).sum())
+    assert ordered > 1600 and strict > 100
+
+
+def test_subset_exact_implies_subset_fast_on_paper_sets():
+    # is_subset_fast compares the set's own cap row, which the vertex
+    # envelope dominates, so it accepts whatever is_subset_exact accepts;
+    # on robust sets whose splice vertices leave the set it accepts more
+    from evflex import BudgetInfeasible, DiscreteDistribution, TimeGrid, robust_set
+    from evflex.harness import sample_population
+
+    p = DiscreteDistribution(
+        np.array([[1, 12], [2, 15], [4, 14], [5, 17], [7, 19]]), np.full(5, 0.2), 24.0
+    )
+    rng = np.random.default_rng(20240817)
+    fast_accepts = fast_only = 0
+    for n in (5, 10, 20):
+        pops = [sample_population(p, n, rng, TimeGrid(24)) for _ in range(60)]
+        for eps in (0.4, 0.7, 1.0, 1.3, 1.6, 1.9):
+            try:
+                aset = robust_set(p, n, eps, TimeGrid(24), 1.0).flex
+            except BudgetInfeasible:
+                continue
+            for pop in pops:
+                exact, fast = is_subset_exact(aset, pop), is_subset_fast(aset, pop)
+                assert fast or not exact, (n, eps)
+                fast_accepts += fast
+                fast_only += fast and not exact
+    assert fast_accepts > 300 and fast_only >= 1
+
+
 def test_vertex_certificate_conservative_on_inconsistent_sets():
     # Intersection sets can lose the product-form identity (splice vertices
     # are no longer members of the set); the vertex-based subset test must

@@ -335,6 +335,11 @@ INF_EPSILON_ROWS = [
     for eps, v in ((0.1, 20), (0.2, 5), (math.inf, 1))
 ]
 
+# three usable rows at one N * eps^2, which determine no line
+ONE_POINT_ROWS = [
+    ViolationStats(0.5, 10, 24, 100, v, v / 100, 0.0, 1.0, False) for v in (30, 20, 10)
+]
+
 
 def _distribution_file_command(content):
     def build(tmp_path):
@@ -374,6 +379,7 @@ EXIT_CODE_CASES = {
     "overflowing-fit": (_results_command(STEEP_ROWS), 1),
     "inf-beta-hat": (_results_command(INF_BETA_ROWS), 1),
     "inf-epsilon-row": (_results_command(INF_EPSILON_ROWS), 1),
+    "one-n-eps-sq": (_results_command(ONE_POINT_ROWS), 1),
     # a degenerate flag other than true/false is malformed, not read as false
     "unknown-degenerate-flag": (
         _results_text_command(

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -702,6 +703,36 @@ def test_fit_constants_insufficient_data():
     growing = [_stats_row(eps, 10, beta) for eps, beta in ((0.1, 0.1), (0.2, 0.2), (0.3, 0.4))]
     with pytest.raises(InsufficientData):
         fit_constants(growing)
+
+
+def test_fit_constants_needs_two_distinct_n_eps_sq():
+    # rows at one N * eps^2 determine no line: polyfit would warn RankWarning
+    # and return made-up constants; 10 * 0.5^2 = 40 * 0.25^2 = 2.5 exactly
+    one_point = [_stats_row(0.5, 10, beta) for beta in (0.3, 0.2, 0.1)]
+    across_sizes = [_stats_row(0.5, 10, 0.3), _stats_row(0.25, 40, 0.2), _stats_row(0.5, 10, 0.1)]
+    for rows in (one_point, across_sizes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientData, match=r"share one N \* eps\^2"):
+                fit_constants(rows)
+            fits = fit_per_n(rows)
+        assert all(math.isnan(f.slope) and math.isnan(f.r_squared) for f in fits)
+    assert [f.rows for f in fit_per_n(one_point)] == [3]
+
+
+def test_fit_per_n_needs_two_distinct_eps_sq_per_size():
+    # N=10 has three rows at one eps, N=20 three distinct ones: the overall
+    # fit and N=20's line are determined, N=10's is not
+    constants = ConcentrationConstants(2.0, 1.5)
+    rows = [_stats_row(0.5, 10, beta) for beta in (0.3, 0.2, 0.1)]
+    rows += [_stats_row(eps, 20, beta_from_epsilon(eps, 20, constants)) for eps in (0.1, 0.2, 0.3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit_constants(rows)
+        ten, twenty = fit_per_n(rows)
+    assert (ten.rows, twenty.rows) == (3, 3)
+    assert math.isnan(ten.slope) and math.isnan(ten.r_squared)
+    assert twenty.slope == pytest.approx(-30.0, abs=1e-6)
 
 
 def test_trial_config_validation():

@@ -62,6 +62,7 @@ nan, inf = math.nan, math.inf
 GRID = TimeGrid(4)
 POP = Population([0.5, 1.0], [2.0, 3.0], 4)
 FLEX = AggregateFlexSet.from_population(POP)
+EMPTY = AggregateFlexSet([1.0] * 4, [0.5] * 4, 1.0)  # lower total 4 above upper total 2
 DIST = DiscreteDistribution([[0.5, 2.0], [1.0, 3.0]], [0.5, 0.5], 4.0)
 CONSTANTS = ConcentrationConstants(2.0, 1.0)
 U = [1.0, 1.0, 0.5, 0.5]
@@ -189,6 +190,14 @@ CASES = {
         DomainError,
     ),
     "vertices_are_members-nan-atol": (lambda: FLEX.vertices_are_members(nan), DomainError),
+    # an empty set answers without comparing, after the atol rule
+    "vertices_are_members-empty-nan-atol": (lambda: EMPTY.vertices_are_members(nan), DomainError),
+    "is_subset_exact-empty-nan-atol": (lambda: is_subset_exact(EMPTY, POP, atol=nan), DomainError),
+    "find_subset_violation-empty-nan-atol": (
+        lambda: find_subset_violation(EMPTY, POP, atol=nan),
+        DomainError,
+    ),
+    "is_nested-empty-nan-atol": (lambda: is_nested(EMPTY, EMPTY, atol=nan), DomainError),
     "is_individually_feasible-nan-profile": (
         lambda: is_individually_feasible([nan, 0.5], 0.5, 1.5, 1.0),
         DomainError,
