@@ -34,7 +34,6 @@ from .ambiguity import (
 from .core import (
     DEFAULT_ATOL,
     Population,
-    TimeGrid,
     fastest_profile,
     is_individually_feasible,
 )

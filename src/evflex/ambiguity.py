@@ -1,16 +1,17 @@
 """Wasserstein ambiguity machinery and robust-set assembly.
 
 Distributions over charging requirements are discrete, with atoms on the
-(e_lo, e_hi) plane; the ground metric is L1 on that plane with horizon and
-power held fixed. Worst-case populations are built in two steps: project
-the distribution onto an equal-weight N-point support, then spend the
-remaining transport budget pushing that support toward the relevant
-boundary of the energy domain. Budget accounting is conservative: every
-push is charged its true per-atom transport cost (including the cost of
-keeping e_lo <= e_hi valid). Each worst case is checked against the
-requested radius by a displacement certificate, the triangle bound through
-the projection, which needs no transport solve; its exact distance is
-computed only when it is read.
+(e_lo, e_hi) plane of one horizon T and power m, which each distribution
+carries as a Population does; the ground metric is L1 on that plane.
+Worst-case populations are built in two steps: project the distribution
+onto an equal-weight N-point support, then spend the remaining transport
+budget pushing that support toward the relevant boundary of the energy
+domain. Budget accounting is conservative: every push is charged its true
+per-atom transport cost (including the cost of keeping e_lo <= e_hi
+valid). Each worst case is checked against the requested radius by a
+displacement certificate, the triangle bound through the projection,
+which needs no transport solve; its exact distance is computed only when
+it is read.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import AggregateFlexSet, _generating_vectors
-from .core import DEFAULT_ATOL, Population, TimeGrid, check_energy_domain
-from .core import _check_atol, _check_integer, _check_power, _floats, _is_finite
+from .core import DEFAULT_ATOL, Population, check_energy_domain
+from .core import _check_atol, _check_horizon, _check_integer, _check_power, _floats, _is_finite
 from .errors import (
     BudgetInfeasible,
     DimensionMismatch,
@@ -42,11 +43,13 @@ _TINY = 1e-15
 
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
-    """Weighted atoms over (e_lo, e_hi) pairs; atoms kept lex-sorted."""
+    """Weighted atoms over (e_lo, e_hi) pairs, each in the domain of a Population
+    with the same horizon and power; atoms kept lex-sorted."""
 
     atoms: np.ndarray  # (n, 2)
     weights: np.ndarray  # (n,)
-    energy_cap: float  # domain is [0, energy_cap] per coordinate
+    horizon: int
+    power: float = 1.0
 
     def __post_init__(self):
         atoms = _floats(self.atoms, "atoms")
@@ -59,14 +62,15 @@ class DiscreteDistribution:
         # energy outside its domain, which check_energy_domain reports
         if not np.isfinite(weights).all():
             raise DomainError("weights must be finite")
-        if not _is_finite(self.energy_cap):
-            raise DomainError(f"energy_cap must be finite, got {self.energy_cap!r}")
+        _check_power(self.power)
+        power = float(self.power)
+        horizon = _check_horizon(self.horizon, "horizon", power)
         if np.any(weights <= 0):
             raise DomainError("weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise DomainError(f"weights sum to {weights.sum()!r}, expected 1")
         # the domain of a Population, so every atom can be a population's EV
-        check_energy_domain(atoms[:, 0], atoms[:, 1], self.energy_cap)
+        check_energy_domain(atoms[:, 0], atoms[:, 1], power * horizon)
         order = np.lexsort((atoms[:, 1], atoms[:, 0]))
         atoms = atoms[order]
         weights = weights[order]
@@ -74,17 +78,24 @@ class DiscreteDistribution:
         weights.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "power", power)
 
     @classmethod
-    def point_mass(cls, e_lo: float, e_hi: float, energy_cap: float) -> "DiscreteDistribution":
-        return cls([[e_lo, e_hi]], [1.0], energy_cap)
+    def point_mass(cls, e_lo, e_hi, horizon: int, power: float = 1.0) -> "DiscreteDistribution":
+        return cls([[e_lo, e_hi]], [1.0], horizon, power)
 
     @classmethod
-    def equal_weights(cls, pairs, energy_cap: float) -> "DiscreteDistribution":
+    def equal_weights(cls, pairs, horizon: int, power: float = 1.0) -> "DiscreteDistribution":
         pairs = _floats(pairs, "pairs")
         n = pairs.shape[0] if pairs.ndim else 0
         # zero pairs or a scalar reach the constructor, which rejects the shape
-        return cls(pairs, np.full(n, 1.0 / max(n, 1)), energy_cap)
+        return cls(pairs, np.full(n, 1.0 / max(n, 1)), horizon, power)
+
+    @property
+    def energy_cap(self) -> float:
+        """m*T, the upper end of the domain [0, m*T] of each coordinate."""
+        return self.power * self.horizon
 
     @property
     def n_atoms(self) -> int:
@@ -183,7 +194,7 @@ def project_to_n_points(
         # the pieces below the median: in-chunk mass short of half, less 1e-12
         short = cum - before[chunk] < (cum[last] - before)[chunk] / 2.0 - 1e-12
         support[:, c] = values[order][first + np.bincount(chunk[short], minlength=n)]
-    projected = DiscreteDistribution.equal_weights(support, p.energy_cap)
+    projected = DiscreteDistribution.equal_weights(support, p.horizon, p.power)
     cost = wasserstein1(p, projected)
     # the projection is canonical up to atom order; report it sorted
     return projected.atoms.copy(), cost
@@ -373,9 +384,8 @@ class RobustSetResult:
         return self._w1(self.worst_hi)
 
     def _w1(self, worst: Population) -> float:
-        support = DiscreteDistribution.equal_weights(
-            np.column_stack([worst.e_lo, worst.e_hi]), worst.power * worst.horizon
-        )
+        pairs = np.column_stack([worst.e_lo, worst.e_hi])
+        support = DiscreteDistribution.equal_weights(pairs, worst.horizon, worst.power)
         return wasserstein1(self.distribution, support) / self.normalization
 
 
@@ -426,31 +436,20 @@ class _WorstCases:
 
 
 def _worst_cases(
-    p: DiscreteDistribution,
-    n: int,
-    epsilons,
-    grid: TimeGrid,
-    power: float = 1.0,
-    normalize: bool = False,
-    atol: float = DEFAULT_ATOL,
+    p: DiscreteDistribution, n: int, epsilons, normalize: bool = False, atol: float = DEFAULT_ATOL
 ) -> _WorstCases:
     """Both worst cases and the bound pair of robust_set for every radius at once.
 
     The arguments are checked and the projection made once; each
     feasible radius runs its own two walks, and their stacked worst cases
     get one certificate check, one domain check and one generating-vector
-    pass per side. Each radius's arrays are those robust_set(p, n, eps, ...)
-    builds alone, bit for bit.
+    pass per side, on p's own horizon and power. Each radius's arrays
+    are those robust_set(p, n, eps, ...) builds alone, bit for bit.
     """
     radii = _check_radii(epsilons)
-    _check_power(power)
     _check_atol(atol)
     n = _check_integer(n, "n", minimum=1)
-    cap = power * grid.steps
-    if abs(p.energy_cap - cap) > 1e-9:
-        raise DomainError(
-            f"distribution domain cap {p.energy_cap} != power*steps = {cap}"
-        )
+    cap = p.energy_cap
     factor = cap if normalize else 1.0
     eps_raw = radii * factor
 
@@ -500,8 +499,8 @@ def _worst_cases(
         normalization=factor,
         feasible=feasible,
         worst=worst,
-        nu_lo=_generating_vectors(worst[0, 0], power, grid.steps),
-        nu_hi=_generating_vectors(worst[1, 1], power, grid.steps),
+        nu_lo=_generating_vectors(worst[0, 0], p.power, p.horizon),
+        nu_hi=_generating_vectors(worst[1, 1], p.power, p.horizon),
         walks=walks,
     )
 
@@ -510,18 +509,18 @@ def robust_set(
     p: DiscreteDistribution,
     n: int,
     eps: float,
-    grid: TimeGrid,
-    power: float = 1.0,
     constants: ConcentrationConstants | None = None,
     normalize: bool = False,
     atol: float = DEFAULT_ATOL,
 ) -> RobustSetResult:
     """Distributionally robust aggregate flexibility set for N sampled jobs.
 
-    Projects the distribution onto N equal-weight atoms, spends the
-    remaining radius pushing lower-bound energies toward the energy cap and
-    upper-bound energies toward zero, certifies both resulting empirical
-    distributions are within eps of the input, and assembles the set
+    The set is fixed by the distribution p, which carries the horizon T and
+    power m, the population size N and the radius eps. It projects the
+    distribution onto N equal-weight atoms, spends the remaining radius
+    pushing lower-bound energies toward the energy cap m*T and upper-bound
+    energies toward zero, certifies both resulting empirical distributions
+    are within eps of the input, and assembles the set
     parameterised by the two pushed populations: nu_lo of the lower worst
     case L and nu_hi of the upper worst case U. This is the one-radius case
     of _worst_cases, the core the Monte Carlo harness runs on all of a
@@ -544,14 +543,14 @@ def robust_set(
     hence p_U <= p_L and b_L >= b_U, and the intersection
     {b_L <= u(S) <= p_L} & {b_U <= u(S) <= p_U} is {b_L <= u(S) <= p_U}.
     """
-    cell = _worst_cases(p, n, (eps,), grid, power, normalize, atol)
+    cell = _worst_cases(p, n, (eps,), normalize, atol)
     factor = cell.normalization
     if not cell.feasible[0]:
         raise BudgetInfeasible(float(eps), float(cell.projection_cost / factor))
     lower, upper = cell.walks[0]
-    worst_lo = Population(cell.worst[0, 0, 0], cell.worst[0, 1, 0], grid.steps, power)
-    worst_hi = Population(cell.worst[1, 0, 0], cell.worst[1, 1, 0], grid.steps, power)
-    flex = AggregateFlexSet(cell.nu_lo[0], cell.nu_hi[0], power)
+    worst_lo = Population(cell.worst[0, 0, 0], cell.worst[0, 1, 0], p.horizon, p.power)
+    worst_hi = Population(cell.worst[1, 0, 0], cell.worst[1, 1, 0], p.horizon, p.power)
+    flex = AggregateFlexSet(cell.nu_lo[0], cell.nu_hi[0], p.power)
     beta = beta_from_epsilon(eps, n, constants) if constants is not None else None
     return RobustSetResult(
         flex=flex,

@@ -7,6 +7,7 @@ Exit codes: 0 success, else the ``exit_code`` the error's class declares.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -31,13 +32,18 @@ def _add_tolerance(parser: argparse.ArgumentParser):
     )
 
 
+def _output(out):
+    """The file --out names, opened for writing, or stdout when it names none;
+    a file that cannot be opened is a ParseError naming --out and the path."""
+    try:
+        return open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ParseError(f"--out: cannot write {out}: {exc}") from exc
+
+
 def _emit_json(payload, out):
-    text = json.dumps(jsonify(payload), indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _output(out) as fh:
+        fh.write(json.dumps(jsonify(payload), indent=2) + "\n")
 
 
 def _parse_profile(args) -> np.ndarray:
@@ -46,17 +52,15 @@ def _parse_profile(args) -> np.ndarray:
             return np.array([float(v) for v in args.profile.replace(",", " ").split()])
         except ValueError as exc:
             raise ParseError(f"--profile: {exc}") from exc
-    if args.profile_file is not None:
-        try:
-            with open(args.profile_file) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot read profile file: {exc}") from exc
-        try:  # the scenario's rule for a list of JSON numbers, reported as a malformed file
-            return _numbers(data, "--profile-file")
-        except ValidationError as exc:
-            raise ParseError(str(exc)) from exc
-    raise ParseError("one of --profile/--profile-file is required")
+    try:
+        with open(args.profile_file) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParseError(f"cannot read profile file: {exc}") from exc
+    try:  # the scenario's rule for a list of JSON numbers, reported as a malformed file
+        return _numbers(data, "--profile-file")
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _load_scenario(args, *sections):
@@ -117,22 +121,13 @@ def _cmd_robust(args) -> int:
     n = _resolve_robust_n(sc)
     spec = sc.robust
     eps = spec.epsilon if spec.beta is None else epsilon_from_beta(spec.beta, n, spec.constants)
-    result = robust_set(
-        sc.distribution,
-        n,
-        eps,
-        sc.grid,
-        sc.power,
-        constants=spec.constants,
-        normalize=spec.normalize,
-        atol=args.tolerance,
-    )
+    result = robust_set(sc.distribution, n, eps, spec.constants, spec.normalize, args.tolerance)
     _emit_json(
         {
             "epsilon": result.epsilon,
             "beta": result.beta,
             "N": n,
-            "T": sc.grid.steps,
+            "T": sc.horizon,
             "power": sc.power,
             "projection_cost": result.projection_cost,
             "projected_support": result.projected_support,
@@ -164,27 +159,21 @@ def _cmd_montecarlo(args) -> int:
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**63))
         print(f"generated seed: {seed}", file=sys.stderr)
-    stats = []
-    for size in sc.harness.population_sizes:
-        cfg = TrialConfig(
-            distribution=sc.distribution,
-            population_size=size,
-            epsilons=sc.harness.epsilons_by_n[size],
-            trials=sc.harness.trials,
-            seed=seed,
-            grid=sc.grid,
-            power=sc.power,
-            atol=args.tolerance,
-        )
-        stats.extend(run_trials(cfg))
+    trials = sc.harness.trials
     metadata = {
         "seed": seed,
-        "trials": sc.harness.trials,
-        "T": sc.grid.steps,
+        "trials": trials,
+        "T": sc.horizon,
         "power": sc.power,
         "stream": STREAM_VERSION,
     }
-    write_results_csv(args.out or sys.stdout, stats, metadata)
+    with _output(args.out) as fh:  # an unwritable --out fails before any cell runs
+        stats = []
+        for size in sc.harness.population_sizes:
+            radii = sc.harness.epsilons_by_n[size]
+            cfg = TrialConfig(sc.distribution, size, radii, trials, seed, args.tolerance)
+            stats.extend(run_trials(cfg))
+        write_results_csv(fh, stats, metadata)
     return 0
 
 
@@ -234,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("member", help="aggregate profile membership and witness")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--profile", default=None, help="comma/space separated entries")
-    p.add_argument("--profile-file", default=None, help="JSON array of entries")
+    profile = p.add_mutually_exclusive_group(required=True)
+    profile.add_argument("--profile", default=None, help="comma/space separated entries")
+    profile.add_argument("--profile-file", default=None, help="JSON array of entries")
     p.add_argument("--witness", action="store_true", help="emit a decomposition")
     _add_out(p)
     _add_tolerance(p)

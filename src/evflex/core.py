@@ -19,16 +19,6 @@ from .errors import DimensionMismatch, DomainError, EnergyOutOfRange, NotAnInteg
 DEFAULT_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Discrete horizon of `steps` slots, each of unit duration."""
-
-    steps: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", _check_horizon(self.steps, "steps"))
-
-
 def _is_finite(value) -> bool:
     """Whether value is a finite real number; a string, None, other non-number
     or integer beyond the float range is not."""

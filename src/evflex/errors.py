@@ -70,7 +70,7 @@ class NumericalFailure(EVFlexError):
 
 
 class ParseError(EVFlexError):
-    """Scenario or result file is unreadable or malformed."""
+    """A file named on the command line cannot be read or written, or is malformed."""
     exit_code = 2
 
 

@@ -41,8 +41,7 @@ from .aggregate import _vertex_envelope
 from .aggregate import batch_contains  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .ambiguity import ConcentrationConstants, DiscreteDistribution, _check_radii, _worst_cases
 from .ambiguity import robust_set  # noqa: F401  (perfbench/tracing.py wraps this name)
-from .core import DEFAULT_ATOL, Population, TimeGrid, _check_atol, _check_integer, _check_power
-from .core import _is_finite
+from .core import DEFAULT_ATOL, Population, _check_atol, _check_integer, _is_finite
 from .errors import DomainError, InsufficientData
 
 SEED_LIMIT = 2**64  # master seeds are 64-bit
@@ -62,13 +61,13 @@ def _check_trials(trials) -> int:
 
 @dataclass(frozen=True)
 class TrialConfig:
+    """One cell: a population size and its radii, on its distribution's horizon and power."""
+
     distribution: DiscreteDistribution
     population_size: int
     epsilons: tuple[float, ...]
     trials: int
     seed: int
-    grid: TimeGrid
-    power: float = 1.0
     atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
@@ -77,7 +76,6 @@ class TrialConfig:
         object.__setattr__(self, "population_size", size)
         object.__setattr__(self, "trials", _check_trials(self.trials))
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        _check_power(self.power)
         _check_atol(self.atol)
 
 
@@ -126,21 +124,17 @@ def trial_rng(seed: int, population_size: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def sample_population(
-    dist: DiscreteDistribution,
-    n: int,
-    rng: np.random.Generator,
-    grid: TimeGrid,
-    power: float = 1.0,
-) -> Population:
-    """Draw n i.i.d. charging requirements from the distribution.
+def sample_population(dist: DiscreteDistribution, n: int, rng: np.random.Generator) -> Population:
+    """Draw n i.i.d. charging requirements from the distribution, as a
+    population on its horizon and power.
 
     The draw is the multinomial atom counts of the n jobs, so the t-th call
     on trial_rng(seed, n) gives row t of run_trials' count matrix.
     """
     n = _check_integer(n, "n", minimum=1)
     counts = rng.multinomial(n, dist.weights)
-    return Population.from_energy_pairs(np.repeat(dist.atoms, counts, axis=0), grid.steps, power)
+    pairs = np.repeat(dist.atoms, counts, axis=0)
+    return Population.from_energy_pairs(pairs, dist.horizon, dist.power)
 
 
 def _distinct_populations(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,12 +229,12 @@ def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
     """
     dist = cfg.distribution
     n = cfg.population_size
-    table = _atom_cap_table(dist.atoms, cfg.power, cfg.grid.steps)
+    table = _atom_cap_table(dist.atoms, dist.power, dist.horizon)
     rng = trial_rng(cfg.seed, n)
     distinct, group = _distinct_populations(rng.multinomial(n, dist.weights, size=cfg.trials))
     sizes = np.bincount(group)
     caps = _cap_columns(distinct, table)
-    cell = _worst_cases(dist, n, cfg.epsilons, cfg.grid, cfg.power, atol=cfg.atol)
+    cell = _worst_cases(dist, n, cfg.epsilons, atol=cfg.atol)
     _check_pair(cell.nu_lo, cell.nu_hi)
     empty = _is_empty(cell.nu_lo, cell.nu_hi)
     full = ~empty
@@ -264,7 +258,7 @@ def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
             ViolationStats(
                 epsilon=eps,
                 population_size=n,
-                horizon=cfg.grid.steps,
+                horizon=dist.horizon,
                 trials=trials,
                 violations=count,
                 beta_hat=beta_hat,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .ambiguity import ConcentrationConstants, DiscreteDistribution
 from .ambiguity import _check_beta, _check_epsilon, _check_radii
-from .core import Population, TimeGrid, _check_integer, _check_power
+from .core import Population, _check_horizon, _check_integer, _check_power
 from .errors import EVFlexError, ParseError, ValidationError
 from .harness import ViolationStats, _check_seed, _check_trials
 
@@ -63,7 +63,7 @@ class HarnessSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    grid: TimeGrid
+    horizon: int  # grid.T
     power: float
     distribution: DiscreteDistribution | None
     population: Population | None
@@ -124,7 +124,7 @@ def _radii(values, field: str) -> tuple[float, ...]:
     return tuple(_judged(field, _check_radii, _numbers(values, field)).tolist())
 
 
-def _parse_distribution(obj, cap: float, base_dir: str) -> DiscreteDistribution:
+def _parse_distribution(obj, horizon: int, power: float, base_dir: str) -> DiscreteDistribution:
     _require(isinstance(obj, dict), "distribution: expected an object")
     if "file" in obj:
         name = obj["file"]
@@ -142,7 +142,7 @@ def _parse_distribution(obj, cap: float, base_dir: str) -> DiscreteDistribution:
     _require("weights" in obj, "distribution.weights: missing")
     atoms = _numbers(obj["atoms"], "distribution.atoms", width=2)
     weights = _numbers(obj["weights"], "distribution.weights")
-    return _judged("distribution", DiscreteDistribution, atoms, weights, cap)
+    return _judged("distribution", DiscreteDistribution, atoms, weights, horizon, power)
 
 
 def _parse_robust(obj) -> RobustSpec:
@@ -227,14 +227,14 @@ def parse_scenario(path: str) -> Scenario:
 
     grid_obj = raw.get("grid", {})
     _require(isinstance(grid_obj, dict), "grid: expected an object")
-    grid = _judged("grid.T", TimeGrid, _integer(grid_obj.get("T", DEFAULT_HORIZON), "grid.T"))
+    horizon = _integer(grid_obj.get("T", DEFAULT_HORIZON), "grid.T")
+    horizon = _judged("grid.T", _check_horizon, horizon, "T")
     power = _number(raw.get("power", DEFAULT_POWER), "power")
     _judged("power", _check_power, power)
-    cap = power * grid.steps
 
     distribution = None
     if "distribution" in raw:
-        distribution = _parse_distribution(raw["distribution"], cap, base_dir)
+        distribution = _parse_distribution(raw["distribution"], horizon, power, base_dir)
 
     population = None
     if "population" in raw:
@@ -244,12 +244,12 @@ def parse_scenario(path: str) -> Scenario:
             "population.members: missing",
         )
         members = _numbers(pobj["members"], "population.members", width=2)
-        population = _judged("population", Population.from_energy_pairs, members, grid.steps, power)
+        population = _judged("population", Population.from_energy_pairs, members, horizon, power)
 
     robust = _parse_robust(raw["robust"]) if "robust" in raw else None
     harness = _parse_harness(raw["harness"]) if "harness" in raw else None
     return Scenario(
-        grid=grid,
+        horizon=horizon,
         power=power,
         distribution=distribution,
         population=population,
@@ -325,21 +325,25 @@ def read_results_csv(source) -> tuple[list[ViolationStats], dict]:
         if record[9] not in ("true", "false"):
             raise ParseError(f"malformed results row {record}: degenerate must be true or false")
         try:
-            rows.append(
-                ViolationStats(
-                    epsilon=float(record[0]),
-                    population_size=int(record[2]),
-                    horizon=int(record[3]),
-                    trials=int(record[4]),
-                    violations=int(record[5]),
-                    beta_hat=float(record[6]),
-                    ci_lo=float(record[7]),
-                    ci_hi=float(record[8]),
-                    degenerate=record[9] == "true",
-                )
+            row = ViolationStats(
+                epsilon=float(record[0]),
+                population_size=int(record[2]),
+                horizon=int(record[3]),
+                trials=int(record[4]),
+                violations=int(record[5]),
+                beta_hat=float(record[6]),
+                ci_lo=float(record[7]),
+                ci_hi=float(record[8]),
+                degenerate=record[9] == "true",
             )
         except ValueError as exc:
             raise ParseError(f"malformed results row {record}: {exc}") from exc
+        if min(row.population_size, row.horizon) < 1 or not 0 <= row.violations <= row.trials:
+            # beta_hat is not compared with the counts: fit_constants filters it
+            raise ParseError(
+                f"malformed results row {record}: need N, T >= 1 and 0 <= violations <= trials"
+            )
+        rows.append(row)
     return rows, metadata
 
 

@@ -352,7 +352,7 @@ def project_by_pieces(p, n):
         vals = np.array(chunk)
         support[k, 0] = _weighted_lower_median(vals[:, 0], vals[:, 2])
         support[k, 1] = _weighted_lower_median(vals[:, 1], vals[:, 2])
-    projected = DiscreteDistribution.equal_weights(support, p.energy_cap)
+    projected = DiscreteDistribution.equal_weights(support, p.horizon, p.power)
     cost = wasserstein1(p, projected)
     # the projection is canonical up to atom order; report it sorted
     return projected.atoms, cost

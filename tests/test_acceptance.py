@@ -18,7 +18,6 @@ from evflex import (
     AggregateFlexSet,
     DiscreteDistribution,
     Population,
-    TimeGrid,
     TrialConfig,
     batch_contains,
     beta_from_epsilon,
@@ -52,7 +51,7 @@ from oracles import (
     permutahedron_vertices,
 )
 
-HORIZON = TimeGrid(24)
+HORIZON = 24
 EXPERIMENT_ATOMS = np.array([[1, 12], [2, 15], [4, 14], [5, 17], [7, 19]], dtype=float)
 EXPERIMENT_EPS = (0.4, 0.7, 1.0, 1.3, 1.6, 1.9)
 EXPERIMENT_SIZES = (5, 10, 20)
@@ -81,7 +80,7 @@ def report(criterion, passed, detail):
 
 def experiment_distribution():
     return DiscreteDistribution(
-        EXPERIMENT_ATOMS, np.full(len(EXPERIMENT_ATOMS), 0.2), 24.0
+        EXPERIMENT_ATOMS, np.full(len(EXPERIMENT_ATOMS), 0.2), HORIZON
     )
 
 
@@ -94,7 +93,6 @@ def run_experiment():
             epsilons=EXPERIMENT_EPS,
             trials=EXPERIMENT_TRIALS,
             seed=EXPERIMENT_SEED,
-            grid=HORIZON,
         )
         stats.extend(run_trials(cfg))
     return stats
@@ -102,7 +100,7 @@ def run_experiment():
 
 def experiment_csv(stats):
     buf = io.StringIO()
-    write_results_csv(buf, stats, {"seed": EXPERIMENT_SEED, "T": HORIZON.steps})
+    write_results_csv(buf, stats, {"seed": EXPERIMENT_SEED, "T": HORIZON})
     return buf.getvalue()
 
 
@@ -267,7 +265,7 @@ def test_criterion_5_reference_push():
 
 def test_criterion_6_budget_soundness():
     rng = np.random.default_rng(606)
-    grid = TimeGrid(5)
+    horizon = 5
     cap = 5.0
     violations = 0
     for _ in range(1000):
@@ -275,17 +273,17 @@ def test_criterion_6_budget_soundness():
         lo = rng.uniform(0, cap, size=k)
         hi = lo + rng.uniform(0, cap - lo)
         p = DiscreteDistribution(
-            np.column_stack([lo, hi]), rng.dirichlet(np.ones(k)), cap
+            np.column_stack([lo, hi]), rng.dirichlet(np.ones(k)), horizon
         )
         n = int(rng.integers(1, 8))
         _, eps0 = project_to_n_points(p, n)
         eps = eps0 + rng.uniform(0, 2.5 * cap) * rng.random() ** 2
-        result = robust_set(p, n, eps, grid, 1.0)
+        result = robust_set(p, n, eps)
         for pop in (result.worst_lo, result.worst_hi):
             dist = wasserstein1(
                 p,
                 DiscreteDistribution.equal_weights(
-                    np.column_stack([pop.e_lo, pop.e_hi]), cap
+                    np.column_stack([pop.e_lo, pop.e_hi]), horizon
                 ),
             )
             if dist > eps + 1e-9:
@@ -299,7 +297,7 @@ def test_criterion_7_nestedness():
     # worst-case-pair identity); outside it the vertex family overstates
     # the inner set and a vertex check no longer witnesses non-nesting
     rng = np.random.default_rng(707)
-    grid = TimeGrid(6)
+    horizon = 6
     cap = 6.0
     violations = 0
     pairs = 0
@@ -308,13 +306,13 @@ def test_criterion_7_nestedness():
         lo = rng.uniform(0, cap, size=k)
         hi = lo + rng.uniform(0, cap - lo)
         p = DiscreteDistribution(
-            np.column_stack([lo, hi]), rng.dirichlet(np.ones(k)), cap
+            np.column_stack([lo, hi]), rng.dirichlet(np.ones(k)), horizon
         )
         n = int(rng.integers(1, 6))
         _, eps0 = project_to_n_points(p, n)
         offsets = np.sort(rng.uniform(0.0, 1.2 * cap, size=5))
         for _ in range(60):
-            results = [robust_set(p, n, float(eps0 + o), grid, 1.0) for o in offsets]
+            results = [robust_set(p, n, float(eps0 + o)) for o in offsets]
             if all(r.flex.vertices_are_members() for r in results):
                 break
             offsets = offsets / 2.0
@@ -415,12 +413,12 @@ def test_experiment_counts_match_exact_beta(experiment):
     # not sample the distribution
     stats, _ = experiment
     dist = experiment_distribution()
-    table = _atom_cap_table(dist.atoms, 1.0, HORIZON.steps)
+    table = _atom_cap_table(dist.atoms, 1.0, HORIZON)
     worst = 0.0
     for s in stats:
         counts, pmf = multisets_with_pmf(s.population_size, dist.weights)
         assert abs(pmf.sum() - 1.0) < 1e-9
-        result = robust_set(dist, s.population_size, s.epsilon, HORIZON)
+        result = robust_set(dist, s.population_size, s.epsilon)
         assert not (s.degenerate or result.empty)
         caps = _cap_columns(counts, table)
         beta = float(pmf[~_populations_clear(result.flex._vertex_envelope, caps, DEFAULT_ATOL)].sum())

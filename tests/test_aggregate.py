@@ -619,7 +619,7 @@ def _robust_sets_and_samples(seed):
     Atoms are uniform draws (odd seeds: rounded down to sevenths), so caps
     and cut sums are not exact in binary; the largest radii empty some sets.
     """
-    from evflex import DiscreteDistribution, TimeGrid, project_to_n_points, robust_set
+    from evflex import DiscreteDistribution, project_to_n_points, robust_set
 
     rng = np.random.default_rng(seed)
     horizon = int(rng.integers(2, 9))
@@ -630,11 +630,13 @@ def _robust_sets_and_samples(seed):
     hi = lo + rng.uniform(0, cap - lo)
     if seed % 2:
         lo, hi = np.floor(lo * 7) / 7, np.floor(hi * 7) / 7
-    dist = DiscreteDistribution(np.column_stack([lo, hi]), rng.dirichlet(np.ones(k)), cap)
+    dist = DiscreteDistribution(
+        np.column_stack([lo, hi]), rng.dirichlet(np.ones(k)), horizon, power
+    )
     n = int(rng.integers(1, 9))
     _, eps0 = project_to_n_points(dist, n)
     radii = eps0 + np.sort(rng.uniform(0, 0.4 * cap, size=3)) * rng.random()
-    results = [robust_set(dist, n, eps, TimeGrid(horizon), power) for eps in radii]
+    results = [robust_set(dist, n, eps) for eps in radii]
     idx = rng.choice(k, size=(6, n), p=dist.weights)
     pops = [Population(dist.atoms[r, 0], dist.atoms[r, 1], horizon, power) for r in idx]
     return results, pops
@@ -718,11 +720,11 @@ def test_prefix_consistent_robust_set_can_have_outside_vertices():
     # a splice vertex of this robust set lies outside the lower worst case's
     # set, so is_subset_exact wrongly rejects a worst case that contains it,
     # while the bound-vector comparison of is_subset_fast accepts it.
-    from evflex import DiscreteDistribution, TimeGrid, robust_set
+    from evflex import DiscreteDistribution, robust_set
 
     atoms = [[0.3, 2.7], [3.2, 3.4], [2.7, 3.1], [2.0, 3.0]]
-    p = DiscreteDistribution(np.array(atoms), np.full(4, 0.25), 4.0)
-    result = robust_set(p, 4, 0.14, TimeGrid(4), 1.0)
+    p = DiscreteDistribution(np.array(atoms), np.full(4, 0.25), 4)
+    result = robust_set(p, 4, 0.14)
     aset = result.flex
     assert not aset.is_empty
     assert np.all(np.cumsum(aset.nu_lo) <= np.cumsum(aset.nu_hi))
@@ -764,19 +766,19 @@ def test_subset_exact_implies_subset_fast_on_paper_sets():
     # is_subset_fast compares the set's own cap row, which the vertex
     # envelope dominates, so it accepts whatever is_subset_exact accepts;
     # on robust sets whose splice vertices leave the set it accepts more
-    from evflex import BudgetInfeasible, DiscreteDistribution, TimeGrid, robust_set
+    from evflex import BudgetInfeasible, DiscreteDistribution, robust_set
     from evflex.harness import sample_population
 
     p = DiscreteDistribution(
-        np.array([[1, 12], [2, 15], [4, 14], [5, 17], [7, 19]]), np.full(5, 0.2), 24.0
+        np.array([[1, 12], [2, 15], [4, 14], [5, 17], [7, 19]]), np.full(5, 0.2), 24
     )
     rng = np.random.default_rng(20240817)
     fast_accepts = fast_only = 0
     for n in (5, 10, 20):
-        pops = [sample_population(p, n, rng, TimeGrid(24)) for _ in range(60)]
+        pops = [sample_population(p, n, rng) for _ in range(60)]
         for eps in (0.4, 0.7, 1.0, 1.3, 1.6, 1.9):
             try:
-                aset = robust_set(p, n, eps, TimeGrid(24), 1.0).flex
+                aset = robust_set(p, n, eps).flex
             except BudgetInfeasible:
                 continue
             for pop in pops:
@@ -792,11 +794,10 @@ def test_vertex_certificate_conservative_on_inconsistent_sets():
     # are no longer members of the set); the vertex-based subset test must
     # then stay conservative: whenever it certifies containment, every true
     # member (conjunction of the two worst cases) is contained as well.
-    from evflex import DiscreteDistribution, TimeGrid, project_to_n_points, robust_set
+    from evflex import DiscreteDistribution, project_to_n_points, robust_set
 
     rng = np.random.default_rng(99)
-    grid = TimeGrid(8)
-    cap = 8.0
+    horizon = 8
     inconsistent = 0
     certified = 0
     escapes = 0
@@ -807,11 +808,11 @@ def test_vertex_certificate_conservative_on_inconsistent_sets():
         lo = rng.uniform(1.0, 2.5, size=k)
         hi = lo + rng.uniform(2.0, 4.5, size=k)
         p = DiscreteDistribution(
-            np.column_stack([lo, hi]), rng.dirichlet(np.ones(k)), cap
+            np.column_stack([lo, hi]), rng.dirichlet(np.ones(k)), horizon
         )
         n = int(rng.integers(2, 5))
         _, eps0 = project_to_n_points(p, n)
-        result = robust_set(p, n, eps0 + rng.uniform(0.5, 2.2), grid, 1.0)
+        result = robust_set(p, n, eps0 + rng.uniform(0.5, 2.2))
         aset = result.flex
         if aset.is_empty or aset.vertices_are_members():
             continue
@@ -850,7 +851,7 @@ def test_robust_set_pair_is_intersection_of_worst_cases():
     # like the conjunction over the two worst-case populations, also on
     # sets whose splice vertices leave the set. The worst cases' atoms are
     # summed in different orders, hence the 1e-12 on the dominance checks.
-    from evflex import DiscreteDistribution, TimeGrid, project_to_n_points, robust_set
+    from evflex import DiscreteDistribution, project_to_n_points, robust_set
 
     rng = np.random.default_rng(2024)
     outside_vertices = 0
@@ -863,11 +864,13 @@ def test_robust_set_pair_is_intersection_of_worst_cases():
         k = int(rng.integers(1, 6))
         lo = rng.uniform(0, cap, size=k)
         hi = lo + rng.uniform(0, cap - lo)
-        dist = DiscreteDistribution(np.column_stack([lo, hi]), rng.dirichlet(np.ones(k)), cap)
+        dist = DiscreteDistribution(
+            np.column_stack([lo, hi]), rng.dirichlet(np.ones(k)), horizon, power
+        )
         n = int(rng.integers(1, 9))
         _, eps0 = project_to_n_points(dist, n)
         eps = eps0 + rng.uniform(0, 0.5 * cap) * rng.random()
-        result = robust_set(dist, n, eps, TimeGrid(horizon), power)
+        result = robust_set(dist, n, eps)
         aset, low, high = result.flex, result.worst_lo, result.worst_hi
         if aset.is_empty:
             continue
@@ -964,15 +967,15 @@ def test_membership_routes_agree_with_lp_oracle(data):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
 def test_robust_set_membership_agrees_with_lp_oracle(data):
-    from evflex import DiscreteDistribution, TimeGrid, project_to_n_points, robust_set
+    from evflex import DiscreteDistribution, project_to_n_points, robust_set
 
     horizon = data.draw(st.integers(1, 5), label="T")
     atoms = data.draw(energy_pairs(data.draw(st.integers(1, 3)), horizon, 1.0), label="atoms")
     weights = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=len(atoms), max_size=len(atoms))))
-    dist = DiscreteDistribution(np.array(atoms), weights / weights.sum(), float(horizon))
+    dist = DiscreteDistribution(np.array(atoms), weights / weights.sum(), horizon)
     n = data.draw(st.integers(1, 4), label="N")
     _, eps0 = project_to_n_points(dist, n)
-    result = robust_set(dist, n, eps0 + data.draw(st.floats(0.0, 2.0)), TimeGrid(horizon), 1.0)
+    result = robust_set(dist, n, eps0 + data.draw(st.floats(0.0, 2.0)))
     aset = result.flex
     u = data.draw(probe_profile(sorted_vertices(aset)))
     expected = lp_verdict(result.worst_lo, u) & lp_verdict(result.worst_hi, u)

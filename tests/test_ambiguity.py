@@ -11,9 +11,10 @@ from evflex import (
     DomainError,
     NegativeBudget,
     NumericalFailure,
+    Population,
     RangeWarning,
-    TimeGrid,
     beta_from_epsilon,
+    contains,
     decompose,
     epsilon_from_beta,
     fastest_profile,
@@ -31,54 +32,59 @@ from evflex.transport import min_cost_transport
 from oracles import best_equal_weight_quantization_1d, project_by_pieces, transport_lp, w1_1d
 
 
-def random_distribution(rng, cap=6.0, max_atoms=6):
+def random_distribution(rng, horizon=6, power=1.0, max_atoms=6):
+    cap = power * horizon
     k = int(rng.integers(1, max_atoms + 1))
     lo = rng.uniform(0, cap, size=k)
     hi = lo + rng.uniform(0, cap - lo)
     weights = rng.dirichlet(np.ones(k))
-    return DiscreteDistribution(np.column_stack([lo, hi]), weights, cap)
+    return DiscreteDistribution(np.column_stack([lo, hi]), weights, horizon, power)
 
 
 def test_distribution_validation():
     with pytest.raises(ValueError):
-        DiscreteDistribution(np.array([[1, 2]]), np.array([0.9]), 6.0)
+        DiscreteDistribution(np.array([[1, 2]]), np.array([0.9]), 6)
     with pytest.raises(ValueError):
-        DiscreteDistribution(np.array([[2, 1]]), np.array([1.0]), 6.0)
+        DiscreteDistribution(np.array([[2, 1]]), np.array([1.0]), 6)
     with pytest.raises(ValueError):
-        DiscreteDistribution(np.array([[1, 7]]), np.array([1.0]), 6.0)
+        DiscreteDistribution(np.array([[1, 7]]), np.array([1.0]), 6)
     with pytest.raises(ValueError):
-        DiscreteDistribution(np.array([[1, 2], [0, 1]]), np.array([1.0, 0.0]), 6.0)
+        DiscreteDistribution(np.array([[1, 2], [0, 1]]), np.array([1.0, 0.0]), 6)
     # the Population domain exactly: no rounding slack below zero or across e_hi
     for atom in ([-1e-13, 1.0], [1.0 + 1e-13, 1.0]):
         with pytest.raises(ValueError, match="e_lo <= e_hi"):
-            DiscreteDistribution(np.array([atom]), np.array([1.0]), 6.0)
-    DiscreteDistribution(np.array([[0.0, 6.0 + 1e-13]]), np.array([1.0]), 6.0)
-    dist = DiscreteDistribution(np.array([[3, 4], [0, 1]]), np.array([0.5, 0.5]), 6.0)
+            DiscreteDistribution(np.array([atom]), np.array([1.0]), 6)
+    DiscreteDistribution(np.array([[0.0, 6.0 + 1e-13]]), np.array([1.0]), 6)
+    dist = DiscreteDistribution(np.array([[3, 4], [0, 1]]), np.array([0.5, 0.5]), 6)
     np.testing.assert_allclose(dist.atoms, [[0, 1], [3, 4]])  # lex sorted
 
 
 def test_distribution_rejects_non_finite_atoms():
     with pytest.raises(ValueError):
-        DiscreteDistribution(np.array([[np.nan, 1], [1, 2]]), np.array([0.5, 0.5]), 6.0)
+        DiscreteDistribution(np.array([[np.nan, 1], [1, 2]]), np.array([0.5, 0.5]), 6)
 
 
 def test_distribution_rejects_non_finite_weights():
     with pytest.raises(ValueError):
-        DiscreteDistribution(np.array([[0, 1], [1, 2]]), np.array([np.nan, 0.5]), 6.0)
+        DiscreteDistribution(np.array([[0, 1], [1, 2]]), np.array([np.nan, 0.5]), 6)
 
 
 @pytest.mark.parametrize("cap", [np.inf, np.nan])
 def test_distribution_rejects_non_finite_energy_cap(cap):
-    with pytest.raises(ValueError):
-        DiscreteDistribution(np.array([[0, 1], [1, 2]]), np.array([0.5, 0.5]), cap)
+    # the cap m*T is not finite when the power is not, or when T overflows it
+    atoms, weights = np.array([[0, 1], [1, 2]]), np.array([0.5, 0.5])
+    with pytest.raises(DomainError, match="power"):
+        DiscreteDistribution(atoms, weights, 6, cap)
+    with pytest.raises(DomainError, match="not finite"):
+        DiscreteDistribution(atoms, weights, 10**300, 1e10)
 
 
 def test_wasserstein_examples():
-    cap = 6.0
-    p = DiscreteDistribution(np.array([[1, 2], [3, 4]]), np.array([0.5, 0.5]), cap)
+    horizon = 6
+    p = DiscreteDistribution(np.array([[1, 2], [3, 4]]), np.array([0.5, 0.5]), horizon)
     assert wasserstein1(p, p) == 0.0
-    point = DiscreteDistribution.point_mass(2, 3, cap)
-    assert abs(wasserstein1(DiscreteDistribution.point_mass(1, 2, cap), point) - 2) < 1e-12
+    point = DiscreteDistribution.point_mass(2, 3, horizon)
+    assert abs(wasserstein1(DiscreteDistribution.point_mass(1, 2, horizon), point) - 2) < 1e-12
     assert abs(wasserstein1(p, point) - 2) < 1e-12
 
 
@@ -100,30 +106,30 @@ def _l1_cost(p, q):
     )
 
 
-def _with_duplicates(rng, atoms, cap):
+def _with_duplicates(rng, atoms, horizon):
     """An uncanonicalised distribution: every atom repeated 2-4 times, unequal weights."""
     repeats = rng.integers(2, 5, size=len(atoms))
     atoms = np.repeat(atoms, repeats, axis=0)
-    return DiscreteDistribution(atoms, rng.dirichlet(np.ones(len(atoms))), cap)
+    return DiscreteDistribution(atoms, rng.dirichlet(np.ones(len(atoms))), horizon)
 
 
 @pytest.mark.parametrize("chain", [True, False])
 def test_wasserstein_with_duplicated_atoms_matches_lp(chain):
     rng = np.random.default_rng(40 + chain)
-    cap = 6.0
+    horizon = 6
     chains = 0
     for _ in range(40):
         sides = []
         for _ in range(2):
             k = int(rng.integers(2, 6))
             lo = rng.integers(0, 13, size=k) / 2.0
-            hi = np.minimum(lo + rng.integers(0, 13, size=k) / 2.0, cap)
+            hi = np.minimum(lo + rng.integers(0, 13, size=k) / 2.0, horizon)
             atoms = np.column_stack([lo, hi])
             if chain:
                 atoms = np.column_stack([np.sort(lo), np.maximum(np.sort(hi), np.sort(lo))])
             else:  # two atoms neither of which dominates the other
                 atoms = np.vstack([atoms, [[0.0, 5.0], [1.0, 1.5]]])
-            sides.append(_with_duplicates(rng, atoms, cap))
+            sides.append(_with_duplicates(rng, atoms, horizon))
         p, q = sides
         assert p.n_atoms > len(np.unique(p.atoms, axis=0))
         expected = transport_lp(p.weights, q.weights, _l1_cost(p, q))
@@ -142,10 +148,10 @@ def test_robust_set_transport_sees_distinct_atoms_only(monkeypatch):
     import evflex.ambiguity as ambiguity
 
     rng = np.random.default_rng(42)
-    cap = 24.0
+    horizon = 24
     lo = rng.uniform(0, 12, size=8)
-    hi = np.minimum(lo + rng.uniform(0, 12, size=8), cap)
-    p = DiscreteDistribution(np.column_stack([lo, hi]), rng.dirichlet(np.ones(8)), cap)
+    hi = np.minimum(lo + rng.uniform(0, 12, size=8), horizon)
+    p = DiscreteDistribution(np.column_stack([lo, hi]), rng.dirichlet(np.ones(8)), horizon)
     real_w1, real_solve = ambiguity.wasserstein1, ambiguity.min_cost_transport
     pairs, shapes = [], []
 
@@ -160,7 +166,7 @@ def test_robust_set_transport_sees_distinct_atoms_only(monkeypatch):
 
     monkeypatch.setattr(ambiguity, "wasserstein1", w1)
     monkeypatch.setattr(ambiguity, "min_cost_transport", solve)
-    result = robust_set(p, 1000, 0.5, TimeGrid(24), 1.0)
+    result = robust_set(p, 1000, 0.5)
     result.w1_lo, result.w1_hi  # the exact distances are solved on first read
     assert len(pairs) == 3 and all(q_atoms == 1000 for _, q_atoms, _, _ in pairs)
     assert shapes, "every W1 runs the solver"
@@ -169,8 +175,8 @@ def test_robust_set_transport_sees_distinct_atoms_only(monkeypatch):
 
 
 def test_wasserstein_rejects_mismatched_domains():
-    p = DiscreteDistribution.point_mass(1, 2, 6.0)
-    q = DiscreteDistribution.point_mass(1, 2, 8.0)
+    p = DiscreteDistribution.point_mass(1, 2, 6)
+    q = DiscreteDistribution.point_mass(1, 2, 8)
     with pytest.raises(DomainError):
         wasserstein1(p, q)
 
@@ -187,13 +193,13 @@ def test_wasserstein_symmetry_and_triangle():
 def test_chain_fast_path_matches_full_solver():
     rng = np.random.default_rng(2)
     for _ in range(40):
-        cap = 6.0
+        horizon = 6
         k = int(rng.integers(1, 6))
-        lo = np.sort(rng.uniform(0, cap, size=k))
-        hi = np.sort(rng.uniform(0, cap, size=k))
+        lo = np.sort(rng.uniform(0, horizon, size=k))
+        hi = np.sort(rng.uniform(0, horizon, size=k))
         hi = np.maximum(lo, hi)  # chain with lo <= hi
-        p = DiscreteDistribution(np.column_stack([lo, hi]), rng.dirichlet(np.ones(k)), cap)
-        q = DiscreteDistribution.point_mass(*rng.uniform(0, cap / 2, size=1).repeat(2), cap)
+        p = DiscreteDistribution(np.column_stack([lo, hi]), rng.dirichlet(np.ones(k)), horizon)
+        q = DiscreteDistribution.point_mass(*rng.uniform(0, horizon / 2, size=1).repeat(2), horizon)
         cost = np.abs(p.atoms[:, None, 0] - q.atoms[None, :, 0]) + np.abs(
             p.atoms[:, None, 1] - q.atoms[None, :, 1]
         )
@@ -253,16 +259,16 @@ def test_min_cost_transport_rejects_negative_input(supply, demand, cost):
 
 
 def test_projection_identity():
-    cap = 6.0
+    horizon = 6
     atoms = np.array([[0.7, 1.0], [2.7, 3.3], [3.8, 4.6], [5.0, 5.3]])
-    p = DiscreteDistribution(atoms, np.full(4, 0.25), cap)
+    p = DiscreteDistribution(atoms, np.full(4, 0.25), horizon)
     support, cost = project_to_n_points(p, 4)
     np.testing.assert_allclose(support, atoms)
     assert cost < 1e-12
 
 
 def test_projection_two_atom_collapse():
-    p = DiscreteDistribution(np.array([[0, 1], [2, 3]]), np.array([0.5, 0.5]), 6.0)
+    p = DiscreteDistribution(np.array([[0, 1], [2, 3]]), np.array([0.5, 0.5]), 6)
     support, cost = project_to_n_points(p, 1)
     np.testing.assert_allclose(support, [[0, 1]])
     assert abs(cost - 2.0) < 1e-12
@@ -273,10 +279,10 @@ def test_projection_two_atom_collapse():
 
 
 def test_projection_lower_median_convention():
-    cap = 6.0
+    horizon = 6
     hi = 5.0
     atoms = np.array([[0, hi], [1, hi], [2, hi], [3, hi]])
-    p = DiscreteDistribution(atoms, np.full(4, 0.25), cap)
+    p = DiscreteDistribution(atoms, np.full(4, 0.25), horizon)
     support, cost = project_to_n_points(p, 2)
     np.testing.assert_allclose(support[:, 0], [0, 2])
     np.testing.assert_allclose(support[:, 1], [hi, hi])
@@ -292,7 +298,7 @@ def test_projection_lower_median_convention():
 
 
 def test_projection_splits_atoms_across_chunks():
-    p = DiscreteDistribution(np.array([[1, 2]]), np.array([1.0]), 6.0)
+    p = DiscreteDistribution(np.array([[1, 2]]), np.array([1.0]), 6)
     support, cost = project_to_n_points(p, 3)
     np.testing.assert_allclose(support, [[1, 2]] * 3)
     assert cost < 1e-12
@@ -300,7 +306,7 @@ def test_projection_splits_atoms_across_chunks():
 
 def _projection_case(rng, kind):
     """A distribution and N of one kind for the projection reference sweep."""
-    cap = 24.0
+    horizon = 24
     if kind == "equal-weights":  # atom ends fall on chunk edges
         a = int(rng.integers(1, 13))
         n = a * int(rng.integers(1, 6)) if rng.random() < 0.5 else max(a // int(rng.integers(1, 4)), 1)
@@ -311,7 +317,7 @@ def _projection_case(rng, kind):
         a = int(rng.integers(1, 9))
         n = int(rng.integers(100, 1001))
     lo = rng.integers(0, 25, size=a) * 1.0
-    atoms = np.column_stack([lo, np.minimum(lo + rng.integers(0, 25, size=a), cap)])
+    atoms = np.column_stack([lo, np.minimum(lo + rng.integers(0, 25, size=a), horizon)])
     if kind == "equal-weights":
         weights = np.full(a, 1.0 / a)
     elif kind == "duplicated":  # repeated rows with integer weights, unmerged
@@ -320,7 +326,7 @@ def _projection_case(rng, kind):
         weights = counts / counts.sum()
     else:
         weights = rng.dirichlet(np.ones(a))
-    return DiscreteDistribution(atoms, weights, cap), n
+    return DiscreteDistribution(atoms, weights, horizon), n
 
 
 @pytest.mark.parametrize(
@@ -340,10 +346,10 @@ def test_projection_equals_piece_walk(seed, kind):
 
 def test_projection_equals_piece_walk_at_fleet_scale():
     rng = np.random.default_rng(288)
-    cap = 288.0
-    lo = rng.uniform(0, cap / 2, size=24)
-    atoms = np.column_stack([lo, lo + rng.uniform(0, cap / 2, size=24)])
-    p = DiscreteDistribution(atoms, rng.dirichlet(np.ones(24)), cap)
+    horizon = 288
+    lo = rng.uniform(0, horizon / 2, size=24)
+    atoms = np.column_stack([lo, lo + rng.uniform(0, horizon / 2, size=24)])
+    p = DiscreteDistribution(atoms, rng.dirichlet(np.ones(24)), horizon)
     support, cost = project_to_n_points(p, 10_000)
     expected_support, expected_cost = project_by_pieces(p, 10_000)
     assert np.array_equal(support, expected_support)
@@ -429,12 +435,12 @@ FIG_ATOMS = np.array([[0.7, 1.0], [2.7, 3.3], [3.8, 4.6], [5.0, 5.3]])
 
 
 def fig_distribution():
-    return DiscreteDistribution(FIG_ATOMS, np.full(4, 0.25), 6.0)
+    return DiscreteDistribution(FIG_ATOMS, np.full(4, 0.25), 6)
 
 
 def test_robust_set_zero_residual():
     p = fig_distribution()
-    result = robust_set(p, 4, 0.0, TimeGrid(6), 1.0)
+    result = robust_set(p, 4, 0.0)
     np.testing.assert_allclose(result.worst_lo.e_lo, FIG_ATOMS[:, 0])
     np.testing.assert_allclose(result.worst_hi.e_hi, FIG_ATOMS[:, 1])
     assert result.i_c_lo == 5 and result.i_c_hi == 0
@@ -444,8 +450,8 @@ def test_robust_set_zero_residual():
 def test_array_dataclasses_compare_by_identity():
     # ndarray fields make field-wise == ambiguous; these compare by identity
     dist = fig_distribution()
-    result = robust_set(dist, 4, 0.05, TimeGrid(6), 1.0)
-    again = robust_set(dist, 4, 0.05, TimeGrid(6), 1.0)
+    result = robust_set(dist, 4, 0.05)
+    again = robust_set(dist, 4, 0.05)
     own = AggregateFlexSet.from_population(result.worst_hi)
     u = sorted_vertices(own)[2]  # a member: a vertex of the population's own set
     pairs = [
@@ -489,7 +495,7 @@ FIG_PINNED = {
 
 @pytest.mark.parametrize("eps", sorted(FIG_PINNED))
 def test_robust_set_pinned_on_figure_distribution(eps):
-    result = robust_set(fig_distribution(), 4, eps, TimeGrid(6), 1.0)
+    result = robust_set(fig_distribution(), 4, eps)
     sides = (
         (result.worst_lo, result.i_c_lo, result.kappa_lo, result.budget_lo, result.repaired_lo),
         (result.worst_hi, result.i_c_hi, result.kappa_hi, result.budget_hi, result.repaired_hi),
@@ -506,7 +512,7 @@ def test_robust_set_pinned_on_figure_distribution(eps):
 def test_population_size_must_be_an_integer(n):
     p = fig_distribution()
     with pytest.raises(DomainError, match="integer"):
-        robust_set(p, n, 1.0, TimeGrid(6), 1.0)
+        robust_set(p, n, 1.0)
     with pytest.raises(DomainError, match="integer"):
         project_to_n_points(p, n)
 
@@ -515,7 +521,7 @@ def test_population_size_accepts_numpy_integers():
     p = fig_distribution()
     support, cost = project_to_n_points(p, np.int64(4))
     np.testing.assert_array_equal(support, project_to_n_points(p, 4)[0])
-    assert robust_set(p, np.int32(4), 1.0, TimeGrid(6), 1.0).worst_lo.n == 4
+    assert robust_set(p, np.int32(4), 1.0).worst_lo.n == 4
 
 
 @pytest.mark.parametrize(
@@ -539,27 +545,27 @@ def test_pushes_reject_non_finite_arguments(values, budget, ceiling):
 
 def test_equal_weights_on_zero_pairs_is_the_constructor_error():
     with pytest.raises(ValueError, match="non-empty"):
-        DiscreteDistribution.equal_weights(np.empty((0, 2)), 6.0)
+        DiscreteDistribution.equal_weights(np.empty((0, 2)), 6)
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
 def test_robust_set_rejects_non_finite_radius(eps):
     with pytest.raises(DomainError, match="finite"):
-        robust_set(fig_distribution(), 4, eps, TimeGrid(6), 1.0)
+        robust_set(fig_distribution(), 4, eps)
 
 
 @pytest.mark.parametrize("atol", [math.nan, math.inf, -1.0])
 def test_robust_set_rejects_bad_atol(atol):
     # rejected at entry, before the W1 re-verification compares with it
     with pytest.raises(DomainError, match="atol"):
-        robust_set(fig_distribution(), 4, 1.0, TimeGrid(6), 1.0, atol=atol)
+        robust_set(fig_distribution(), 4, 1.0, atol=atol)
 
 
 @pytest.mark.parametrize("power", [math.nan, math.inf, 0.0, -1.0])
 def test_robust_set_rejects_bad_power(power):
-    # a nan cap passes the domain-cap comparison, so power is checked at entry
+    # robust_set reads the power of its distribution, which checks it
     with pytest.raises(DomainError, match="power"):
-        robust_set(fig_distribution(), 4, 1.0, TimeGrid(6), power)
+        robust_set(DiscreteDistribution(FIG_ATOMS, np.full(4, 0.25), 6, power), 4, 1.0)
 
 
 def _result_fields(result):
@@ -582,11 +588,10 @@ def test_projection_cache_leaves_robust_sets_unchanged():
     for _ in range(20):
         p = random_distribution(rng)
         n = int(rng.integers(1, 12))
-        grid = TimeGrid(6)
         eps0 = project_to_n_points(p, n)[1]
         for eps in eps0 + np.array([0.0, 0.3, 1.1, 4.0]):
-            first = robust_set(p, n, eps, grid, 1.0)
-            again = robust_set(p, n, eps, grid, 1.0)
+            first = robust_set(p, n, eps)
+            again = robust_set(p, n, eps)
             assert _result_fields(first) == _result_fields(again)
 
 
@@ -600,7 +605,7 @@ def test_projection_cache_hands_out_copies():
     again, again_cost = project_to_n_points(p, 4)
     np.testing.assert_array_equal(again, kept)
     assert again_cost == cost and again.flags.writeable
-    result = robust_set(p, 4, 1.0, TimeGrid(6), 1.0)
+    result = robust_set(p, 4, 1.0)
     assert not np.shares_memory(result.projected_support, again)
 
 
@@ -616,12 +621,12 @@ def test_tail_bound_rejects_non_finite_radius(value):
 def test_robust_set_budget_infeasible():
     p = fig_distribution()
     with pytest.raises(BudgetInfeasible):
-        robust_set(p, 3, 0.0, TimeGrid(6), 1.0)
+        robust_set(p, 3, 0.0)
 
 
 def test_robust_set_saturation_empty():
     p = fig_distribution()
-    result = robust_set(p, 4, 50.0, TimeGrid(6), 1.0)
+    result = robust_set(p, 4, 50.0)
     assert result.empty
     assert result.flex.nu_lo.sum() > result.flex.nu_hi.sum()
     np.testing.assert_allclose(result.flex.nu_hi, 0.0)
@@ -630,7 +635,7 @@ def test_robust_set_saturation_empty():
 
 def test_robust_set_nu_recomputation():
     p = fig_distribution()
-    result = robust_set(p, 4, 0.9, TimeGrid(6), 1.0)
+    result = robust_set(p, 4, 0.9)
     lo_ref, _ = nu_bounds(result.worst_lo)
     _, hi_ref = nu_bounds(result.worst_hi)
     np.testing.assert_allclose(result.flex.nu_lo, lo_ref)
@@ -641,8 +646,8 @@ def test_robust_set_nu_recomputation():
 
 def test_robust_set_nonunit_power_short_horizon():
     # the same support works on a 4-step horizon at a 1.5 power rating
-    p = fig_distribution()
-    result = robust_set(p, 4, 1.175, TimeGrid(4), 1.5)
+    p = DiscreteDistribution(FIG_ATOMS, np.full(4, 0.25), 4, 1.5)
+    result = robust_set(p, 4, 1.175)
     lo_ref = sum(
         fastest_profile(e, 1.5, 4) for e in result.worst_lo.e_lo
     )
@@ -656,29 +661,27 @@ def test_robust_set_nonunit_power_short_horizon():
 
 def test_robust_set_budget_soundness_randomized():
     rng = np.random.default_rng(3)
-    grid = TimeGrid(5)
     for _ in range(100):
-        p = random_distribution(rng, cap=5.0)
+        p = random_distribution(rng, 5)
         n = int(rng.integers(1, 7))
         _, eps0 = project_to_n_points(p, n)
         eps = eps0 + rng.uniform(0, 3)
-        result = robust_set(p, n, eps, grid, 1.0)
+        result = robust_set(p, n, eps)
         assert result.w1_lo <= eps + 1e-9
         assert result.w1_hi <= eps + 1e-9
 
 
 def test_robust_set_prefix_growth():
     rng = np.random.default_rng(4)
-    grid = TimeGrid(5)
     for _ in range(50):
-        p = random_distribution(rng, cap=5.0)
+        p = random_distribution(rng, 5)
         n = int(rng.integers(1, 6))
         _, eps0 = project_to_n_points(p, n)
-        result = robust_set(p, n, eps0 + rng.uniform(0, 2), grid, 1.0)
+        result = robust_set(p, n, eps0 + rng.uniform(0, 2))
         proj = result.projected_support
         from evflex import Population
 
-        proj_pop = Population.from_energy_pairs(proj, grid.steps, 1.0)
+        proj_pop = Population.from_energy_pairs(proj, p.horizon, p.power)
         proj_lo, proj_hi = nu_bounds(proj_pop)
         assert np.all(
             np.cumsum(result.flex.nu_lo) >= np.cumsum(proj_lo) - 1e-9
@@ -690,17 +693,15 @@ def test_robust_set_prefix_growth():
 
 def test_robust_set_nested_in_epsilon():
     p = fig_distribution()
-    grid = TimeGrid(6)
-    results = [robust_set(p, 4, eps, grid, 1.0) for eps in (0.0, 0.2, 0.5, 0.9)]
+    results = [robust_set(p, 4, eps) for eps in (0.0, 0.2, 0.5, 0.9)]
     for outer, inner in zip(results, results[1:]):
         assert is_nested(inner.flex, outer.flex)
 
 
 def test_robust_set_normalization_equivalence():
     p = fig_distribution()
-    grid = TimeGrid(6)
-    raw = robust_set(p, 4, 0.9, grid, 1.0)
-    norm = robust_set(p, 4, 0.9 / 6.0, grid, 1.0, normalize=True)
+    raw = robust_set(p, 4, 0.9)
+    norm = robust_set(p, 4, 0.9 / 6.0, normalize=True)
     np.testing.assert_allclose(norm.flex.nu_lo, raw.flex.nu_lo, atol=1e-12)
     np.testing.assert_allclose(norm.flex.nu_hi, raw.flex.nu_hi, atol=1e-12)
     assert abs(norm.projection_cost * 6.0 - raw.projection_cost) < 1e-12
@@ -711,15 +712,15 @@ def test_robust_set_normalization_equivalence():
 def test_robust_set_reports_beta():
     p = fig_distribution()
     c = ConcentrationConstants(2.0, 1.5)
-    result = robust_set(p, 4, 0.5, TimeGrid(6), 1.0, constants=c)
+    result = robust_set(p, 4, 0.5, constants=c)
     assert abs(result.beta - beta_from_epsilon(0.5, 4, c)) < 1e-15
-    assert robust_set(p, 4, 0.5, TimeGrid(6), 1.0).beta is None
+    assert robust_set(p, 4, 0.5).beta is None
 
 
 def test_robust_set_repair_is_flagged_and_consistent():
     # pushing the largest lower bounds to the cap forces their e_hi up too
     p = fig_distribution()
-    result = robust_set(p, 4, 0.9, TimeGrid(6), 1.0)
+    result = robust_set(p, 4, 0.9)
     assert result.repaired_lo >= 1
     pop = result.worst_lo
     assert np.all(pop.e_lo <= pop.e_hi + 1e-12)
@@ -740,7 +741,7 @@ def _certificates(p, result):
 
 def _exact_w1(p, worst):
     pairs = np.column_stack([worst.e_lo, worst.e_hi])
-    return wasserstein1(p, DiscreteDistribution.equal_weights(pairs, worst.power * worst.horizon))
+    return wasserstein1(p, DiscreteDistribution.equal_weights(pairs, worst.horizon, worst.power))
 
 
 def test_budget_certificate_bounds_exact_w1_and_holds_at_zero_atol():
@@ -752,13 +753,13 @@ def test_budget_certificate_bounds_exact_w1_and_holds_at_zero_atol():
         steps = int(rng.integers(1, 30))
         power = float(rng.choice([0.7, 1.0, 2.5]))
         cap = power * steps
-        p = random_distribution(rng, cap=cap, max_atoms=8)
+        p = random_distribution(rng, steps, power, max_atoms=8)
         n = int(rng.integers(1, 60))
         eps0 = project_to_n_points(p, n)[1]
         eps_raw = eps0 + (0.0 if rng.random() < 0.2 else rng.uniform(0, cap))
         normalize = bool(rng.random() < 0.3)
         eps = eps_raw / cap if normalize else eps_raw
-        result = robust_set(p, n, eps, TimeGrid(steps), power, normalize=normalize, atol=0.0)
+        result = robust_set(p, n, eps, normalize=normalize, atol=0.0)
         allowed = eps * result.normalization + 1e-12 + 1e-12 * max(1.0, cap)
         for bound, worst in zip(_certificates(p, result), (result.worst_lo, result.worst_hi)):
             assert bound >= _exact_w1(p, worst) - 1e-12
@@ -769,12 +770,12 @@ def test_paper_cells_hold_at_zero_atol():
     # every cell of scenarios/concentration_experiment.json, where the
     # certificate of a fully spent budget lands on the radius up to rounding
     p = DiscreteDistribution(
-        np.array([[1, 12], [2, 15], [4, 14], [5, 17], [7, 19]]), np.full(5, 0.2), 24.0
+        np.array([[1, 12], [2, 15], [4, 14], [5, 17], [7, 19]]), np.full(5, 0.2), 24
     )
     for n in (5, 10, 20):
         for eps in (0.4, 0.7, 1.0, 1.3, 1.6, 1.9):
             try:
-                robust_set(p, n, eps, TimeGrid(24), 1.0, atol=0.0)
+                robust_set(p, n, eps, atol=0.0)
             except BudgetInfeasible:
                 assert project_to_n_points(p, n)[1] > eps
 
@@ -783,11 +784,11 @@ def test_paper_cells_hold_at_zero_atol():
 def test_lazy_w1_equals_wasserstein1_bit_for_bit(normalize):
     rng = np.random.default_rng(11)
     for _ in range(40):
-        p = random_distribution(rng, cap=6.0)
+        p = random_distribution(rng)
         n = int(rng.integers(1, 12))
         eps_raw = project_to_n_points(p, n)[1] + rng.uniform(0, 3)
         factor = 6.0 if normalize else 1.0
-        result = robust_set(p, n, eps_raw / factor, TimeGrid(6), 1.0, normalize=normalize)
+        result = robust_set(p, n, eps_raw / factor, normalize=normalize)
         assert result.normalization == factor
         assert result.w1_lo == _exact_w1(p, result.worst_lo) / factor
         assert result.w1_hi == _exact_w1(p, result.worst_hi) / factor
@@ -805,7 +806,7 @@ def test_robust_set_solves_no_transport_until_w1_is_read(monkeypatch):
 
     monkeypatch.setattr(ambiguity, "wasserstein1", counting)
     p = fig_distribution()
-    result = robust_set(p, 4, 0.9, TimeGrid(6), 1.0)
+    result = robust_set(p, 4, 0.9)
     assert calls == [4]  # the projection's own distance
     result.w1_lo, result.w1_hi, result.w1_lo
     assert calls == [4, 4, 4]  # each worst case once, then kept
@@ -828,8 +829,42 @@ def test_overshooting_push_raises_at_zero_atol(monkeypatch, side):
         return p, q, k, kappa, spent, repaired
 
     dist = fig_distribution()
-    robust_set(dist, 4, 0.9, TimeGrid(6), 1.0, atol=0.0)  # holds unaltered
+    robust_set(dist, 4, 0.9, atol=0.0)  # holds unaltered
     monkeypatch.setattr(ambiguity, "_push_walk", overshooting)
     with pytest.raises(NumericalFailure, match="budget accounting violated"):
-        robust_set(dist, 4, 0.9, TimeGrid(6), 1.0, atol=0.0)
+        robust_set(dist, 4, 0.9, atol=0.0)
     assert moved
+
+
+# ROADMAP item 2: a robust set is certified only for its two worst cases, not
+# for the whole W1 ball. The multiset of N=5 draws with atom counts [2, 3, 0]
+# lies inside the ball, yet the set offers a profile that population cannot
+# track: the set's upper total is 22.6175 and the population's 22.5, because
+# the projection rounds the 0.153 mass at e_hi=6 up to a whole EV.
+BALL_ATOMS = [[1, 4.5], [2, 4.5], [3, 6]]
+BALL_WEIGHTS = [0.304, 0.543, 0.153]
+BALL_PROFILE = [2.5, 1, 5, 5, 4.1175, 5]
+
+
+def _ball_counterexample():
+    p = DiscreteDistribution(BALL_ATOMS, BALL_WEIGHTS, 6)
+    pop = Population.from_energy_pairs(np.repeat(p.atoms, [2, 3, 0], axis=0), 6)
+    return p, pop, robust_set(p, 5, 0.49)
+
+
+def test_ball_counterexample_population_is_in_the_ball():
+    p, pop, result = _ball_counterexample()
+    sample = DiscreteDistribution.equal_weights(np.column_stack([pop.e_lo, pop.e_hi]), 6)
+    distance = wasserstein1(p, sample)
+    assert abs(distance - 0.4785) < 1e-12 and distance <= result.epsilon
+    assert abs(result.projection_cost - 0.2135) < 1e-12
+    assert result.flex.contains_profile(BALL_PROFILE)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="robust sets are not yet ball-sound (ROADMAP item 2)"
+)
+def test_every_in_ball_population_tracks_the_robust_set():
+    _, pop, result = _ball_counterexample()
+    assert result.flex.contains_profile(BALL_PROFILE)
+    assert contains(pop, BALL_PROFILE)

@@ -41,7 +41,7 @@ def test_minimal_scenario_defaults():
         with open(path, "w") as fh:
             json.dump({}, fh)
         sc = parse_scenario(path)
-    assert sc.grid.steps == 24
+    assert sc.horizon == 24
     assert sc.power == 1.0
     assert sc.distribution is None and sc.robust is None
 
@@ -211,8 +211,10 @@ def test_member_certificate_on_pushing_demo_is_pinned(tmp_path):
 )
 def test_subcommands_reject_options_they_do_not_read(tmp_path, capsys, command, option):
     source = "--csv" if command == "fit-constants" else "--scenario"
+    # member requires one profile flag, which argparse checks before unknown options
+    profile = ["--profile", "1,1,1,1"] if command == "member" else []
     with pytest.raises(SystemExit) as exc:
-        main([command, source, write_scenario(tmp_path, BASE), *option])
+        main([command, source, write_scenario(tmp_path, BASE), *profile, *option])
     assert exc.value.code == 2
     assert "unrecognized arguments: " + option[0] in capsys.readouterr().err
 
@@ -244,10 +246,11 @@ def test_montecarlo_csv_roundtrip_and_fit(tmp_path, capsys):
         "epsilon,epsilon_sq,N,T,trials,violations,beta_hat,ci_lo,ci_hi,degenerate"
     )
 
-    # fit-constants on synthetic exact data recovers the constants
+    # fit-constants on synthetic exact data recovers the constants; c1 < 1
+    # keeps every rate a probability, so violations <= trials in every row
     from evflex import ConcentrationConstants, beta_from_epsilon
 
-    constants = ConcentrationConstants(2.0, 1.5)
+    constants = ConcentrationConstants(0.5, 1.5)
     synth = []
     for n in (5, 10, 20):
         for eps in (0.05, 0.1, 0.2, 0.3):
@@ -269,7 +272,7 @@ def test_montecarlo_csv_roundtrip_and_fit(tmp_path, capsys):
     write_results_csv(synth_csv, synth, {"seed": 0})
     assert main(["fit-constants", "--csv", synth_csv]) == 0
     fit = json.loads(capsys.readouterr().out)
-    assert fit["c1"] == pytest.approx(2.0, abs=1e-6)
+    assert fit["c1"] == pytest.approx(0.5, abs=1e-6)
     assert fit["c2"] == pytest.approx(1.5, abs=1e-6)
     # per size, log beta falls against eps^2 with slope -c2 * N
     assert [f["N"] for f in fit["per_n"]] == [5, 10, 20]
@@ -319,6 +322,12 @@ SPARSE_ROWS = [
     for eps, v in ((0.1, 20), (0.2, 5), (0.3, 0))
 ]
 
+# three decaying rates, enough to fit
+DECAYING_ROWS = [
+    ViolationStats(eps, 10, 24, 100, v, v / 100, 0.0, 1.0, False)
+    for eps, v in ((0.1, 20), (0.2, 5), (0.3, 1))
+]
+
 # log-linear rates so steep that the fitted c1 = exp(intercept) overflows
 STEEP_ROWS = [
     ViolationStats(eps, 1, 24, 1000, 1, beta, 0.0, 1.0, False)
@@ -348,6 +357,25 @@ def _distribution_file_command(content):
         return ["robust", "--scenario", write_scenario(tmp_path, payload)]
 
     return build
+
+
+def _unwritable_out_command(command, *args):
+    def build(tmp_path):
+        out = str(tmp_path / "missing" / "out")
+        if command == "fit-constants":
+            path = str(tmp_path / "results.csv")
+            write_results_csv(path, DECAYING_ROWS, {"seed": 0})
+            return [command, "--csv", path, "--out", out]
+        return [command, "--scenario", write_scenario(tmp_path, BASE), *args, "--out", out]
+
+    return build
+
+
+def _results_row_command(row):
+    return _results_text_command(
+        "epsilon,epsilon_sq,N,T,trials,violations,beta_hat,ci_lo,ci_hi,degenerate\n"
+        "0.1,0.01,10,24,100,20,0.2,0,1,false\n" + row + "\n"
+    )
 
 
 def _profile_file_command(content):
@@ -381,6 +409,18 @@ EXIT_CODE_CASES = {
     "inf-epsilon-row": (_results_command(INF_EPSILON_ROWS), 1),
     "one-n-eps-sq": (_results_command(ONE_POINT_ROWS), 1),
     # a degenerate flag other than true/false is malformed, not read as false
+    # a directory that does not exist cannot take --out, before or after any cell runs
+    "unwritable-out-aggregate": (_unwritable_out_command("aggregate"), 2),
+    "unwritable-out-member": (_unwritable_out_command("member", "--profile", "1,1,1,1"), 2),
+    "unwritable-out-robust": (_unwritable_out_command("robust"), 2),
+    "unwritable-out-montecarlo": (_unwritable_out_command("montecarlo"), 2),
+    "unwritable-out-fit-constants": (_unwritable_out_command("fit-constants"), 2),
+    # counts no experiment can produce are malformed rows, not points to fit
+    "violations-above-trials": (_results_row_command("0.2,0.04,10,24,100,500,5.0,0,1,false"), 2),
+    "negative-violations": (_results_row_command("0.2,0.04,10,24,100,-1,0.01,0,1,false"), 2),
+    "negative-trials": (_results_row_command("0.2,0.04,10,24,-3,0,0,0,1,false"), 2),
+    "zero-N-row": (_results_row_command("0.2,0.04,0,24,100,5,0.05,0,1,false"), 2),
+    "zero-T-row": (_results_row_command("0.2,0.04,10,0,100,5,0.05,0,1,false"), 2),
     "unknown-degenerate-flag": (
         _results_text_command(
             "epsilon,epsilon_sq,N,T,trials,violations,beta_hat,ci_lo,ci_hi,degenerate\n"
@@ -588,6 +628,11 @@ FLAG_CASES = {
     "nan-tolerance": "--tolerance",
     "negative-tolerance": "--tolerance",
     "inf-tolerance-member": "--tolerance",
+    "unwritable-out-aggregate": "--out",
+    "unwritable-out-member": "--out",
+    "unwritable-out-robust": "--out",
+    "unwritable-out-montecarlo": "--out",
+    "unwritable-out-fit-constants": "--out",
 }
 
 
@@ -657,6 +702,28 @@ ERROR_CLASS_EXITS = {
     "NotAnInteger": (2, "error"),
     "ValidationError": (3, "error"),
 }
+
+
+def test_unwritable_out_names_its_path_before_any_cell_runs(tmp_path, capsys, monkeypatch):
+    cells = []
+    monkeypatch.setattr(evflex.cli, "run_trials", lambda cfg: cells.append(cfg) or [])
+    argv = _unwritable_out_command("montecarlo")(tmp_path)
+    assert main(argv) == 2
+    assert argv[-1] in capsys.readouterr().err
+    assert cells == []
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--profile", "1,1,1,1", "--profile-file", "profile.json"]],
+    ids=["neither", "both"],
+)
+def test_member_takes_exactly_one_profile_flag(tmp_path, capsys, flags):
+    # argparse rejects the command line before the scenario is read
+    with pytest.raises(SystemExit) as exc:
+        main(["member", "--scenario", write_scenario(tmp_path, BASE), *flags])
+    assert exc.value.code == 2
+    assert "--profile" in capsys.readouterr().err
 
 
 def test_exit_code_table_covers_every_error_class():

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from evflex import (
     DimensionMismatch,
+    DiscreteDistribution,
     DomainError,
     EnergyOutOfRange,
     Population,
-    TimeGrid,
     fastest_profile,
     is_individually_feasible,
 )
@@ -95,15 +95,23 @@ def test_individual_feasibility_rejects_bad_atol(atol):
         is_individually_feasible([3, 0.5], 0.5, 1.5, 1.0, atol=atol)
 
 
-def test_time_grid_invariants():
-    assert TimeGrid(24).steps == 24
-    steps = TimeGrid(np.int64(3)).steps
-    assert steps == 3 and type(steps) is int
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda horizon: Population([0.5], [1.0], horizon),
+        lambda horizon: DiscreteDistribution([[0.5, 1.0]], [1.0], horizon),
+    ],
+    ids=["Population", "DiscreteDistribution"],
+)
+def test_horizon_invariants(make):
+    assert make(24).horizon == 24
+    horizon = make(np.int64(3)).horizon
+    assert horizon == 3 and type(horizon) is int
     with pytest.raises(ValueError):
-        TimeGrid(0)
+        make(0)
     for steps in (2.5, True, np.bool_(True), np.float64(3.0)):
         with pytest.raises(TypeError):
-            TimeGrid(steps)
+            make(steps)
 
 
 def test_requirement_invariants():

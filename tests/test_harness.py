@@ -16,7 +16,6 @@ from evflex import (
     DomainError,
     InsufficientData,
     Population,
-    TimeGrid,
     TrialConfig,
     ViolationStats,
     batch_contains,
@@ -48,11 +47,12 @@ from evflex.harness import (
 from oracles import distinct_populations_by_lexsort
 
 
-def small_distribution(cap=4.0):
+def small_distribution(power=1.0):
     return DiscreteDistribution(
         np.array([[0.5, 1.5], [1.0, 2.5], [2.0, 3.5]]),
         np.array([0.5, 0.3, 0.2]),
-        cap,
+        4,
+        power,
     )
 
 
@@ -72,7 +72,7 @@ def _nan_constants_epsilon():
         (lambda: beta_from_epsilon(0.1, True, ConcentrationConstants(1.0, 1.0)), DomainError),
         (lambda: epsilon_from_beta(0.1, 2.5, ConcentrationConstants(1.0, 1.0)), DomainError),
         (lambda: epsilon_from_beta(0.1, True, ConcentrationConstants(1.0, 1.0)), DomainError),
-        (lambda: sample_population(small_distribution(), 2.5, trial_rng(0, 2), TimeGrid(4)),
+        (lambda: sample_population(small_distribution(), 2.5, trial_rng(0, 2)),
          DomainError),
     ],
     ids=["c1-nan", "c2-inf", "c1-inf", "epsilon-nan-c2", "beta-n-float", "beta-n-bool",
@@ -84,9 +84,8 @@ def test_bad_constants_and_counts_rejected(call, error):
 
 
 def test_sample_point_mass():
-    grid = TimeGrid(4)
-    p = DiscreteDistribution.point_mass(1.0, 2.0, 4.0)
-    pop = sample_population(p, 5, trial_rng(0, 5), grid, 1.0)
+    p = DiscreteDistribution.point_mass(1.0, 2.0, 4)
+    pop = sample_population(p, 5, trial_rng(0, 5))
     assert pop.n == 5
     np.testing.assert_allclose(pop.e_lo, 1.0)
     np.testing.assert_allclose(pop.e_hi, 2.0)
@@ -102,17 +101,15 @@ def test_trial_config_rejects_non_finite_epsilons(epsilons):
             epsilons=epsilons,
             trials=10,
             seed=5,
-            grid=TimeGrid(4),
         )
 
 def test_sampling_determinism():
-    grid = TimeGrid(4)
     p = small_distribution()
-    a = sample_population(p, 20, trial_rng(123, 20), grid, 1.0)
-    b = sample_population(p, 20, trial_rng(123, 20), grid, 1.0)
+    a = sample_population(p, 20, trial_rng(123, 20))
+    b = sample_population(p, 20, trial_rng(123, 20))
     np.testing.assert_array_equal(a.e_lo, b.e_lo)
     np.testing.assert_array_equal(a.e_hi, b.e_hi)
-    c = sample_population(p, 20, trial_rng(124, 20), grid, 1.0)
+    c = sample_population(p, 20, trial_rng(124, 20))
     assert not (np.array_equal(a.e_lo, c.e_lo) and np.array_equal(a.e_hi, c.e_hi))
 
 
@@ -152,24 +149,22 @@ def test_batched_streams_equal_trial_rng(seed, key):
 def test_energy_batch_rows_equal_sample_population():
     # run_trials' one (trials, A) draw equals trials successive draws of
     # sample_population on the same stream
-    grid = TimeGrid(4)
     p = small_distribution()
     for n in (1, 5, 20, 1000):
         counts = trial_rng(2**40 + 3, n).multinomial(n, p.weights, size=30)
         rng = trial_rng(2**40 + 3, n)
         for row in counts:
-            pop = sample_population(p, n, rng, grid, 1.0)
+            pop = sample_population(p, n, rng)
             energies = np.repeat(p.atoms, row, axis=0)
             np.testing.assert_array_equal(pop.e_lo, energies[:, 0])
             np.testing.assert_array_equal(pop.e_hi, energies[:, 1])
 
 
 def test_sampling_frequencies_within_3_sigma():
-    grid = TimeGrid(4)
     p = small_distribution()
     draws = 100_000
     rng = trial_rng(7, draws)
-    pop = sample_population(p, draws, rng, grid, 1.0)
+    pop = sample_population(p, draws, rng)
     for atom, weight in zip(p.atoms, p.weights):
         count = int(np.sum((pop.e_lo == atom[0]) & (pop.e_hi == atom[1])))
         sigma = math.sqrt(draws * weight * (1 - weight))
@@ -230,15 +225,13 @@ def test_import_leaves_scipy_unloaded(module):
 
 
 def test_run_trials_point_mass_never_violates():
-    grid = TimeGrid(4)
-    p = DiscreteDistribution.point_mass(1.0, 2.0, 4.0)
+    p = DiscreteDistribution.point_mass(1.0, 2.0, 4)
     cfg = TrialConfig(
         distribution=p,
         population_size=3,
         epsilons=(1e-9,),
         trials=50,
         seed=5,
-        grid=grid,
     )
     (stats,) = run_trials(cfg)
     assert stats.violations == 0
@@ -247,7 +240,6 @@ def test_run_trials_point_mass_never_violates():
 
 
 def test_run_trials_empty_set_is_degenerate_non_violation():
-    grid = TimeGrid(4)
     p = small_distribution()
     cfg = TrialConfig(
         distribution=p,
@@ -255,7 +247,6 @@ def test_run_trials_empty_set_is_degenerate_non_violation():
         epsilons=(30.0,),
         trials=20,
         seed=5,
-        grid=grid,
     )
     (stats,) = run_trials(cfg)
     assert stats.degenerate
@@ -264,7 +255,6 @@ def test_run_trials_empty_set_is_degenerate_non_violation():
 
 
 def test_run_trials_budget_infeasible_reported_not_fatal():
-    grid = TimeGrid(4)
     p = small_distribution()
     cfg = TrialConfig(
         distribution=p,
@@ -272,7 +262,6 @@ def test_run_trials_budget_infeasible_reported_not_fatal():
         epsilons=(1e-12, 0.8),
         trials=10,
         seed=5,
-        grid=grid,
     )
     stats = run_trials(cfg)
     assert stats[0].degenerate and stats[0].trials == 0
@@ -281,7 +270,6 @@ def test_run_trials_budget_infeasible_reported_not_fatal():
 
 
 def test_run_trials_matches_is_subset_exact():
-    grid = TimeGrid(4)
     p = small_distribution()
     cfg = TrialConfig(
         distribution=p,
@@ -289,13 +277,12 @@ def test_run_trials_matches_is_subset_exact():
         epsilons=(0.2, 0.6),
         trials=40,
         seed=11,
-        grid=grid,
     )
     stats = run_trials(cfg)
     rng = trial_rng(11, 4)
-    pops = [sample_population(p, 4, rng, grid, 1.0) for _ in range(cfg.trials)]
+    pops = [sample_population(p, 4, rng) for _ in range(cfg.trials)]
     for e_idx, eps in enumerate(cfg.epsilons):
-        result = robust_set(p, 4, eps, grid, 1.0)
+        result = robust_set(p, 4, eps)
         # per-population reference, on the draw every radius shares
         violations = sum(not is_subset_exact(result.flex, pop) for pop in pops)
         assert stats[e_idx].violations == violations
@@ -309,7 +296,7 @@ def test_run_trials_draws_one_stream_per_cell(monkeypatch):
         return trial_rng(seed, population_size)
 
     monkeypatch.setattr(evflex.harness, "trial_rng", recording_rng)
-    cfg = TrialConfig(small_distribution(), 4, (0.2, 0.4, 0.6), 50, 2**40 + 1, TimeGrid(4))
+    cfg = TrialConfig(small_distribution(), 4, (0.2, 0.4, 0.6), 50, 2**40 + 1)
     run_trials(cfg)
     assert calls == [(2**40 + 1, 4)]
 
@@ -333,8 +320,8 @@ def test_monte_carlo_cell_solves_one_transport_problem(monkeypatch):
     monkeypatch.setattr(ambiguity, "min_cost_transport", solve)
     monkeypatch.setattr(ambiguity, "wasserstein1", w1)
     atoms = np.array([[1, 12], [2, 15], [4, 14], [5, 17], [7, 19]])
-    p = DiscreteDistribution(atoms, np.full(5, 0.2), 24.0)
-    cfg = TrialConfig(p, 5, (0.4, 0.7, 1.0, 1.3, 1.6, 1.9), 200, 20240817, TimeGrid(24))
+    p = DiscreteDistribution(atoms, np.full(5, 0.2), 24)
+    cfg = TrialConfig(p, 5, (0.4, 0.7, 1.0, 1.3, 1.6, 1.9), 200, 20240817)
     stats = run_trials(cfg)
     assert sum(not s.degenerate for s in stats) >= 5
     assert len(solves) == 1 and distances == [(p, 5)]
@@ -342,7 +329,7 @@ def test_monte_carlo_cell_solves_one_transport_problem(monkeypatch):
     # robust_set alone: one distance per call, its projection's
     distances.clear()
     for n in (5, 10, 5):
-        robust_set(p, n, 1.9, TimeGrid(24), 1.0)
+        robust_set(p, n, 1.9)
     assert distances == [(p, 5), (p, 10), (p, 5)]
 
 
@@ -354,9 +341,8 @@ def test_every_radius_scores_the_same_draw(monkeypatch):
         return _populations_clear(envelopes, caps, atol)
 
     monkeypatch.setattr(evflex.harness, "_populations_clear", recording_clear)
-    grid = TimeGrid(4)
     p = small_distribution()
-    cfg = TrialConfig(p, 5, (0.15, 0.3, 0.45, 0.6, 0.75, 0.9), 300, 17, grid)
+    cfg = TrialConfig(p, 5, (0.15, 0.3, 0.45, 0.6, 0.75, 0.9), 300, 17)
     stats = run_trials(cfg)
     # one comparison per cell: a row per non-empty set against the cap
     # columns of the cell's one draw
@@ -364,7 +350,7 @@ def test_every_radius_scores_the_same_draw(monkeypatch):
     assert len(envelopes) == sum(not s.degenerate for s in stats) >= 3
     distinct, _ = _distinct_populations(trial_rng(17, 5).multinomial(5, p.weights, size=300))
     np.testing.assert_array_equal(caps, _cap_columns(distinct, _atom_cap_table(p.atoms, 1.0, 4)))
-    sets = [robust_set(p, 5, s.epsilon, grid).flex for s in stats if not s.degenerate]
+    sets = [robust_set(p, 5, s.epsilon).flex for s in stats if not s.degenerate]
     np.testing.assert_array_equal(envelopes, [flex._vertex_envelope for flex in sets])
     # with one shared draw the counts of these nested sets fall with the
     # radius; independent draws per radius need not
@@ -377,21 +363,20 @@ def non_dyadic_distribution(power):
     # population rounds differently with the order of its terms
     lo = 0.3 + np.arange(4) / 7
     atoms = np.column_stack([lo, 2 * lo + 0.8])
-    return DiscreteDistribution(atoms, np.array([0.4, 0.3, 0.2, 0.1]), power * 4)
+    return DiscreteDistribution(atoms, np.array([0.4, 0.3, 0.2, 0.1]), 4, power)
 
 
 def test_deduplicated_scoring_equals_per_trial_scoring():
-    grid = TimeGrid(4)
     power = 0.7
     p = non_dyadic_distribution(power)
-    cfg = TrialConfig(p, 4, (0.15, 0.2, 0.25, 0.3), 400, 2**40 + 9, grid, power=power)
+    cfg = TrialConfig(p, 4, (0.15, 0.2, 0.25, 0.3), 400, 2**40 + 9)
     stats = run_trials(cfg)
     counts = trial_rng(cfg.seed, 4).multinomial(4, p.weights, size=cfg.trials)
     assert 5 * len(_distinct_populations(counts)[0]) < cfg.trials
     rng = trial_rng(cfg.seed, 4)
-    pops = [sample_population(p, 4, rng, grid, power) for _ in range(cfg.trials)]
+    pops = [sample_population(p, 4, rng) for _ in range(cfg.trials)]
     for e_idx, eps in enumerate(cfg.epsilons):
-        result = robust_set(p, 4, eps, grid, power)
+        result = robust_set(p, 4, eps)
         violations = sum(not is_subset_exact(result.flex, pop) for pop in pops)
         assert stats[e_idx].violations == violations
     assert all(0 < s.violations < cfg.trials for s in stats)
@@ -441,7 +426,7 @@ def test_cell_scores_each_radius_as_alone():
     # an empty one gives the rows of five one-radius cells
     p = small_distribution()
     epsilons = (1e-12, 0.5, 0.8, 1.0, 30.0)
-    cfg = TrialConfig(p, 2, epsilons, 400, 11, TimeGrid(4))
+    cfg = TrialConfig(p, 2, epsilons, 400, 11)
     stats = run_trials(cfg)
     alone = [run_trials(dataclasses.replace(cfg, epsilons=(eps,)))[0] for eps in epsilons]
     assert repr(stats) == repr(alone)
@@ -470,13 +455,14 @@ def test_cell_core_equals_single_radius_robust_sets():
         denominator = (2, 7, None)[seed // 3 % 3]
         if denominator:
             lo, hi = (np.floor(e * denominator) / denominator for e in (lo, hi))
-        p = DiscreteDistribution(np.column_stack([lo, hi]), rng.dirichlet(np.ones(n_atoms)), cap)
-        grid = TimeGrid(horizon)
+        p = DiscreteDistribution(
+            np.column_stack([lo, hi]), rng.dirichlet(np.ones(n_atoms)), horizon, power
+        )
         atol = (0.0, DEFAULT_ATOL)[seed % 2]
         cost = project_to_n_points(p, n)[1]
         epsilons = (cost / 2, cost + 0.1 * power, cost + 0.4 * power, cost + 2 * cap + 1)
-        cfg = TrialConfig(p, n, epsilons, 200, seed, grid, power=power, atol=atol)
-        cell = _worst_cases(p, n, epsilons, grid, power, atol=atol)
+        cfg = TrialConfig(p, n, epsilons, 200, seed, atol=atol)
+        cell = _worst_cases(p, n, epsilons, atol=atol)
         envelopes = _vertex_envelope(cell.nu_lo, cell.nu_hi)
         distinct, group = _distinct_populations(
             trial_rng(seed, n).multinomial(n, p.weights, size=200)
@@ -486,7 +472,7 @@ def test_cell_core_equals_single_radius_robust_sets():
         row = 0
         for eps, feasible, s in zip(epsilons, cell.feasible, stats):
             try:
-                result = robust_set(p, n, eps, grid, power, atol=atol)
+                result = robust_set(p, n, eps, atol=atol)
             except BudgetInfeasible:
                 assert not feasible and s.trials == 0, seed
                 kinds[0] += 1
@@ -531,9 +517,11 @@ def _random_robust_case(seed):
     denominator = (2, 7, None)[seed // 3 % 3]
     if denominator:
         lo, hi = np.floor(lo * denominator) / denominator, np.floor(hi * denominator) / denominator
-    p = DiscreteDistribution(np.column_stack([lo, hi]), rng.dirichlet(np.ones(n_atoms)), cap)
+    p = DiscreteDistribution(
+        np.column_stack([lo, hi]), rng.dirichlet(np.ones(n_atoms)), horizon, power
+    )
     eps = project_to_n_points(p, n)[1] + rng.uniform(0, 2) * power
-    result = robust_set(p, n, eps, TimeGrid(horizon), power)
+    result = robust_set(p, n, eps)
     idx = rng.choice(n_atoms, size=(40, n), p=p.weights)
     return None if result.empty else (p, result.flex, idx)
 
@@ -577,14 +565,13 @@ def fleet_distribution(horizon):
 
 def test_run_trials_memory_at_fleet_scale(monkeypatch):
     # T=288, N=1000: a (trials, T+1, T) bound array alone would be 133 MB
-    grid = TimeGrid(288)
-    p = fleet_distribution(288.0)
-    cfg = TrialConfig(p, 1000, (2.0, 4.0), 200, 3, grid)
+    p = fleet_distribution(288)
+    cfg = TrialConfig(p, 1000, (2.0, 4.0), 200, 3)
     # the worst cases are built before tracing starts: the walks' Python
     # loops run about 15x slower under tracemalloc, and their allocations
     # are not what this test bounds
-    cell = _worst_cases(p, 1000, cfg.epsilons, grid)
-    results = {eps: robust_set(p, 1000, eps, grid) for eps in cfg.epsilons}
+    cell = _worst_cases(p, 1000, cfg.epsilons)
+    results = {eps: robust_set(p, 1000, eps) for eps in cfg.epsilons}
     monkeypatch.setattr(evflex.harness, "_worst_cases", lambda *a, **k: cell)
     tracemalloc.start()
     try:
@@ -594,7 +581,7 @@ def test_run_trials_memory_at_fleet_scale(monkeypatch):
         tracemalloc.stop()
     assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
     rng = trial_rng(3, 1000)
-    pops = [sample_population(p, 1000, rng, grid) for _ in range(cfg.trials)]
+    pops = [sample_population(p, 1000, rng) for _ in range(cfg.trials)]
     for s in stats:
         flex = results[s.epsilon].flex
         assert s.violations == sum(not is_subset_exact(flex, pop) for pop in pops)
@@ -602,27 +589,23 @@ def test_run_trials_memory_at_fleet_scale(monkeypatch):
 
 
 def test_run_trials_reproducible():
-    grid = TimeGrid(4)
     cfg = TrialConfig(
         distribution=small_distribution(),
         population_size=5,
         epsilons=(0.1, 0.4),
         trials=60,
         seed=99,
-        grid=grid,
     )
     assert run_trials(cfg) == run_trials(cfg)
 
 
 def test_monotone_trend_statistical():
-    grid = TimeGrid(4)
     cfg = TrialConfig(
         distribution=small_distribution(),
         population_size=5,
         epsilons=(0.15, 0.3, 0.45, 0.6, 0.75, 0.9),
         trials=2000,
         seed=17,
-        grid=grid,
     )
     stats = run_trials(cfg)
     rates = [s.beta_hat for s in stats]
@@ -736,13 +719,12 @@ def test_fit_per_n_needs_two_distinct_eps_sq_per_size():
 
 
 def test_trial_config_validation():
-    grid = TimeGrid(4)
     with pytest.raises(ValueError):
-        TrialConfig(small_distribution(), 3, (0.2, 0.1), 10, 0, grid)
+        TrialConfig(small_distribution(), 3, (0.2, 0.1), 10, 0)
     with pytest.raises(ValueError):
-        TrialConfig(small_distribution(), 3, (0.1,), 0, 0, grid)
+        TrialConfig(small_distribution(), 3, (0.1,), 0, 0)
     with pytest.raises(ValueError):
-        TrialConfig(small_distribution(), 0, (0.1,), 10, 0, grid)
+        TrialConfig(small_distribution(), 0, (0.1,), 10, 0)
 
 
 # population_size=2.5 and seed=1.5 would fail inside SeedSequence,
@@ -765,15 +747,14 @@ def test_trial_config_rejects_non_integer_counts(field, value):
     counts = dict(population_size=3, trials=10, seed=0)
     counts[field] = value
     with pytest.raises(ValueError, match=field):
-        TrialConfig(small_distribution(), epsilons=(0.1,), grid=TimeGrid(4), **counts)
+        TrialConfig(small_distribution(), epsilons=(0.1,), **counts)
 
 
 def test_trial_config_takes_numpy_integers():
-    grid = TimeGrid(4)
-    cfg = TrialConfig(small_distribution(), np.int64(3), (0.1, 0.4), np.int32(50), np.uint64(7), grid)
+    cfg = TrialConfig(small_distribution(), np.int64(3), (0.1, 0.4), np.int32(50), np.uint64(7))
     assert (cfg.population_size, cfg.trials, cfg.seed) == (3, 50, 7)
     assert all(type(v) is int for v in (cfg.population_size, cfg.trials, cfg.seed))
-    assert run_trials(cfg) == run_trials(TrialConfig(small_distribution(), 3, (0.1, 0.4), 50, 7, grid))
+    assert run_trials(cfg) == run_trials(TrialConfig(small_distribution(), 3, (0.1, 0.4), 50, 7))
 
 
 @pytest.mark.parametrize("atol", [math.nan, math.inf, -1.0])
@@ -781,18 +762,18 @@ def test_trial_config_rejects_bad_atol(atol):
     # run_trials' check takes atol as given, so a nan would count every
     # trial as a violation
     with pytest.raises(DomainError, match="atol"):
-        TrialConfig(small_distribution(), 3, (0.1,), 10, 0, TimeGrid(4), atol=atol)
+        TrialConfig(small_distribution(), 3, (0.1,), 10, 0, atol=atol)
 
 
 @pytest.mark.parametrize("power", [math.nan, math.inf, 0.0, -1.0])
 def test_trial_config_rejects_bad_power(power):
+    # a cell reads the power of its distribution, which checks it
     with pytest.raises(DomainError, match="power"):
-        TrialConfig(small_distribution(), 3, (0.1,), 10, 0, TimeGrid(4), power=power)
+        TrialConfig(small_distribution(power), 3, (0.1,), 10, 0)
 
 
 def test_trial_config_bounds_trials():
     # the input bound on trials per cell, shared with scenario parsing
-    grid = TimeGrid(4)
-    assert TrialConfig(small_distribution(), 3, (0.1,), 2**32, 0, grid).trials == 2**32
+    assert TrialConfig(small_distribution(), 3, (0.1,), 2**32, 0).trials == 2**32
     with pytest.raises(ValueError):
-        TrialConfig(small_distribution(), 3, (0.1,), 2**32 + 1, 0, grid)
+        TrialConfig(small_distribution(), 3, (0.1,), 2**32 + 1, 0)

@@ -28,7 +28,6 @@ from evflex import (
     NotAnInteger,
     NotMonotone,
     Population,
-    TimeGrid,
     TrialConfig,
     batch_contains,
     beta_from_epsilon,
@@ -59,29 +58,30 @@ from evflex import (
 from evflex.transport import min_cost_transport
 
 nan, inf = math.nan, math.inf
-GRID = TimeGrid(4)
 POP = Population([0.5, 1.0], [2.0, 3.0], 4)
 FLEX = AggregateFlexSet.from_population(POP)
 EMPTY = AggregateFlexSet([1.0] * 4, [0.5] * 4, 1.0)  # lower total 4 above upper total 2
-DIST = DiscreteDistribution([[0.5, 2.0], [1.0, 3.0]], [0.5, 0.5], 4.0)
+DIST = DiscreteDistribution([[0.5, 2.0], [1.0, 3.0]], [0.5, 0.5], 4)
 CONSTANTS = ConcentrationConstants(2.0, 1.0)
 U = [1.0, 1.0, 0.5, 0.5]
 
 
+def _distribution(horizon, power=1.0):
+    return DiscreteDistribution([[0.5, 1.0]], [1.0], horizon, power)
+
+
 def _trial_config(**change):
-    args = dict(
-        distribution=DIST, population_size=3, epsilons=(0.5, 1.0), trials=10, seed=0, grid=GRID
-    )
+    args = dict(distribution=DIST, population_size=3, epsilons=(0.5, 1.0), trials=10, seed=0)
     return TrialConfig(**{**args, **change})
 
 
 # id -> (call, the class it must raise)
 CASES = {
     # counts: a float or boolean is NotAnInteger, an int below the minimum DomainError
-    "TimeGrid-float": (lambda: TimeGrid(4.0), NotAnInteger),
-    "TimeGrid-bool": (lambda: TimeGrid(True), NotAnInteger),
-    "TimeGrid-nan": (lambda: TimeGrid(nan), NotAnInteger),
-    "TimeGrid-zero": (lambda: TimeGrid(0), DomainError),
+    "DiscreteDistribution-float-horizon": (lambda: _distribution(4.0), NotAnInteger),
+    "DiscreteDistribution-bool-horizon": (lambda: _distribution(True), NotAnInteger),
+    "DiscreteDistribution-nan-horizon": (lambda: _distribution(nan), NotAnInteger),
+    "DiscreteDistribution-zero-horizon": (lambda: _distribution(0), DomainError),
     "Population-float-horizon": (lambda: Population([0.5], [1.0], 4.0), NotAnInteger),
     "Population-bool-horizon": (lambda: Population([0.5], [1.0], True), NotAnInteger),
     "Population-zero-horizon": (lambda: Population([0.5], [1.0], 0), DomainError),
@@ -89,15 +89,16 @@ CASES = {
     "fastest_profile-bool-steps": (lambda: fastest_profile(1.0, 1.0, True), NotAnInteger),
     "fastest_profile-zero-steps": (lambda: fastest_profile(0.0, 1.0, 0), DomainError),
     # a horizon whose energy cap m*T is beyond the float range
-    "TimeGrid-beyond-float-steps": (lambda: TimeGrid(10**400), DomainError),
+    "DiscreteDistribution-beyond-float-horizon": (lambda: _distribution(10**400), DomainError),
+    "DiscreteDistribution-overflowing-cap": (lambda: _distribution(10**300, 1e10), DomainError),
     "Population-beyond-float-horizon": (lambda: Population([0.5], [1.0], 10**400), DomainError),
     "Population-overflowing-cap": (lambda: Population([0.5], [1.0], 10**300, 1e10), DomainError),
     "fastest_profile-beyond-float-steps": (lambda: fastest_profile(0.0, 1.0, 10**400), DomainError),
     "project_to_n_points-float-n": (lambda: project_to_n_points(DIST, 2.0), NotAnInteger),
     "project_to_n_points-zero-n": (lambda: project_to_n_points(DIST, 0), DomainError),
-    "robust_set-bool-n": (lambda: robust_set(DIST, True, 0.5, GRID), NotAnInteger),
+    "robust_set-bool-n": (lambda: robust_set(DIST, True, 0.5), NotAnInteger),
     "sample_population-float-n": (
-        lambda: sample_population(DIST, 3.0, trial_rng(0, 3), GRID),
+        lambda: sample_population(DIST, 3.0, trial_rng(0, 3)),
         NotAnInteger,
     ),
     "beta_from_epsilon-float-n": (lambda: beta_from_epsilon(0.5, 2.0, CONSTANTS), NotAnInteger),
@@ -125,23 +126,20 @@ CASES = {
     "ConcentrationConstants-zero": (lambda: ConcentrationConstants(1.0, 0.0), DomainError),
     "beta_from_epsilon-nan": (lambda: beta_from_epsilon(nan, 2, CONSTANTS), DomainError),
     "epsilon_from_beta-inf": (lambda: epsilon_from_beta(inf, 2, CONSTANTS), DomainError),
-    "robust_set-nan-eps": (lambda: robust_set(DIST, 2, nan, GRID), DomainError),
-    "robust_set-inf-power": (lambda: robust_set(DIST, 2, 0.5, GRID, power=inf), DomainError),
-    "robust_set-nan-atol": (lambda: robust_set(DIST, 2, 0.5, GRID, atol=nan), DomainError),
+    "robust_set-nan-eps": (lambda: robust_set(DIST, 2, nan), DomainError),
+    "DiscreteDistribution-inf-power": (lambda: _distribution(4, inf), DomainError),
+    "robust_set-nan-atol": (lambda: robust_set(DIST, 2, 0.5, atol=nan), DomainError),
     "DiscreteDistribution-inf-weight": (
-        lambda: DiscreteDistribution([[0.5, 1.0], [1.0, 2.0]], [inf, 0.5], 4.0),
+        lambda: DiscreteDistribution([[0.5, 1.0], [1.0, 2.0]], [inf, 0.5], 4),
         DomainError,
     ),
-    "DiscreteDistribution-nan-cap": (
-        lambda: DiscreteDistribution([[0.5, 1.0]], [1.0], nan),
-        DomainError,
-    ),
+    "DiscreteDistribution-nan-cap": (lambda: _distribution(4, nan), DomainError),  # nan power
     "DiscreteDistribution-weights-sum": (
-        lambda: DiscreteDistribution([[0.5, 1.0]], [0.5], 4.0),
+        lambda: DiscreteDistribution([[0.5, 1.0]], [0.5], 4),
         DomainError,
     ),
     "wasserstein1-other-domain": (
-        lambda: wasserstein1(DIST, DiscreteDistribution([[0.5, 1.0]], [1.0], 5.0)),
+        lambda: wasserstein1(DIST, DiscreteDistribution([[0.5, 1.0]], [1.0], 5)),
         DomainError,
     ),
     "push_lower-nan-budget": (lambda: push_lower([0.5, 1.0], nan, 4.0), DomainError),
@@ -150,7 +148,6 @@ CASES = {
     "push_upper-negative-budget": (lambda: push_upper([0.5, 1.0], -0.1), NegativeBudget),
     "TrialConfig-nan-epsilon": (lambda: _trial_config(epsilons=(nan,)), DomainError),
     "TrialConfig-negative-epsilon": (lambda: _trial_config(epsilons=(-0.5, 0.5)), DomainError),
-    "TrialConfig-nan-power": (lambda: _trial_config(power=nan), DomainError),
     "TrialConfig-inf-atol": (lambda: _trial_config(atol=inf), DomainError),
     "clopper_pearson-nan-alpha": (lambda: clopper_pearson(1, 10, nan), DomainError),
     "contains-nan-profile": (lambda: contains(POP, [nan, 1.0, 1.0, 0.0]), DomainError),
@@ -229,11 +226,11 @@ CASES = {
     "Population-above-cap": (lambda: Population([0.0], [5.0], 4), EnergyOutOfRange),
     "Population-negative-energy": (lambda: Population([-0.5], [1.0], 4), EnergyOutOfRange),
     "DiscreteDistribution-nan-atom": (
-        lambda: DiscreteDistribution([[nan, 1.0]], [1.0], 4.0),
+        lambda: DiscreteDistribution([[nan, 1.0]], [1.0], 4),
         EnergyOutOfRange,
     ),
     "DiscreteDistribution-inf-atom": (
-        lambda: DiscreteDistribution([[0.5, inf]], [1.0], 4.0),
+        lambda: DiscreteDistribution([[0.5, inf]], [1.0], 4),
         EnergyOutOfRange,
     ),
     "batch_contains-nan-energy": (
@@ -241,7 +238,7 @@ CASES = {
         EnergyOutOfRange,
     ),
     "DiscreteDistribution-above-cap": (
-        lambda: DiscreteDistribution([[0.5, 5.0]], [1.0], 4.0),
+        lambda: DiscreteDistribution([[0.5, 5.0]], [1.0], 4),
         EnergyOutOfRange,
     ),
     "batch_contains-inverted-pair": (
@@ -291,20 +288,20 @@ CASES = {
         DimensionMismatch,
     ),
     "DiscreteDistribution-no-atoms": (
-        lambda: DiscreteDistribution(np.empty((0, 2)), [], 4.0),
+        lambda: DiscreteDistribution(np.empty((0, 2)), [], 4),
         DimensionMismatch,
     ),
     "DiscreteDistribution-atom-width": (
-        lambda: DiscreteDistribution([[0.5, 1.0, 2.0]], [1.0], 4.0),
+        lambda: DiscreteDistribution([[0.5, 1.0, 2.0]], [1.0], 4),
         DimensionMismatch,
     ),
     "DiscreteDistribution-weights-length": (
-        lambda: DiscreteDistribution([[0.5, 1.0]], [0.5, 0.5], 4.0),
+        lambda: DiscreteDistribution([[0.5, 1.0]], [0.5, 0.5], 4),
         DimensionMismatch,
     ),
     "push_lower-empty": (lambda: push_lower([], 0.1, 4.0), DimensionMismatch),
     "equal_weights-scalar": (
-        lambda: DiscreteDistribution.equal_weights(0.5, 4.0),
+        lambda: DiscreteDistribution.equal_weights(0.5, 4),
         DimensionMismatch,
     ),
     "min_cost_transport-1d-cost": (
@@ -331,7 +328,7 @@ CASES = {
     "TrialConfig-unsorted-epsilons": (lambda: _trial_config(epsilons=(1.0, 0.5)), NotMonotone),
     "contains-negative-entry": (lambda: contains(POP, [-1.0, 1.0, 1.0, 0.0]), NegativeEntry),
     # non-numeric scalars and entries are out of their domain
-    "robust_set-atol-none": (lambda: robust_set(DIST, 3, 0.5, GRID, atol=None), DomainError),
+    "robust_set-atol-none": (lambda: robust_set(DIST, 3, 0.5, atol=None), DomainError),
     "Population-power-str": (lambda: Population([0.5], [1.0], 4, "x"), DomainError),
     "beta_from_epsilon-eps-str": (lambda: beta_from_epsilon("a", 2, CONSTANTS), DomainError),
     "epsilon_from_beta-beta-str": (lambda: epsilon_from_beta("a", 2, CONSTANTS), DomainError),
@@ -354,22 +351,19 @@ CASES = {
     ),
     "batch_contains-str-energy": (lambda: batch_contains([["a"]], [[2.0]], [U], 1.0), DomainError),
     "DiscreteDistribution-str-atom": (
-        lambda: DiscreteDistribution([[0.5, "a"]], [1.0], 4.0),
+        lambda: DiscreteDistribution([[0.5, "a"]], [1.0], 4),
         DomainError,
     ),
     "DiscreteDistribution-str-weight": (
-        lambda: DiscreteDistribution([[0.5, 1.0]], ["a"], 4.0),
+        lambda: DiscreteDistribution([[0.5, 1.0]], ["a"], 4),
         DomainError,
     ),
-    "DiscreteDistribution-str-cap": (
-        lambda: DiscreteDistribution([[0.5, 1.0]], [1.0], "a"),
-        DomainError,
-    ),
+    "DiscreteDistribution-str-cap": (lambda: _distribution(4, "a"), DomainError),  # str power
     "equal_weights-str-pair": (
-        lambda: DiscreteDistribution.equal_weights([[0.5, "a"]], 4.0),
+        lambda: DiscreteDistribution.equal_weights([[0.5, "a"]], 4),
         DomainError,
     ),
-    "point_mass-str-energy": (lambda: DiscreteDistribution.point_mass("a", 1.0, 4.0), DomainError),
+    "point_mass-str-energy": (lambda: DiscreteDistribution.point_mass("a", 1.0, 4), DomainError),
     "ConcentrationConstants-str": (lambda: ConcentrationConstants("a", 1.0), DomainError),
     "push_lower-str-budget": (lambda: push_lower([1.0], "a", 4.0), DomainError),
     "push_lower-str-ceiling": (lambda: push_lower([1.0], 0.1, "a"), DomainError),
@@ -405,7 +399,7 @@ CASES = {
         DomainError,
     ),
     "DiscreteDistribution-numeric-str-weight": (
-        lambda: DiscreteDistribution([[0.5, 1.0]], ["1.0"], 4.0),
+        lambda: DiscreteDistribution([[0.5, 1.0]], ["1.0"], 4),
         DomainError,
     ),
     "contains-none-entry": (lambda: contains(POP, [1.0, None, 0.5, 0.5]), DomainError),
@@ -422,7 +416,7 @@ CASES = {
 TYPE_ERROR_CASES = sorted(
     case
     for case in CASES
-    if case.split("-")[0] in ("TimeGrid", "Population", "fastest_profile")
+    if case.split("-")[0] in ("DiscreteDistribution", "Population", "fastest_profile")
     and CASES[case][1] is NotAnInteger
 )
 
@@ -448,7 +442,7 @@ def test_float_and_boolean_counts_are_type_errors(case):
 REPR_CASES = {
     "Population-str-power": (lambda: Population([0.5], [1.0], 4, "1.0"), "'1.0'"),
     "contains-str-atol": (lambda: contains(POP, U, atol="0"), "'0'"),
-    "TimeGrid-str-steps": (lambda: TimeGrid("4"), "'4'"),
+    "DiscreteDistribution-str-horizon": (lambda: _distribution("4"), "'4'"),
     "ConcentrationConstants-str": (lambda: ConcentrationConstants("2", 1.0), "'2'"),
     "beta_from_epsilon-str-eps": (lambda: beta_from_epsilon("0.5", 2, CONSTANTS), "'0.5'"),
     "epsilon_from_beta-str-beta": (lambda: epsilon_from_beta("0.1", 2, CONSTANTS), "'0.1'"),
