@@ -9,6 +9,7 @@ from .aggregate import (
     AggregateFlexSet,
     Decomposition,
     Infeasible,
+    Population,
     batch_contains,
     contains,
     decompose,
@@ -33,7 +34,6 @@ from .ambiguity import (
 )
 from .core import (
     DEFAULT_ATOL,
-    Population,
     fastest_profile,
     is_individually_feasible,
 )

@@ -39,9 +39,9 @@ steps plus the remainders landing on t. Building them costs O(N + T) per
 population, with no N x T array of fastest-charge profiles; only
 decompose() forms that matrix, for its witness.
 
-Everything that depends on the population alone is computed once per
-population, on its first query, and kept for as long as the population
-lives: the bound pair, the cap row and, from the first member
+A Population is two energy vectors, and everything that depends on it
+alone is computed on its first query and kept on the population itself:
+its set (the bound pair and the cap row) and, from the first member
 decompose() on, the table of the balanced split. A later query does only
 per-profile work, in a few small numpy calls read off one sort of the
 profile: its two ends validate it, one cumsum gives its cut sums and one
@@ -54,13 +54,13 @@ and the mixing; there is no per-query level search.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_ATOL, Population, _check_atol, _check_power, _floats, check_energy_domain
+from .core import DEFAULT_ATOL, _check_atol, _check_horizon, _check_power, _floats
+from .core import check_energy_domain
 from .errors import DimensionMismatch, DomainError, NegativeEntry, NotMonotone
 from .flows import feasible_circulation  # noqa: F401  (perfbench/tracing.py wraps this name)
 
@@ -94,13 +94,96 @@ def _generating_vectors(energies: np.ndarray, m: float, horizon: int) -> np.ndar
     return (m * beyond + partial[:, :horizon]).reshape(lead + (horizon,))
 
 
+@dataclass(frozen=True, eq=False)
+class Population:
+    """Homogeneous population of N charging jobs, held as two energy vectors.
+
+    Every EV connects at step 1, departs after the horizon T and charges at
+    most `power` per step; EV i needs between e_lo[i] and e_hi[i] energy.
+    The vectors are stored as read-only float arrays. Its set and split
+    table are built on first use and kept; a copy or pickle is rebuilt by
+    the constructor.
+    """
+
+    e_lo: np.ndarray
+    e_hi: np.ndarray
+    horizon: int
+    power: float = 1.0
+
+    def __post_init__(self):
+        e_lo = _floats(self.e_lo, "e_lo")
+        e_hi = _floats(self.e_hi, "e_hi")
+        if e_lo.ndim != 1 or e_lo.shape != e_hi.shape or e_lo.size == 0:
+            raise DimensionMismatch("e_lo and e_hi must be non-empty 1-D arrays of equal length")
+        _check_power(self.power)
+        power = float(self.power)
+        horizon = _check_horizon(self.horizon, "horizon", power)
+        check_energy_domain(e_lo, e_hi, power * horizon)
+        e_lo.flags.writeable = False
+        e_hi.flags.writeable = False
+        object.__setattr__(self, "e_lo", e_lo)
+        object.__setattr__(self, "e_hi", e_hi)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "power", power)
+
+    def __reduce__(self):
+        return type(self), (self.e_lo, self.e_hi, self.horizon, self.power)
+
+    @classmethod
+    def from_energy_pairs(cls, pairs, horizon: int, power: float = 1.0) -> "Population":
+        """Population from (e_lo, e_hi) rows."""
+        pairs = _floats(pairs, "pairs")
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise DimensionMismatch("pairs must be (e_lo, e_hi) rows")
+        return cls(pairs[:, 0], pairs[:, 1], horizon, power)
+
+    @property
+    def n(self) -> int:
+        return int(self.e_lo.size)
+
+    @cached_property
+    def _flex(self) -> "AggregateFlexSet":
+        """The set of the population's two generating vectors, built on first use."""
+        return AggregateFlexSet(
+            _generating_vectors(self.e_lo, self.power, self.horizon),
+            _generating_vectors(self.e_hi, self.power, self.horizon),
+            self.power,
+        )
+
+    @cached_property
+    def _split_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted breakpoints of sum(clip(lam, e_lo, e_hi)) and its level at each.
+
+        The sum is piecewise linear and non-decreasing in lam with
+        breakpoints at the 2N bounds. At a breakpoint it is sum(e_lo) plus
+        sum_i max(lam - e_lo_i, 0) - sum_i max(lam - e_hi_i, 0), read off
+        sorted prefix sums; a running maximum removes the rounding dips, so
+        the level is non-decreasing as np.interp needs.
+        """
+        lo, hi = np.sort(self.e_lo), np.sort(self.e_hi)
+        points = np.sort(np.concatenate([lo, hi]))
+        below_lo = np.searchsorted(lo, points)  # bounds lo_i < point
+        below_hi = np.searchsorted(hi, points)
+        lo_sums = np.concatenate([[0.0], np.cumsum(lo)])
+        hi_sums = np.concatenate([[0.0], np.cumsum(hi)])
+        level = lo_sums[-1] + points * (below_lo - below_hi) - lo_sums[below_lo] + hi_sums[below_hi]
+        return points, np.maximum.accumulate(level)
+
+    def _balanced_energies(self, total: float) -> np.ndarray:
+        """Per-EV energies clip(lam, e_lo, e_hi) summing to total.
+
+        Outside [sum(e_lo), sum(e_hi)] this is the nearest end: e_lo or e_hi.
+        """
+        points, level = self._split_table
+        return np.minimum(np.maximum(np.interp(total, level, points), self.e_lo), self.e_hi)
+
+
 def nu_bounds(pop: Population) -> tuple[np.ndarray, np.ndarray]:
     """Lower/upper generating vectors: sums of fastest-charge profiles.
 
     The pair is computed once per population and returned read-only.
     """
-    flex = _fleet(pop).flex
-    return flex.nu_lo, flex.nu_hi
+    return pop._flex.nu_lo, pop._flex.nu_hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,18 +216,13 @@ class AggregateFlexSet:
             raise DimensionMismatch("nu_lo and nu_hi must be non-empty 1-D of equal length")
         _check_pair(nu_lo, nu_hi)
 
+    def __reduce__(self):
+        return type(self), (self.nu_lo, self.nu_hi, self.power)
+
     @classmethod
     def from_population(cls, pop: Population) -> "AggregateFlexSet":
         """The population's set, built once and shared by its later queries."""
-        return _fleet(pop).flex
-
-    @classmethod
-    def from_bound_populations(cls, gen_lo: Population, gen_hi: Population) -> "AggregateFlexSet":
-        """Set parameterised by gen_lo's lower vector and gen_hi's upper vector."""
-        _check_compatible(gen_lo, gen_hi)
-        nu_lo = _generating_vectors(gen_lo.e_lo, gen_lo.power, gen_lo.horizon)
-        nu_hi = _generating_vectors(gen_hi.e_hi, gen_hi.power, gen_hi.horizon)
-        return cls(nu_lo, nu_hi, gen_lo.power)
+        return pop._flex
 
     @property
     def horizon(self) -> int:
@@ -231,64 +309,6 @@ def sorted_vertices(aset: AggregateFlexSet) -> np.ndarray:
     is a coordinate permutation of one of these rows.
     """
     return _vertices(aset.nu_lo, aset.nu_hi)
-
-
-class _Fleet:
-    """A population's fixed data: its aggregate set and balanced-split table.
-
-    It holds the population's energy arrays but not the population, so
-    the cache entry in _FLEETS dies with the population.
-    """
-
-    def __init__(self, pop: Population):
-        self.e_lo = pop.e_lo
-        self.e_hi = pop.e_hi
-        self.flex = AggregateFlexSet(
-            _generating_vectors(pop.e_lo, pop.power, pop.horizon),
-            _generating_vectors(pop.e_hi, pop.power, pop.horizon),
-            pop.power,
-        )
-
-    @cached_property
-    def split_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted breakpoints of sum(clip(lam, e_lo, e_hi)) and its level at each.
-
-        The sum is piecewise linear and non-decreasing in lam with
-        breakpoints at the 2N bounds. At a breakpoint it is sum(e_lo) plus
-        sum_i max(lam - e_lo_i, 0) - sum_i max(lam - e_hi_i, 0), read off
-        sorted prefix sums; a running maximum removes the rounding dips, so
-        the level is non-decreasing as np.interp needs.
-        """
-        lo, hi = np.sort(self.e_lo), np.sort(self.e_hi)
-        points = np.sort(np.concatenate([lo, hi]))
-        below_lo = np.searchsorted(lo, points)  # bounds lo_i < point
-        below_hi = np.searchsorted(hi, points)
-        lo_sums = np.concatenate([[0.0], np.cumsum(lo)])
-        hi_sums = np.concatenate([[0.0], np.cumsum(hi)])
-        level = lo_sums[-1] + points * (below_lo - below_hi) - lo_sums[below_lo] + hi_sums[below_hi]
-        return points, np.maximum.accumulate(level)
-
-    def balanced_energies(self, total: float) -> np.ndarray:
-        """Per-EV energies clip(lam, e_lo, e_hi) summing to total.
-
-        Outside [sum(e_lo), sum(e_hi)] this is the nearest end: e_lo or e_hi.
-        """
-        points, level = self.split_table
-        return np.minimum(np.maximum(np.interp(total, level, points), self.e_lo), self.e_hi)
-
-
-# A memo of a pure function of the (immutable) population, keyed by identity
-# (Population is eq=False). Two threads that race on a new population build
-# equal data, and either copy serves.
-_FLEETS: weakref.WeakKeyDictionary[Population, _Fleet] = weakref.WeakKeyDictionary()
-
-
-def _fleet(pop: Population) -> _Fleet:
-    """The population's fixed data, built on its first query."""
-    fleet = _FLEETS.get(pop)
-    if fleet is None:
-        fleet = _FLEETS.setdefault(pop, _Fleet(pop))
-    return fleet
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +434,7 @@ def batch_contains(
 def contains(pop: Population, u, atol: float = DEFAULT_ATOL) -> bool:
     """True iff the population can jointly track the aggregate profile u."""
     sums = _profile_cut_row(u, pop.horizon, atol)
-    return bool(_member_matrix(_fleet(pop).flex._caps, sums, atol))
+    return bool(_member_matrix(pop._flex._caps, sums, atol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,11 +560,10 @@ def decompose(pop: Population, u, atol: float = DEFAULT_ATOL):
         u = np.maximum(u, 0.0)
         order = (-u).argsort(kind="stable")
     target = u[order]
-    fleet = _fleet(pop)
     sums = _cut_row(target)
-    caps = fleet.flex._caps
+    caps = pop._flex._caps
     if _member_matrix(caps, sums, atol):
-        energies = fleet.balanced_energies(u.sum())
+        energies = pop._balanced_energies(u.sum())
         return Decomposition(_mix_fastest_profiles(energies, target, order, pop.power))
     # entry i < T is top_k(u) - p(k) with k = i + 1; entry T + j - 1 is
     # b(j) - bottom_j(u), the cut of u's k = T - j largest entries
@@ -575,7 +594,7 @@ def find_subset_violation(aset: AggregateFlexSet, pop: Population, atol: float =
     if is_subset_exact(aset, pop, atol):
         return None
     vertices = sorted_vertices(aset)
-    return vertices[np.argmin(_member_matrix(_fleet(pop).flex._caps, _cut_sums(vertices), atol))]
+    return vertices[np.argmin(_member_matrix(pop._flex._caps, _cut_sums(vertices), atol))]
 
 
 def is_subset_exact(aset: AggregateFlexSet, pop: Population, atol: float = DEFAULT_ATOL) -> bool:
@@ -584,7 +603,7 @@ def is_subset_exact(aset: AggregateFlexSet, pop: Population, atol: float = DEFAU
     This is is_nested(aset, the population's set), exact or conservative
     as that is.
     """
-    return is_nested(aset, _fleet(pop).flex, atol)
+    return is_nested(aset, pop._flex, atol)
 
 
 def is_subset_fast(aset: AggregateFlexSet, pop: Population, atol: float = DEFAULT_ATOL) -> bool:
@@ -602,7 +621,7 @@ def is_subset_fast(aset: AggregateFlexSet, pop: Population, atol: float = DEFAUL
     _check_atol(atol)
     if aset.is_empty:
         return True
-    return bool(_member_matrix(_fleet(pop).flex._caps, aset._caps, atol))
+    return bool(_member_matrix(pop._flex._caps, aset._caps, atol))
 
 
 def is_nested(inner: AggregateFlexSet, outer: AggregateFlexSet, atol: float = DEFAULT_ATOL) -> bool:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import AggregateFlexSet, _generating_vectors
-from .core import DEFAULT_ATOL, Population, check_energy_domain
+from .aggregate import AggregateFlexSet, Population, _generating_vectors
+from .core import DEFAULT_ATOL, check_energy_domain
 from .core import _check_atol, _check_horizon, _check_integer, _check_power, _floats, _is_finite
 from .errors import (
     BudgetInfeasible,
@@ -81,6 +81,9 @@ class DiscreteDistribution:
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "power", power)
 
+    def __reduce__(self):
+        return type(self), (self.atoms, self.weights, self.horizon, self.power)
+
     @classmethod
     def point_mass(cls, e_lo, e_hi, horizon: int, power: float = 1.0) -> "DiscreteDistribution":
         return cls([[e_lo, e_hi]], [1.0], horizon, power)
@@ -136,10 +139,11 @@ def wasserstein1(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 
     Equal atoms of each side are merged first (their weights summed), so
     the work scales with the distinct atoms, not with N: an equal-weight
-    N-point support from project_to_n_points holds only a few.
+    N-point support from project_to_n_points holds only a few. Both
+    distributions must share one horizon and power.
     """
-    if abs(p.energy_cap - q.energy_cap) > 1e-9:
-        raise DomainError("distributions live on different energy domains")
+    if (p.horizon, p.power) != (q.horizon, q.power):
+        raise DomainError(f"distributions' (T, m) differ: {p.horizon, p.power} vs {q.horizon, q.power}")
     p_atoms, p_weights = _merged_atoms(p)
     q_atoms, q_weights = _merged_atoms(q)
     cost = np.abs(p_atoms[:, None, 0] - q_atoms[None, :, 0]) + np.abs(
@@ -359,7 +363,6 @@ class RobustSetResult:
     worst_lo: Population  # lower-bound energies pushed up
     worst_hi: Population  # upper-bound energies pushed down
     epsilon: float
-    beta: float | None
     projection_cost: float
     projected_support: np.ndarray  # (N, 2)
     budget_lo: float  # spent pushing the lower-bound energies up
@@ -509,7 +512,6 @@ def robust_set(
     p: DiscreteDistribution,
     n: int,
     eps: float,
-    constants: ConcentrationConstants | None = None,
     normalize: bool = False,
     atol: float = DEFAULT_ATOL,
 ) -> RobustSetResult:
@@ -551,14 +553,12 @@ def robust_set(
     worst_lo = Population(cell.worst[0, 0, 0], cell.worst[0, 1, 0], p.horizon, p.power)
     worst_hi = Population(cell.worst[1, 0, 0], cell.worst[1, 1, 0], p.horizon, p.power)
     flex = AggregateFlexSet(cell.nu_lo[0], cell.nu_hi[0], p.power)
-    beta = beta_from_epsilon(eps, n, constants) if constants is not None else None
     return RobustSetResult(
         flex=flex,
         distribution=p,
         worst_lo=worst_lo,
         worst_hi=worst_hi,
         epsilon=eps,
-        beta=beta,
         projection_cost=cell.projection_cost / factor,
         projected_support=cell.support,
         budget_lo=lower[2] / factor,

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .aggregate import AggregateFlexSet, contains, decompose, sorted_vertices
-from .ambiguity import epsilon_from_beta, robust_set
+from .ambiguity import beta_from_epsilon, epsilon_from_beta, robust_set
 from .core import DEFAULT_ATOL, _check_atol
 from .errors import EVFlexError, ParseError, ValidationError
 from .harness import STREAM_VERSION, TrialConfig, _check_seed, fit_constants, fit_per_n, run_trials
@@ -121,11 +121,15 @@ def _cmd_robust(args) -> int:
     n = _resolve_robust_n(sc)
     spec = sc.robust
     eps = spec.epsilon if spec.beta is None else epsilon_from_beta(spec.beta, n, spec.constants)
-    result = robust_set(sc.distribution, n, eps, spec.constants, spec.normalize, args.tolerance)
+    result = robust_set(sc.distribution, n, eps, spec.normalize, args.tolerance)
+    # a given beta is printed as given; a given radius reads its beta off the tail bound
+    beta = spec.beta
+    if beta is None and spec.constants is not None:
+        beta = beta_from_epsilon(eps, n, spec.constants)
     _emit_json(
         {
             "epsilon": result.epsilon,
-            "beta": result.beta,
+            "beta": beta,
             "N": n,
             "T": sc.horizon,
             "power": sc.power,

@@ -1,8 +1,9 @@
-"""Charging-job domain types and individual feasibility.
+"""Shared input rules and single-EV charging.
 
-A charging profile is represented throughout as a plain 1-D float ndarray of
-length T (energy delivered per step); invariants (length, non-negativity) are
-enforced at function boundaries rather than by a wrapper class.
+Every entry point checks its input with the rules here, each raising the
+EVFlexError subclass it owns. A charging profile is a plain 1-D float
+ndarray of length T (energy per step), checked at function boundaries
+rather than wrapped in a class.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import math
 import operator
 import reprlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,49 +88,6 @@ def check_energy_domain(e_lo: np.ndarray, e_hi: np.ndarray, cap: float) -> None:
     if not valid.all():
         i = np.unravel_index(np.argmin(valid), valid.shape)
         raise EnergyOutOfRange(f"need 0 <= e_lo <= e_hi <= m*T: ({e_lo[i]}, {e_hi[i]}) vs cap {cap}")
-
-
-@dataclass(frozen=True, eq=False)
-class Population:
-    """Homogeneous population of N charging jobs, held as two energy vectors.
-
-    Every EV connects at step 1, departs after the horizon T and charges at
-    most `power` per step; EV i needs between e_lo[i] and e_hi[i] energy.
-    The vectors are stored as read-only float arrays.
-    """
-
-    e_lo: np.ndarray
-    e_hi: np.ndarray
-    horizon: int
-    power: float = 1.0
-
-    def __post_init__(self):
-        e_lo = _floats(self.e_lo, "e_lo")
-        e_hi = _floats(self.e_hi, "e_hi")
-        if e_lo.ndim != 1 or e_lo.shape != e_hi.shape or e_lo.size == 0:
-            raise DimensionMismatch("e_lo and e_hi must be non-empty 1-D arrays of equal length")
-        _check_power(self.power)
-        power = float(self.power)
-        horizon = _check_horizon(self.horizon, "horizon", power)
-        check_energy_domain(e_lo, e_hi, power * horizon)
-        e_lo.flags.writeable = False
-        e_hi.flags.writeable = False
-        object.__setattr__(self, "e_lo", e_lo)
-        object.__setattr__(self, "e_hi", e_hi)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "power", power)
-
-    @classmethod
-    def from_energy_pairs(cls, pairs, horizon: int, power: float = 1.0) -> "Population":
-        """Population from (e_lo, e_hi) rows."""
-        pairs = _floats(pairs, "pairs")
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise DimensionMismatch("pairs must be (e_lo, e_hi) rows")
-        return cls(pairs[:, 0], pairs[:, 1], horizon, power)
-
-    @property
-    def n(self) -> int:
-        return int(self.e_lo.size)
 
 
 def fastest_profile(energy: float, power: float, steps: int) -> np.ndarray:

@@ -37,11 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import _cap_row, _check_pair, _fastest_profiles, _is_empty, _member_matrix
-from .aggregate import _vertex_envelope
+from .aggregate import Population, _vertex_envelope
 from .aggregate import batch_contains  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .ambiguity import ConcentrationConstants, DiscreteDistribution, _check_radii, _worst_cases
 from .ambiguity import robust_set  # noqa: F401  (perfbench/tracing.py wraps this name)
-from .core import DEFAULT_ATOL, Population, _check_atol, _check_integer, _is_finite
+from .core import DEFAULT_ATOL, _check_atol, _check_integer, _is_finite
 from .errors import DomainError, InsufficientData
 
 SEED_LIMIT = 2**64  # master seeds are 64-bit

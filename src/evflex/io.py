@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aggregate import Population
 from .ambiguity import ConcentrationConstants, DiscreteDistribution
 from .ambiguity import _check_beta, _check_epsilon, _check_radii
-from .core import Population, _check_horizon, _check_integer, _check_power
+from .core import _check_horizon, _check_integer, _check_power
 from .errors import EVFlexError, ParseError, ValidationError
 from .harness import ViolationStats, _check_seed, _check_trials
 

@@ -1,5 +1,7 @@
+import copy
 import gc
 import json
+import pickle
 import sys
 import threading
 import weakref
@@ -34,7 +36,7 @@ from evflex import (
     strong_majorizes,
 )
 
-from evflex.aggregate import _check_profile, _fleet, _generating_vectors, _vertex_envelope
+from evflex.aggregate import _check_profile, _generating_vectors, _vertex_envelope
 from oracles import (
     clip_level,
     first_vertex_outside,
@@ -591,7 +593,7 @@ def test_is_nested_basics():
 def test_empty_set_membership_and_subset():
     lo_pop = Population.from_energy_pairs([(4.0, 4.0)], 4, 1.0)
     hi_pop = Population.from_energy_pairs([(0.0, 1.0)], 4, 1.0)
-    aset = AggregateFlexSet.from_bound_populations(lo_pop, hi_pop)
+    aset = AggregateFlexSet(nu_bounds(lo_pop)[0], nu_bounds(hi_pop)[1], 1.0)
     assert aset.is_empty
     assert not aset.contains_profile([1, 1, 1, 1])
     assert is_subset_exact(aset, two_ev_pop())  # empty set is trivially contained
@@ -609,8 +611,6 @@ def test_mismatched_set_and_population():
             find_subset_violation(aset, other)
         with pytest.raises(DimensionMismatch):
             is_nested(aset, AggregateFlexSet.from_population(other))
-        with pytest.raises(DimensionMismatch):
-            AggregateFlexSet.from_bound_populations(two_ev_pop(), other)
 
 
 def _robust_sets_and_samples(seed):
@@ -1112,7 +1112,7 @@ def criterion_excess(pop, u):
 
 
 def test_mixing_matrix_is_symmetric_doubly_stochastic():
-    from evflex.aggregate import _fleet, _generating_vectors, _mixing_matrix
+    from evflex.aggregate import _generating_vectors, _mixing_matrix
 
     def check(nu, target, tol, order):
         # D is written with column k at column order[k]; [:, order] undoes that
@@ -1133,7 +1133,7 @@ def test_mixing_matrix_is_symmetric_doubly_stochastic():
         for u in member_probes(pop, rng, 6):
             if not contains(pop, u):
                 continue
-            energies = _fleet(pop).balanced_energies(u.sum())
+            energies = pop._balanced_energies(u.sum())
             nu = _generating_vectors(energies, power, horizon)
             # a member may lie up to atol outside the set, and D @ nu may
             # then miss the target by that much, besides rounding noise
@@ -1175,7 +1175,7 @@ def _verdict_by_cap_row(pop, u, atol):
     order = np.argsort(-u, kind="stable")
     v = u[order]
     sums = _cap_row(v, v)
-    caps = _fleet(pop).flex._caps
+    caps = pop._flex._caps
     if (sums - atol <= caps).all():
         return v, sums, None
     gap = sums - caps
@@ -1287,6 +1287,60 @@ def test_nu_bounds_are_read_only():
     np.testing.assert_array_equal(nu_bounds(pop)[0], [1.5, 0.5, 0, 0])
 
 
+def test_a_population_builds_its_set_once(monkeypatch):
+    calls = []
+
+    def counted(energies, m, horizon):
+        calls.append(horizon)
+        return _generating_vectors(energies, m, horizon)
+
+    monkeypatch.setattr("evflex.aggregate._generating_vectors", counted)
+    pop = two_ev_pop()
+    assert contains(pop, [1, 1, 1, 1])
+    assert len(calls) == 2  # one generating vector per side
+    for _ in range(3):
+        assert contains(pop, [1, 1, 1, 1])
+        assert isinstance(decompose(pop, [1, 1, 1, 1]), Decomposition)
+        assert isinstance(decompose(pop, [4, 4, 4, 4]), Infeasible)
+        assert nu_bounds(pop)[1] is AggregateFlexSet.from_population(pop).nu_hi
+        assert AggregateFlexSet.from_population(pop) is AggregateFlexSet.from_population(pop)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_copies_are_rebuilt_frozen_and_unprepared(clone):
+    from evflex import DiscreteDistribution, wasserstein1
+
+    pop = two_ev_pop()
+    probes = cache_probes(pop, np.random.default_rng(23), 10)
+    flex = AggregateFlexSet.from_population(pop)
+    assert flex.contains_profile(probes[0])  # prepares the set and its cap row
+    dist = DiscreteDistribution([[1.5, 2.5], [0.5, 3.5]], [0.25, 0.75], 4)
+    pop_twin, flex_twin, dist_twin = [clone(x) for x in (pop, flex, dist)]
+    for original, twin, arrays, prepared in [
+        (pop, pop_twin, ("e_lo", "e_hi"), "_flex"),
+        (flex, flex_twin, ("nu_lo", "nu_hi"), "_caps"),
+        (dist, dist_twin, ("atoms", "weights"), None),
+    ]:
+        assert type(twin) is type(original) and twin is not original
+        for name in arrays:
+            array = getattr(twin, name)
+            assert array.tobytes() == getattr(original, name).tobytes()
+            with pytest.raises(ValueError):
+                array[0] = 100.0  # read-only, so no copy can leave the domain
+        if prepared:  # the original's prepared data stays behind
+            assert prepared in vars(original) and prepared not in vars(twin)
+    for u in probes:
+        for query in (contains, decompose):
+            assert _answer(query(pop_twin, u)) == _answer(query(pop, u))
+        assert flex_twin.contains_profile(u) == flex.contains_profile(u)
+    assert wasserstein1(dist_twin, dist) == 0.0
+
+
 def test_prepared_data_does_not_keep_population_alive():
     pop = two_ev_pop()
     assert contains(pop, [1, 1, 1, 1])
@@ -1360,7 +1414,7 @@ def split_instance(draw):
 @given(split_instance())
 def test_balanced_split_table_matches_level_search(instance):
     pop, total = instance
-    energies = _fleet(pop).balanced_energies(total)
+    energies = pop._balanced_energies(total)
     scale = max(1.0, pop.e_hi.sum())
     assert np.all(energies >= pop.e_lo) and np.all(energies <= pop.e_hi)
     reached = min(max(total, pop.e_lo.sum()), pop.e_hi.sum())

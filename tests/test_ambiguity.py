@@ -709,14 +709,6 @@ def test_robust_set_normalization_equivalence():
     assert abs(norm.w1_lo * 6.0 - raw.w1_lo) < 1e-12
 
 
-def test_robust_set_reports_beta():
-    p = fig_distribution()
-    c = ConcentrationConstants(2.0, 1.5)
-    result = robust_set(p, 4, 0.5, constants=c)
-    assert abs(result.beta - beta_from_epsilon(0.5, 4, c)) < 1e-15
-    assert robust_set(p, 4, 0.5).beta is None
-
-
 def test_robust_set_repair_is_flagged_and_consistent():
     # pushing the largest lower bounds to the cap forces their e_hi up too
     p = fig_distribution()

@@ -232,6 +232,27 @@ def test_robust_command_from_beta(tmp_path, capsys):
     assert out["beta"] == pytest.approx(0.2)
 
 
+def test_robust_command_reports_beta(tmp_path, capsys):
+    from evflex import ConcentrationConstants, RangeWarning, beta_from_epsilon
+
+    constants = {"c1": 2.0, "c2": 0.15}
+    # a given beta is printed as given, not read back off its radius; only
+    # the radius it implies (2.23 > 1) warns
+    given = dict(BASE, robust={"beta": 0.1, "N": 4, "constants": constants})
+    with pytest.warns(RangeWarning) as caught:
+        assert main(["robust", "--scenario", write_scenario(tmp_path, given)]) == 0
+    assert len(caught) == 1
+    assert json.loads(capsys.readouterr().out)["beta"] == 0.1
+    # a given radius reads its beta off the tail bound
+    radius = dict(BASE, robust={"epsilon": 0.5, "N": 4, "constants": constants})
+    assert main(["robust", "--scenario", write_scenario(tmp_path, radius, "eps.json")]) == 0
+    expected = beta_from_epsilon(0.5, 4, ConcentrationConstants(2.0, 0.15))
+    assert json.loads(capsys.readouterr().out)["beta"] == expected
+    # and with no constants there is none
+    assert main(["robust", "--scenario", write_scenario(tmp_path, BASE, "bare.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["beta"] is None
+
+
 def test_montecarlo_csv_roundtrip_and_fit(tmp_path, capsys):
     path = write_scenario(tmp_path, BASE)
     out_csv = str(tmp_path / "results.csv")

@@ -142,6 +142,14 @@ CASES = {
         lambda: wasserstein1(DIST, DiscreteDistribution([[0.5, 1.0]], [1.0], 5)),
         DomainError,
     ),
+    # the same cap m*T = 6 on another (T, m): the domains still differ
+    "wasserstein1-same-cap-other-domain": (
+        lambda: wasserstein1(
+            DiscreteDistribution([[0.5, 1.0]], [1.0], 6),
+            DiscreteDistribution([[0.5, 1.0]], [1.0], 4, 1.5),
+        ),
+        DomainError,
+    ),
     "push_lower-nan-budget": (lambda: push_lower([0.5, 1.0], nan, 4.0), DomainError),
     "push_lower-inf-ceiling": (lambda: push_lower([0.5, 1.0], 0.1, inf), DomainError),
     "push_upper-nan-value": (lambda: push_upper([nan, 1.0], 0.1), DomainError),
