@@ -421,7 +421,7 @@ def batch_contains(
             f"e_lo {e_lo.shape} and e_hi {e_hi.shape} must be equal (R, N) with N >= 1"
         )
     _check_power(m)
-    horizon = profiles.shape[1]
+    horizon = _check_horizon(profiles.shape[1], "horizon", m)
     check_energy_domain(e_lo, e_hi, m * horizon)
     caps = _cap_row(_generating_vectors(e_lo, m, horizon), _generating_vectors(e_hi, m, horizon))
     return _member_matrix(caps[:, None], _cut_sums(profiles), atol)  # (R, 1, 2T) against (V, 2T)

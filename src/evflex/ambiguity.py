@@ -2,7 +2,8 @@
 
 Distributions over charging requirements are discrete, with atoms on the
 (e_lo, e_hi) plane of one horizon T and power m, which each distribution
-carries as a Population does; the ground metric is L1 on that plane.
+carries as a Population does; the ground metric is L1 on that plane, so
+every cost (radius, projection cost, budget, distance) is in energy units.
 Worst-case populations are built in two steps: project the distribution
 onto an equal-weight N-point support, then spend the remaining transport
 budget pushing that support toward the relevant boundary of the energy
@@ -350,12 +351,11 @@ def epsilon_from_beta(beta: float, n: int, constants: ConcentrationConstants) ->
 class RobustSetResult:
     """Robust aggregate flexibility set plus plan bookkeeping.
 
-    Cost-type fields (epsilon, projection_cost, budgets, w1 distances) are
-    in the caller's epsilon units (normalized when normalize=True); energies
-    (populations, kappa) are always in raw units. robust_set has checked
-    both worst cases against the radius by their displacement certificate;
-    w1_lo and w1_hi are their exact distances to the distribution, solved on
-    first read and kept.
+    Every field is in energy units: costs (epsilon, projection_cost, budgets,
+    w1 distances) are L1 transport costs, populations and kappa energies; an
+    empty set has flex.is_empty. robust_set has checked both worst cases
+    against the radius by their displacement certificate; w1_lo and w1_hi
+    are their exact distances to the distribution, solved on first read.
     """
 
     flex: AggregateFlexSet
@@ -373,8 +373,6 @@ class RobustSetResult:
     kappa_hi: float
     repaired_lo: int  # atoms whose e_hi had to be lifted to keep e_lo <= e_hi
     repaired_hi: int
-    normalization: float
-    empty: bool
 
     @functools.cached_property
     def w1_lo(self) -> float:
@@ -389,7 +387,7 @@ class RobustSetResult:
     def _w1(self, worst: Population) -> float:
         pairs = np.column_stack([worst.e_lo, worst.e_hi])
         support = DiscreteDistribution.equal_weights(pairs, worst.horizon, worst.power)
-        return wasserstein1(self.distribution, support) / self.normalization
+        return wasserstein1(self.distribution, support)
 
 
 def _certified_distances(proj_cost, starts, e_lo, e_hi) -> np.ndarray:
@@ -425,12 +423,11 @@ class _WorstCases:
 
     Radius r is feasible when it covers the projection cost; worst, nu_lo
     and nu_hi hold the R' feasible radii in their given order. Costs are in
-    raw energy units.
+    energy units.
     """
 
     support: np.ndarray  # (N, 2) projected support
     projection_cost: float
-    normalization: float
     feasible: np.ndarray  # (R,) bool
     worst: np.ndarray  # (2, 2, R', N): [lower, upper case][e_lo, e_hi][radius]
     nu_lo: np.ndarray  # (R', T): the lower worst cases' lower generating vectors
@@ -439,7 +436,7 @@ class _WorstCases:
 
 
 def _worst_cases(
-    p: DiscreteDistribution, n: int, epsilons, normalize: bool = False, atol: float = DEFAULT_ATOL
+    p: DiscreteDistribution, n: int, epsilons, atol: float = DEFAULT_ATOL
 ) -> _WorstCases:
     """Both worst cases and the bound pair of robust_set for every radius at once.
 
@@ -453,13 +450,11 @@ def _worst_cases(
     _check_atol(atol)
     n = _check_integer(n, "n", minimum=1)
     cap = p.energy_cap
-    factor = cap if normalize else 1.0
-    eps_raw = radii * factor
 
     support, proj_cost = project_to_n_points(p, n)
-    residuals = eps_raw - proj_cost
+    residuals = radii - proj_cost
     feasible = residuals >= -1e-12
-    eps_raw = eps_raw[feasible]
+    radii = radii[feasible]
     residuals = np.maximum(residuals[feasible], 0.0)
 
     # lower worst case: support is lex-sorted, so the largest e_lo comes last;
@@ -483,7 +478,7 @@ def _worst_cases(
     # the certificate may pass the radius by rounding alone: by the 1e-12
     # the residual was granted above, and by a few ulps of displacement
     # sums over energies up to the cap; atol comes on top
-    allowed = eps_raw + atol + 1e-12 + 1e-12 * max(1.0, cap)
+    allowed = radii + atol + 1e-12 + 1e-12 * max(1.0, cap)
     bounds = _certified_distances(
         proj_cost, np.stack((support, ordered)), worst[:, 0], worst[:, 1]
     )
@@ -493,13 +488,12 @@ def _worst_cases(
         side = 0 if over[0, r] else 1
         raise NumericalFailure(
             f"budget accounting violated: {('lower', 'upper')[side]} worst case certified at "
-            f"distance {float(bounds[side, r])} > eps {float(eps_raw[r])}"
+            f"distance {float(bounds[side, r])} > eps {float(radii[r])}"
         )
     check_energy_domain(worst[:, 0], worst[:, 1], cap)
     return _WorstCases(
         support=support,
         projection_cost=proj_cost,
-        normalization=factor,
         feasible=feasible,
         worst=worst,
         nu_lo=_generating_vectors(worst[0, 0], p.power, p.horizon),
@@ -512,7 +506,6 @@ def robust_set(
     p: DiscreteDistribution,
     n: int,
     eps: float,
-    normalize: bool = False,
     atol: float = DEFAULT_ATOL,
 ) -> RobustSetResult:
     """Distributionally robust aggregate flexibility set for N sampled jobs.
@@ -545,30 +538,26 @@ def robust_set(
     hence p_U <= p_L and b_L >= b_U, and the intersection
     {b_L <= u(S) <= p_L} & {b_U <= u(S) <= p_U} is {b_L <= u(S) <= p_U}.
     """
-    cell = _worst_cases(p, n, (eps,), normalize, atol)
-    factor = cell.normalization
+    cell = _worst_cases(p, n, (eps,), atol)
     if not cell.feasible[0]:
-        raise BudgetInfeasible(float(eps), float(cell.projection_cost / factor))
+        raise BudgetInfeasible(float(eps), float(cell.projection_cost))
     lower, upper = cell.walks[0]
     worst_lo = Population(cell.worst[0, 0, 0], cell.worst[0, 1, 0], p.horizon, p.power)
     worst_hi = Population(cell.worst[1, 0, 0], cell.worst[1, 1, 0], p.horizon, p.power)
-    flex = AggregateFlexSet(cell.nu_lo[0], cell.nu_hi[0], p.power)
     return RobustSetResult(
-        flex=flex,
+        flex=AggregateFlexSet(cell.nu_lo[0], cell.nu_hi[0], p.power),
         distribution=p,
         worst_lo=worst_lo,
         worst_hi=worst_hi,
         epsilon=eps,
-        projection_cost=cell.projection_cost / factor,
+        projection_cost=cell.projection_cost,
         projected_support=cell.support,
-        budget_lo=lower[2] / factor,
-        budget_hi=upper[2] / factor,
+        budget_lo=lower[2],
+        budget_hi=upper[2],
         i_c_lo=lower[0],
         kappa_lo=lower[1],
         i_c_hi=upper[0],
         kappa_hi=upper[1],
         repaired_lo=lower[3],
         repaired_hi=upper[3],
-        normalization=factor,
-        empty=flex.is_empty,
     )

@@ -121,7 +121,7 @@ def _cmd_robust(args) -> int:
     n = _resolve_robust_n(sc)
     spec = sc.robust
     eps = spec.epsilon if spec.beta is None else epsilon_from_beta(spec.beta, n, spec.constants)
-    result = robust_set(sc.distribution, n, eps, spec.normalize, args.tolerance)
+    result = robust_set(sc.distribution, n, eps, args.tolerance)
     # a given beta is printed as given; a given radius reads its beta off the tail bound
     beta = spec.beta
     if beta is None and spec.constants is not None:
@@ -131,8 +131,8 @@ def _cmd_robust(args) -> int:
             "epsilon": result.epsilon,
             "beta": beta,
             "N": n,
-            "T": sc.horizon,
-            "power": sc.power,
+            "T": sc.distribution.horizon,
+            "power": sc.distribution.power,
             "projection_cost": result.projection_cost,
             "projected_support": result.projected_support,
             "budget_lo": result.budget_lo,
@@ -145,8 +145,7 @@ def _cmd_robust(args) -> int:
             "w1_hi": result.w1_hi,
             "repaired_lo": result.repaired_lo,
             "repaired_hi": result.repaired_hi,
-            "normalization": result.normalization,
-            "empty": result.empty,
+            "empty": result.flex.is_empty,
             "nu_lo": result.flex.nu_lo,
             "nu_hi": result.flex.nu_hi,
             "worst_case_lo": np.column_stack([result.worst_lo.e_lo, result.worst_lo.e_hi]),
@@ -167,8 +166,8 @@ def _cmd_montecarlo(args) -> int:
     metadata = {
         "seed": seed,
         "trials": trials,
-        "T": sc.horizon,
-        "power": sc.power,
+        "T": sc.distribution.horizon,
+        "power": sc.distribution.power,
         "stream": STREAM_VERSION,
     }
     with _output(args.out) as fh:  # an unwritable --out fails before any cell runs

@@ -94,8 +94,9 @@ def fastest_profile(energy: float, power: float, steps: int) -> np.ndarray:
     """Profile delivering `energy` at maximum power from the first step.
 
     Full-power slots first, then one partial slot carrying the remainder
-    (omitted when zero), then zeros. The entries are non-increasing and sum
-    to `energy` exactly.
+    (omitted when zero), then zeros: the one-EV row of aggregate's
+    _generating_vectors, bit for bit, which at a power not exact in binary
+    may sum to `energy` only up to rounding.
     """
     _check_power(power)
     steps = _check_horizon(steps, "steps", power)

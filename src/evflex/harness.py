@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import _cap_row, _check_pair, _fastest_profiles, _is_empty, _member_matrix
+from .aggregate import _cap_row, _check_pair, _generating_vectors, _is_empty, _member_matrix
 from .aggregate import Population, _vertex_envelope
 from .aggregate import batch_contains  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .ambiguity import ConcentrationConstants, DiscreteDistribution, _check_radii, _worst_cases
@@ -168,9 +168,9 @@ def _atom_cap_table(atoms: np.ndarray, m: float, horizon: int) -> np.ndarray:
 
     Every cap of the criterion (_cap_row) is a sum over a population's
     EVs, so a population with atom counts c has the cap row c @ table.
+    Each row is the one-EV population's own cap row, bit for bit.
     """
-    lo = _fastest_profiles(atoms[:, 0], m, horizon)
-    hi = _fastest_profiles(atoms[:, 1], m, horizon)
+    lo, hi = _generating_vectors(atoms.T[..., None], m, horizon)  # (2, A, 1) -> (2, A, T)
     return _cap_row(lo, hi)
 
 
@@ -222,10 +222,11 @@ def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
       2T axis: (R', 2T, U) comparisons, with no (U, N) energy array and
       no (U, T+1, T) bound array.
     Every radius's set, verdicts and counts are those robust_set and a
-    one-radius cell give it alone. On atoms whose caps are not exact in
-    binary (not the paper's half-integer ones) a cap summed per atom can
-    differ in its last bit from the one the population's own set sums per
-    EV, so at atol=0 a verdict can differ from is_subset_exact's.
+    one-radius cell give it alone. A table row is its atom's one-EV cap row
+    bit for bit, so only summation order differs: on caps not exact in
+    binary (not the paper's half-integer atoms) counts @ table can round
+    unlike the population's own sum over its EVs, and at atol=0 a verdict
+    can then differ from is_subset_exact's.
     """
     dist = cfg.distribution
     n = cfg.population_size

@@ -50,7 +50,6 @@ class RobustSpec:
     epsilon: float | None
     beta: float | None
     constants: ConcentrationConstants | None
-    normalize: bool
     population_size: int | None
 
 
@@ -64,8 +63,6 @@ class HarnessSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    horizon: int  # grid.T
-    power: float
     distribution: DiscreteDistribution | None
     population: Population | None
     robust: RobustSpec | None
@@ -148,6 +145,8 @@ def _parse_distribution(obj, horizon: int, power: float, base_dir: str) -> Discr
 
 def _parse_robust(obj) -> RobustSpec:
     _require(isinstance(obj, dict), "robust: expected an object")
+    # unknown keys are ignored, so a normalized radius would otherwise be read as energy
+    _require("normalize" not in obj, "robust.normalize: removed; give robust.epsilon in energy units")
     epsilon = obj.get("epsilon")
     beta = obj.get("beta")
     _require((epsilon is None) != (beta is None), "robust: exactly one of epsilon/beta must be given")
@@ -170,13 +169,10 @@ def _parse_robust(obj) -> RobustSpec:
         beta = _number(beta, "robust.beta")
         _judged("robust.beta", _check_beta, beta, constants)
     size = obj.get("N")
-    normalize = obj.get("normalize", False)
-    _require(isinstance(normalize, bool), f"robust.normalize: must be true or false, got {normalize!r}")
     return RobustSpec(
         epsilon=epsilon,
         beta=beta,
         constants=constants,
-        normalize=normalize,
         population_size=None if size is None else _size(size, "robust.N"),
     )
 
@@ -250,8 +246,6 @@ def parse_scenario(path: str) -> Scenario:
     robust = _parse_robust(raw["robust"]) if "robust" in raw else None
     harness = _parse_harness(raw["harness"]) if "harness" in raw else None
     return Scenario(
-        horizon=horizon,
-        power=power,
         distribution=distribution,
         population=population,
         robust=robust,

@@ -319,11 +319,11 @@ def test_criterion_7_nestedness():
         for j in range(len(results)):
             for k2 in range(j + 1, len(results)):
                 inner, outer = results[k2], results[j]
-                if inner.empty:
+                if inner.flex.is_empty:
                     continue
                 pairs += 1
                 vertices = sorted_vertices(inner.flex)
-                if outer.empty:
+                if outer.flex.is_empty:
                     violations += len(vertices)
                     continue
                 member = flex_member(outer.worst_lo, vertices)
@@ -419,7 +419,7 @@ def test_experiment_counts_match_exact_beta(experiment):
         counts, pmf = multisets_with_pmf(s.population_size, dist.weights)
         assert abs(pmf.sum() - 1.0) < 1e-9
         result = robust_set(dist, s.population_size, s.epsilon)
-        assert not (s.degenerate or result.empty)
+        assert not (s.degenerate or result.flex.is_empty)
         caps = _cap_columns(counts, table)
         beta = float(pmf[~_populations_clear(result.flex._vertex_envelope, caps, DEFAULT_ATOL)].sum())
         z = abs(s.violations - s.trials * beta) / math.sqrt(s.trials * beta * (1 - beta))

@@ -444,7 +444,7 @@ def test_robust_set_zero_residual():
     np.testing.assert_allclose(result.worst_lo.e_lo, FIG_ATOMS[:, 0])
     np.testing.assert_allclose(result.worst_hi.e_hi, FIG_ATOMS[:, 1])
     assert result.i_c_lo == 5 and result.i_c_hi == 0
-    assert not result.empty
+    assert not result.flex.is_empty
 
 
 def test_array_dataclasses_compare_by_identity():
@@ -627,7 +627,7 @@ def test_robust_set_budget_infeasible():
 def test_robust_set_saturation_empty():
     p = fig_distribution()
     result = robust_set(p, 4, 50.0)
-    assert result.empty
+    assert result.flex.is_empty
     assert result.flex.nu_lo.sum() > result.flex.nu_hi.sum()
     np.testing.assert_allclose(result.flex.nu_hi, 0.0)
     np.testing.assert_allclose(result.flex.nu_lo, 4.0)  # N*m at every step
@@ -698,17 +698,6 @@ def test_robust_set_nested_in_epsilon():
         assert is_nested(inner.flex, outer.flex)
 
 
-def test_robust_set_normalization_equivalence():
-    p = fig_distribution()
-    raw = robust_set(p, 4, 0.9)
-    norm = robust_set(p, 4, 0.9 / 6.0, normalize=True)
-    np.testing.assert_allclose(norm.flex.nu_lo, raw.flex.nu_lo, atol=1e-12)
-    np.testing.assert_allclose(norm.flex.nu_hi, raw.flex.nu_hi, atol=1e-12)
-    assert abs(norm.projection_cost * 6.0 - raw.projection_cost) < 1e-12
-    assert norm.normalization == 6.0
-    assert abs(norm.w1_lo * 6.0 - raw.w1_lo) < 1e-12
-
-
 def test_robust_set_repair_is_flagged_and_consistent():
     # pushing the largest lower bounds to the cap forces their e_hi up too
     p = fig_distribution()
@@ -721,7 +710,7 @@ def test_robust_set_repair_is_flagged_and_consistent():
 
 
 def _certificates(p, result):
-    """The triangle bound of each worst case, rebuilt from the arrays in raw units."""
+    """The triangle bound of each worst case, rebuilt from the arrays."""
     support, proj_cost = project_to_n_points(p, result.projected_support.shape[0])
     upper_order = np.argsort(support[:, 1], kind="stable")
     out = []
@@ -748,11 +737,10 @@ def test_budget_certificate_bounds_exact_w1_and_holds_at_zero_atol():
         p = random_distribution(rng, steps, power, max_atoms=8)
         n = int(rng.integers(1, 60))
         eps0 = project_to_n_points(p, n)[1]
-        eps_raw = eps0 + (0.0 if rng.random() < 0.2 else rng.uniform(0, cap))
-        normalize = bool(rng.random() < 0.3)
-        eps = eps_raw / cap if normalize else eps_raw
-        result = robust_set(p, n, eps, normalize=normalize, atol=0.0)
-        allowed = eps * result.normalization + 1e-12 + 1e-12 * max(1.0, cap)
+        eps = eps0 + (0.0 if rng.random() < 0.2 else rng.uniform(0, cap))
+        rng.random()  # one more draw per case keeps the seeded sequence of cases
+        result = robust_set(p, n, eps, atol=0.0)
+        allowed = eps + 1e-12 + 1e-12 * max(1.0, cap)
         for bound, worst in zip(_certificates(p, result), (result.worst_lo, result.worst_hi)):
             assert bound >= _exact_w1(p, worst) - 1e-12
             assert bound <= allowed
@@ -772,18 +760,14 @@ def test_paper_cells_hold_at_zero_atol():
                 assert project_to_n_points(p, n)[1] > eps
 
 
-@pytest.mark.parametrize("normalize", [False, True])
-def test_lazy_w1_equals_wasserstein1_bit_for_bit(normalize):
+def test_lazy_w1_equals_wasserstein1_bit_for_bit():
     rng = np.random.default_rng(11)
     for _ in range(40):
         p = random_distribution(rng)
         n = int(rng.integers(1, 12))
-        eps_raw = project_to_n_points(p, n)[1] + rng.uniform(0, 3)
-        factor = 6.0 if normalize else 1.0
-        result = robust_set(p, n, eps_raw / factor, normalize=normalize)
-        assert result.normalization == factor
-        assert result.w1_lo == _exact_w1(p, result.worst_lo) / factor
-        assert result.w1_hi == _exact_w1(p, result.worst_hi) / factor
+        result = robust_set(p, n, project_to_n_points(p, n)[1] + rng.uniform(0, 3))
+        assert result.w1_lo == _exact_w1(p, result.worst_lo)
+        assert result.w1_hi == _exact_w1(p, result.worst_hi)
 
 
 def test_robust_set_solves_no_transport_until_w1_is_read(monkeypatch):

@@ -41,9 +41,12 @@ def test_minimal_scenario_defaults():
         with open(path, "w") as fh:
             json.dump({}, fh)
         sc = parse_scenario(path)
-    assert sc.horizon == 24
-    assert sc.power == 1.0
-    assert sc.distribution is None and sc.robust is None
+        assert sc.distribution is None and sc.robust is None
+        # grid.T and power default to 24 and 1.0 on the parsed distribution
+        with open(path, "w") as fh:
+            json.dump({"distribution": {"atoms": [[1.0, 2.0]], "weights": [1.0]}}, fh)
+        dist = parse_scenario(path).distribution
+    assert (dist.horizon, dist.power) == (24, 1.0)
 
 
 def test_scenario_validation_names_field(tmp_path):
@@ -509,6 +512,11 @@ EXIT_CODE_CASES = {
         _scenario_command("robust", _with("robust", {"epsilon": 0.5, "N": 4, "normalize": "false"})),
         3,
     ),
+    # radii are in energy units only: the removed key is rejected, whatever its value
+    "normalize": (
+        _scenario_command("robust", _with("robust", {"epsilon": 0.5, "N": 4, "normalize": True})),
+        3,
+    ),
     "string-atom": (
         _scenario_command("aggregate", _with("distribution", {"atoms": [["2", 4]], "weights": [1.0]})),
         3,
@@ -628,6 +636,7 @@ ROBUST_FIELD_CASES = {
     "nan-beta": "robust.beta",
     "zero-epsilon-with-constants": "robust.epsilon",
     "string-normalize": "robust.normalize",
+    "normalize": "robust.normalize",
     "overflowing-epsilon": "robust.epsilon",
     "negative-epsilon": "robust.epsilon",
     "negative-beta": "robust.beta",

@@ -12,6 +12,7 @@ from evflex import (
     fastest_profile,
     is_individually_feasible,
 )
+from evflex.aggregate import _generating_vectors
 
 
 def test_fastest_profile_examples():
@@ -38,6 +39,21 @@ def test_fastest_profile_partial_slot_only_when_positive():
     np.testing.assert_allclose(fastest_profile(2.0, 1, 4), [1, 1, 0, 0])
     prof = fastest_profile(3.0, 1.5, 4)
     np.testing.assert_allclose(prof, [1.5, 1.5, 0, 0])
+
+
+def test_fastest_profile_is_the_one_ev_generating_vector():
+    # at a non-dyadic power the entries need not sum to the energy exactly,
+    # but the profile is the row a one-EV population's set is built from
+    rng = np.random.default_rng(20)
+    inexact = 0
+    for _ in range(2000):
+        steps = int(rng.integers(1, 30))
+        power = float(rng.uniform(0.1, 3.0))
+        energy = float(rng.uniform(0.0, power * steps))
+        profile = fastest_profile(energy, power, steps)
+        np.testing.assert_array_equal(profile, _generating_vectors(np.array([energy]), power, steps))
+        inexact += profile.sum() != energy
+    assert inexact > 0
 
 
 @settings(max_examples=200, deadline=None)

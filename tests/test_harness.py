@@ -333,6 +333,21 @@ def test_monte_carlo_cell_solves_one_transport_problem(monkeypatch):
     assert distances == [(p, 5), (p, 10), (p, 5)]
 
 
+def test_atom_cap_table_rows_are_one_ev_sets_bit_for_bit():
+    # half-integer multiples of a non-dyadic power put energies on the
+    # step boundaries, where a clipped per-step form and the floor form of
+    # a population's set round differently
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        horizon = int(rng.integers(1, 30))
+        power = float(rng.uniform(0.1, 3.0))
+        atoms = power * np.sort(rng.integers(0, 2 * horizon + 1, (20, 2)), axis=1) / 2.0
+        table = _atom_cap_table(atoms, power, horizon)
+        for (e_lo, e_hi), row in zip(atoms, table):
+            own = Population([e_lo], [e_hi], horizon, power)._flex._caps
+            np.testing.assert_array_equal(row, own, err_msg=f"{e_lo, e_hi, horizon, power}")
+
+
 def test_every_radius_scores_the_same_draw(monkeypatch):
     scored = []
 
@@ -484,18 +499,18 @@ def test_cell_core_equals_single_radius_robust_sets():
             for side, worst in enumerate((result.worst_lo, result.worst_hi)):
                 np.testing.assert_array_equal(cell.worst[side, 0, row], worst.e_lo)
                 np.testing.assert_array_equal(cell.worst[side, 1, row], worst.e_hi)
-            assert _is_empty(cell.nu_lo[row], cell.nu_hi[row]) == result.empty == s.degenerate
+            assert _is_empty(cell.nu_lo[row], cell.nu_hi[row]) == result.flex.is_empty == s.degenerate
             np.testing.assert_array_equal(envelopes[row], flex._vertex_envelope)
             violations = 0
-            if not result.empty:
+            if not result.flex.is_empty:
                 inside = _populations_clear(flex._vertex_envelope, caps, atol)
                 violations = int(np.bincount(group)[~inside].sum())
             assert s.violations == violations, (seed, eps)
-            kinds[1] += result.empty
+            kinds[1] += result.flex.is_empty
             kinds[2] += 0 < violations < 200
             row += 1
         assert row == len(cell.walks) == cell.feasible.sum()
-        assert result.empty, seed  # the largest radius pushes every atom to its bound
+        assert result.flex.is_empty, seed  # the largest radius pushes every atom to its bound
     assert kinds.min() >= 10, kinds
 
 
@@ -523,7 +538,7 @@ def _random_robust_case(seed):
     eps = project_to_n_points(p, n)[1] + rng.uniform(0, 2) * power
     result = robust_set(p, n, eps)
     idx = rng.choice(n_atoms, size=(40, n), p=p.weights)
-    return None if result.empty else (p, result.flex, idx)
+    return None if result.flex.is_empty else (p, result.flex, idx)
 
 
 def test_vertex_envelope_equals_vertex_route():

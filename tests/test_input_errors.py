@@ -93,6 +93,11 @@ CASES = {
     "DiscreteDistribution-overflowing-cap": (lambda: _distribution(10**300, 1e10), DomainError),
     "Population-beyond-float-horizon": (lambda: Population([0.5], [1.0], 10**400), DomainError),
     "Population-overflowing-cap": (lambda: Population([0.5], [1.0], 10**300, 1e10), DomainError),
+    # the horizon rule of Population([1e308], [1e308], 2, 1e308): m*T is not finite
+    "batch_contains-overflowing-cap": (
+        lambda: batch_contains([[1e308]], [[1e308]], [[1.0, 1.0]], 1e308),
+        DomainError,
+    ),
     "fastest_profile-beyond-float-steps": (lambda: fastest_profile(0.0, 1.0, 10**400), DomainError),
     "project_to_n_points-float-n": (lambda: project_to_n_points(DIST, 2.0), NotAnInteger),
     "project_to_n_points-zero-n": (lambda: project_to_n_points(DIST, 0), DomainError),
