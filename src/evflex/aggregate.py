@@ -60,38 +60,20 @@ from functools import cached_property
 import numpy as np
 
 from .core import DEFAULT_ATOL, _check_atol, _check_horizon, _check_power, _floats
-from .core import check_energy_domain
+from .core import _generating_vectors, check_energy_domain
 from .errors import DimensionMismatch, DomainError, NegativeEntry, NotMonotone
 from .flows import feasible_circulation  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 
 def _fastest_profiles(energies: np.ndarray, m: float, horizon: int) -> np.ndarray:
-    """Fastest-charge profiles clip(e - m*k, 0, m): (..., N) -> (..., N, T)."""
+    """Fastest-charge profiles clip(e - m*k, 0, m): (..., N) -> (..., N, T).
+
+    Kept beside _generating_vectors' floor form, which it can differ from in
+    last bits, because it is about 3x faster on decompose's path and a witness
+    mixes these rows by their own column sums, so the difference costs nothing."""
     profiles = energies[..., None] - m * np.arange(horizon, dtype=float)
     np.maximum(profiles, 0.0, out=profiles)
     return np.minimum(profiles, m, out=profiles)
-
-
-def _generating_vectors(energies: np.ndarray, m: float, horizon: int) -> np.ndarray:
-    """Sums of fastest-charge profiles over the last axis: (..., N) -> (..., T).
-
-    EV i gives m to each of its floor(e_i/m) full steps (at most T) and the
-    remainder e_i - m*floor(e_i/m) to the next step, if there is one. Step
-    t's sum is therefore m times the number of EVs with more than t full
-    steps plus the remainders that land on t: two bincounts over (row,
-    full steps) and a reverse cumulative sum, with no (..., N, T) array.
-    """
-    lead = energies.shape[:-1]
-    rows = math.prod(lead)
-    full = np.floor(energies / m).clip(0, horizon)
-    rest = (energies - m * full).clip(0.0, m)
-    # slot T of each row collects the EVs with T full steps and is dropped
-    slot = (full.astype(np.intp) + (horizon + 1) * np.arange(rows).reshape(lead + (1,))).ravel()
-    size = rows * (horizon + 1)
-    count = np.bincount(slot, minlength=size).reshape(rows, horizon + 1)
-    partial = np.bincount(slot, weights=rest.ravel(), minlength=size).reshape(rows, horizon + 1)
-    beyond = count[:, :0:-1].cumsum(axis=1)[:, ::-1]  # EVs with more than t full steps
-    return (m * beyond + partial[:, :horizon]).reshape(lead + (horizon,))
 
 
 @dataclass(frozen=True, eq=False)

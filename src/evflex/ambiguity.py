@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import AggregateFlexSet, Population, _generating_vectors
-from .core import DEFAULT_ATOL, check_energy_domain
+from .aggregate import AggregateFlexSet, Population
+from .core import DEFAULT_ATOL, _generating_vectors, check_energy_domain
 from .core import _check_atol, _check_horizon, _check_integer, _check_power, _floats, _is_finite
 from .errors import (
     BudgetInfeasible,

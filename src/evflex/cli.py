@@ -19,7 +19,7 @@ from .ambiguity import beta_from_epsilon, epsilon_from_beta, robust_set
 from .core import DEFAULT_ATOL, _check_atol
 from .errors import EVFlexError, ParseError, ValidationError
 from .harness import STREAM_VERSION, TrialConfig, _check_seed, fit_constants, fit_per_n, run_trials
-from .io import _numbers, jsonify, parse_scenario, read_results_csv, write_results_csv
+from .io import _numbers, _read_json, jsonify, parse_scenario, read_results_csv, write_results_csv
 
 
 def _add_out(parser: argparse.ArgumentParser):
@@ -52,11 +52,7 @@ def _parse_profile(args) -> np.ndarray:
             return np.array([float(v) for v in args.profile.replace(",", " ").split()])
         except ValueError as exc:
             raise ParseError(f"--profile: {exc}") from exc
-    try:
-        with open(args.profile_file) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read profile file: {exc}") from exc
+    data = _read_json(args.profile_file, "--profile-file")
     try:  # the scenario's rule for a list of JSON numbers, reported as a malformed file
         return _numbers(data, "--profile-file")
     except ValidationError as exc:
@@ -111,8 +107,8 @@ def _cmd_member(args) -> int:
 def _resolve_robust_n(sc) -> int:
     if sc.robust is not None and sc.robust.population_size is not None:
         return sc.robust.population_size
-    if sc.harness is not None and len(sc.harness.population_sizes) == 1:
-        return sc.harness.population_sizes[0]
+    if sc.harness is not None and len(sc.harness.epsilons_by_n) == 1:
+        return next(iter(sc.harness.epsilons_by_n))
     raise ValidationError("robust.N: required (or a single-size harness.N)")
 
 
@@ -172,8 +168,7 @@ def _cmd_montecarlo(args) -> int:
     }
     with _output(args.out) as fh:  # an unwritable --out fails before any cell runs
         stats = []
-        for size in sc.harness.population_sizes:
-            radii = sc.harness.epsilons_by_n[size]
+        for size, radii in sc.harness.epsilons_by_n.items():
             cfg = TrialConfig(sc.distribution, size, radii, trials, seed, args.tolerance)
             stats.extend(run_trials(cfg))
         write_results_csv(fh, stats, metadata)

@@ -90,26 +90,41 @@ def check_energy_domain(e_lo: np.ndarray, e_hi: np.ndarray, cap: float) -> None:
         raise EnergyOutOfRange(f"need 0 <= e_lo <= e_hi <= m*T: ({e_lo[i]}, {e_hi[i]}) vs cap {cap}")
 
 
+def _generating_vectors(energies: np.ndarray, m: float, horizon: int) -> np.ndarray:
+    """Sums of fastest-charge profiles over the last axis: (..., N) -> (..., T).
+
+    EV i gives m to each of its floor(e_i/m) full steps (at most T) and the
+    remainder e_i - m*floor(e_i/m) to the next step, if there is one. Step
+    t's sum is therefore m times the number of EVs with more than t full
+    steps plus the remainders that land on t: two bincounts over (row,
+    full steps) and a reverse cumulative sum, with no (..., N, T) array.
+    """
+    lead = energies.shape[:-1]
+    rows = math.prod(lead)
+    full = np.floor(energies / m).clip(0, horizon)
+    rest = (energies - m * full).clip(0.0, m)
+    # slot T of each row collects the EVs with T full steps and is dropped
+    slot = (full.astype(np.intp) + (horizon + 1) * np.arange(rows).reshape(lead + (1,))).ravel()
+    size = rows * (horizon + 1)
+    count = np.bincount(slot, minlength=size).reshape(rows, horizon + 1)
+    partial = np.bincount(slot, weights=rest.ravel(), minlength=size).reshape(rows, horizon + 1)
+    beyond = count[:, :0:-1].cumsum(axis=1)[:, ::-1]  # EVs with more than t full steps
+    return (m * beyond + partial[:, :horizon]).reshape(lead + (horizon,))
+
+
 def fastest_profile(energy: float, power: float, steps: int) -> np.ndarray:
     """Profile delivering `energy` at maximum power from the first step.
 
     Full-power slots first, then one partial slot carrying the remainder
-    (omitted when zero), then zeros: the one-EV row of aggregate's
-    _generating_vectors, bit for bit, which at a power not exact in binary
-    may sum to `energy` only up to rounding.
+    (omitted when zero), then zeros: the one-EV row of _generating_vectors,
+    which at a power not exact in binary may sum to `energy` only up to rounding.
     """
     _check_power(power)
     steps = _check_horizon(steps, "steps", power)
     if not (_is_finite(energy) and 0 <= energy <= power * steps + 1e-12):
         _floats(energy, "energy")  # a non-number is a DomainError, not an energy out of range
         raise EnergyOutOfRange(f"energy {energy} outside [0, {power * steps}]")
-    full = min(int(np.floor(energy / power)), steps)
-    rest = energy - power * full
-    out = np.zeros(steps)
-    out[:full] = power
-    if full < steps and rest > 0:
-        out[full] = rest
-    return out
+    return _generating_vectors(np.array([float(energy)]), power, steps)
 
 
 def is_individually_feasible(

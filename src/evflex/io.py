@@ -55,7 +55,6 @@ class RobustSpec:
 
 @dataclass(frozen=True)
 class HarnessSpec:
-    population_sizes: tuple[int, ...]
     epsilons_by_n: dict[int, tuple[float, ...]]
     trials: int
     seed: int | None
@@ -122,41 +121,52 @@ def _radii(values, field: str) -> tuple[float, ...]:
     return tuple(_judged(field, _check_radii, _numbers(values, field)).tolist())
 
 
+def _read_json(path: str, source: str):
+    """The JSON value in the UTF-8 file at path; a file that cannot be read,
+    decoded or parsed (too deep a nesting included) is a ParseError naming source."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(f"{source}: cannot read {path}: {exc}") from exc
+
+
+def _section(obj, name: str, required=(), optional=()) -> dict:
+    """obj as the scenario object `name` ("" at the top level): a JSON object with
+    every key in required and none outside required and optional, so a misspelt
+    key is a ValidationError naming its dotted field, not a field left at its default."""
+    where, prefix = (name, f"{name}.") if name else ("scenario", "")
+    _require(isinstance(obj, dict), f"{where}: expected an object")
+    keys = (*required, *optional)
+    for key in obj:
+        _require(key in keys, f"{prefix}{key}: unknown key; {where} takes {', '.join(keys)}")
+    for key in required:
+        _require(key in obj, f"{prefix}{key}: missing")
+    return obj
+
+
 def _parse_distribution(obj, horizon: int, power: float, base_dir: str) -> DiscreteDistribution:
-    _require(isinstance(obj, dict), "distribution: expected an object")
-    if "file" in obj:
-        name = obj["file"]
+    """An inline {atoms, weights}, or {file} alone naming a file that holds one."""
+    where = "distribution"
+    if isinstance(obj, dict) and "file" in obj:
+        name = _section(obj, where, ("file",))["file"]
         _require(isinstance(name, str), f"distribution.file: must be a path, got {name!r}")
-        path = os.path.join(base_dir, name)
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"distribution.file: cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"distribution.file: invalid JSON in {path}: {exc}") from exc
-        _require(isinstance(obj, dict), f"distribution.file: {path} must hold a JSON object")
-    _require("atoms" in obj, "distribution.atoms: missing")
-    _require("weights" in obj, "distribution.weights: missing")
+        where = "distribution.file"
+        obj = _read_json(os.path.join(base_dir, name), where)
+    _section(obj, where, ("atoms", "weights"))
     atoms = _numbers(obj["atoms"], "distribution.atoms", width=2)
     weights = _numbers(obj["weights"], "distribution.weights")
     return _judged("distribution", DiscreteDistribution, atoms, weights, horizon, power)
 
 
 def _parse_robust(obj) -> RobustSpec:
-    _require(isinstance(obj, dict), "robust: expected an object")
-    # unknown keys are ignored, so a normalized radius would otherwise be read as energy
-    _require("normalize" not in obj, "robust.normalize: removed; give robust.epsilon in energy units")
+    _section(obj, "robust", optional=("epsilon", "beta", "constants", "N"))
     epsilon = obj.get("epsilon")
     beta = obj.get("beta")
     _require((epsilon is None) != (beta is None), "robust: exactly one of epsilon/beta must be given")
     constants = None
     if "constants" in obj:
-        cobj = obj["constants"]
-        _require(
-            isinstance(cobj, dict) and "c1" in cobj and "c2" in cobj,
-            "robust.constants: need c1 and c2",
-        )
+        cobj = _section(obj["constants"], "robust.constants", ("c1", "c2"))
         c1 = _number(cobj["c1"], "robust.constants.c1")
         c2 = _number(cobj["c2"], "robust.constants.c2")
         constants = _judged("robust.constants", ConcentrationConstants, c1, c2)
@@ -178,13 +188,11 @@ def _parse_robust(obj) -> RobustSpec:
 
 
 def _parse_harness(obj) -> HarnessSpec:
-    _require(isinstance(obj, dict), "harness: expected an object")
-    _require("N" in obj, "harness.N: missing")
+    _section(obj, "harness", ("N", "epsilons"), ("trials", "seed"))
     raw_n = obj["N"]
     sizes = tuple(_size(v, "harness.N") for v in (raw_n if isinstance(raw_n, list) else [raw_n]))
     # a repeated size would rerun the same (seed, N) stream as a second, dependent cell
     _require(len(set(sizes)) == len(sizes), f"harness.N: sizes must be distinct, got {raw_n!r}")
-    _require("epsilons" in obj, "harness.epsilons: missing")
     raw_eps = obj["epsilons"]
     if isinstance(raw_eps, dict):
         # a key is the decimal of a size, so "03" or "3_0" cannot stand in for 3 or 30
@@ -194,7 +202,7 @@ def _parse_harness(obj) -> HarnessSpec:
             f"harness.epsilons: keyed grids must be keyed by exactly the sizes in N, "
             f"written as decimals, got keys {sorted(raw_eps)!r}",
         )
-        by_n = {names[k]: _radii(v, f"harness.epsilons[{k}]") for k, v in raw_eps.items()}
+        by_n = {size: _radii(raw_eps[k], f"harness.epsilons[{k}]") for k, size in names.items()}
     else:
         grid = _radii(raw_eps, "harness.epsilons")
         by_n = {size: grid for size in sizes}
@@ -203,7 +211,6 @@ def _parse_harness(obj) -> HarnessSpec:
         seed = _judged("harness.seed", _check_seed, _integer(seed, "harness.seed"))
     trials = _integer(obj.get("trials", 1000), "harness.trials")
     return HarnessSpec(
-        population_sizes=sizes,
         epsilons_by_n=by_n,
         trials=_judged("harness.trials", _check_trials, trials),
         seed=seed,
@@ -212,18 +219,11 @@ def _parse_harness(obj) -> HarnessSpec:
 
 def parse_scenario(path: str) -> Scenario:
     """Load and validate a scenario file; errors carry field-level context."""
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}") from exc
-    _require(isinstance(raw, dict), "scenario: top level must be an object")
+    raw = _read_json(path, "scenario")
+    _section(raw, "", optional=("grid", "power", "population", "distribution", "robust", "harness"))
     base_dir = os.path.dirname(os.path.abspath(path))
 
-    grid_obj = raw.get("grid", {})
-    _require(isinstance(grid_obj, dict), "grid: expected an object")
+    grid_obj = _section(raw.get("grid", {}), "grid", optional=("T",))
     horizon = _integer(grid_obj.get("T", DEFAULT_HORIZON), "grid.T")
     horizon = _judged("grid.T", _check_horizon, horizon, "T")
     power = _number(raw.get("power", DEFAULT_POWER), "power")
@@ -235,11 +235,7 @@ def parse_scenario(path: str) -> Scenario:
 
     population = None
     if "population" in raw:
-        pobj = raw["population"]
-        _require(
-            isinstance(pobj, dict) and "members" in pobj,
-            "population.members: missing",
-        )
+        pobj = _section(raw["population"], "population", ("members",))
         members = _numbers(pobj["members"], "population.members", width=2)
         population = _judged("population", Population.from_energy_pairs, members, horizon, power)
 
@@ -290,21 +286,17 @@ def read_results_csv(source) -> tuple[list[ViolationStats], dict]:
     """Inverse of write_results_csv; returns (rows, metadata)."""
     own = isinstance(source, (str, os.PathLike))
     try:
-        opened = open(source, newline="") if own else contextlib.nullcontext(source)
-    except OSError as exc:
+        opened = open(source, newline="", encoding="utf-8") if own else contextlib.nullcontext(source)
+        with opened as fh:
+            lines = list(fh)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read results {source}: {exc}") from exc
-    with opened as fh:
-        metadata = {}
-        lines = []
-        for line in fh:
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    metadata[key.strip()] = value.strip()
-                continue
-            lines.append(line)
-    reader = csv.reader(_io.StringIO("".join(lines)))
+    metadata = {}
+    for line in lines:
+        if line.startswith("#") and "=" in line:
+            key, value = line[1:].split("=", 1)
+            metadata[key.strip()] = value.strip()
+    reader = csv.reader(_io.StringIO("".join(line for line in lines if not line.startswith("#"))))
     try:
         header = next(reader)
     except StopIteration:

@@ -411,6 +411,37 @@ def _profile_file_command(content):
     return build
 
 
+# The command that reads tmp_path/"raw" as the file each key names.
+_RAW_FILE_READERS = {
+    "scenario": lambda tmp: ["aggregate", "--scenario", str(tmp / "raw")],
+    "profile-file": lambda tmp: [
+        "member", "--scenario", write_scenario(tmp, BASE), "--profile-file", str(tmp / "raw")
+    ],
+    "distribution-file": lambda tmp: [
+        "robust", "--scenario", write_scenario(tmp, _with("distribution", {"file": "raw"}))
+    ],
+    "csv": lambda tmp: ["fit-constants", "--csv", str(tmp / "raw")],
+}
+
+
+def _raw_file_command(reader, content: bytes):
+    def build(tmp_path):
+        (tmp_path / "raw").write_bytes(content)
+        return _RAW_FILE_READERS[reader](tmp_path)
+
+    return build
+
+
+# each file holds a Latin-1 "é" (0xe9), which is not UTF-8
+NON_UTF8 = {
+    "scenario": b'{"grid": {"T": 4}, "note": "caf\xe9"}',
+    "profile-file": b'["caf\xe9"]',
+    "distribution-file": b'{"atoms": [[0.5, 1.0]], "weights": [1.0], "note": "caf\xe9"}',
+    "csv": b"# note=caf\xe9\n",
+}
+# nesting deeper than the interpreter's recursion limit
+DEEP_JSON = b"[" * 10**5 + b"]" * 10**5
+
 _CONSTANTS = {"c1": 2.0, "c2": 1.0}
 # no distribution, and a population that also fits a horizon of T = 1
 POPULATION_ONLY = {"grid": {"T": 4}, "population": {"members": [[0.5, 1.0]]}}
@@ -613,6 +644,56 @@ EXIT_CODE_CASES = {
         ),
         3,
     ),
+    # a misspelt key would otherwise leave its field at the default
+    "unknown-top-level-key": (
+        _scenario_command("aggregate", {**POPULATION_ONLY, "Power": 2.0}),
+        3,
+    ),
+    "unknown-grid-key": (_scenario_command("aggregate", {**POPULATION_ONLY, "grid": {"t": 6}}), 3),
+    "unknown-population-key": (
+        _scenario_command(
+            "aggregate", _with("population", {"members": [[0.5, 1.0]], "member": [[1.0, 2.0]]})
+        ),
+        3,
+    ),
+    "unknown-distribution-key": (
+        _scenario_command("robust", _with("distribution", {**BASE["distribution"], "T": 6})),
+        3,
+    ),
+    "unknown-constants-key": (
+        _scenario_command(
+            "robust",
+            _with("robust", {"beta": 0.1, "N": 4, "constants": {**_CONSTANTS, "c3": 0.5}}),
+        ),
+        3,
+    ),
+    "unknown-harness-key-trails": (
+        _scenario_command("montecarlo", _with("harness", {**BASE["harness"], "trails": 50})),
+        3,
+    ),
+    "unknown-harness-key-Seed": (
+        _scenario_command("montecarlo", _with("harness", {**BASE["harness"], "Seed": 7})),
+        3,
+    ),
+    # a distribution is inline or {"file": ...} alone, so inline atoms are not dropped
+    "distribution-file-and-atoms": (
+        _scenario_command(
+            "robust", _with("distribution", {"file": "dist.json", **BASE["distribution"]})
+        ),
+        3,
+    ),
+    "unknown-key-in-distribution-file": (
+        _distribution_file_command({**BASE["distribution"], "power": 2.0}),
+        3,
+    ),
+    # a file that is not UTF-8, or nests too deep to parse, is unreadable input
+    **{
+        f"non-utf8-{reader}": (_raw_file_command(reader, content), 2)
+        for reader, content in NON_UTF8.items()
+    },
+    "deep-scenario": (_raw_file_command("scenario", DEEP_JSON), 2),
+    "deep-profile-file": (_raw_file_command("profile-file", DEEP_JSON), 2),
+    "deep-distribution-file": (_raw_file_command("distribution-file", DEEP_JSON), 2),
 }
 
 # The field each scenario array or file case names in its error message.
@@ -649,6 +730,31 @@ HARNESS_FIELD_CASES = {
     "64-bit-seed": "harness.seed",
     "negative-seed": "harness.seed",
     "too-many-trials": "harness.trials",
+}
+
+# The dotted field of the key each scenario case does not allow.
+UNKNOWN_KEY_CASES = {
+    "unknown-top-level-key": "Power",
+    "unknown-grid-key": "grid.t",
+    "unknown-population-key": "population.member",
+    "unknown-distribution-key": "distribution.T",
+    "unknown-constants-key": "robust.constants.c3",
+    "unknown-harness-key-trails": "harness.trails",
+    "unknown-harness-key-Seed": "harness.Seed",
+    "distribution-file-and-atoms": "distribution.atoms",
+    "unknown-key-in-distribution-file": "distribution.file.power",
+    "normalize": "robust.normalize",
+}
+
+# The source each unreadable file case names in its error message.
+FILE_SOURCE_CASES = {
+    "non-utf8-scenario": "scenario",
+    "non-utf8-profile-file": "--profile-file",
+    "non-utf8-distribution-file": "distribution.file",
+    "non-utf8-csv": "cannot read results",
+    "deep-scenario": "scenario",
+    "deep-profile-file": "--profile-file",
+    "deep-distribution-file": "distribution.file",
 }
 
 # The flag each rejected command-line option names in its error message.
@@ -695,6 +801,22 @@ def test_harness_value_errors_name_the_field(tmp_path, capsys, case):
     build, _ = EXIT_CODE_CASES[case]
     assert main(build(tmp_path)) == 3
     assert HARNESS_FIELD_CASES[case] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_KEY_CASES))
+def test_unknown_keys_name_the_field_and_the_keys_allowed(tmp_path, capsys, case):
+    build, _ = EXIT_CODE_CASES[case]
+    assert main(build(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert f"{UNKNOWN_KEY_CASES[case]}: unknown key;" in err
+    assert " takes " in err
+
+
+@pytest.mark.parametrize("case", sorted(FILE_SOURCE_CASES))
+def test_unreadable_files_name_their_source(tmp_path, capsys, case):
+    build, _ = EXIT_CODE_CASES[case]
+    assert main(build(tmp_path)) == 2
+    assert FILE_SOURCE_CASES[case] in capsys.readouterr().err
 
 
 def test_keyed_grid_error_is_raised_at_load_before_any_cell(tmp_path, monkeypatch):
@@ -807,6 +929,10 @@ def test_keyed_epsilon_grid(tmp_path):
     assert main(["montecarlo", "--scenario", path, "--out", out_csv]) == 0
     rows, _ = read_results_csv(out_csv)
     assert [(r.epsilon, r.population_size) for r in rows] == [(1.5, 2), (2.0, 2), (1.8, 3)]
+    # the cells run in harness.N order, whatever the order of the keys
+    reordered = {**harness, "epsilons": {"3": [1.8], "2": [1.5, 2.0]}}
+    sc = parse_scenario(write_scenario(tmp_path, _with("harness", reordered), "reordered.json"))
+    assert list(sc.harness.epsilons_by_n) == [2, 3]
 
     # keys must be the sizes' decimals: "02" and " 3" name no size, and "3_0" is not 30
     for bad in ({"2": [1.5, 2.0], "4": [1.8]}, {"2": [2.0, 1.5], "3": [1.8]},
