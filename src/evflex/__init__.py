@@ -14,6 +14,7 @@ from .aggregate import (
     contains,
     decompose,
     find_subset_violation,
+    is_individually_feasible,
     is_nested,
     is_subset_exact,
     is_subset_fast,
@@ -32,11 +33,7 @@ from .ambiguity import (
     robust_set,
     wasserstein1,
 )
-from .core import (
-    DEFAULT_ATOL,
-    fastest_profile,
-    is_individually_feasible,
-)
+from .core import DEFAULT_ATOL, fastest_profile
 from .errors import (
     BudgetInfeasible,
     DimensionMismatch,

@@ -19,10 +19,11 @@ a member iff for k = 1..T:
 (k = T gives sum(nu_lo) <= sum(u) <= sum(nu_hi)). A set holds its caps as
 one row [p(1..T), -b(1..T)] and a profile gives one row of cut sums
 [top_k(u), -bottom_k(u)]; membership is the one comparison sums <= caps,
-entry by entry. One kernel (_member_matrix) makes it for many profiles
-against many populations; single-profile membership, batch membership,
-decomposition's verdict, the subset and nesting tests and the Monte Carlo
-harness all use it. The subset, nesting and vertex-membership tests and
+entry by entry, as fl(s - atol) <= c. One kernel (_member_matrix) makes it
+for many profiles against many populations; single-profile and batch
+membership, decomposition's verdict, the subset and nesting tests, the
+Monte Carlo harness, single-EV feasibility (on the one-EV pair) and
+majorization (on the pair (v sorted, v sorted)) all use it. The subset, nesting and vertex-membership tests and
 the harness give it a set's T+1 sorted vertices as one row, their vertex
 envelope (the largest cut sums over the vertices); only the witness of
 find_subset_violation scans the vertices one by one.
@@ -59,9 +60,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_ATOL, _check_atol, _check_horizon, _check_power, _floats
+from .core import DEFAULT_ATOL, _check_atol, _check_horizon, _check_power, _floats, _is_finite
 from .core import _generating_vectors, check_energy_domain
-from .errors import DimensionMismatch, DomainError, NegativeEntry, NotMonotone
+from .errors import DimensionMismatch, DomainError, EnergyOutOfRange, NegativeEntry, NotMonotone
 from .flows import feasible_circulation  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 
@@ -417,6 +418,30 @@ def contains(pop: Population, u, atol: float = DEFAULT_ATOL) -> bool:
     """True iff the population can jointly track the aggregate profile u."""
     sums = _profile_cut_row(u, pop.horizon, atol)
     return bool(_member_matrix(pop._flex._caps, sums, atol))
+
+
+def is_individually_feasible(
+    profile: np.ndarray, e_lo: float, e_hi: float, power: float, atol: float = DEFAULT_ATOL
+) -> bool:
+    """True when one EV can track `profile`: entries in [0, power], total in [e_lo, e_hi].
+
+    That set is the g-polymatroid of p(k) = min(m*k, e_hi) and
+    b(k) = max(0, e_lo - m(T - k)), and the kernel decides on its cap row, built
+    from the energies as given: they are not clipped into [0, m*T] as a
+    population's are, so e_lo > m*T or e_lo > e_hi leaves no member.
+    """
+    _check_power(power)
+    u = _check_profile(profile, (None,), atol)  # the profile of a population of one
+    if not np.isfinite(u).all():
+        raise DomainError("profile has a non-finite entry")
+    if not (_is_finite(e_lo) and _is_finite(e_hi)):
+        _floats((e_lo, e_hi), "e_lo and e_hi")  # a non-number is a DomainError
+        raise EnergyOutOfRange(f"e_lo and e_hi must be finite, got ({e_lo}, {e_hi})")
+    steps = np.arange(1, u.size + 1)
+    caps = np.concatenate(
+        (np.minimum(power * steps, e_hi), -np.maximum(e_lo - power * (u.size - steps), 0.0))
+    )
+    return bool(_member_matrix(caps, _cut_sums(u), atol))
 
 
 @dataclass(frozen=True, eq=False)

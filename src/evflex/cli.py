@@ -47,14 +47,16 @@ def _emit_json(payload, out):
 
 
 def _parse_profile(args) -> np.ndarray:
-    if args.profile is not None:
+    if args.profile is not None:  # split at commas and spaces; an empty field is not skipped
+        fields = args.profile.split(",")
+        if not all(field.strip() for field in fields):
+            raise ParseError(f"--profile: empty field in {args.profile!r}")
         try:
-            return np.array([float(v) for v in args.profile.replace(",", " ").split()])
+            return np.array([float(v) for field in fields for v in field.split()])
         except ValueError as exc:
             raise ParseError(f"--profile: {exc}") from exc
-    data = _read_json(args.profile_file, "--profile-file")
-    try:  # the scenario's rule for a list of JSON numbers, reported as a malformed file
-        return _numbers(data, "--profile-file")
+    try:  # the scenario's rules for JSON and a list of numbers, reported as a malformed file
+        return _numbers(_read_json(args.profile_file, "--profile-file"), "--profile-file")
     except ValidationError as exc:
         raise ParseError(str(exc)) from exc
 

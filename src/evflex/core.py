@@ -14,7 +14,7 @@ import reprlib
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, EnergyOutOfRange, NotAnInteger
+from .errors import DomainError, EnergyOutOfRange, NotAnInteger
 
 DEFAULT_ATOL = 1e-9
 
@@ -125,24 +125,3 @@ def fastest_profile(energy: float, power: float, steps: int) -> np.ndarray:
         _floats(energy, "energy")  # a non-number is a DomainError, not an energy out of range
         raise EnergyOutOfRange(f"energy {energy} outside [0, {power * steps}]")
     return _generating_vectors(np.array([float(energy)]), power, steps)
-
-
-def is_individually_feasible(
-    profile: np.ndarray, e_lo: float, e_hi: float, power: float, atol: float = DEFAULT_ATOL
-) -> bool:
-    """True when one EV can track `profile`: entries in [0, power] and a
-    total in [e_lo, e_hi]."""
-    _check_power(power)
-    _check_atol(atol)
-    u = _floats(profile, "profile")
-    if u.ndim != 1:
-        raise DimensionMismatch(f"profile must be 1-D, got shape {u.shape}")
-    if not np.isfinite(u).all():
-        raise DomainError("profile has a non-finite entry")
-    if not (_is_finite(e_lo) and _is_finite(e_hi)):
-        _floats((e_lo, e_hi), "e_lo and e_hi")  # a non-number is a DomainError
-        raise EnergyOutOfRange(f"e_lo and e_hi must be finite, got ({e_lo}, {e_hi})")
-    if np.any(u < -atol) or np.any(u > power + atol):
-        return False
-    total = float(u.sum())
-    return e_lo - atol <= total <= e_hi + atol

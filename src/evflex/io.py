@@ -121,12 +121,26 @@ def _radii(values, field: str) -> tuple[float, ...]:
     return tuple(_judged(field, _check_radii, _numbers(values, field)).tolist())
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is a ValidationError
+    naming it, where json would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in obj if keys.count(key) > 1)
+        raise ValidationError(f"key {repeated!r} is repeated")
+    return obj
+
+
 def _read_json(path: str, source: str):
     """The JSON value in the UTF-8 file at path; a file that cannot be read,
-    decoded or parsed (too deep a nesting included) is a ParseError naming source."""
+    decoded or parsed (too deep a nesting included) is a ParseError naming source,
+    and a repeated key a ValidationError naming source and key."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except ValidationError as exc:  # a ValueError, but the file itself was read
+        raise ValidationError(f"{source}: {exc}") from None
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"{source}: cannot read {path}: {exc}") from exc
 

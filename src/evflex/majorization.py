@@ -1,23 +1,21 @@
 """Majorization primitives and permutahedron geometry.
 
-All comparisons sort their inputs non-increasing first; the permutahedron is
-permutation symmetric, so sorting is the correct generalization of the
-monotone-vector definitions.
+The permutahedron of v is the set of the pair (v sorted non-increasing,
+the same), so x is majorized by y iff x's cut sums [top_k(x), -bottom_k(x)]
+clear y's: the membership kernel of aggregate, on the same tolerance rule.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .aggregate import _cut_sums, _member_matrix
 from .core import DEFAULT_ATOL, _check_atol, _floats
 from .errors import DimensionMismatch, DomainError, NotMonotone
 
 
-def _sorted_desc(x: np.ndarray) -> np.ndarray:
-    return -np.sort(-x)
-
-
-def _check_same_length(x, y):
+def _check_same_length(x, y, atol):
+    _check_atol(atol)
     x = _floats(x, "x")
     y = _floats(y, "y")
     if x.shape != y.shape or x.ndim != 1 or x.size == 0:
@@ -28,27 +26,19 @@ def _check_same_length(x, y):
 
 
 def strong_majorizes(y, x, atol: float = DEFAULT_ATOL) -> bool:
-    """True iff x is majorized by y: sorted prefix sums of x never exceed
-    those of y, with equal totals."""
-    _check_atol(atol)
-    x, y = _check_same_length(x, y)
-    px = np.cumsum(_sorted_desc(x))
-    py = np.cumsum(_sorted_desc(y))
-    if abs(px[-1] - py[-1]) > atol:
-        return False
-    return bool(np.all(px <= py + atol))
+    """True iff x is majorized by y: top_k(x) <= top_k(y) and
+    bottom_k(x) >= bottom_k(y) for every k, so the totals are equal."""
+    x, y = _check_same_length(x, y, atol)
+    return bool(_member_matrix(_cut_sums(y), _cut_sums(x), atol))
 
 
 def prefix_dominates(y, x, atol: float = DEFAULT_ATOL) -> bool:
-    """Weak variant: sorted prefix sums of x never exceed those of y.
+    """Weak variant: top_k(x) <= top_k(y) for every k (the first T cut sums).
 
     No total-equality requirement.
     """
-    _check_atol(atol)
-    x, y = _check_same_length(x, y)
-    px = np.cumsum(_sorted_desc(x))
-    py = np.cumsum(_sorted_desc(y))
-    return bool(np.all(px <= py + atol))
+    x, y = _check_same_length(x, y, atol)
+    return bool(_member_matrix(_cut_sums(y)[: x.size], _cut_sums(x)[: x.size], atol))
 
 
 def permutahedron_contains(v, x, atol: float = DEFAULT_ATOL) -> bool:
@@ -67,8 +57,7 @@ def minkowski_sum_permutahedra(x, y, atol: float = DEFAULT_ATOL) -> np.ndarray:
     For monotone non-increasing generators the sum of the permutahedra is the
     permutahedron of the elementwise sum.
     """
-    _check_atol(atol)
-    x, y = _check_same_length(x, y)
+    x, y = _check_same_length(x, y, atol)
     for name, vec in (("x", x), ("y", y)):
         if np.any(np.diff(vec) > atol):
             raise NotMonotone(f"{name} is not sorted non-increasing")

@@ -439,6 +439,24 @@ NON_UTF8 = {
     "distribution-file": b'{"atoms": [[0.5, 1.0]], "weights": [1.0], "note": "caf\xe9"}',
     "csv": b"# note=caf\xe9\n",
 }
+# (reader, file content, message) of a key given twice at each place a scenario has objects
+REPEATED_KEYS = {
+    "top-level": (
+        "scenario",
+        b'{"grid": {"T": 4}, "grid": {"T": 6}, "population": {"members": [[0.5, 1.0]]}}',
+        "scenario: key 'grid' is repeated",
+    ),
+    "nested": (
+        "scenario",
+        b'{"grid": {"T": 6, "T": 24}, "population": {"members": [[0.5, 1.0]]}}',
+        "scenario: key 'T' is repeated",
+    ),
+    "distribution-file": (
+        "distribution-file",
+        b'{"atoms": [[0.5, 1.0]], "weights": [1.0], "weights": [1.0]}',
+        "distribution.file: key 'weights' is repeated",
+    ),
+}
 # nesting deeper than the interpreter's recursion limit
 DEEP_JSON = b"[" * 10**5 + b"]" * 10**5
 
@@ -534,6 +552,8 @@ EXIT_CODE_CASES = {
         2,
     ),
     "string-profile": (_scenario_command("member", BASE, "--profile", "1,1,1,x"), 2),
+    # an empty field between commas is not dropped, so four entries do not pass for T = 4
+    "empty-profile-field": (_scenario_command("member", BASE, "--profile", "1,1,,1,1"), 2),
     "string-profile-file": (_profile_file_command(["a", 1, 2, 3]), 2),
     "object-profile-file": (_profile_file_command({"x": 1}), 2),
     "boolean-profile-file": (_profile_file_command([True, 1, 1, 1]), 2),
@@ -694,6 +714,12 @@ EXIT_CODE_CASES = {
     "deep-scenario": (_raw_file_command("scenario", DEEP_JSON), 2),
     "deep-profile-file": (_raw_file_command("profile-file", DEEP_JSON), 2),
     "deep-distribution-file": (_raw_file_command("distribution-file", DEEP_JSON), 2),
+    # a key given twice is rejected, not resolved to its last value
+    **{
+        f"repeated-key-{place}": (_raw_file_command(reader, content), 3)
+        for place, (reader, content, _) in REPEATED_KEYS.items()
+    },
+    "repeated-key-profile-file": (_raw_file_command("profile-file", b'{"x": 1, "x": 2}'), 2),
 }
 
 # The field each scenario array or file case names in its error message.
@@ -764,6 +790,7 @@ FLAG_CASES = {
     "nan-tolerance": "--tolerance",
     "negative-tolerance": "--tolerance",
     "inf-tolerance-member": "--tolerance",
+    "empty-profile-field": "--profile",
     "unwritable-out-aggregate": "--out",
     "unwritable-out-member": "--out",
     "unwritable-out-robust": "--out",
@@ -817,6 +844,23 @@ def test_unreadable_files_name_their_source(tmp_path, capsys, case):
     build, _ = EXIT_CODE_CASES[case]
     assert main(build(tmp_path)) == 2
     assert FILE_SOURCE_CASES[case] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("place", sorted(REPEATED_KEYS))
+def test_repeated_keys_name_the_key(tmp_path, capsys, place):
+    build, _ = EXIT_CODE_CASES[f"repeated-key-{place}"]
+    assert main(build(tmp_path)) == 3
+    assert REPEATED_KEYS[place][2] in capsys.readouterr().err
+
+
+def test_profile_separators(tmp_path, capsys):
+    path = write_scenario(tmp_path, BASE)
+    for profile in ("1.5,0.5,0,0", "1.5 0.5 0 0", "1.5, 0.5, 0, 0"):
+        assert main(["member", "--scenario", path, "--profile", profile]) == 0
+        assert json.loads(capsys.readouterr().out)["profile"] == [1.5, 0.5, 0, 0]
+    for profile in (",1.5,0.5,0,0", "1.5,0.5,0,0,", "1.5, ,0.5,0,0"):
+        assert main(["member", "--scenario", path, "--profile", profile]) == 2
+        assert "--profile: empty field" in capsys.readouterr().err
 
 
 def test_keyed_grid_error_is_raised_at_load_before_any_cell(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from evflex import (
     DomainError,
     EnergyOutOfRange,
     Population,
+    contains,
     fastest_profile,
     is_individually_feasible,
 )
@@ -92,6 +93,32 @@ def test_individual_feasibility_examples():
     assert not is_individually_feasible(np.array([1.2, 0, 0, 0.0]), 1, 2, 1)
     with pytest.raises(DimensionMismatch):
         is_individually_feasible(np.zeros((2, 4)), 1, 2, 1)
+
+
+def test_individual_feasibility_of_energies_outside_the_domain_is_false():
+    # e_lo above m*T: even the full-power profile falls short, and no error is raised
+    assert not is_individually_feasible(np.ones(4), 4.5, 5.0, 1.0)
+    # e_lo above e_hi: no total lies between them
+    assert not is_individually_feasible(np.full(4, 0.375), 2.0, 1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.integers(1, 6), st.data())
+def test_individual_feasibility_is_one_ev_membership(quarters, steps, data):
+    # every value is a multiple of 1/8, so both cap rows are exact and must agree
+    power = quarters / 4
+    cap = 2 * quarters * steps  # m*T in eighths
+    eighths = data.draw(st.lists(st.integers(0, 2 * quarters + 1), min_size=steps, max_size=steps))
+    total = sum(eighths)
+    if data.draw(st.booleans()):  # energies around the profile's total
+        lo = min(max(total - data.draw(st.integers(-1, 3)), 0), cap)
+        hi = min(max(total + data.draw(st.integers(-1, 3)), lo), cap)
+    else:
+        lo = data.draw(st.integers(0, cap))
+        hi = data.draw(st.integers(lo, cap))
+    u = np.array(eighths) / 8
+    one_ev = Population([lo / 8], [hi / 8], steps, power)
+    assert is_individually_feasible(u, lo / 8, hi / 8, power) == contains(one_ev, u)
 
 
 @pytest.mark.parametrize("power", [np.inf, np.nan, 0.0, -1.0])

@@ -300,6 +300,11 @@ CASES = {
         lambda: is_individually_feasible([[0.5]], 0.5, 1.5, 1.0),
         DimensionMismatch,
     ),
+    # a profile of no steps, like every profile, is a shape error, not a verdict
+    "is_individually_feasible-empty": (
+        lambda: is_individually_feasible([], 0.0, 1.5, 1.0),
+        DimensionMismatch,
+    ),
     "DiscreteDistribution-no-atoms": (
         lambda: DiscreteDistribution(np.empty((0, 2)), [], 4),
         DimensionMismatch,

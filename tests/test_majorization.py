@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evflex import (
+    AggregateFlexSet,
     DimensionMismatch,
     DomainError,
     NotMonotone,
@@ -65,6 +66,34 @@ def test_minkowski_sum_examples():
     )
     with pytest.raises(NotMonotone):
         minkowski_sum_permutahedra([0, 1], [1, 0])
+
+
+def test_permutation_moved_by_twice_atol_is_not_majorized():
+    y = np.array([3.0, 1.0, 0.5, 0.0])
+    x = y[[2, 0, 3, 1]]
+    for moved in (2e-9, -2e-9):
+        shifted = x.copy()
+        shifted[1] += moved
+        assert not strong_majorizes(y, shifted)
+        assert strong_majorizes(y, shifted, atol=4e-9)
+    shifted = x.copy()
+    shifted[1] += 0.5e-9  # within atol of the permutahedron
+    assert strong_majorizes(y, shifted)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(0, 3), min_size=1, max_size=6), st.data())
+def test_strong_majorizes_is_membership_in_the_set_of_the_sorted_pair(y, data):
+    # x is a mix of two permutations of y (majorized by y), with one entry moved
+    first = np.asarray(data.draw(st.permutations(y)))
+    second = np.asarray(data.draw(st.permutations(y)))
+    lam = data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1))
+    x = lam * first + (1 - lam) * second
+    moved = data.draw(st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, -2e-9, 1e-3, -1e-3]))
+    i = data.draw(st.integers(0, len(y) - 1))
+    x[i] = max(x[i] + moved, 0.0)
+    ordered = np.sort(y)[::-1]
+    assert strong_majorizes(y, x) == AggregateFlexSet(ordered, ordered, 1.0).contains_profile(x)
 
 
 @settings(max_examples=150, deadline=None)
