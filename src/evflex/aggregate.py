@@ -21,12 +21,13 @@ one row [p(1..T), -b(1..T)] and a profile gives one row of cut sums
 [top_k(u), -bottom_k(u)]; membership is the one comparison sums <= caps,
 entry by entry, as fl(s - atol) <= c. One kernel (_member_matrix) makes it
 for many profiles against many populations; single-profile and batch
-membership, decomposition's verdict, the subset and nesting tests, the
-Monte Carlo harness, single-EV feasibility (on the one-EV pair) and
-majorization (on the pair (v sorted, v sorted)) all use it. The subset, nesting and vertex-membership tests and
-the harness give it a set's T+1 sorted vertices as one row, their vertex
-envelope (the largest cut sums over the vertices); only the witness of
-find_subset_violation scans the vertices one by one.
+membership, decomposition's verdict, emptiness (on a set's two totals),
+the subset and nesting tests, the Monte Carlo harness, single-EV
+feasibility (on the one-EV pair) and majorization (on the pair (v sorted,
+v sorted)) all use it. The subset, nesting and vertex-membership tests
+and the harness give it a set's T+1 sorted vertices as one row, their
+vertex envelope (the largest cut sums over the vertices); only the
+witness of find_subset_violation scans the vertices one by one.
 decompose() then builds its per-EV profiles constructively: the most
 balanced split of the total into per-EV energies, then one doubly
 stochastic mixing of the columns of their fastest-charge profiles. A
@@ -213,7 +214,8 @@ class AggregateFlexSet:
 
     @cached_property
     def is_empty(self) -> bool:
-        return bool(_is_empty(self.nu_lo, self.nu_hi))
+        """Emptiness at DEFAULT_ATOL (_is_empty); every verdict that takes an atol reads its own."""
+        return bool(_is_empty(self.nu_lo, self.nu_hi, DEFAULT_ATOL))
 
     @cached_property
     def _caps(self) -> np.ndarray:
@@ -228,16 +230,17 @@ class AggregateFlexSet:
     def contains_profile(self, u, atol: float = DEFAULT_ATOL) -> bool:
         """Membership of an aggregate profile in this set."""
         sums = _profile_cut_row(u, self.horizon, atol)
-        return not self.is_empty and bool(_member_matrix(self._caps, sums, atol))
+        empty = _is_empty(self.nu_lo, self.nu_hi, atol)
+        return not empty and bool(_member_matrix(self._caps, sums, atol))
 
     def vertices_are_members(self, atol: float = DEFAULT_ATOL) -> bool:
-        """Whether the set is non-empty and nested in itself (is_nested).
+        """Whether the set is non-empty at atol and nested in itself (is_nested).
 
         Sets built from one population always pass. When a robust set
         fails, its splice vertices describe an outer family and the
         vertex-based verdicts are conservative (see is_nested).
         """
-        return is_nested(self, self, atol) and not self.is_empty
+        return is_nested(self, self, atol) and not _is_empty(self.nu_lo, self.nu_hi, atol)
 
 
 def _check_pair(nu_lo: np.ndarray, nu_hi: np.ndarray) -> None:
@@ -251,13 +254,14 @@ def _check_pair(nu_lo: np.ndarray, nu_hi: np.ndarray) -> None:
             raise NotMonotone(f"{name} must be sorted non-increasing")
 
 
-def _is_empty(nu_lo: np.ndarray, nu_hi: np.ndarray) -> np.ndarray:
-    """Whether each pair (..., T) is empty: its lower total passes its upper one.
+def _is_empty(nu_lo: np.ndarray, nu_hi: np.ndarray, atol: float) -> np.ndarray:
+    """Whether each pair (..., T) is empty at atol: fl(sum(nu_lo) - atol) > sum(nu_hi).
 
-    Large transport budgets can push a robust set's lower total past its
-    upper one.
+    Large budgets can push a robust set's lower total past its upper one.
+    Both totals are summed in one order; the cap row's b(T) and p(T) are
+    not, and can put a fixed-energy population's b(T) an ulp above p(T).
     """
-    return nu_lo.sum(axis=-1) > nu_hi.sum(axis=-1) + DEFAULT_ATOL
+    return ~_member_matrix(nu_hi.sum(axis=-1)[..., None], nu_lo.sum(axis=-1)[..., None], atol)
 
 
 def _vertices(nu_lo: np.ndarray, nu_hi: np.ndarray) -> np.ndarray:
@@ -330,8 +334,8 @@ def _needs_clip(u: np.ndarray, lowest, highest, atol: float) -> bool:
     return True
 
 
-def _profile_cut_row(u, horizon: int, atol: float) -> np.ndarray:
-    """The cut sums of a checked profile (T,) from one in-place sort, which a clip keeps."""
+def _profile_cut_row(u, horizon: int | None, atol: float) -> np.ndarray:
+    """Cut sums of a checked profile (T,), any T for horizon None, from one in-place sort."""
     u = _check_profile(u, (horizon,), atol)
     u.sort()
     if _needs_clip(u, u[0], u[-1], atol):
@@ -431,17 +435,15 @@ def is_individually_feasible(
     population's are, so e_lo > m*T or e_lo > e_hi leaves no member.
     """
     _check_power(power)
-    u = _check_profile(profile, (None,), atol)  # the profile of a population of one
-    if not np.isfinite(u).all():
-        raise DomainError("profile has a non-finite entry")
+    sums = _profile_cut_row(profile, None, atol)  # read as contains() reads a profile
     if not (_is_finite(e_lo) and _is_finite(e_hi)):
         _floats((e_lo, e_hi), "e_lo and e_hi")  # a non-number is a DomainError
         raise EnergyOutOfRange(f"e_lo and e_hi must be finite, got ({e_lo}, {e_hi})")
-    steps = np.arange(1, u.size + 1)
+    steps = np.arange(1, sums.size // 2 + 1)
     caps = np.concatenate(
-        (np.minimum(power * steps, e_hi), -np.maximum(e_lo - power * (u.size - steps), 0.0))
+        (np.minimum(power * steps, e_hi), -np.maximum(e_lo - power * (steps.size - steps), 0.0))
     )
-    return bool(_member_matrix(caps, _cut_sums(u), atol))
+    return bool(_member_matrix(caps, sums, atol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -584,14 +586,6 @@ def decompose(pop: Population, u, atol: float = DEFAULT_ATOL):
 # subset tests
 
 
-def _check_compatible(a, b) -> None:
-    """Raise DimensionMismatch unless a and b (sets or populations) share horizon and power."""
-    if a.horizon != b.horizon:
-        raise DimensionMismatch(f"horizon mismatch: {a.horizon} vs {b.horizon}")
-    if a.power != b.power:
-        raise DimensionMismatch(f"power mismatch: {a.power} vs {b.power}")
-
-
 def find_subset_violation(aset: AggregateFlexSet, pop: Population, atol: float = DEFAULT_ATOL):
     """First sorted vertex of aset outside the population's set, or None.
 
@@ -619,16 +613,13 @@ def is_subset_fast(aset: AggregateFlexSet, pop: Population, atol: float = DEFAUL
     Compares the paramodular pairs: aset lies in the g-polymatroid
     b(S) <= u(S) <= p(S) with p the prefix sums of aset.nu_hi and b the
     tail sums of aset.nu_lo, so p <= p_pop and b >= b_pop imply containment
-    for every set, robust intersections included. aset's vertex envelope
-    is at least its cap row, and equal to it when nu_lo <= nu_hi entry by
-    entry (every single-population set), so this test accepts whatever
-    is_subset_exact accepts and agrees with it there.
+    for every set, robust intersections included. It is is_nested's test,
+    emptiness at atol included, on aset's cap row in place of its vertex
+    envelope. That envelope is at least the cap row, and equal to it when
+    nu_lo <= nu_hi entry by entry (every single-population set), so this
+    test accepts whatever is_subset_exact accepts and agrees with it there.
     """
-    _check_compatible(aset, pop)
-    _check_atol(atol)
-    if aset.is_empty:
-        return True
-    return bool(_member_matrix(pop._flex._caps, aset._caps, atol))
+    return _set_in_set(aset, pop._flex, aset._caps, atol)
 
 
 def is_nested(inner: AggregateFlexSet, outer: AggregateFlexSet, atol: float = DEFAULT_ATOL) -> bool:
@@ -636,14 +627,24 @@ def is_nested(inner: AggregateFlexSet, outer: AggregateFlexSet, atol: float = DE
 
     Every vertex of inner is a coordinate permutation of a sorted
     representative and outer is convex and permutation symmetric, so this
-    is outer's cap row clearing inner's vertex envelope. It is exact when
-    inner.vertices_are_members() holds (always for single-population
-    sets); otherwise the representatives describe an outer family, and
-    False may be returned for sets that are in fact nested (never the
-    other way around).
+    is outer's cap row clearing inner's vertex envelope. Emptiness is read
+    at atol (_is_empty): an empty inner set is nested in every set, and no
+    other set in an empty one. It is exact when inner.vertices_are_members()
+    holds (always for single-population sets); otherwise the representatives
+    describe an outer family, and False may be returned for sets that are
+    in fact nested (never the other way around).
     """
-    _check_compatible(inner, outer)
+    return _set_in_set(inner, outer, inner._vertex_envelope, atol)
+
+
+def _set_in_set(inner: AggregateFlexSet, outer: AggregateFlexSet, row, atol: float) -> bool:
+    """is_nested's and is_subset_fast's guarded body, on inner's envelope or cap row as `row`."""
+    if inner.horizon != outer.horizon:
+        raise DimensionMismatch(f"horizon mismatch: {inner.horizon} vs {outer.horizon}")
+    if inner.power != outer.power:
+        raise DimensionMismatch(f"power mismatch: {inner.power} vs {outer.power}")
     _check_atol(atol)
-    if inner.is_empty:
+    if _is_empty(inner.nu_lo, inner.nu_hi, atol):
         return True
-    return not outer.is_empty and bool(_member_matrix(outer._caps, inner._vertex_envelope, atol))
+    empty = _is_empty(outer.nu_lo, outer.nu_hi, atol)
+    return not empty and bool(_member_matrix(outer._caps, row, atol))

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .aggregate import AggregateFlexSet, contains, decompose, sorted_vertices
+from .aggregate import AggregateFlexSet, _is_empty, contains, decompose, sorted_vertices
 from .ambiguity import beta_from_epsilon, epsilon_from_beta, robust_set
 from .core import DEFAULT_ATOL, _check_atol
 from .errors import EVFlexError, ParseError, ValidationError
@@ -143,7 +143,7 @@ def _cmd_robust(args) -> int:
             "w1_hi": result.w1_hi,
             "repaired_lo": result.repaired_lo,
             "repaired_hi": result.repaired_hi,
-            "empty": result.flex.is_empty,
+            "empty": bool(_is_empty(result.flex.nu_lo, result.flex.nu_hi, args.tolerance)),
             "nu_lo": result.flex.nu_lo,
             "nu_hi": result.flex.nu_hi,
             "worst_case_lo": np.column_stack([result.worst_lo.e_lo, result.worst_lo.e_hi]),

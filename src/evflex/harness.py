@@ -84,9 +84,9 @@ class ViolationStats:
     """Violation counts for one (epsilon, N) cell.
 
     degenerate marks cells without evidential value: the robust set was
-    empty (trivially tracked, violations stay 0) or the radius was below
-    the projection cost (no set exists; trials stays 0 and the estimates
-    are NaN).
+    empty at atol (trivially tracked, violations stay 0) or the radius was
+    below the projection cost (no set exists; trials stays 0 and the
+    estimates are NaN).
     """
 
     epsilon: float
@@ -237,12 +237,11 @@ def run_trials(cfg: TrialConfig) -> list[ViolationStats]:
     caps = _cap_columns(distinct, table)
     cell = _worst_cases(dist, n, cfg.epsilons, atol=cfg.atol)
     _check_pair(cell.nu_lo, cell.nu_hi)
-    empty = _is_empty(cell.nu_lo, cell.nu_hi)
+    empty = _is_empty(cell.nu_lo, cell.nu_hi, cfg.atol)
     full = ~empty
     violations = np.zeros(empty.size, dtype=np.int64)
-    if full.any():
-        envelopes = _vertex_envelope(cell.nu_lo[full], cell.nu_hi[full])
-        violations[full] = (~_populations_clear(envelopes, caps, cfg.atol) * sizes).sum(axis=1)
+    envelopes = _vertex_envelope(cell.nu_lo[full], cell.nu_hi[full])  # zero rows are fine
+    violations[full] = (~_populations_clear(envelopes, caps, cfg.atol) * sizes).sum(axis=1)
     out = []
     made = iter(zip(empty.tolist(), violations.tolist()))
     for eps, feasible in zip(cfg.epsilons, cell.feasible.tolist()):

@@ -36,7 +36,7 @@ from evflex import (
     strong_majorizes,
 )
 
-from evflex.aggregate import _check_profile, _generating_vectors, _vertex_envelope
+from evflex.aggregate import _check_profile, _generating_vectors, _is_empty, _vertex_envelope
 from oracles import (
     clip_level,
     first_vertex_outside,
@@ -599,6 +599,46 @@ def test_empty_set_membership_and_subset():
     assert is_subset_exact(aset, two_ev_pop())  # empty set is trivially contained
 
 
+def test_emptiness_is_read_at_the_callers_atol():
+    # the lower total passes the upper one by 2e-9: empty at the default
+    # 1e-9 but not at 1e-6, and every verdict that takes an atol reads it there
+    aset = AggregateFlexSet([1.0, 0.0], [1.0 - 2e-9, 0.0], 1.0)
+    point_pop = Population([0.0], [0.0], 2, 1.0)
+    point = AggregateFlexSet.from_population(point_pop)  # the set {0}
+    assert aset.is_empty
+    assert aset.contains_profile([1.0, 0.0], atol=1e-6)
+    assert aset.vertices_are_members(1e-6)
+    assert not is_nested(aset, point, atol=1e-6)
+    assert not is_subset_fast(aset, point_pop, atol=1e-6)
+    assert not aset.contains_profile([1.0, 0.0])
+    assert not aset.vertices_are_members()
+    assert is_nested(aset, point) and is_subset_fast(aset, point_pop)
+    assert not is_nested(point, aset)  # a non-empty set is in no empty one
+
+
+def test_is_empty_compares_the_totals_at_the_given_atol():
+    # row 0's upper total is 1e-7 below its lower one, row 1's equals it
+    nu_lo = np.array([[0.75, 0.5], [0.5, 0.5]])
+    nu_hi = nu_lo - [[0.0, 1e-7], [0.0, 0.0]]
+    np.testing.assert_array_equal(_is_empty(nu_lo, nu_hi, 1e-6), [False, False])
+    np.testing.assert_array_equal(_is_empty(nu_lo, nu_hi, 1e-9), [True, False])
+    np.testing.assert_array_equal(_is_empty(nu_lo, nu_hi, 0.0), [True, False])
+
+
+def test_fixed_energy_sets_hold_their_own_vertices_at_zero_atol():
+    # e_lo == e_hi gives nu_lo == nu_hi, whose totals, summed in one order,
+    # are equal; the cap row's b(T) (a tail sum) and p(T) (a prefix sum) can
+    # differ by an ulp at a non-dyadic power, which would read the set empty
+    rng = np.random.default_rng(3535)
+    for _ in range(300):
+        horizon = int(rng.integers(2, 30))
+        power = float(rng.uniform(0.3, 3.0))
+        energies = rng.uniform(0, power * horizon, int(rng.integers(1, 20)))
+        aset = AggregateFlexSet.from_population(Population(energies, energies, horizon, power))
+        assert aset.contains_profile(aset.nu_lo, atol=0.0)
+        assert aset.vertices_are_members(0.0)
+
+
 def test_mismatched_set_and_population():
     aset = AggregateFlexSet.from_population(two_ev_pop())
     with pytest.raises(DimensionMismatch):
@@ -648,21 +688,25 @@ def test_vertex_tests_match_per_vertex_route(atol):
     # find_subset_violation read the vertex envelope; the oracle sorts and
     # checks each sorted vertex on its own. Verdicts and the returned
     # vertex (the first one outside) must agree bit for bit.
+    # emptiness is read at the test's atol: the lower total, less atol, passes the upper one
+    def empty(s):
+        return s.nu_lo.sum() - atol > s.nu_hi.sum()
+
     tally = dict(empty=0, outside_vertices=0, inside=0, outside=0)
     for seed in range(100):
         results, pops = _robust_sets_and_samples(seed)
         for result in results:
             aset = result.flex
             vertices = sorted_vertices(aset)
-            tally["empty"] += aset.is_empty
+            tally["empty"] += empty(aset)
 
             def first_outside(outer):
-                if aset.is_empty:
+                if empty(aset):
                     return None
                 return first_vertex_outside(vertices, outer.nu_lo, outer.nu_hi, atol)
 
             own = first_outside(aset)
-            assert aset.vertices_are_members(atol) == (not aset.is_empty and own is None), seed
+            assert aset.vertices_are_members(atol) == (not empty(aset) and own is None), seed
             tally["outside_vertices"] += own is not None
             for pop in (*pops, result.worst_lo, result.worst_hi):
                 outer = AggregateFlexSet.from_population(pop)
@@ -677,7 +721,7 @@ def test_vertex_tests_match_per_vertex_route(atol):
                 tally["inside" if first is None else "outside"] += 1
             for other in results:
                 outer = other.flex
-                expected = aset.is_empty or (not outer.is_empty and first_outside(outer) is None)
+                expected = empty(aset) or (not empty(outer) and first_outside(outer) is None)
                 assert is_nested(aset, outer, atol) == expected, seed
     # every branch is common: empty sets, sets whose own vertices leave
     # them, and populations on both sides of the subset test

@@ -8,6 +8,7 @@ from evflex import (
     DiscreteDistribution,
     DomainError,
     EnergyOutOfRange,
+    NegativeEntry,
     Population,
     contains,
     fastest_profile,
@@ -105,10 +106,12 @@ def test_individual_feasibility_of_energies_outside_the_domain_is_false():
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(1, 8), st.integers(1, 6), st.data())
 def test_individual_feasibility_is_one_ev_membership(quarters, steps, data):
-    # every value is a multiple of 1/8, so both cap rows are exact and must agree
+    # every value is a multiple of 1/8, so both cap rows are exact and must
+    # agree; a negative entry is -1/8 (NegativeEntry from both) or, read as
+    # -1e-12, inside the tolerance (clipped to 0 by both)
     power = quarters / 4
     cap = 2 * quarters * steps  # m*T in eighths
-    eighths = data.draw(st.lists(st.integers(0, 2 * quarters + 1), min_size=steps, max_size=steps))
+    eighths = data.draw(st.lists(st.integers(-1, 2 * quarters + 1), min_size=steps, max_size=steps))
     total = sum(eighths)
     if data.draw(st.booleans()):  # energies around the profile's total
         lo = min(max(total - data.draw(st.integers(-1, 3)), 0), cap)
@@ -117,8 +120,16 @@ def test_individual_feasibility_is_one_ev_membership(quarters, steps, data):
         lo = data.draw(st.integers(0, cap))
         hi = data.draw(st.integers(lo, cap))
     u = np.array(eighths) / 8
+    if data.draw(st.booleans()):
+        u[u < 0] = -1e-12
     one_ev = Population([lo / 8], [hi / 8], steps, power)
-    assert is_individually_feasible(u, lo / 8, hi / 8, power) == contains(one_ev, u)
+    if (u < -1e-9).any():
+        with pytest.raises(NegativeEntry):
+            contains(one_ev, u)
+        with pytest.raises(NegativeEntry):
+            is_individually_feasible(u, lo / 8, hi / 8, power)
+    else:
+        assert is_individually_feasible(u, lo / 8, hi / 8, power) == contains(one_ev, u)
 
 
 @pytest.mark.parametrize("power", [np.inf, np.nan, 0.0, -1.0])

@@ -499,7 +499,8 @@ def test_cell_core_equals_single_radius_robust_sets():
             for side, worst in enumerate((result.worst_lo, result.worst_hi)):
                 np.testing.assert_array_equal(cell.worst[side, 0, row], worst.e_lo)
                 np.testing.assert_array_equal(cell.worst[side, 1, row], worst.e_hi)
-            assert _is_empty(cell.nu_lo[row], cell.nu_hi[row]) == result.flex.is_empty == s.degenerate
+            empty = _is_empty(cell.nu_lo[row], cell.nu_hi[row], atol)
+            assert empty == result.flex.is_empty == s.degenerate
             np.testing.assert_array_equal(envelopes[row], flex._vertex_envelope)
             violations = 0
             if not result.flex.is_empty:

@@ -345,6 +345,10 @@ CASES = {
     ),
     "TrialConfig-unsorted-epsilons": (lambda: _trial_config(epsilons=(1.0, 0.5)), NotMonotone),
     "contains-negative-entry": (lambda: contains(POP, [-1.0, 1.0, 1.0, 0.0]), NegativeEntry),
+    "is_individually_feasible-negative-entry": (
+        lambda: is_individually_feasible([-0.5, 1.0, 1.0, 1.0], 0.5, 3.0, 1.0),
+        NegativeEntry,
+    ),
     # non-numeric scalars and entries are out of their domain
     "robust_set-atol-none": (lambda: robust_set(DIST, 3, 0.5, atol=None), DomainError),
     "Population-power-str": (lambda: Population([0.5], [1.0], 4, "x"), DomainError),
