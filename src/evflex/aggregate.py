@@ -62,8 +62,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import DEFAULT_ATOL, _check_atol, _check_horizon, _check_power, _floats, _is_finite
-from .core import _generating_vectors, check_energy_domain
-from .errors import DimensionMismatch, DomainError, EnergyOutOfRange, NegativeEntry, NotMonotone
+from .core import _check_same_grid, _generating_vectors, check_energy_domain
+from .errors import DomainError, EnergyOutOfRange, NegativeEntry, NotMonotone
 from .flows import feasible_circulation  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 
@@ -95,10 +95,8 @@ class Population:
     power: float = 1.0
 
     def __post_init__(self):
-        e_lo = _floats(self.e_lo, "e_lo")
-        e_hi = _floats(self.e_hi, "e_hi")
-        if e_lo.ndim != 1 or e_lo.shape != e_hi.shape or e_lo.size == 0:
-            raise DimensionMismatch("e_lo and e_hi must be non-empty 1-D arrays of equal length")
+        e_lo = _floats(self.e_lo, "e_lo", (None,))
+        e_hi = _floats(self.e_hi, "e_hi", e_lo.shape)
         _check_power(self.power)
         power = float(self.power)
         horizon = _check_horizon(self.horizon, "horizon", power)
@@ -116,9 +114,7 @@ class Population:
     @classmethod
     def from_energy_pairs(cls, pairs, horizon: int, power: float = 1.0) -> "Population":
         """Population from (e_lo, e_hi) rows."""
-        pairs = _floats(pairs, "pairs")
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise DimensionMismatch("pairs must be (e_lo, e_hi) rows")
+        pairs = _floats(pairs, "pairs", (None, 2))
         return cls(pairs[:, 0], pairs[:, 1], horizon, power)
 
     @property
@@ -188,16 +184,14 @@ class AggregateFlexSet:
     power: float
 
     def __post_init__(self):
-        nu_lo = _floats(self.nu_lo, "nu_lo")
-        nu_hi = _floats(self.nu_hi, "nu_hi")
+        nu_lo = _floats(self.nu_lo, "nu_lo", (None,))
+        nu_hi = _floats(self.nu_hi, "nu_hi", nu_lo.shape)
         nu_lo.flags.writeable = False
         nu_hi.flags.writeable = False
         object.__setattr__(self, "nu_lo", nu_lo)
         object.__setattr__(self, "nu_hi", nu_hi)
         _check_power(self.power)
         object.__setattr__(self, "power", float(self.power))
-        if nu_lo.ndim != 1:
-            raise DimensionMismatch("nu_lo and nu_hi must be non-empty 1-D of equal length")
         _check_pair(nu_lo, nu_hi)
 
     def __reduce__(self):
@@ -244,9 +238,7 @@ class AggregateFlexSet:
 
 
 def _check_pair(nu_lo: np.ndarray, nu_hi: np.ndarray) -> None:
-    """Check bound pairs (..., T): equal shapes with T >= 1, finite, each non-increasing."""
-    if nu_lo.shape != nu_hi.shape or nu_lo.ndim == 0 or nu_lo.shape[-1] == 0:
-        raise DimensionMismatch("nu_lo and nu_hi must be non-empty and of equal shape")
+    """Check bound pairs (..., T) of one shape: finite, each non-increasing."""
     if not (np.isfinite(nu_lo).all() and np.isfinite(nu_hi).all()):
         raise DomainError("nu_lo and nu_hi must be finite")
     for name, vec in (("nu_lo", nu_lo), ("nu_hi", nu_hi)):
@@ -302,22 +294,6 @@ def sorted_vertices(aset: AggregateFlexSet) -> np.ndarray:
 # membership: the two-vector criterion
 
 
-def _check_profile(u, shape: tuple, atol: float) -> np.ndarray:
-    """A profile (shape (T,)) or profile stack ((V, T)) as a new float array.
-
-    A None in shape matches any length, and the last axis (T) must not be
-    empty. The entries are judged by _needs_clip, on the caller's sort.
-    """
-    _check_atol(atol)
-    u = _floats(u, "aggregate profile")
-    fits = u.shape == shape or u.ndim == len(shape) and all(
-        want in (None, got) for got, want in zip(u.shape, shape)
-    )
-    if not fits or not u.shape[-1]:
-        raise DimensionMismatch(f"profile shape {u.shape} does not fit {shape} with T >= 1")
-    return u
-
-
 def _needs_clip(u: np.ndarray, lowest, highest, atol: float) -> bool:
     """The value rule of a checked profile: whether u has entries in [-atol, 0) to clip.
 
@@ -335,8 +311,9 @@ def _needs_clip(u: np.ndarray, lowest, highest, atol: float) -> bool:
 
 
 def _profile_cut_row(u, horizon: int | None, atol: float) -> np.ndarray:
-    """Cut sums of a checked profile (T,), any T for horizon None, from one in-place sort."""
-    u = _check_profile(u, (horizon,), atol)
+    """Cut sums of a profile (T,), any T for horizon None, from one in-place sort."""
+    _check_atol(atol)
+    u = _floats(u, "aggregate profile", (horizon,))
     u.sort()
     if _needs_clip(u, u[0], u[-1], atol):
         u = np.maximum(u, 0.0)
@@ -398,15 +375,12 @@ def batch_contains(
     and applies the two-vector criterion; returns a boolean (R, V) matrix
     with the same decisions as contains().
     """
-    profiles = _check_profile(profiles, (None, None), atol)
+    _check_atol(atol)
+    profiles = _floats(profiles, "profiles", (None, None))
     if _needs_clip(profiles, profiles.min(), profiles.max(), atol):
         profiles = np.maximum(profiles, 0.0)
-    e_lo = _floats(e_lo, "e_lo")
-    e_hi = _floats(e_hi, "e_hi")
-    if e_lo.ndim != 2 or e_lo.shape != e_hi.shape or e_lo.shape[1] == 0:
-        raise DimensionMismatch(
-            f"e_lo {e_lo.shape} and e_hi {e_hi.shape} must be equal (R, N) with N >= 1"
-        )
+    e_lo = _floats(e_lo, "e_lo", (None, None))
+    e_hi = _floats(e_hi, "e_hi", e_lo.shape)
     _check_power(m)
     horizon = _check_horizon(profiles.shape[1], "horizon", m)
     check_energy_domain(e_lo, e_hi, m * horizon)
@@ -561,7 +535,8 @@ def decompose(pop: Population, u, atol: float = DEFAULT_ATOL):
     because fl(s - atol) > c implies s > c. Any valid split or violated cut
     is correct; these are the ones chosen.
     """
-    u = _check_profile(u, (pop.horizon,), atol)
+    _check_atol(atol)
+    u = _floats(u, "aggregate profile", (pop.horizon,))
     # one stable sort serves the value rule, the verdict, the witness's
     # column order and the cut; a clip sorts again, so ties keep index order
     order = (-u).argsort(kind="stable")
@@ -639,10 +614,7 @@ def is_nested(inner: AggregateFlexSet, outer: AggregateFlexSet, atol: float = DE
 
 def _set_in_set(inner: AggregateFlexSet, outer: AggregateFlexSet, row, atol: float) -> bool:
     """is_nested's and is_subset_fast's guarded body, on inner's envelope or cap row as `row`."""
-    if inner.horizon != outer.horizon:
-        raise DimensionMismatch(f"horizon mismatch: {inner.horizon} vs {outer.horizon}")
-    if inner.power != outer.power:
-        raise DimensionMismatch(f"power mismatch: {inner.power} vs {outer.power}")
+    _check_same_grid(inner, outer)
     _check_atol(atol)
     if _is_empty(inner.nu_lo, inner.nu_hi, atol):
         return True

@@ -26,10 +26,10 @@ import numpy as np
 
 from .aggregate import AggregateFlexSet, Population
 from .core import DEFAULT_ATOL, _generating_vectors, check_energy_domain
-from .core import _check_atol, _check_horizon, _check_integer, _check_power, _floats, _is_finite
+from .core import _check_atol, _check_horizon, _check_integer, _check_power, _check_same_grid
+from .core import _floats, _is_finite
 from .errors import (
     BudgetInfeasible,
-    DimensionMismatch,
     DomainError,
     EnergyOutOfRange,
     NegativeBudget,
@@ -53,12 +53,8 @@ class DiscreteDistribution:
     power: float = 1.0
 
     def __post_init__(self):
-        atoms = _floats(self.atoms, "atoms")
-        weights = _floats(self.weights, "weights")
-        if atoms.ndim != 2 or atoms.shape[1] != 2 or atoms.shape[0] == 0:
-            raise DimensionMismatch("atoms must be a non-empty (n, 2) array")
-        if weights.shape != (atoms.shape[0],):
-            raise DimensionMismatch("weights must match the number of atoms")
+        atoms = _floats(self.atoms, "atoms", (None, 2))
+        weights = _floats(self.weights, "weights", atoms.shape[:1])
         # NaN passes both weight tests below; a non-finite atom is an
         # energy outside its domain, which check_energy_domain reports
         if not np.isfinite(weights).all():
@@ -91,10 +87,8 @@ class DiscreteDistribution:
 
     @classmethod
     def equal_weights(cls, pairs, horizon: int, power: float = 1.0) -> "DiscreteDistribution":
-        pairs = _floats(pairs, "pairs")
-        n = pairs.shape[0] if pairs.ndim else 0
-        # zero pairs or a scalar reach the constructor, which rejects the shape
-        return cls(pairs, np.full(n, 1.0 / max(n, 1)), horizon, power)
+        pairs = _floats(pairs, "pairs", (None, 2))
+        return cls(pairs, np.full(pairs.shape[0], 1.0 / pairs.shape[0]), horizon, power)
 
     @property
     def energy_cap(self) -> float:
@@ -143,8 +137,7 @@ def wasserstein1(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     N-point support from project_to_n_points holds only a few. Both
     distributions must share one horizon and power.
     """
-    if (p.horizon, p.power) != (q.horizon, q.power):
-        raise DomainError(f"distributions' (T, m) differ: {p.horizon, p.power} vs {q.horizon, q.power}")
+    _check_same_grid(p, q)
     p_atoms, p_weights = _merged_atoms(p)
     q_atoms, q_weights = _merged_atoms(q)
     cost = np.abs(p_atoms[:, None, 0] - q_atoms[None, :, 0]) + np.abs(
@@ -261,9 +254,7 @@ def _push_walk(values, partners, budget, target, sign):
 
 
 def _validate_push_args(values, budget):
-    values = _floats(values, "values")
-    if values.ndim != 1 or values.size == 0:
-        raise DimensionMismatch("values must be a non-empty 1-D array")
+    values = _floats(values, "values", (None,))
     if not (np.isfinite(values).all() and _is_finite(budget)):
         raise DomainError(f"values and budget must be finite, got budget {budget!r}")
     if np.any(np.diff(values) < -1e-12):
@@ -407,12 +398,10 @@ def _certified_distances(proj_cost, starts, e_lo, e_hi) -> np.ndarray:
 def _check_radii(epsilons) -> np.ndarray:
     """Ball radii as a new float array: a non-empty 1-D sequence of finite,
     non-negative and strictly increasing numbers (one radius is a grid of one)."""
-    radii = _floats(epsilons, "epsilons")
-    if radii.ndim != 1:
-        raise DimensionMismatch(f"epsilons must be a 1-D sequence, got shape {radii.shape}")
+    radii = _floats(epsilons, "epsilons", (None,))
     if not (np.isfinite(radii).all() and (radii >= 0).all()):
         raise DomainError(f"epsilons must be finite and non-negative, got {radii.tolist()}")
-    if radii.size == 0 or (np.diff(radii) <= 0).any():
+    if (np.diff(radii) <= 0).any():
         raise NotMonotone(f"epsilons must be strictly increasing, got {radii.tolist()}")
     return radii
 

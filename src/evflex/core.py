@@ -14,7 +14,7 @@ import reprlib
 
 import numpy as np
 
-from .errors import DomainError, EnergyOutOfRange, NotAnInteger
+from .errors import DimensionMismatch, DomainError, EnergyOutOfRange, NotAnInteger
 
 DEFAULT_ATOL = 1e-9
 
@@ -28,20 +28,39 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _floats(values, name: str) -> np.ndarray:
+def _floats(values, name: str, shape: tuple | None = None) -> np.ndarray:
     """A new float array of a caller's values; an entry that is not a number
     (a string, bytes or None included), or a ragged nesting, raises
-    DomainError naming the argument. Numeric arrays skip the entry scan."""
+    DomainError naming the argument. Numeric arrays skip the entry scan.
+
+    shape, when given, is the one shape rule: a length per axis, None for
+    any length. A wrong number of axes, a wrong length or an empty axis
+    raises DimensionMismatch naming the argument.
+    """
     try:
         raw = np.asarray(values)
         # numpy parses strings and reads None as NaN, so an object array's entries are looked at
-        if raw.dtype.kind in "biuf" or raw.dtype.kind == "O" and not any(
+        numeric = raw.dtype.kind in "biuf" or raw.dtype.kind == "O" and not any(
             v is None or isinstance(v, (str, bytes)) for v in raw.flat
-        ):
-            return np.array(raw, dtype=float)
+        )
+        out = np.array(raw, dtype=float) if numeric else None
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must be numeric: {exc}") from exc
-    raise DomainError(f"{name} must be numeric, got {reprlib.repr(values)}")
+    if out is None:
+        raise DomainError(f"{name} must be numeric, got {reprlib.repr(values)}")
+    if shape is None or out.shape == shape and out.size:
+        return out
+    if out.size and out.ndim == len(shape) and all(w in (None, n) for n, w in zip(out.shape, shape)):
+        return out
+    raise DimensionMismatch(
+        f"{name} must be a non-empty array of shape {shape} (None: any length), got {out.shape}"
+    )
+
+
+def _check_same_grid(a, b) -> None:
+    """The one (T, m) rule: objects on different grids raise DimensionMismatch."""
+    if (a.horizon, a.power) != (b.horizon, b.power):
+        raise DimensionMismatch(f"(T, m) differ: {(a.horizon, a.power)} vs {(b.horizon, b.power)}")
 
 
 def _check_power(power) -> None:

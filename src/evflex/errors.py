@@ -1,12 +1,13 @@
 """Exception and warning types shared across the package.
 
-Each input rule raises its own class, whoever calls it: a wrong shape
-DimensionMismatch, a non-finite, out-of-range or non-numeric number (or a
-ragged array) DomainError, a float or boolean count NotAnInteger, an
-energy outside its domain, NaN and infinity included, EnergyOutOfRange
-and unsorted input NotMonotone. Every class is a ValueError (NotAnInteger
-is also a TypeError) and declares the CLI's exit code and stderr label
-for it.
+Each input rule raises its own class, whoever calls it: a wrong shape, an
+empty array or two objects on different (T, m) DimensionMismatch (only
+core's _floats and _check_same_grid raise it), a non-finite, out-of-range
+or non-numeric number (or a ragged array) DomainError, a float or boolean
+count NotAnInteger, an energy outside its domain, NaN and infinity
+included, EnergyOutOfRange and unsorted input NotMonotone. Every class is
+a ValueError (NotAnInteger is also a TypeError) and declares the CLI's
+exit code and stderr label for it.
 """
 
 
@@ -21,7 +22,7 @@ class EnergyOutOfRange(EVFlexError):
 
 
 class DimensionMismatch(EVFlexError):
-    """Vector/profile length does not match the expected horizon."""
+    """An array of the wrong shape or an empty one, or two objects on different (T, m)."""
     exit_code = 2
 
 

@@ -11,15 +11,13 @@ import numpy as np
 
 from .aggregate import _cut_sums, _member_matrix
 from .core import DEFAULT_ATOL, _check_atol, _floats
-from .errors import DimensionMismatch, DomainError, NotMonotone
+from .errors import DomainError, NotMonotone
 
 
 def _check_same_length(x, y, atol):
     _check_atol(atol)
-    x = _floats(x, "x")
-    y = _floats(y, "y")
-    if x.shape != y.shape or x.ndim != 1 or x.size == 0:
-        raise DimensionMismatch(f"need non-empty vectors of one length: {x.shape} vs {y.shape}")
+    x = _floats(x, "x", (None,))
+    y = _floats(y, "y", x.shape)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DomainError("vectors must be finite")
     return x, y

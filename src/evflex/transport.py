@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .core import _floats
-from .errors import DimensionMismatch, DomainError, NumericalFailure
+from .errors import DomainError, NumericalFailure
 
 MASS_EPS = 1e-15
 
@@ -31,18 +31,16 @@ def min_cost_transport(supply, demand, cost) -> tuple[float, np.ndarray]:
 
     supply: (n,), demand: (m,) with equal totals (tiny float imbalance is
     tolerated and left unshipped); cost: (n, m) non-negative. Returns
-    (total_cost, plan). A shape mismatch raises DimensionMismatch, and a
-    non-finite or negative mass or cost DomainError.
+    (total_cost, plan). An empty side or a cost not of shape (n, m) raises
+    DimensionMismatch, and a non-finite or negative mass or cost DomainError.
     """
-    supply = _floats(supply, "supply")
-    demand = _floats(demand, "demand")
-    cost = _floats(cost, "cost")
-    if (supply.ndim, demand.ndim) != (1, 1) or supply.shape + demand.shape != cost.shape:
-        raise DimensionMismatch("supply/demand shapes do not match the cost matrix")
+    supply = _floats(supply, "supply", (None,))
+    demand = _floats(demand, "demand", (None,))
+    cost = _floats(cost, "cost", supply.shape + demand.shape)
     n, m = cost.shape
     # min and max propagate NaN, and an infinity shows in one of them
     values = np.concatenate([supply, demand, cost.ravel()])
-    lo, hi = float(values.min(initial=0.0)), float(values.max(initial=0.0))
+    lo, hi = float(values.min()), float(values.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("supply, demand and cost must be finite")
     if lo < 0:

@@ -36,7 +36,8 @@ from evflex import (
     strong_majorizes,
 )
 
-from evflex.aggregate import _check_profile, _generating_vectors, _is_empty, _vertex_envelope
+from evflex import core
+from evflex.aggregate import _generating_vectors, _is_empty, _vertex_envelope
 from oracles import (
     clip_level,
     first_vertex_outside,
@@ -248,7 +249,7 @@ def test_batch_contains_checks_shapes():
     # the checked profile is a new array: the caller's is never clipped or aliased
     np.testing.assert_array_equal(u, [1.5, 0.5, 0.0, -1e-12])
     for profile in (u, clipped):
-        assert not np.shares_memory(_check_profile(profile, (4,), 1e-9), profile)
+        assert not np.shares_memory(core._floats(profile, "u", (4,)), profile)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from evflex import (
     AggregateFlexSet,
     BudgetInfeasible,
     ConcentrationConstants,
+    DimensionMismatch,
     DiscreteDistribution,
     DomainError,
     NegativeBudget,
@@ -177,7 +178,7 @@ def test_robust_set_transport_sees_distinct_atoms_only(monkeypatch):
 def test_wasserstein_rejects_mismatched_domains():
     p = DiscreteDistribution.point_mass(1, 2, 6)
     q = DiscreteDistribution.point_mass(1, 2, 8)
-    with pytest.raises(DomainError):
+    with pytest.raises(DimensionMismatch):
         wasserstein1(p, q)
 
 

@@ -145,7 +145,7 @@ CASES = {
     ),
     "wasserstein1-other-domain": (
         lambda: wasserstein1(DIST, DiscreteDistribution([[0.5, 1.0]], [1.0], 5)),
-        DomainError,
+        DimensionMismatch,
     ),
     # the same cap m*T = 6 on another (T, m): the domains still differ
     "wasserstein1-same-cap-other-domain": (
@@ -153,7 +153,7 @@ CASES = {
             DiscreteDistribution([[0.5, 1.0]], [1.0], 6),
             DiscreteDistribution([[0.5, 1.0]], [1.0], 4, 1.5),
         ),
-        DomainError,
+        DimensionMismatch,
     ),
     "push_lower-nan-budget": (lambda: push_lower([0.5, 1.0], nan, 4.0), DomainError),
     "push_lower-inf-ceiling": (lambda: push_lower([0.5, 1.0], 0.1, inf), DomainError),
@@ -288,6 +288,14 @@ CASES = {
     "decompose-2d": (lambda: decompose(POP, [U]), DimensionMismatch),
     "batch_contains-1d-profiles": (lambda: batch_contains([[0.5]], [[2.0]], U, 1.0), DimensionMismatch),
     "batch_contains-1d-energies": (lambda: batch_contains([0.5], [2.0], [U], 1.0), DimensionMismatch),
+    "batch_contains-no-profiles": (
+        lambda: batch_contains([[0.5]], [[2.0]], np.empty((0, 4)), 1.0),
+        DimensionMismatch,
+    ),
+    "batch_contains-no-populations": (
+        lambda: batch_contains(np.empty((0, 1)), np.empty((0, 1)), [U], 1.0),
+        DimensionMismatch,
+    ),
     "is_subset_exact-other-horizon": (
         lambda: is_subset_exact(FLEX, Population([0.5], [1.0], 3)),
         DimensionMismatch,
@@ -326,7 +334,12 @@ CASES = {
         lambda: min_cost_transport([1.0], [1.0], [1.0]),
         DimensionMismatch,
     ),
+    "min_cost_transport-empty-side": (
+        lambda: min_cost_transport([], [], np.empty((0, 0))),
+        DimensionMismatch,
+    ),
     "TrialConfig-scalar-epsilons": (lambda: _trial_config(epsilons=0.5), DimensionMismatch),
+    "TrialConfig-empty-epsilons": (lambda: _trial_config(epsilons=()), DimensionMismatch),
     "strong_majorizes-lengths-differ": (
         lambda: strong_majorizes([1.0, 0.0], [1.0]),
         DimensionMismatch,
@@ -479,6 +492,25 @@ def test_scalar_errors_print_the_value_repr(case):
     with pytest.raises(DomainError) as info:
         call()
     assert shown in str(info.value)
+
+
+# a shape error names the argument whose shape is wrong, whichever function received it
+SHAPE_NAME_CASES = {
+    "Population-e_hi": (lambda: Population([0.5, 0.5], [1.0], 4), "e_hi"),
+    "strong_majorizes-y": (lambda: strong_majorizes([1.0, 0.0], [1.0]), "y"),
+    "push_lower-values": (lambda: push_lower([], 0.1, 4.0), "values"),
+    "DiscreteDistribution-weights": (
+        lambda: DiscreteDistribution([[0.5, 1.0]], [0.5, 0.5], 4),
+        "weights",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_NAME_CASES))
+def test_shape_errors_name_their_argument(case):
+    call, name = SHAPE_NAME_CASES[case]
+    with pytest.raises(DimensionMismatch, match=rf"^{name} must be a non-empty array of shape"):
+        call()
 
 
 def test_every_error_class_is_a_value_error():
